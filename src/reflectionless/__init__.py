@@ -8,9 +8,9 @@ extremal constant of a finite-gap compact set.
 
 from .errors import ConfigError, NumericError
 from .sets import CompactSet
-from .krein import (StepFunction, HerglotzRep, free_krein, extend_krein,
-                    herglotz_eval, boundary_value, abs_boundary,
-                    hilbert_transform, correction_factor)
+from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
+                    boundary_value, abs_boundary, hilbert_transform,
+                    correction_factor)
 from .operators import (Tail, JacobiCoefficients, HalfLineRestriction, shift,
                         coefficient_metric, green_diag, reflectionless_residual)
 from .gapflow import (CanonicalKrein, gap_modify, flow_to_canonical,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "NumericError",
     "CompactSet",
-    "StepFunction", "HerglotzRep", "free_krein", "extend_krein",
+    "StepFunction", "HerglotzRep", "free_krein",
     "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
     "correction_factor",
     "Tail", "JacobiCoefficients", "HalfLineRestriction", "shift",

@@ -3,7 +3,8 @@
 Subcommands: thm11 (lower-bound suite on an interval), oracle (perturbation
 sweep), dr (forward asymptotics), aktable (extremal constants), omega
 (shift-window clustering), eval (ad-hoc evaluation).  Exit codes: 0 pass,
-1 assertion failure, 2 config error, 3 numeric failure.
+1 assertion failure, 2 config or input error (any ValueError), 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         report = _RUNNERS[name](cfg)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError and the library's own input checks (a request larger
+        # than the data supports, a jump outside its gap) are both input faults
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

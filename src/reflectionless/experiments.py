@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .extremal import (GapJumps, canonical_krein_from_jumps, grid_min_mass,
-                       minimize_mass)
+from .extremal import (KKT_TOL, GapJumps, canonical_krein_from_jumps,
+                       grid_min_mass, minimize_mass)
 from .gapflow import flow_to_canonical
 from .inverse import (coefficient_deviation, reconstruct_coefficients,
                       reconstruction_report)
@@ -373,7 +373,8 @@ def run_extremal_table(cfg: ExperimentConfig) -> dict:
         delta = abs(res.objective_value - oracle.objective_value)
         row = {"set": json.dumps(intervals), "A": res.constant,
                "argmin": json.dumps(list(res.jumps.masses)),
-               "grid": cfg.grid, "refinement_tolerance": 1e-10,
+               "grid": cfg.grid, "refinement_tolerance": KKT_TOL,
+               "kkt_residual": res.kkt_residual, "iterations": res.iterations,
                "R_used": res.bound_used, "delta_vs_grid": delta,
                "closed_form": ""}
         if len(k_set.intervals) == 1:

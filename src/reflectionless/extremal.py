@@ -7,9 +7,15 @@ half-line mass of the associated measure is
 
 a smooth function of the jump vector.  Its minimum over the box
 prod_j [0, |gap_j|] is the square of the extremal constant: no operator
-reflectionless on K can have any a_n below that value.  The minimizer is
-found by a coarse grid followed by cyclic golden-section refinement, with
-an exhaustive grid evaluator as an independent check.
+reflectionless on K can have any a_n below that value.
+
+On band quadrature nodes t_i the objective is f(g) = sum_i exp(z_i(g)) with
+z_i = alpha_i - sum_j ln|d_j - g_j - t_i|, and d_j - g_j - t_i keeps one sign
+across the box, so ln f is a log-sum-exp of convex functions: convex, with
+a unique minimizer.  `minimize_mass` finds it by projected Newton on the box
+(Bertsekas, SIAM J. Control Optim. 20, 1982) with closed-form gradient and
+Hessian, and certifies it by the projected-gradient (KKT) residual; an
+exhaustive grid evaluator serves as an independent check.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import HerglotzRep, StepFunction
+from .errors import NumericError
+from .krein import HerglotzRep, StepFunction, hilbert_transform
 from .measures import _gl_rule, stieltjes_invert, total_mass
 from .sets import CompactSet
 
@@ -33,7 +40,13 @@ __all__ = [
     "ExtremalResult",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# projected Newton in y = g / |gap| on the unit box: stop once the residual
+# max_j |y_j - clip(y_j - d(ln f)/dy_j, 0, 1)| is at most KKT_TOL
+KKT_TOL = 1e-11
+_MAX_ITER = 100
+_ARMIJO = 1e-4
+# the grid oracle holds grid**gaps values in memory
+_GRID_POINTS_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -119,19 +132,38 @@ class _FastObjective:
         base = canonical_krein_from_jumps(k_set, GapJumps((0.0,) * len(k_set.gaps())),
                                           self.bound)
         # log|H_base| at the nodes, with the per-gap zero-jump terms absent
-        from .krein import hilbert_transform
         self.log_base = np.log(self.t + self.bound) + hilbert_transform(base, self.t)
         self.gap_ends = np.array([gd for _, gd in k_set.gaps()])
         self.gap_widths = np.array([gd - gc for gc, gd in k_set.gaps()])
+        # the g-independent part of ln(w_i |H(t_i)|)
+        to_ends = self.gap_ends[None, :] - self.t[:, None]
+        self.alpha = np.log(self.w) + self.log_base + np.log(np.abs(to_ends)).sum(axis=1)
+
+    def _exponents(self, masses) -> tuple[np.ndarray, np.ndarray]:
+        """z_i = ln(w_i |H(t_i)|) and u_ij = d_j - g_j - t_i."""
+        g = np.asarray(masses, dtype=float)
+        u = (self.gap_ends - g)[None, :] - self.t[:, None]
+        return self.alpha - np.log(np.abs(u)).sum(axis=1), u
 
     def value(self, masses) -> float:
-        g = np.asarray(masses, dtype=float)
-        s = self.log_base.copy()
-        for j, gj in enumerate(g):
-            if gj > 0.0:
-                d = self.gap_ends[j]
-                s += np.log(np.abs(d - self.t)) - np.log(np.abs(d - gj - self.t))
-        return float(self.w @ np.exp(s)) / (2.0 * np.pi)
+        z, _ = self._exponents(masses)
+        return float(np.exp(z).sum()) / (2.0 * np.pi)
+
+    def log_derivatives(self, masses) -> tuple[float, np.ndarray, np.ndarray]:
+        """ln f, its gradient and its Hessian in g, from one pass over the
+        nodes.  With the softmax weights p_i of z_i and dz_i/dg_j = 1/u_ij,
+        d2z_i/dg_j^2 = 1/u_ij^2, the gradient is sum_i p_i dz_i and the
+        Hessian sum_i p_i ((dz_i - grad)(dz_i - grad)^T + diag(1/u_i^2))."""
+        z, u = self._exponents(masses)
+        top = float(z.max())
+        p = np.exp(z - top)
+        total = float(p.sum())
+        p /= total
+        dz = 1.0 / u
+        grad = p @ dz
+        centred = dz - grad
+        hess = (centred * p[:, None]).T @ centred + np.diag(p @ (dz * dz))
+        return top + math.log(total / (2.0 * np.pi)), grad, hess
 
     def grid_values(self, grids: list[np.ndarray]) -> np.ndarray:
         """Objective on the full product grid, shape = tuple(len(g) for g)."""
@@ -162,6 +194,8 @@ class ExtremalResult:
     objective_value: float
     bound_used: float
     near_minimizers: tuple[tuple[float, ...], ...] = ()
+    kkt_residual: float | None = None
+    iterations: int = 0
 
 
 def grid_min_mass(k_set: CompactSet, bound: float | None = None,
@@ -178,6 +212,9 @@ def grid_min_mass(k_set: CompactSet, bound: float | None = None,
         jumps = GapJumps(())
         val = mass_objective(k_set, jumps, fast.bound)
         return ExtremalResult(math.sqrt(val), jumps, val, fast.bound, ((),))
+    if grid ** len(gaps) > _GRID_POINTS_CAP:
+        raise ValueError(f"a {grid}-point grid on {len(gaps)} gaps has "
+                         f"{grid ** len(gaps)} points, over the cap {_GRID_POINTS_CAP}")
     grids = [np.linspace(0.0, gd - gc, grid) for gc, gd in gaps]
     values = fast.grid_values(grids)
     flat = int(np.argmin(values))  # first occurrence = lexicographic smallest
@@ -191,66 +228,75 @@ def grid_min_mass(k_set: CompactSet, bound: float | None = None,
     return ExtremalResult(math.sqrt(val), jumps, val, fast.bound, tuple(near))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a unimodal-in-practice scalar function on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+def _projected_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
+    """Minimize ln f over the jump box in y = g / |gap| in [0, 1]^m.
+
+    Each step holds the coordinates that sit within eps of a bound with the
+    gradient pushing outward (eps = min(residual, 1e-3)), takes a Newton
+    step on the others (at most half way to a face) and a diagonal Newton
+    step on the held ones, clips to the box and backtracks until the Armijo
+    test passes.  Returns the jump vector, the KKT residual and the number
+    of Newton steps.
+    """
+    widths = fast.gap_widths
+    scale = np.outer(widths, widths)
+    y = np.full(len(widths), 0.5)
+    for it in range(_MAX_ITER + 1):
+        phi, grad, hess = fast.log_derivatives(y * widths)
+        grad *= widths
+        hess *= scale
+        resid = float(np.max(np.abs(y - np.clip(y - grad, 0.0, 1.0))))
+        if resid <= KKT_TOL:
+            return y * widths, resid, it
+        if it == _MAX_ITER:
+            break
+        eps = min(resid, 1e-3)
+        held = ((y <= eps) & (grad > 0.0)) | ((y >= 1.0 - eps) & (grad < 0.0))
+        step = -grad / np.diag(hess)
+        free = np.flatnonzero(~held)
+        if free.size:
+            step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+        # the derivatives of ln f grow without bound toward the box faces
+        # and the minimizer is interior, so a step clipped onto a face would
+        # creep back; unheld coordinates cover at most half the distance
+        toward = np.where(step < 0.0, y, 1.0 - y)
+        moving = ~held & (step != 0.0)
+        t = min(1.0, float(np.min(0.5 * toward[moving] / np.abs(step[moving]),
+                                  initial=np.inf)))
+        # the slack absorbs the rounding of ln f once the decrease is below it
+        slack = 1e-14 * (1.0 + abs(phi))
+        while True:
+            trial = np.clip(y + t * step, 0.0, 1.0)
+            if math.log(fast.value(trial * widths)) <= \
+                    phi + _ARMIJO * float(grad @ (trial - y)) + slack:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise NumericError(
+                    f"extremal line search stalled at KKT residual {resid:.3e}")
+        y = trial
+    raise NumericError(f"extremal Newton iteration did not reach KKT residual "
+                       f"{KKT_TOL:.0e} in {_MAX_ITER} steps (at {resid:.3e})")
 
 
 def minimize_mass(k_set: CompactSet, bound: float | None = None,
-                  coarse_grid: int = 33, refine_tol: float = 1e-10,
-                  max_cycles: int = 60, gap_cap: int = 4,
                   nodes_per_band: int = 128) -> ExtremalResult:
     """Extremal constant A(K) = sqrt(min mass objective) over the jump box.
 
-    Coarse product grid (default 33 points per gap) localizes the minimum;
-    cyclic per-coordinate golden-section refinement then converges to
-    `refine_tol` in the parameters.  The final value is recomputed with the
-    accurate adaptive quadrature.
+    ln f is convex in the jump vector, so projected Newton on the box from
+    its centre converges to the unique minimizer; it stops once the KKT
+    residual (in jumps scaled by the gap widths) is at most `KKT_TOL` and
+    raises `NumericError` if it does not get there.  The final value is
+    recomputed with the accurate adaptive quadrature.
     """
-    gaps = k_set.gaps()
-    if len(gaps) > gap_cap:
-        raise ValueError(f"{len(gaps)} gaps exceed the configured cap {gap_cap}")
-    fast = _FastObjective(k_set, bound, nodes_per_band)
-    if not gaps:
+    if not k_set.gaps():
+        r = default_bound(k_set) if bound is None else float(bound)
         jumps = GapJumps(())
-        val = mass_objective(k_set, jumps, fast.bound)
-        return ExtremalResult(math.sqrt(val), jumps, val, fast.bound)
-    widths = [gd - gc for gc, gd in gaps]
-    grids = [np.linspace(0.0, wd, coarse_grid) for wd in widths]
-    values = fast.grid_values(grids)
-    idx = np.unravel_index(int(np.argmin(values)), values.shape)
-    current = np.array([grids[j][i] for j, i in enumerate(idx)])
-    steps = np.array([wd / (coarse_grid - 1) for wd in widths])
-    for _ in range(max_cycles):
-        moved = 0.0
-        for j in range(len(current)):
-            lo = max(0.0, current[j] - steps[j])
-            hi = min(widths[j], current[j] + steps[j])
-
-            def f(x, j=j):
-                trial = current.copy()
-                trial[j] = x
-                return fast.value(trial)
-
-            new_x, _ = _golden_section(f, lo, hi, refine_tol)
-            moved = max(moved, abs(new_x - current[j]))
-            current[j] = new_x
-        steps = np.maximum(steps / 2.0, 4.0 * refine_tol)
-        if moved <= refine_tol:
-            break
-    jumps = GapJumps(tuple(float(x) for x in current))
+        val = mass_objective(k_set, jumps, r)
+        return ExtremalResult(math.sqrt(val), jumps, val, r, kkt_residual=0.0)
+    fast = _FastObjective(k_set, bound, nodes_per_band)
+    g, resid, iterations = _projected_newton(fast)
+    jumps = GapJumps(tuple(float(x) for x in g))
     val = mass_objective(k_set, jumps, fast.bound)
-    return ExtremalResult(math.sqrt(val), jumps, val, fast.bound)
+    return ExtremalResult(math.sqrt(val), jumps, val, fast.bound,
+                          kkt_residual=resid, iterations=iterations)

@@ -184,9 +184,6 @@ class StepFunction:
     def l1_distance(self, other: "StepFunction") -> float:
         return sum(w * abs(u - v) for w, u, v in self._merged_cells(other))
 
-    def l2_distance(self, other: "StepFunction") -> float:
-        return math.sqrt(sum(w * (u - v) ** 2 for w, u, v in self._merged_cells(other)))
-
     def approx_equal(self, other: "StepFunction", tol: float = 1e-12) -> bool:
         return self.bound == other.bound and self.l1_distance(other) <= tol
 
@@ -245,19 +242,6 @@ def free_krein(bound: float = 2.0) -> StepFunction:
         raise ValueError("bound must be >= 2 to contain the free spectrum")
     return StepFunction.from_pieces(
         r, [(-r, -2.0, 1.0), (-2.0, 2.0, 0.5), (2.0, r, 0.0)])
-
-
-def extend_krein(xi: StepFunction, bound: float) -> StepFunction:
-    """Extend a Krein function to a larger domain bound by 1 on the new left
-    part and 0 on the new right part (the canonical tail values)."""
-    r = float(bound)
-    if r == xi.bound:
-        return xi
-    if r < xi.bound:
-        raise ValueError("can only extend to a larger bound")
-    bk = (-r,) + xi.breakpoints + (r,)
-    vals = (1.0,) + xi.values + (0.0,)
-    return StepFunction(r, bk, vals)
 
 
 def _as_complex_points(z) -> np.ndarray:

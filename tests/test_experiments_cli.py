@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from reflectionless import ConfigError, JacobiCoefficients
+from reflectionless import ConfigError, JacobiCoefficients, NumericError, cli
 from reflectionless.experiments import (ExperimentConfig,
                                         approximate_omega_limit,
                                         run_extremal_table,
@@ -78,7 +78,8 @@ class TestRunners:
         assert rep["rows"][2]["A"] == pytest.approx(0.75, abs=1e-6)
         for row in rep["rows"]:
             assert {"A", "argmin", "grid", "refinement_tolerance",
-                    "R_used"} <= set(row)
+                    "kkt_residual", "iterations", "R_used"} <= set(row)
+            assert row["kkt_residual"] <= row["refinement_tolerance"]
 
 
 class TestOmegaLimit:
@@ -175,12 +176,34 @@ class TestReportsAndCli:
         assert proc.returncode == 1
         assert "seed" in proc.stderr
 
-    def test_cli_numeric_failure_exit_three(self, tmp_path):
+    def test_cli_numeric_failure_exit_three(self, monkeypatch, capsys):
+        def failing(cfg):
+            raise NumericError("quadrature budget exceeded")
+
+        monkeypatch.setitem(cli._RUNNERS, "dr", failing)
+        assert cli.main(["dr", "--out", "unused"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_cli_oversized_request_exit_two(self, tmp_path):
         # demands more coefficients than the discretized measure can support
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_coeffs": 5000}))
         proc = self._cli("dr", "--config", str(cfg), "--out", str(tmp_path / "out"))
-        assert proc.returncode == 3
+        assert proc.returncode == 2
+        assert "too small for N=5000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_cli_aktable_beyond_four_gaps(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        bands = [[float(i), i + 0.4] for i in range(6)]
+        cfg.write_text(json.dumps({"grid": 9, "extra": {"sets": [bands]}}))
+        proc = self._cli("aktable", "--config", str(cfg), "--format", "json",
+                         "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
+        assert row["A"] == pytest.approx(0.6, abs=1e-10)
+        assert row["kkt_residual"] <= row["refinement_tolerance"]
+        assert row["iterations"] > 0
 
     def test_cli_eval_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
