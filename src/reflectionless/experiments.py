@@ -384,8 +384,13 @@ def run_extremal_table(cfg: ExperimentConfig) -> dict:
             _check(assertions, f"set {i}: single-interval closed form",
                    abs(res.constant - closed) <= 1e-8,
                    f"A={res.constant!r} expected {closed!r}")
-        _check(assertions, f"set {i}: refinement vs grid oracle", delta <= 1e-3,
+        # one-sided: the grid only bounds the constant from above, and how
+        # far above depends on the grid, not on the solver
+        _check(assertions, f"set {i}: no worse than the grid oracle",
+               res.objective_value <= oracle.objective_value * (1 + 1e-9),
                f"delta={delta:.3e}")
+        _check(assertions, f"set {i}: KKT residual within tolerance",
+               res.kkt_residual <= KKT_TOL, f"residual={res.kkt_residual:.3e}")
         _check(assertions, f"set {i}: A positive", res.constant > 0,
                f"A={res.constant!r}")
         rows.append(row)

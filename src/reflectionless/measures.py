@@ -340,6 +340,24 @@ def moments(measure: SpectralMeasure, k_max: int, tol: float = 1e-12) -> np.ndar
     return out
 
 
+def _discretize(measure: SpectralMeasure, points_per_piece: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of `quadrature_discretize`, as arrays: each ac piece's
+    mapped Gauss rule plus the atoms, sorted by node (then by weight, as
+    sorting the (node, weight) pairs would)."""
+    if points_per_piece < 1:
+        raise ValueError("points_per_piece must be >= 1")
+    th, w = _gl_rule(points_per_piece)
+    nodes = [np.array([x for x, _ in measure.atoms], dtype=float)]
+    weights = [np.array([m for _, m in measure.atoms], dtype=float)]
+    for piece in measure.ac_pieces:
+        mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
+        nodes.append(mid + half * np.sin(th))
+        weights.append(w * half * np.cos(th) * measure.density_on_arc(piece, th))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    order = np.lexsort((weights, nodes))
+    return nodes[order], weights[order]
+
+
 def quadrature_discretize(measure: SpectralMeasure, points_per_piece: int) -> SpectralMeasure:
     """Replace each ac piece by its mapped Gauss rule (node t_i, weight
     = GL weight x jacobian x density); atoms pass through unchanged.
@@ -348,15 +366,8 @@ def quadrature_discretize(measure: SpectralMeasure, points_per_piece: int) -> Sp
         raise ValueError("points_per_piece must be >= 1")
     if measure.is_atomic():
         return measure
-    th, w = _gl_rule(points_per_piece)
-    new_atoms = list(measure.atoms)
-    for piece in measure.ac_pieces:
-        mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
-        t = mid + half * np.sin(th)
-        wt = w * half * np.cos(th) * measure.density_on_arc(piece, th)
-        new_atoms.extend(zip(t.tolist(), wt.tolist()))
-    new_atoms.sort()
-    return SpectralMeasure(None, (), tuple(new_atoms))
+    nodes, weights = _discretize(measure, points_per_piece)
+    return SpectralMeasure(None, (), tuple(zip(nodes.tolist(), weights.tolist())))
 
 
 def nodes_weights_csv(measure: SpectralMeasure) -> str:

@@ -205,6 +205,19 @@ class TestReportsAndCli:
         assert row["kkt_residual"] <= row["refinement_tolerance"]
         assert row["iterations"] > 0
 
+    def test_cli_aktable_coarse_grid_exit_zero(self, tmp_path):
+        # grid 5 lies 5.5e-3 above the exact constant 0.6 on this set; a
+        # coarse grid must not fail a solver that meets its KKT tolerance
+        cfg = tmp_path / "cfg.json"
+        bands = [[float(i), i + 0.4] for i in range(6)]
+        cfg.write_text(json.dumps({"grid": 5, "extra": {"sets": [bands]}}))
+        proc = self._cli("aktable", "--config", str(cfg), "--format", "json",
+                         "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
+        assert row["A"] == pytest.approx(0.6, abs=1e-10)
+        assert row["delta_vs_grid"] > 1e-3
+
     def test_cli_eval_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

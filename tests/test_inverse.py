@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from reflectionless import (CompactSet, HerglotzRep, NumericError,
-                            SpectralMeasure, coefficient_deviation, free_krein,
-                            half_line_measure, moments,
-                            reconstruct_coefficients, stieltjes_invert,
-                            total_mass)
+from reflectionless import (AcPiece, CompactSet, GapJumps, HerglotzRep,
+                            NumericError, SpectralMeasure,
+                            canonical_krein_from_jumps, coefficient_deviation,
+                            free_krein, half_line_measure, lanczos_tridiag,
+                            moments, reconstruct_coefficients,
+                            stieltjes_invert, total_mass)
 from reflectionless.experiments import random_admissible_krein, random_f_selector
+from reflectionless.measures import _discretize
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -28,6 +30,65 @@ def measure_of_tridiagonal(diag, offdiag, coupling):
     return SpectralMeasure(None, (), tuple(
         (float(l), float(coupling**2 * w)) for l, w in zip(lam, vec[0, :] ** 2)
         if w > 0))
+
+
+def two_pass_lanczos(t, w, n_steps):
+    """Lanczos that reorthogonalizes twice per step against the whole basis:
+    the reference for the one-pass kernel."""
+    scale = max(1.0, float(np.max(np.abs(t))))
+    q = np.sqrt(w) / np.linalg.norm(np.sqrt(w))
+    basis = np.empty((n_steps + 1, t.size))
+    basis[0] = q
+    alphas, betas = [], []
+    q_prev, beta_prev = np.zeros_like(q), 0.0
+    for k in range(1, n_steps + 1):
+        u = t * q - beta_prev * q_prev
+        alpha = float(q @ u)
+        u = u - alpha * q
+        qm = basis[:k]
+        u = u - qm.T @ (qm @ u)
+        u = u - qm.T @ (qm @ u)
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(u))
+        if beta <= 1e-12 * scale:
+            raise NumericError(f"Lanczos breakdown at step {k}")
+        betas.append(beta)
+        q_prev, q = q, u / beta
+        beta_prev = beta
+        basis[k] = q
+    return np.asarray(alphas), np.asarray(betas)
+
+
+def canonical_half_line(bands, jumps=()):
+    k_set = CompactSet(bands)
+    xi = canonical_krein_from_jumps(k_set, GapJumps(jumps))
+    return half_line_measure(stieltjes_invert(HerglotzRep(xi)), k_set)
+
+
+def semicircle_with_atoms(atoms):
+    return SpectralMeasure(HerglotzRep(free_krein(2.0)),
+                           (AcPiece(-2.0, 2.0, 0.5),), atoms)
+
+
+class TestLanczosKernel:
+    @pytest.mark.parametrize("nu, nodes, depth", [
+        (canonical_half_line(((-1.9, 3.3),)), 400, 200),
+        (canonical_half_line(((-1.9, 3.3),)), 1600, 800),
+        (semicircle_with_atoms(((2.61, 0.3),)), 400, 200),
+        (semicircle_with_atoms(((-3.4, 0.1), (3.0, 0.45))), 200, 100),
+        (semicircle_with_atoms(((-2.55, 0.2), (2.95, 0.35), (3.45, 0.12))), 1600, 800),
+        (canonical_half_line(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)), (0.6, 0.4)),
+         200, 300),
+    ], ids=["semicircle-400", "semicircle-1600", "dr1-400", "dr2-200", "dr3-1600",
+            "canonical3-200"])
+    def test_one_pass_matches_two_pass(self, nu, nodes, depth):
+        t, w = _discretize(nu, nodes)
+        w = w / np.sum(w)
+        assert depth <= 0.5 * t.size
+        alphas, betas = lanczos_tridiag(t, w, depth)
+        ref_alphas, ref_betas = two_pass_lanczos(t, w, depth)
+        assert np.max(np.abs(alphas - ref_alphas)) <= 1e-13
+        assert np.max(np.abs(betas - ref_betas)) <= 1e-13
 
 
 class TestReconstruction:

@@ -9,7 +9,7 @@ from reflectionless import (CompactSet, FSelector, HerglotzRep, SpectralMeasure,
                             free_krein, half_line_measure, herglotz_eval,
                             moments, nodes_weights_csv, quadrature_discretize,
                             stieltjes_invert, total_mass)
-from reflectionless.measures import AcPiece, _gl_rule
+from reflectionless.measures import AcPiece, _discretize, _gl_rule
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -198,6 +198,28 @@ class TestDiscretization:
     def test_atoms_only_input_unchanged(self):
         m = SpectralMeasure(None, (), ((0.5, 1.0), (2.5, 0.25)))
         assert quadrature_discretize(m, 50) is m
+
+    def test_array_discretization_matches_the_tuple_route(self):
+        # reference: the former body of quadrature_discretize, which sorted
+        # (node, weight) tuples; an extra atom sits exactly on a Gauss node
+        # with a larger mass, so ties must also order by weight
+        rho = stieltjes_invert(HerglotzRep(XI_WITH_ATOM))
+        th, w = _gl_rule(64)
+        piece = rho.ac_pieces[1]
+        on_node = 0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * np.sin(th[10])
+        nu = SpectralMeasure(rho.rep, rho.ac_pieces, rho.atoms + ((on_node, 1.0),))
+        ref = list(nu.atoms)
+        for p in nu.ac_pieces:
+            mid, half = 0.5 * (p.lo + p.hi), 0.5 * (p.hi - p.lo)
+            t = mid + half * np.sin(th)
+            wt = w * half * np.cos(th) * nu.density_on_arc(p, th)
+            ref.extend(zip(t.tolist(), wt.tolist()))
+        ref.sort()
+        nodes, weights = _discretize(nu, 64)
+        assert len(ref) == 2 * 64 + 2
+        assert nodes.tobytes() == np.array([x for x, _ in ref]).tobytes()
+        assert weights.tobytes() == np.array([m for _, m in ref]).tobytes()
+        assert quadrature_discretize(nu, 64).atoms == tuple(ref)
 
     def test_moments_to_order_twenty(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
