@@ -11,8 +11,8 @@ from .sets import CompactSet
 from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
                     boundary_value, abs_boundary, hilbert_transform,
                     correction_factor)
-from .operators import (Tail, JacobiCoefficients, HalfLineRestriction, shift,
-                        coefficient_metric, green_diag, reflectionless_residual)
+from .operators import (Tail, JacobiCoefficients, shift, coefficient_metric,
+                        green_diag, reflectionless_residual)
 from .gapflow import (CanonicalKrein, gap_modify, flow_to_canonical,
                       flow_steps, is_canonical, gap_jump_masses)
 from .measures import (AcPiece, SpectralMeasure, FSelector, stieltjes_invert,
@@ -35,7 +35,7 @@ __all__ = [
     "StepFunction", "HerglotzRep", "free_krein",
     "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
     "correction_factor",
-    "Tail", "JacobiCoefficients", "HalfLineRestriction", "shift",
+    "Tail", "JacobiCoefficients", "shift",
     "coefficient_metric", "green_diag", "reflectionless_residual",
     "CanonicalKrein", "gap_modify", "flow_to_canonical", "flow_steps",
     "is_canonical", "gap_jump_masses",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reflectionless import (CompactSet, HalfLineRestriction, JacobiCoefficients,
-                            NumericError, Tail, coefficient_metric, green_diag,
+from reflectionless import (CompactSet, JacobiCoefficients, NumericError, Tail,
+                            coefficient_metric, green_diag, operators,
                             reflectionless_residual, shift)
 
 # Frozen two-sided value for the alternating-diagonal operator
@@ -28,6 +28,89 @@ def random_operator(rng, max_span=4):
     w = n_hi - n_lo + 1
     return JacobiCoefficients(n_lo, n_hi, tuple(rng.uniform(0.5, 2.0, w)),
                               tuple(rng.uniform(-1.0, 1.0, w)), tail)
+
+
+def operator_with_tail(rng, kind, max_span=6):
+    """A random window [n_lo, n_hi] around the origin with the given tail
+    kind; a periodic tail gets period 1-4 and a random anchor."""
+    if kind == "free":
+        tail = Tail.free()
+    elif kind == "constant":
+        tail = Tail.constant(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1, 1)))
+    else:
+        p = int(rng.integers(1, 5))
+        tail = Tail.periodic(rng.uniform(0.5, 2.0, p), rng.uniform(-1, 1, p),
+                             anchor=int(rng.integers(-10, 11)))
+    n_lo = int(rng.integers(-max_span, 1))
+    n_hi = int(rng.integers(0, max_span + 1))
+    w = n_hi - n_lo + 1
+    return JacobiCoefficients(n_lo, n_hi, tuple(rng.uniform(0.5, 2.0, w)),
+                              tuple(rng.uniform(-1.0, 1.0, w)), tail)
+
+
+TAIL_KINDS = st.sampled_from(["free", "constant", "periodic"])
+
+
+def same_sites(j1, j2, sites):
+    return all(j1.a(n) == j2.a(n) and j1.b(n) == j2.b(n) for n in sites)
+
+
+class TestPeriodicAnchor:
+    def test_restrict_off_period_keeps_the_phase(self):
+        j = JacobiCoefficients.periodic([1.0, 0.5], [0.3, -0.3])
+        r = j.restrict(0, 2)
+        assert r.a(3) == 0.5 and r.b(3) == -0.3
+        assert same_sites(r, j, range(-9, 10))
+
+    @given(st.integers(0, 2**32 - 1), TAIL_KINDS, st.integers(0, 15), st.integers(0, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_widened_window_is_the_same_operator(self, seed, kind, left, right):
+        j = operator_with_tail(np.random.default_rng(seed), kind)
+        assert same_sites(j.restrict(j.n_lo - left, j.n_hi + right), j, range(-60, 61))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-12, 12), st.integers(0, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_any_window_of_a_periodic_operator(self, seed, lo, width):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 5))
+        j = JacobiCoefficients.periodic(rng.uniform(0.5, 2.0, p), rng.uniform(-1, 1, p),
+                                        n_lo=int(rng.integers(-5, 6)))
+        assert same_sites(j.restrict(lo, lo + width), j, range(-60, 61))
+
+    @given(st.integers(0, 2**32 - 1), TAIL_KINDS, st.integers(-9, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_opposite_shifts_give_back_the_operator(self, seed, kind, k):
+        j = operator_with_tail(np.random.default_rng(seed), kind)
+        assert shift(shift(j, k), -k) == j
+        assert all(shift(j, k).a(n) == j.a(n + k) and shift(j, k).b(n) == j.b(n + k)
+                   for n in range(-40, 41))
+
+    def test_json_anchor_defaults_to_the_window_start(self):
+        data = {"n_lo": 3, "n_hi": 5, "a": [2.0, 2.0, 2.0], "b": [0.0, 0.0, 0.0],
+                "tail": {"kind": "periodic", "a": [1.0, 0.5], "b": [0.3, -0.3]}}
+        j = JacobiCoefficients.from_dict(data)
+        assert [j.a(n) for n in (1, 2, 6, 7)] == [1.0, 0.5, 0.5, 1.0]
+        data["tail"]["anchor"] = 4
+        k = JacobiCoefficients.from_dict(data)
+        assert [k.a(n) for n in (1, 2, 6, 7)] == [0.5, 1.0, 1.0, 0.5]
+        assert JacobiCoefficients.from_dict(k.to_dict()) == k
+        assert hash(JacobiCoefficients.from_dict(k.to_dict())) == hash(k)
+
+
+class TestArrays:
+    @given(st.integers(0, 2**32 - 1), TAIL_KINDS, st.integers(0, 20), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_arrays_match_the_accessors(self, seed, kind, left, right):
+        j = operator_with_tail(np.random.default_rng(seed), kind)
+        lo, hi = j.n_lo - left, j.n_hi + right
+        a, b = j.arrays(lo, hi)
+        assert a.tolist() == [j.a(n) for n in range(lo, hi + 1)]
+        assert b.tolist() == [j.b(n) for n in range(lo, hi + 1)]
+        # windows entirely on either side of the explicit one
+        for lo2, hi2 in ((lo - 7, lo - 1), (hi + 1, hi + 7)):
+            a, b = j.arrays(lo2, hi2)
+            assert a.tolist() == [j.a(n) for n in range(lo2, hi2 + 1)]
+            assert b.tolist() == [j.b(n) for n in range(lo2, hi2 + 1)]
 
 
 class TestShift:
@@ -155,7 +238,66 @@ class TestGreenDiag:
                        size_cap=1000)
 
 
+def residual_by_points(j, m_set, grid, eta, sites):
+    """The residual as one scalar green_diag call per point and eta."""
+    worst = 0.0
+    for n in sites:
+        for t in m_set.interior_grid(grid):
+            g1 = green_diag(j, n, complex(t, eta))
+            g2 = green_diag(j, n, complex(t, eta / 2.0))
+            worst = max(worst, abs((2.0 * g2 - g1).real))
+    return worst
+
+
 class TestReflectionlessResidual:
+    @pytest.mark.parametrize("j, m_set", [
+        (JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),))),
+        (JacobiCoefficients.free(), CompactSet(((3.0, 4.0),))),
+        (JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0]).restrict(-3, 7),
+         CompactSet(((-math.sqrt(5.0), -1.0), (1.0, math.sqrt(5.0))))),
+        (JacobiCoefficients.periodic([1.0, 0.6, 1.3], [0.2, -0.4, 0.5]).restrict(0, 10),
+         CompactSet(((-2.5, -0.5), (0.0, 2.5)))),
+    ])
+    def test_vectorized_matches_scalar_loop(self, j, m_set):
+        for eta in (1e-6, 1e-3):
+            ref = residual_by_points(j, m_set, 25, eta, range(-2, 3))
+            assert abs(reflectionless_residual(j, m_set, grid=25, eta=eta) - ref) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), TAIL_KINDS)
+    @settings(max_examples=30, deadline=None)
+    def test_vectorized_matches_scalar_loop_on_random_operators(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        j = operator_with_tail(rng, kind)
+        c = float(rng.uniform(-3.0, 2.0))
+        m_set = CompactSet(((c, c + float(rng.uniform(0.1, 1.0))),))
+        eta = float(10.0 ** rng.uniform(-6, -2))
+        sites = range(int(rng.integers(-8, 1)), int(rng.integers(1, 9)))
+        ref = residual_by_points(j, m_set, 6, eta, sites)
+        res = reflectionless_residual(j, m_set, grid=6, eta=eta, sites=sites)
+        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_non_finite_green_function_raises(self, monkeypatch):
+        def one_nan(j, n, z):
+            g = np.full(z.shape, 0.5j)
+            g[3] = np.nan
+            return g
+
+        monkeypatch.setattr(operators, "_green_recursion", one_nan)
+        with pytest.raises(NumericError):
+            reflectionless_residual(JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),)),
+                                    grid=10)
+
+    def test_no_per_site_accessor_on_the_green_paths(self, monkeypatch):
+        def boom(self, n):
+            raise AssertionError("per-site accessor called")
+
+        j = JacobiCoefficients.periodic([1.0, 0.5], [0.3, -0.3]).restrict(-2, 4)
+        monkeypatch.setattr(JacobiCoefficients, "a", boom)
+        monkeypatch.setattr(JacobiCoefficients, "b", boom)
+        assert green_diag(j, 1, 0.2 + 0.5j, method="truncation").imag > 0
+        assert green_diag(j, 1, 0.2 + 0.5j).imag > 0
+        assert reflectionless_residual(j, CompactSet(((-1.0, 1.0),)), grid=5) >= 0.0
+
     def test_free_operator_on_its_band(self):
         j = JacobiCoefficients.free()
         res = reflectionless_residual(j, CompactSet(((-2.0, 2.0),)), grid=100)
@@ -195,10 +337,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             JacobiCoefficients(2, 1, (), ())
 
-
-class TestHalfLine:
-    def test_accessors_guard_start(self):
-        h = HalfLineRestriction(JacobiCoefficients.free(), start=0)
-        assert h.a(3) == 1.0
-        with pytest.raises(ValueError):
-            h.b(-1)
