@@ -123,8 +123,8 @@ def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float
     hi = min(coeffs.n_hi, window)
     if lo > hi:
         raise ValueError("no coefficients inside the requested window")
-    return max(abs(coeffs.a(n) - a_ref) + abs(coeffs.b(n) - b_ref)
-               for n in range(lo, hi + 1))
+    a, b = coeffs.arrays(lo, hi)
+    return float(np.max(np.abs(a - a_ref) + np.abs(b - b_ref)))
 
 
 def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> dict:
@@ -137,10 +137,9 @@ def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> di
     mass = total_mass(nu)
     exact = moments(nu, max(2 * n - 1, 0)) / mass
     if n >= 1:
-        diag = np.array([coeffs.b(k) for k in range(1, n + 1)])
-        off = np.array([coeffs.a(k) for k in range(1, n)])
+        off, diag = coeffs.arrays(1, n)
         # MRRR, so the figure does not depend on scipy's default driver
-        lam, vec = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        lam, vec = eigh_tridiagonal(diag, off[:-1], lapack_driver="stemr")
         section = np.array([np.sum(vec[0, :] ** 2 * lam**k)
                             for k in range(len(exact))])
         err = float(np.max(np.abs(section - exact) / np.maximum(1.0, np.abs(exact))))
@@ -153,6 +152,7 @@ def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> di
 def coefficients_csv(coeffs: JacobiCoefficients) -> str:
     """CSV text of (n, a_n, b_n) over the explicit window."""
     lines = ["n,a,b"]
-    lines += [f"{n},{coeffs.a(n)!r},{coeffs.b(n)!r}"
-              for n in range(coeffs.n_lo, coeffs.n_hi + 1)]
+    rows = zip(range(coeffs.n_lo, coeffs.n_hi + 1), coeffs.a_window.tolist(),
+               coeffs.b_window.tolist())
+    lines += [f"{n},{a!r},{b!r}" for n, a, b in rows]
     return "\n".join(lines) + "\n"

@@ -40,9 +40,9 @@ class Tail:
     """Coefficient values outside the explicit window.
 
     kind "free": a = 1, b = 0.  kind "constant": a = a_const, b = b_const.
-    kind "periodic": a site n outside the window reads a_block/b_block at
-    (n - anchor) mod p, one phase on both sides of it.  An anchor of None
-    stands for the first window site of the operator that holds the tail.
+    kind "periodic": a site n outside the window of the operator that holds
+    the tail reads a_block/b_block at (n - n_lo) mod p, one phase on both
+    sides of the window.
     """
 
     kind: Literal["free", "constant", "periodic"]
@@ -50,7 +50,6 @@ class Tail:
     b_const: float = 0.0
     a_block: tuple[float, ...] = ()
     b_block: tuple[float, ...] = ()
-    anchor: int | None = None
 
     def __post_init__(self):
         if self.kind == "constant":
@@ -63,8 +62,6 @@ class Tail:
                 raise ValueError("periodic tail needs a > 0")
         elif self.kind != "free":
             raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.anchor is not None or self.kind != "periodic":
-            object.__setattr__(self, "anchor", int(self.anchor or 0) % self.period)
 
     @classmethod
     def free(cls) -> "Tail":
@@ -75,13 +72,9 @@ class Tail:
         return cls("constant", a_const=float(a), b_const=float(b))
 
     @classmethod
-    def periodic(cls, a_block, b_block, anchor: int | None = None) -> "Tail":
+    def periodic(cls, a_block, b_block) -> "Tail":
         return cls("periodic", a_block=tuple(float(a) for a in a_block),
-                   b_block=tuple(float(b) for b in b_block), anchor=anchor)
-
-    def anchored(self, anchor: int) -> "Tail":
-        """The same blocks with the first entry at site `anchor`."""
-        return Tail(self.kind, self.a_const, self.b_const, self.a_block, self.b_block, anchor)
+                   b_block=tuple(float(b) for b in b_block))
 
     @property
     def period(self) -> int:
@@ -89,7 +82,7 @@ class Tail:
 
     @property
     def blocks(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """One period of (a, b); the first entry belongs to the anchor."""
+        """One period of (a, b); the first entry belongs to the window start."""
         if self.kind == "periodic":
             return self.a_block, self.b_block
         if self.kind == "constant":
@@ -101,8 +94,7 @@ class Tail:
             return {"kind": "free"}
         if self.kind == "constant":
             return {"kind": "constant", "a": self.a_const, "b": self.b_const}
-        return {"kind": "periodic", "a": list(self.a_block), "b": list(self.b_block),
-                "anchor": self.anchor}
+        return {"kind": "periodic", "a": list(self.a_block), "b": list(self.b_block)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tail":
@@ -111,7 +103,7 @@ class Tail:
             return cls.free()
         if kind == "constant":
             return cls.constant(data["a"], data["b"])
-        return cls.periodic(data["a"], data["b"], data.get("anchor"))
+        return cls.periodic(data["a"], data["b"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +129,6 @@ class JacobiCoefficients:
         if np.count_nonzero(ab[0] <= 0):
             raise ValueError("all a_n must be positive")
         ab.flags.writeable = False
-        if self.tail.anchor is None:
-            object.__setattr__(self, "tail", self.tail.anchored(self.n_lo))
         for name, value in (("_window", ab), ("a_window", ab[0]), ("b_window", ab[1]),
                             ("_block", np.array(self.tail.blocks))):
             object.__setattr__(self, name, value)
@@ -190,23 +180,20 @@ class JacobiCoefficients:
                    tuple(b_overrides.get(n, tb) for n in rng), tail)
 
     # -- accessors ----------------------------------------------------------
-    def _site(self, n: int) -> tuple[float, float]:
-        if self.n_lo <= n <= self.n_hi:
-            return float(self.a_window[n - self.n_lo]), float(self.b_window[n - self.n_lo])
-        a_blk, b_blk = self.tail.blocks
-        i = (n - self.tail.anchor) % len(a_blk)
-        return a_blk[i], b_blk[i]
-
     def a(self, n: int) -> float:
-        return self._site(n)[0]
+        if self.n_lo <= n <= self.n_hi:
+            return self.a_window.item(n - self.n_lo)
+        return self._block.item(0, (n - self.n_lo) % self._block.shape[1])
 
     def b(self, n: int) -> float:
-        return self._site(n)[1]
+        if self.n_lo <= n <= self.n_hi:
+            return self.b_window.item(n - self.n_lo)
+        return self._block.item(1, (n - self.n_lo) % self._block.shape[1])
 
     def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) on lo..hi inclusive: tail blocks tiled from the anchor, the
-        window slice copied over them."""
-        phase = np.arange(lo - self.tail.anchor, hi + 1 - self.tail.anchor) % self.tail.period
+        """(a, b) on lo..hi inclusive: tail blocks tiled from n_lo, the window
+        slice copied over them."""
+        phase = np.arange(lo - self.n_lo, hi + 1 - self.n_lo) % self.tail.period
         ab = self._block.take(phase, axis=1)
         i, k = max(lo, self.n_lo), min(hi, self.n_hi) + 1
         if i < k:
@@ -221,9 +208,13 @@ class JacobiCoefficients:
 
     def restrict(self, lo: int, hi: int) -> "JacobiCoefficients":
         """Explicit window narrowed/extended to lo..hi (values from `arrays`),
-        same tail: the same operator when lo..hi covers the old window."""
+        tail blocks rotated to keep their phase: the same operator when lo..hi
+        covers the old window."""
         a, b = self.arrays(lo, hi)
-        return JacobiCoefficients(lo, hi, a, b, self.tail)
+        tail = self.tail
+        if tail.kind == "periodic":
+            tail = Tail.periodic(*np.roll(self._block, self.n_lo - lo, axis=1))
+        return JacobiCoefficients(lo, hi, a, b, tail)
 
     def to_dict(self) -> dict:
         return {"n_lo": self.n_lo, "n_hi": self.n_hi,
@@ -239,8 +230,7 @@ class JacobiCoefficients:
 def shift(j: JacobiCoefficients, k: int) -> JacobiCoefficients:
     """The shifted operator S^k J with coefficients a'_n = a_{n+k},
     b'_n = b_{n+k}."""
-    return JacobiCoefficients(j.n_lo - k, j.n_hi - k, j.a_window, j.b_window,
-                              j.tail.anchored(j.tail.anchor - k))
+    return JacobiCoefficients(j.n_lo - k, j.n_hi - k, j.a_window, j.b_window, j.tail)
 
 
 def _tails_equal_beyond(j1: JacobiCoefficients, j2: JacobiCoefficients,
@@ -297,9 +287,10 @@ def _attracting_fixed_point(m00, m01, m10, m11):
     r1 = ((m00 - m11) + disc) / (2.0 * m10)
     r2 = ((m00 - m11) - disc) / (2.0 * m10)
     d1, d2 = abs(m10 * r1 + m11), abs(m10 * r2 + m11)
-    if np.count_nonzero(abs(d1 - d2) <= 5e-14 * (d1 + d2)):
+    pick1, pick2 = d1 > d2, d1 <= d2        # max(d1, d2) = d1 * pick1 + d2 * pick2
+    if np.count_nonzero(abs(d1 - d2) <= 1e-13 * (d1 * pick1 + d2 * pick2)):
         raise NumericError("tail fixed points indistinguishable (z too close to the band)")
-    return r1 * (d1 > d2) + r2 * (d1 <= d2)
+    return r1 * pick1 + r2 * pick2
 
 
 def _tail_m(pairs, z):

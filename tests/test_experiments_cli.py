@@ -101,21 +101,16 @@ class TestOmegaLimit:
         with pytest.raises(ValueError):
             approximate_omega_limit(j, horizon=10, window=5)
 
-    def test_odd_horizon_clusters_the_full_periodic_operator(self):
-        # horizon 41 restricts the default operator to an odd-length window
-        full = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])
-        rep = run_shift_clusters(small_cfg("omega", horizon=41, window=5))
-        clusters = rep["meta"]["clusters"]
-        assert [cl["members"] for cl in clusters] == [list(range(0, 42, 2)),
-                                                      list(range(1, 42, 2))]
-        for cl in clusters:
-            a, b = full.arrays(cl["representative"], cl["representative"] + 4)
-            assert (cl["window_a"], cl["window_b"]) == (a.tolist(), b.tolist())
-
     def test_runner_counts_all_shifts(self):
-        rep = run_shift_clusters(small_cfg("omega", horizon=12, window=4))
-        assert rep["passed"]
-        assert sum(r["size"] for r in rep["rows"]) == 13
+        full = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])
+        # horizon 41 restricts the default operator to an odd-length window
+        for horizon, window in ((12, 4), (41, 5)):
+            rep = run_shift_clusters(small_cfg("omega", horizon=horizon, window=window))
+            assert rep["passed"]
+            assert sum(r["size"] for r in rep["rows"]) == horizon + 1
+            for cl in rep["meta"]["clusters"]:
+                a, b = full.arrays(cl["representative"], cl["representative"] + window - 1)
+                assert (cl["window_a"], cl["window_b"]) == (a.tolist(), b.tolist())
 
     def test_reconstruction_windows_contract_toward_free(self):
         # forward-asymptotics output: far windows cluster tighter around the
