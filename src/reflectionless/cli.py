@@ -14,8 +14,7 @@ import sys
 import traceback
 
 from .errors import ConfigError, NumericError
-from .experiments import (ExperimentConfig, ExperimentFailure,
-                          run_extremal_table, run_eval,
+from .experiments import (ExperimentConfig, run_extremal_table, run_eval,
                           run_forward_asymptotics, run_lower_bound_suite,
                           run_perturbation_sweep, run_shift_clusters,
                           write_report)
@@ -73,9 +72,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ExperimentFailure as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return 1
     except Exception:
         traceback.print_exc()
         return 3

@@ -34,7 +34,6 @@ from .sets import CompactSet
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentFailure",
     "random_compact_set",
     "random_admissible_krein",
     "random_f_selector",
@@ -49,10 +48,6 @@ __all__ = [
 ]
 
 
-class ExperimentFailure(AssertionError):
-    """An experiment-level assertion failed (CLI exit code 1)."""
-
-
 @dataclass
 class ExperimentConfig:
     name: str
@@ -62,7 +57,6 @@ class ExperimentConfig:
     grid: int = 51
     n_coeffs: int = 30
     window: int = 5
-    eta: float = 1e-6
     horizon: int = 40
     cluster_threshold: float = 1e-6
     out_dir: str = "out"
@@ -73,8 +67,8 @@ class ExperimentConfig:
         for name in ("samples", "grid", "n_coeffs", "window", "horizon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.eta <= 0 or self.cluster_threshold <= 0:
-            raise ConfigError("eta and cluster_threshold must be positive")
+        if self.cluster_threshold <= 0:
+            raise ConfigError("cluster_threshold must be positive")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
 

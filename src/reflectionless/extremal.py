@@ -45,6 +45,8 @@ __all__ = [
 KKT_TOL = 1e-11
 _MAX_ITER = 100
 _ARMIJO = 1e-4
+# Gauss-Legendre nodes per band of the vectorized objective
+_NODES_PER_BAND = 128
 # the grid oracle holds grid**gaps values in memory
 _GRID_POINTS_CAP = 10**7
 
@@ -98,7 +100,7 @@ def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
 
 
 def mass_objective(k_set: CompactSet, jumps: GapJumps,
-                   bound: float | None = None, tol: float = 1e-12) -> float:
+                   bound: float | None = None) -> float:
     """a_0^2 of the canonical operator with the given jumps:
     (1/(2 pi)) integral_K |H|, by the adaptive edge-substituted quadrature."""
     xi = canonical_krein_from_jumps(k_set, jumps, bound)
@@ -106,7 +108,7 @@ def mass_objective(k_set: CompactSet, jumps: GapJumps,
     band_pieces = [p for p in rho.ac_pieces
                    if any(c <= p.lo and p.hi <= d for c, d in k_set.intervals)]
     masked = type(rho)(rho.rep, tuple(band_pieces), ())
-    return 0.5 * total_mass(masked, tol=tol)
+    return 0.5 * total_mass(masked)
 
 
 class _FastObjective:
@@ -117,11 +119,8 @@ class _FastObjective:
     depend on the jump vector, so grids evaluate as array operations.
     """
 
-    def __init__(self, k_set: CompactSet, bound: float | None = None,
-                 nodes_per_band: int = 128):
-        self.k_set = k_set
-        self.bound = default_bound(k_set) if bound is None else float(bound)
-        th, w = _gl_rule(nodes_per_band)
+    def __init__(self, k_set: CompactSet):
+        th, w = _gl_rule(_NODES_PER_BAND)
         ts, ws = [], []
         for c, d in k_set.intervals:
             mid, half = 0.5 * (c + d), 0.5 * (d - c)
@@ -129,10 +128,9 @@ class _FastObjective:
             ws.append(w * half * np.cos(th))
         self.t = np.concatenate(ts)
         self.w = np.concatenate(ws)
-        base = canonical_krein_from_jumps(k_set, GapJumps((0.0,) * len(k_set.gaps())),
-                                          self.bound)
+        base = canonical_krein_from_jumps(k_set, GapJumps((0.0,) * len(k_set.gaps())))
         # log|H_base| at the nodes, with the per-gap zero-jump terms absent
-        self.log_base = np.log(self.t + self.bound) + hilbert_transform(base, self.t)
+        self.log_base = np.log(self.t + base.bound) + hilbert_transform(base, self.t)
         self.gap_ends = np.array([gd for _, gd in k_set.gaps()])
         self.gap_widths = np.array([gd - gc for gc, gd in k_set.gaps()])
         # the g-independent part of ln(w_i |H(t_i)|)
@@ -198,25 +196,24 @@ class ExtremalResult:
     iterations: int = 0
 
 
-def grid_min_mass(k_set: CompactSet, bound: float | None = None,
-                  grid: int = 401, nodes_per_band: int = 128) -> ExtremalResult:
+def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     """Exhaustive minimum of the mass objective over the uniform parameter
     grid (independent check for the refined minimizer).  Ties resolve to the
     lexicographically smallest grid point; all grid points within 1e-8 of
     the minimum are reported."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    fast = _FastObjective(k_set, bound, nodes_per_band)
+    r = default_bound(k_set)
     gaps = k_set.gaps()
     if not gaps:
         jumps = GapJumps(())
-        val = mass_objective(k_set, jumps, fast.bound)
-        return ExtremalResult(math.sqrt(val), jumps, val, fast.bound, ((),))
+        val = mass_objective(k_set, jumps)
+        return ExtremalResult(math.sqrt(val), jumps, val, r, ((),))
     if grid ** len(gaps) > _GRID_POINTS_CAP:
         raise ValueError(f"a {grid}-point grid on {len(gaps)} gaps has "
                          f"{grid ** len(gaps)} points, over the cap {_GRID_POINTS_CAP}")
     grids = [np.linspace(0.0, gd - gc, grid) for gc, gd in gaps]
-    values = fast.grid_values(grids)
+    values = _FastObjective(k_set).grid_values(grids)
     flat = int(np.argmin(values))  # first occurrence = lexicographic smallest
     idx = np.unravel_index(flat, values.shape)
     arg = tuple(float(grids[j][i]) for j, i in enumerate(idx))
@@ -224,8 +221,8 @@ def grid_min_mass(k_set: CompactSet, bound: float | None = None,
     near = [tuple(float(grids[j][i]) for j, i in enumerate(ix))
             for ix in zip(*np.nonzero(values <= vmin + 1e-8))]
     jumps = GapJumps(arg)
-    val = mass_objective(k_set, jumps, fast.bound)
-    return ExtremalResult(math.sqrt(val), jumps, val, fast.bound, tuple(near))
+    val = mass_objective(k_set, jumps)
+    return ExtremalResult(math.sqrt(val), jumps, val, r, tuple(near))
 
 
 def _projected_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
@@ -279,8 +276,7 @@ def _projected_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
                        f"{KKT_TOL:.0e} in {_MAX_ITER} steps (at {resid:.3e})")
 
 
-def minimize_mass(k_set: CompactSet, bound: float | None = None,
-                  nodes_per_band: int = 128) -> ExtremalResult:
+def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     """Extremal constant A(K) = sqrt(min mass objective) over the jump box.
 
     ln f is convex in the jump vector, so projected Newton on the box from
@@ -289,14 +285,13 @@ def minimize_mass(k_set: CompactSet, bound: float | None = None,
     raises `NumericError` if it does not get there.  The final value is
     recomputed with the accurate adaptive quadrature.
     """
+    r = default_bound(k_set)
     if not k_set.gaps():
-        r = default_bound(k_set) if bound is None else float(bound)
         jumps = GapJumps(())
-        val = mass_objective(k_set, jumps, r)
+        val = mass_objective(k_set, jumps)
         return ExtremalResult(math.sqrt(val), jumps, val, r, kkt_residual=0.0)
-    fast = _FastObjective(k_set, bound, nodes_per_band)
-    g, resid, iterations = _projected_newton(fast)
+    g, resid, iterations = _projected_newton(_FastObjective(k_set))
     jumps = GapJumps(tuple(float(x) for x in g))
-    val = mass_objective(k_set, jumps, fast.bound)
-    return ExtremalResult(math.sqrt(val), jumps, val, fast.bound,
+    val = mass_objective(k_set, jumps)
+    return ExtremalResult(math.sqrt(val), jumps, val, r,
                           kkt_residual=resid, iterations=iterations)

@@ -31,10 +31,8 @@ def _require_half_on_bands(xi: StepFunction, k_set: CompactSet):
     if not (-xi.bound <= k_set.min and k_set.max <= xi.bound):
         raise ValueError("K must lie inside the domain [-R, R]")
     for c, d in k_set.intervals:
-        for x0, x1, v in xi.pieces():
-            lo, hi = max(x0, c), min(x1, d)
-            if hi > lo and v != 0.5:
-                raise ValueError(f"xi must equal 1/2 on the band [{c}, {d}]")
+        if any(v != 0.5 for v in xi.values_on(c, d)):
+            raise ValueError(f"xi must equal 1/2 on the band [{c}, {d}]")
 
 
 def gap_modify(xi: StepFunction, gap: tuple[float, float]) -> StepFunction:
@@ -96,28 +94,12 @@ def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:
     each gap either constant 0, constant 1, or a single 0 -> 1 up-jump."""
     if not (-xi.bound <= k_set.min and k_set.max <= xi.bound):
         return False
-    regions: list[tuple[float, float, tuple[float, ...] | None]] = []
-    regions.append((-xi.bound, k_set.min, (1.0,)))
-    for c, d in k_set.intervals:
-        regions.append((c, d, (0.5,)))
-    for gc, gd in k_set.gaps():
-        regions.append((gc, gd, None))  # checked separately
-    regions.append((k_set.max, xi.bound, (0.0,)))
-    for lo, hi, allowed in regions:
-        if hi <= lo:
-            continue
-        vals = []
-        for x0, x1, v in xi.pieces():
-            a, b = max(x0, lo), min(x1, hi)
-            if b > a:
-                vals.append(v)
-        if allowed is not None:
-            if any(v != allowed[0] for v in vals):
-                return False
-        else:
-            if tuple(vals) not in ((0.0,), (1.0,), (0.0, 1.0)):
-                return False
-    return True
+    regions = [(-xi.bound, k_set.min, 1.0), (k_set.max, xi.bound, 0.0)]
+    regions += [(c, d, 0.5) for c, d in k_set.intervals]
+    if any(v != want for lo, hi, want in regions for v in xi.values_on(lo, hi)):
+        return False
+    return all(xi.values_on(gc, gd) in ((0.0,), (1.0,), (0.0, 1.0))
+               for gc, gd in k_set.gaps())
 
 
 def gap_jump_masses(xi: StepFunction, k_set: CompactSet) -> tuple[float, ...]:

@@ -27,6 +27,11 @@ from .operators import JacobiCoefficients, Tail
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
            "reconstruction_report", "coefficients_csv"]
 
+# Gauss nodes per ac piece of the first discretization, and the cap that
+# node doubling on breakdown stops at
+_NODES_PER_PIECE = 400
+_MAX_NODES = 3200
+
 
 def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,15 +82,13 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
     return alphas, betas
 
 
-def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int,
-                             nodes_per_piece: int = 400,
-                             max_nodes: int = 3200) -> JacobiCoefficients:
+def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoefficients:
     """Recover (a_0; a_1, b_1; ...; a_N, b_N) from the half-line measure.
 
     a_0 = sqrt(total mass); the rest from the Lanczos recurrence of the
     normalized discretized measure.  A Lanczos breakdown triggers automatic
-    node doubling up to `max_nodes` before raising; positivity is never
-    silently clamped.
+    node doubling up to `_MAX_NODES` per piece before raising; positivity is
+    never silently clamped.
     """
     if n_coeffs < 0:
         raise ValueError("n_coeffs must be >= 0")
@@ -93,12 +96,12 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int,
     if mass <= 0:
         raise ValueError("measure must have positive mass")
     a0 = float(np.sqrt(mass))
-    n = nodes_per_piece
+    n = _NODES_PER_PIECE
     while True:
         support, weights = _discretize(nu, n)
         weights /= mass
         if len(support) < n_coeffs + 1:
-            if nu.is_atomic() or n >= max_nodes:
+            if nu.is_atomic() or n >= _MAX_NODES:
                 raise ValueError(
                     f"measure support ({len(support)} points) too small for N={n_coeffs}")
             n *= 2
@@ -107,11 +110,11 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int,
             alphas, betas = lanczos_tridiag(support, weights, n_coeffs)
             break
         except NumericError:
-            if nu.is_atomic() or n >= max_nodes:
+            if nu.is_atomic() or n >= _MAX_NODES:
                 raise
             n *= 2
-    a = (a0,) + tuple(betas[:n_coeffs])
-    b = (0.0,) + tuple(alphas[:n_coeffs])
+    a = np.concatenate(([a0], betas))
+    b = np.concatenate(([0.0], alphas))
     return JacobiCoefficients(0, n_coeffs, a, b, Tail.free())
 
 

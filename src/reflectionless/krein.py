@@ -119,6 +119,11 @@ class StepFunction:
         for x0, x1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
             yield x0, x1, v
 
+    def values_on(self, lo: float, hi: float) -> tuple[float, ...]:
+        """Values of the pieces that overlap (lo, hi) in an interval of
+        positive length, left to right; () if none does."""
+        return tuple(v for x0, x1, v in self.pieces() if min(x1, hi) > max(x0, lo))
+
     def value_at(self, x: float) -> float:
         """Value on the piece whose interior contains x; breakpoints are
         excluded points."""
@@ -337,10 +342,8 @@ def correction_factor(rep: HerglotzRep, x: float) -> float:
     x = float(x)
     if not -2.0 < x < 2.0:
         raise ValueError("x must lie in (-2, 2)")
-    for x0, x1, v in xi.pieces():
-        lo, hi = max(x0, -2.0), min(x1, 2.0)
-        if hi > lo and v != 0.5:
-            raise ValueError("xi must equal 1/2 on (-2, 2)")
+    if any(v != 0.5 for v in xi.values_on(-2.0, 2.0)):
+        raise ValueError("xi must equal 1/2 on (-2, 2)")
     s = 0.0
     for x0, x1, v in xi.pieces():
         lo, hi = x0, min(x1, -2.0)

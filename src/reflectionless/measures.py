@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .krein import HerglotzRep, StepFunction, abs_boundary, log_abs_on_arc
+from .krein import HerglotzRep, StepFunction, log_abs_on_arc
 from .sets import CompactSet
 
 __all__ = [
@@ -119,17 +119,10 @@ class SpectralMeasure:
     def is_atomic(self) -> bool:
         return not self.ac_pieces
 
-    def _piece_value(self, piece: AcPiece) -> float:
-        return self.rep.xi.value_at(0.5 * (piece.lo + piece.hi))
-
-    def density(self, piece: AcPiece, t: np.ndarray) -> np.ndarray:
-        v = self._piece_value(piece)
-        return piece.multiplier * abs_boundary(self.rep, t) * math.sin(math.pi * v) / math.pi
-
     def density_on_arc(self, piece: AcPiece, theta: np.ndarray) -> np.ndarray:
         """Density at t = mid + half*sin(theta), stable up to the piece
         edges (where it behaves like a power of the distance)."""
-        v = self._piece_value(piece)
+        v = self.rep.xi.value_at(0.5 * (piece.lo + piece.hi))
         log_h = log_abs_on_arc(self.rep, piece.lo, piece.hi, theta)
         return piece.multiplier * np.exp(log_h) * math.sin(math.pi * v) / math.pi
 
@@ -256,9 +249,8 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
         raise ValueError("half_line_measure needs a measure with a representation")
     xi = rho.rep.xi
     for c, d in k_set.intervals:
-        for x0, x1, v in xi.pieces():
-            if min(x1, d) > max(x0, c) and v != 0.5:
-                raise ValueError("rho must come from a Krein function equal to 1/2 on K")
+        if any(v != 0.5 for v in xi.values_on(c, d)):
+            raise ValueError("rho must come from a Krein function equal to 1/2 on K")
     for a, b, _ in f.intervals:
         for c, d in k_set.intervals:
             if min(b, d) > max(a, c):
@@ -316,15 +308,15 @@ def _integrate_pieces(measure: SpectralMeasure, funcs: Callable[[np.ndarray], np
     return totals
 
 
-def total_mass(measure: SpectralMeasure, tol: float = 1e-12) -> float:
+def total_mass(measure: SpectralMeasure) -> float:
     """Atoms summed exactly; ac mass by the adaptive edge-substituted
-    quadrature (estimated error below tol)."""
-    ac = _integrate_pieces(measure, lambda t: np.ones((1, len(t))), 1, tol=tol)[0] \
+    quadrature (estimated error below 1e-12 * max(1, mass))."""
+    ac = _integrate_pieces(measure, lambda t: np.ones((1, len(t))), 1)[0] \
         if measure.ac_pieces else 0.0
     return float(ac + sum(m for _, m in measure.atoms))
 
 
-def moments(measure: SpectralMeasure, k_max: int, tol: float = 1e-12) -> np.ndarray:
+def moments(measure: SpectralMeasure, k_max: int) -> np.ndarray:
     """m_k = integral t^k dm for k = 0..k_max."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -333,7 +325,7 @@ def moments(measure: SpectralMeasure, k_max: int, tol: float = 1e-12) -> np.ndar
     def f(t):
         return t[None, :] ** powers[:, None]
 
-    out = _integrate_pieces(measure, f, k_max + 1, tol=tol) if measure.ac_pieces \
+    out = _integrate_pieces(measure, f, k_max + 1) if measure.ac_pieces \
         else np.zeros(k_max + 1)
     for x, m in measure.atoms:
         out += m * np.asarray([x ** k for k in powers], dtype=float)

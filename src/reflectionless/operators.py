@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NumericError
 from .sets import CompactSet
@@ -37,64 +35,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tail:
-    """Coefficient values outside the explicit window.
+    """Coefficient values outside the explicit window: one period of (a, b).
 
-    kind "free": a = 1, b = 0.  kind "constant": a = a_const, b = b_const.
-    kind "periodic": a site n outside the window of the operator that holds
-    the tail reads a_block/b_block at (n - n_lo) mod p, one phase on both
-    sides of the window.
+    A site n outside the window of the operator that holds the tail reads
+    a_block/b_block at (n - n_lo) mod p, one phase on both sides of the
+    window.  The free tail is the period (1, 0) and a constant tail is any
+    other period of length 1, so equal tails compare equal however they
+    were built.
     """
 
-    kind: Literal["free", "constant", "periodic"]
-    a_const: float = 1.0
-    b_const: float = 0.0
-    a_block: tuple[float, ...] = ()
-    b_block: tuple[float, ...] = ()
+    a_block: tuple[float, ...] = (1.0,)
+    b_block: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if not self.a_const > 0:
-                raise ValueError("constant tail needs a > 0")
-        elif self.kind == "periodic":
-            if len(self.a_block) != len(self.b_block) or not self.a_block:
-                raise ValueError("periodic tail needs equal-length nonempty blocks")
-            if any(a <= 0 for a in self.a_block):
-                raise ValueError("periodic tail needs a > 0")
-        elif self.kind != "free":
-            raise ValueError(f"unknown tail kind {self.kind!r}")
+        a, b = tuple(map(float, self.a_block)), tuple(map(float, self.b_block))
+        if len(a) != len(b) or not a:
+            raise ValueError("tail needs equal-length nonempty blocks")
+        if any(x <= 0 for x in a):
+            raise ValueError("tail needs a > 0")
+        object.__setattr__(self, "a_block", a)
+        object.__setattr__(self, "b_block", b)
 
     @classmethod
     def free(cls) -> "Tail":
-        return cls("free")
+        return cls()
 
     @classmethod
     def constant(cls, a: float, b: float) -> "Tail":
-        return cls("constant", a_const=float(a), b_const=float(b))
+        return cls((a,), (b,))
 
     @classmethod
     def periodic(cls, a_block, b_block) -> "Tail":
-        return cls("periodic", a_block=tuple(float(a) for a in a_block),
-                   b_block=tuple(float(b) for b in b_block))
+        return cls(a_block, b_block)
 
     @property
     def period(self) -> int:
-        return len(self.a_block) if self.kind == "periodic" else 1
-
-    @property
-    def blocks(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """One period of (a, b); the first entry belongs to the window start."""
-        if self.kind == "periodic":
-            return self.a_block, self.b_block
-        if self.kind == "constant":
-            return (self.a_const,), (self.b_const,)
-        return (1.0,), (0.0,)
+        return len(self.a_block)
 
     def to_dict(self) -> dict:
-        if self.kind == "free":
+        if self.period > 1:
+            return {"kind": "periodic", "a": list(self.a_block), "b": list(self.b_block)}
+        if self == Tail.free():
             return {"kind": "free"}
-        if self.kind == "constant":
-            return {"kind": "constant", "a": self.a_const, "b": self.b_const}
-        return {"kind": "periodic", "a": list(self.a_block), "b": list(self.b_block)}
+        return {"kind": "constant", "a": self.a_block[0], "b": self.b_block[0]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tail":
@@ -130,7 +113,7 @@ class JacobiCoefficients:
             raise ValueError("all a_n must be positive")
         ab.flags.writeable = False
         for name, value in (("_window", ab), ("a_window", ab[0]), ("b_window", ab[1]),
-                            ("_block", np.array(self.tail.blocks))):
+                            ("_block", np.array((self.tail.a_block, self.tail.b_block)))):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -169,10 +152,10 @@ class JacobiCoefficients:
         a_overrides = a_overrides or {}
         b_overrides = b_overrides or {}
         tail = tail or Tail.free()
-        if tail.kind == "periodic":
+        if tail.period > 1:
             raise ValueError("from_overrides supports free/constant tails; "
                              "use JacobiCoefficients.periodic instead")
-        (ta,), (tb,) = tail.blocks
+        (ta,), (tb,) = tail.a_block, tail.b_block
         keys = list(a_overrides) + list(b_overrides)
         n_lo, n_hi = (min(keys), max(keys)) if keys else (0, 0)
         rng = range(n_lo, n_hi + 1)
@@ -202,19 +185,15 @@ class JacobiCoefficients:
 
     def sup_bounds(self) -> tuple[float, float]:
         """(sup |a_n|, sup |b_n|), exact from window plus tail values."""
-        a_blk, b_blk = self.tail.blocks
-        return (float(max(self.a_window.max(), *a_blk)),
-                float(max(np.abs(self.b_window).max(), *map(abs, b_blk))))
+        return (float(max(self.a_window.max(), self._block[0].max())),
+                float(max(np.abs(self.b_window).max(), np.abs(self._block[1]).max())))
 
     def restrict(self, lo: int, hi: int) -> "JacobiCoefficients":
         """Explicit window narrowed/extended to lo..hi (values from `arrays`),
         tail blocks rotated to keep their phase: the same operator when lo..hi
         covers the old window."""
-        a, b = self.arrays(lo, hi)
-        tail = self.tail
-        if tail.kind == "periodic":
-            tail = Tail.periodic(*np.roll(self._block, self.n_lo - lo, axis=1))
-        return JacobiCoefficients(lo, hi, a, b, tail)
+        tail = Tail(*np.roll(self._block, self.n_lo - lo, axis=1))
+        return JacobiCoefficients(lo, hi, *self.arrays(lo, hi), tail)
 
     def to_dict(self) -> dict:
         return {"n_lo": self.n_lo, "n_hi": self.n_hi,
@@ -355,6 +334,8 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
     if method == "recursion":
         return _green_recursion(j, n, z)
     if method == "truncation":
+        from scipy.linalg import solve_banded
+
         half = _truncation_size(j, z, tol)
         if 2 * half + 1 > size_cap:
             raise NumericError(

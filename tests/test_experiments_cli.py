@@ -255,6 +255,6 @@ class TestReportsAndCli:
 
     def test_config_unknown_keys_go_to_extra(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"atoms": [[2.5, 0.1]], "n_coeffs": 30}))
+        cfg.write_text(json.dumps({"atoms": [[2.5, 0.1]], "n_coeffs": 30, "eta": 1e-6}))
         parsed = ExperimentConfig.from_json("dr", str(cfg))
-        assert parsed.extra["atoms"] == [[2.5, 0.1]]
+        assert parsed.extra == {"atoms": [[2.5, 0.1]], "eta": 1e-6}

@@ -35,6 +35,14 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             s.value_at(3.5)
 
+    def test_values_on_overlapping_pieces(self):
+        s = free_krein(3.0)
+        assert s.values_on(-2.5, 2.5) == (1.0, 0.5, 0.0)
+        assert s.values_on(-2.0, 2.0) == (0.5,)
+        # touching a piece at a breakpoint is no overlap
+        assert s.values_on(2.0, 2.0) == ()
+        assert s.values_on(3.0, 4.0) == ()
+
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             StepFunction(2.0, (-2.0, 2.0), (1.5,))

@@ -27,13 +27,21 @@ def semicircle_rho():
     return stieltjes_invert(HerglotzRep(free_krein(2.0)))
 
 
+def arc_points(piece, t_lo, t_hi, n):
+    """Angles theta whose points t = mid + half*sin(theta) on the piece run
+    evenly over [t_lo, t_hi], and those points."""
+    mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
+    theta = np.arcsin((np.linspace(t_lo, t_hi, n) - mid) / half)
+    return theta, mid + half * np.sin(theta)
+
+
 class TestStieltjesInversion:
     def test_free_density_is_semicircle(self):
         rho = semicircle_rho()
         assert rho.atoms == ()
         assert len(rho.ac_pieces) == 1
-        t = np.linspace(-1.9, 1.9, 21)
-        dens = rho.density(rho.ac_pieces[0], t)
+        theta, t = arc_points(rho.ac_pieces[0], -1.9, 1.9, 21)
+        dens = rho.density_on_arc(rho.ac_pieces[0], theta)
         assert np.allclose(dens, np.sqrt(4.0 - t**2) / math.pi, atol=1e-13)
 
     def test_full_value_pieces_carry_no_ac_mass(self):
@@ -93,8 +101,8 @@ class TestStieltjesInversion:
 class TestHalfLineMeasure:
     def test_free_gives_the_normalized_semicircle(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        t = np.linspace(-1.9, 1.9, 11)
-        dens = nu0.density(nu0.ac_pieces[0], t)
+        theta, t = arc_points(nu0.ac_pieces[0], -1.9, 1.9, 11)
+        dens = nu0.density_on_arc(nu0.ac_pieces[0], theta)
         assert np.allclose(dens, np.sqrt(4.0 - t**2) / (2.0 * math.pi), atol=1e-13)
         assert total_mass(nu0) == pytest.approx(1.0, abs=1e-11)
 
@@ -135,8 +143,8 @@ class TestHalfLineMeasure:
         rep = HerglotzRep(xi)
         nu = half_line_measure(stieltjes_invert(rep), BAND)
         piece = [p for p in nu.ac_pieces if p.lo == -2.0][0]
-        t = np.linspace(-1.9, 1.9, 41)
-        dens = nu.density(piece, t)
+        theta, t = arc_points(piece, -1.9, 1.9, 41)
+        dens = nu.density_on_arc(piece, theta)
         reference = np.sqrt(4.0 - t**2) / (2.0 * math.pi)
         h = np.array([correction_factor(rep, x) for x in t])
         assert np.max(np.abs(dens - h * reference)) < 1e-10

@@ -68,6 +68,12 @@ class TestRestrict:
         assert JacobiCoefficients.from_dict(r.to_dict()) == r
         assert same_sites(r, j, range(-9, 10))
 
+    @pytest.mark.parametrize("j", [JacobiCoefficients.free(-1, 2),
+                                   JacobiCoefficients.constant(2.0, 0.5, 0, 3)])
+    def test_restrict_keeps_free_and_constant_tails(self, j):
+        for lo, hi in ((0, 1), (-5, 7), (4, 9)):
+            assert j.restrict(lo, hi).tail == j.tail
+
 
 class TestArrays:
     @given(st.integers(0, 2**32 - 1), TAIL_KINDS, st.integers(0, 20), st.integers(0, 20))
@@ -300,6 +306,17 @@ class TestSerialization:
             j = random_operator(rng)
             back = JacobiCoefficients.from_dict(j.to_dict())
             assert back == j
+        j = JacobiCoefficients(-1, 1, (1.0, 2.0, 1.5), (0.0, 0.3, -0.2),
+                               Tail.periodic([0.7], [0.1]))
+        assert j.to_dict()["tail"] == {"kind": "constant", "a": 0.7, "b": 0.1}
+        assert JacobiCoefficients.from_dict(j.to_dict()) == j
+
+    def test_one_period_tails_have_one_encoding(self):
+        assert Tail.periodic([1.0], [0.0]) == Tail.free()
+        assert Tail.periodic([1.0], [0.0]).to_dict() == {"kind": "free"}
+        j1 = JacobiCoefficients.periodic([2.0], [0.5])
+        j2 = JacobiCoefficients.constant(2.0, 0.5)
+        assert j1 == j2 and hash(j1) == hash(j2)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
