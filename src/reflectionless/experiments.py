@@ -240,8 +240,8 @@ def run_lower_bound_suite(cfg: ExperimentConfig) -> dict:
             if f is None:
                 f = random_f_selector(rng, rho, k_set)
             nu = half_line_measure(rho, k_set, f)
-            a0 = math.sqrt(total_mass(nu))
             rec = reconstruct_coefficients(nu, n_rec)
+            a0 = rec.a(0)
             dev = max(abs(rec.a(0) - a_const),
                       coefficient_deviation(rec.restrict(1, n_rec), a_const,
                                             b_const, cfg.window))

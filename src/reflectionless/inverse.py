@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .measures import SpectralMeasure, _discretize, moments, total_mass
+from .measures import SpectralMeasure, _discretize, _support, moments, total_mass
 from .operators import JacobiCoefficients, Tail
 
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
@@ -86,8 +86,14 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     """Recover (a_0; a_1, b_1; ...; a_N, b_N) from the half-line measure.
 
     a_0 = sqrt(total mass); the rest from the Lanczos recurrence of the
-    normalized discretized measure.  A Lanczos breakdown triggers automatic
-    node doubling up to `_MAX_NODES` per piece before raising; positivity is
+    normalized discretized measure.  If 4N <= n for the n-node Gauss rule
+    at which each ac piece's mass converged, Lanczos runs on those rules
+    and the atoms (Gautschi's discretized Stieltjes procedure): the mass
+    had converged at n/2 nodes, so n/2 resolve the density, and the other
+    n/2 carry the polynomials of degree 2N, as Gauss-Legendre in theta
+    needs about one node per degree.  Otherwise, or if Lanczos breaks down
+    there, the measure is discretized at `_NODES_PER_PIECE` nodes per piece,
+    doubled on breakdown up to `_MAX_NODES` before raising; positivity is
     never silently clamped.
     """
     if n_coeffs < 0:
@@ -97,8 +103,10 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
         raise ValueError("measure must have positive mass")
     a0 = float(np.sqrt(mass))
     n = _NODES_PER_PIECE
+    reuse = not nu.is_atomic() and all(4 * n_coeffs <= rule[0] for rule in nu._mass_rules)
     while True:
-        support, weights = _discretize(nu, n)
+        support, weights = (_support(nu, (r[1:3] for r in nu._mass_rules)) if reuse
+                            else _discretize(nu, n))
         weights /= mass
         if len(support) < n_coeffs + 1:
             if nu.is_atomic() or n >= _MAX_NODES:
@@ -110,9 +118,10 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
             alphas, betas = lanczos_tridiag(support, weights, n_coeffs)
             break
         except NumericError:
-            if nu.is_atomic() or n >= _MAX_NODES:
+            if not reuse and (nu.is_atomic() or n >= _MAX_NODES):
                 raise
-            n *= 2
+            n *= 1 if reuse else 2
+            reuse = False
     a = np.concatenate(([a0], betas))
     b = np.concatenate(([0.0], alphas))
     return JacobiCoefficients(0, n_coeffs, a, b, Tail.free())

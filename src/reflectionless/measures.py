@@ -10,14 +10,15 @@ at every breakpoint where xi jumps from 0 directly to 1, with mass
 (the residue of H, with c_k the log-coefficients of xi).  Densities behave
 like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
-analytic; Gauss-Legendre in theta then converges spectrally.
+analytic; Gauss-Legendre in theta then converges spectrally.  The rule each
+piece's mass converged at is memoized and reused by shallow reconstructions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
     "quadrature_discretize",
     "nodes_weights_csv",
 ]
+
+_ATOM_TOL = 1e-9  # an f atom weight applies to atoms within this distance
 
 
 def _legendre_sweep(n: int, theta: np.ndarray, christoffel: bool = False):
@@ -126,6 +129,11 @@ class SpectralMeasure:
         log_h = log_abs_on_arc(self.rep, piece.lo, piece.hi, theta)
         return piece.multiplier * np.exp(log_h) * math.sin(math.pi * v) / math.pi
 
+    @cached_property
+    def _mass_rules(self) -> tuple:
+        """`_adaptive_rule` of 1 per ac piece; no field, so == and hash ignore it."""
+        return tuple(_adaptive_rule(self, p, None, 1) for p in self.ac_pieces)
+
     def to_dict(self) -> dict:
         return {
             "rep": None if self.rep is None else self.rep.to_dict(),
@@ -183,9 +191,9 @@ class FSelector:
                 return v
         return 0.0
 
-    def atom_weight(self, x: float, tol: float = 1e-9) -> float:
+    def atom_weight(self, x: float) -> float:
         for pos, w in self.atom_weights:
-            if abs(pos - x) <= tol:
+            if abs(pos - x) <= _ATOM_TOL:
                 return w
         return 0.0
 
@@ -277,42 +285,39 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
     return SpectralMeasure(rho.rep, tuple(out_pieces), tuple(out_atoms))
 
 
+def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece,
+                   funcs: Callable[[np.ndarray], np.ndarray] | None, n_funcs: int):
+    """(n, theta, GL weight x jacobian x density, integrals of funcs(t)) at
+    the first n = 64, 128, ... where two successive integrals agree to
+    1e-12 * max(1, size); funcs None integrates 1 without forming t."""
+    mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
+    prev, n = None, 64
+    while True:
+        th, w = _gl_rule(n)
+        wd = w * (half * np.cos(th)) * measure.density_on_arc(piece, th)
+        vals = wd if funcs is None else funcs(mid + half * np.sin(th)) * wd
+        cur = vals.reshape(n_funcs, -1).sum(axis=1)
+        if prev is not None and np.max(np.abs(cur - prev)) <= 1e-12 * max(1.0, np.max(np.abs(cur))):
+            return n, th, wd, cur
+        if n >= 8192:
+            raise NumericError(
+                f"quadrature on ({piece.lo}, {piece.hi}) did not reach tol=1e-12 with {n} nodes")
+        prev = cur
+        n *= 2
+
+
 def _integrate_pieces(measure: SpectralMeasure, funcs: Callable[[np.ndarray], np.ndarray],
-                      n_funcs: int, tol: float = 1e-12, n_start: int = 64,
-                      n_max: int = 8192) -> np.ndarray:
-    """integral of each component of funcs(t) against the ac part, adaptive
-    Gauss-Legendre after the arcsine substitution per piece."""
-    totals = np.zeros(n_funcs)
-    for piece in measure.ac_pieces:
-        mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
-        prev = None
-        n = n_start
-        while True:
-            th, w = _gl_rule(n)
-            t = mid + half * np.sin(th)
-            jac = half * np.cos(th)
-            dens = measure.density_on_arc(piece, th)
-            vals = funcs(t) * (w * jac * dens)
-            cur = vals.reshape(n_funcs, -1).sum(axis=1)
-            if prev is not None:
-                err = np.max(np.abs(cur - prev))
-                scale = max(1.0, np.max(np.abs(cur)))
-                if err <= tol * scale:
-                    break
-            if n >= n_max:
-                raise NumericError(
-                    f"quadrature on ({piece.lo}, {piece.hi}) did not reach tol={tol} with {n} nodes")
-            prev = cur
-            n *= 2
-        totals += cur
-    return totals
+                      n_funcs: int) -> np.ndarray:
+    """integral of each component of funcs(t) against the ac part, by
+    `_adaptive_rule` per piece."""
+    return sum((_adaptive_rule(measure, p, funcs, n_funcs)[3] for p in measure.ac_pieces),
+               np.zeros(n_funcs))
 
 
 def total_mass(measure: SpectralMeasure) -> float:
     """Atoms summed exactly; ac mass by the adaptive edge-substituted
-    quadrature (estimated error below 1e-12 * max(1, mass))."""
-    ac = _integrate_pieces(measure, lambda t: np.ones((1, len(t))), 1)[0] \
-        if measure.ac_pieces else 0.0
+    quadrature (estimated error below 1e-12 * max(1, mass)), memoized."""
+    ac = sum(rule[3][0] for rule in measure._mass_rules)
     return float(ac + sum(m for _, m in measure.atoms))
 
 
@@ -332,22 +337,26 @@ def moments(measure: SpectralMeasure, k_max: int) -> np.ndarray:
     return out
 
 
-def _discretize(measure: SpectralMeasure, points_per_piece: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of `quadrature_discretize`, as arrays: each ac piece's
-    mapped Gauss rule plus the atoms, sorted by node (then by weight, as
-    sorting the (node, weight) pairs would)."""
-    if points_per_piece < 1:
-        raise ValueError("points_per_piece must be >= 1")
-    th, w = _gl_rule(points_per_piece)
+def _support(measure: SpectralMeasure, rules) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and each ac piece's (theta, weight) rule at t = mid + half*sin(theta),
+    sorted by node, then by weight (as sorting (node, weight) pairs would)."""
     nodes = [np.array([x for x, _ in measure.atoms], dtype=float)]
     weights = [np.array([m for _, m in measure.atoms], dtype=float)]
-    for piece in measure.ac_pieces:
-        mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
-        nodes.append(mid + half * np.sin(th))
-        weights.append(w * half * np.cos(th) * measure.density_on_arc(piece, th))
+    for piece, (th, w) in zip(measure.ac_pieces, rules):
+        nodes.append(0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * np.sin(th))
+        weights.append(w)
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
     order = np.lexsort((weights, nodes))
     return nodes[order], weights[order]
+
+
+def _discretize(measure: SpectralMeasure, points_per_piece: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of `quadrature_discretize`, as sorted arrays."""
+    if points_per_piece < 1:
+        raise ValueError("points_per_piece must be >= 1")
+    th, w = _gl_rule(points_per_piece)
+    return _support(measure, ((th, w * (0.5 * (p.hi - p.lo)) * np.cos(th)
+                               * measure.density_on_arc(p, th)) for p in measure.ac_pieces))
 
 
 def quadrature_discretize(measure: SpectralMeasure, points_per_piece: int) -> SpectralMeasure:

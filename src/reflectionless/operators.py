@@ -32,6 +32,8 @@ __all__ = [
     "reflectionless_residual",
 ]
 
+_SIZE_CAP = 10_000  # most sites of a truncated section in green_diag
+
 
 @dataclass(frozen=True)
 class Tail:
@@ -317,8 +319,7 @@ def _truncation_size(j: JacobiCoefficients, z: complex, tol: float) -> int:
 
 
 def green_diag(j: JacobiCoefficients, n: int, z: complex,
-               method: str = "recursion", tol: float = 1e-10,
-               size_cap: int = 10_000) -> complex:
+               method: str = "recursion", tol: float = 1e-10) -> complex:
     """Diagonal Green function g_n(z) = <delta_n, (J - z)^{-1} delta_n>,
     Im z > 0.
 
@@ -326,7 +327,7 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
     tails; exact up to roundoff for free/constant/periodic tails, stable
     down to tiny Im z.  method "truncation": resolvent entry of a finite
     section sized by the Combes-Thomas estimate for the requested `tol`
-    (raises if that exceeds `size_cap`).
+    (raises if that exceeds `_SIZE_CAP` sites).
     """
     z = complex(z)
     if not z.imag > 0:
@@ -337,9 +338,9 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
         from scipy.linalg import solve_banded
 
         half = _truncation_size(j, z, tol)
-        if 2 * half + 1 > size_cap:
+        if 2 * half + 1 > _SIZE_CAP:
             raise NumericError(
-                f"truncation needs {2 * half + 1} sites at Im z = {z.imag}, over the cap {size_cap}")
+                f"truncation needs {2 * half + 1} sites at Im z = {z.imag}, over the cap {_SIZE_CAP}")
         lo, hi = n - half, n + half
         a_arr, b_arr = j.arrays(lo, hi)
         size = hi - lo + 1

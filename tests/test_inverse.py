@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from reflectionless import (AcPiece, CompactSet, GapJumps, HerglotzRep,
-                            NumericError, SpectralMeasure,
+from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRep,
+                            NumericError, SpectralMeasure, StepFunction,
                             canonical_krein_from_jumps, coefficient_deviation,
                             free_krein, half_line_measure, lanczos_tridiag,
                             moments, reconstruct_coefficients,
@@ -68,6 +68,40 @@ def canonical_half_line(bands, jumps=()):
 def semicircle_with_atoms(atoms):
     return SpectralMeasure(HerglotzRep(free_krein(2.0)),
                            (AcPiece(-2.0, 2.0, 0.5),), atoms)
+
+
+def two_band_cut_measure():
+    """Bands [-2, 0] u [1, 2] with xi = 1/2 also on the gap piece (0, 0.5),
+    which the selector cuts at 0.3: three ac pieces with regular edges."""
+    xi = StepFunction.from_pieces(
+        3.0, [(-3.0, -2.0, 1.0), (-2.0, 0.0, 0.5), (0.0, 0.5, 0.5),
+              (0.5, 1.0, 0.0), (1.0, 2.0, 0.5), (2.0, 3.0, 0.0)])
+    k_set = CompactSet(((-2.0, 0.0), (1.0, 2.0)))
+    f = FSelector(intervals=((0.0, 0.3, 0.6),))
+    return half_line_measure(stieltjes_invert(HerglotzRep(xi)), k_set, f)
+
+
+def near_breakpoint_measure():
+    """The band [-2, 2] with xi jumping 0 -> 1 at 2.001: the density's
+    near-pole 1e-3 outside the edge keeps the mass unconverged at 128 nodes."""
+    xi = StepFunction.from_pieces(
+        3.0, [(-3.0, -2.0, 1.0), (-2.0, 2.0, 0.5), (2.0, 2.001, 0.0),
+              (2.001, 2.5, 1.0), (2.5, 3.0, 0.0)])
+    return half_line_measure(stieltjes_invert(HerglotzRep(xi)), BAND)
+
+
+@pytest.fixture
+def density_calls(monkeypatch):
+    """The ac pieces of every density evaluation from here on."""
+    calls = []
+    original = SpectralMeasure.density_on_arc
+
+    def counted(self, piece, theta):
+        calls.append(piece)
+        return original(self, piece, theta)
+
+    monkeypatch.setattr(SpectralMeasure, "density_on_arc", counted)
+    return calls
 
 
 class TestLanczosKernel:
@@ -174,6 +208,58 @@ class TestReconstruction:
         nu = SpectralMeasure(None, (), ((0.0, 1.0), (0.0 + 1e-15, 1.0)))
         with pytest.raises(NumericError):
             reconstruct_coefficients(nu, 1)
+
+
+class TestMassRuleReuse:
+    def test_density_evaluated_twice_per_piece(self, density_calls):
+        nu = two_band_cut_measure()
+        assert len(nu.ac_pieces) == 3
+        total_mass(nu)
+        reconstruct_coefficients(nu, 6)
+        # 64 and 128 nodes for the mass; the reconstruction reuses the 128
+        assert len(density_calls) == 2 * len(nu.ac_pieces)
+        # past the gate (4N > 128) the measure is discretized afresh
+        reconstruct_coefficients(nu, 33)
+        assert len(density_calls) == 3 * len(nu.ac_pieces)
+
+    @pytest.mark.parametrize("make, nodes", [
+        (two_band_cut_measure, 128),
+        (near_breakpoint_measure, 256),
+        (lambda: semicircle_with_atoms(((-3.0, 0.2), (2.61, 0.3))), 128),
+    ], ids=["f-cut", "near-breakpoint", "atoms"])
+    def test_gate_depth_matches_a_fine_reference(self, make, nodes, density_calls):
+        nu = make()
+        mass = total_mass(nu)
+        assert min(rule[0] for rule in nu._mass_rules) == nodes
+        evaluated = len(density_calls)
+        depth = nodes // 4
+        rec = reconstruct_coefficients(nu, depth)
+        assert len(density_calls) == evaluated  # the mass rules were reused
+        t, w = _discretize(nu, 3200)
+        alphas, betas = lanczos_tridiag(t, w / mass, depth)
+        assert np.max(np.abs(rec.a_window[1:] - betas)) <= 1e-12
+        assert np.max(np.abs(rec.b_window[1:] - alphas)) <= 1e-12
+
+
+    def test_breakdown_on_the_mass_rules_falls_back(self, monkeypatch):
+        from reflectionless import inverse
+
+        kernel, sizes = inverse.lanczos_tridiag, []
+
+        def breaks_first(t, w, n_steps):
+            sizes.append(t.size)
+            if len(sizes) == 1:
+                raise NumericError("forced breakdown")
+            return kernel(t, w, n_steps)
+
+        monkeypatch.setattr(inverse, "lanczos_tridiag", breaks_first)
+        nu = two_band_cut_measure()
+        rec = reconstruct_coefficients(nu, 6)
+        assert sizes == [3 * 128, 3 * 400]
+        t, w = _discretize(nu, 400)
+        alphas, betas = kernel(t, w / total_mass(nu), 6)
+        assert np.array_equal(rec.a_window[1:], betas)
+        assert np.array_equal(rec.b_window[1:], alphas)
 
 
 class TestReports:

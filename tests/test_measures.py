@@ -9,7 +9,7 @@ from reflectionless import (CompactSet, FSelector, HerglotzRep, SpectralMeasure,
                             free_krein, half_line_measure, herglotz_eval,
                             moments, nodes_weights_csv, quadrature_discretize,
                             stieltjes_invert, total_mass)
-from reflectionless.measures import AcPiece, _discretize, _gl_rule
+from reflectionless.measures import AcPiece, _discretize, _gl_rule, _integrate_pieces
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -174,6 +174,24 @@ class TestMassAndMoments:
                      p.lo, p.hi, limit=200)[0]
                 for p in nu.ac_pieces)
             assert mass == pytest.approx(oracle, abs=5e-8)
+
+    def test_memoized_mass_is_the_quadrature_route(self):
+        k_set = CompactSet(((-2.0, 0.0), (1.0, 2.0)))
+        f = FSelector(atom_weights=((0.7, 0.5),))
+
+        def make():
+            return half_line_measure(stieltjes_invert(HerglotzRep(XI_WITH_ATOM)), k_set, f)
+
+        nu, fresh = make(), make()
+        ac = _integrate_pieces(nu, lambda t: np.ones((1, len(t))), 1)[0]
+        expected = float(ac + sum(m for _, m in nu.atoms))
+        assert total_mass(nu) == expected
+        assert "_mass_rules" in vars(nu) and "_mass_rules" not in vars(fresh)
+        assert total_mass(nu) == expected
+        # the memo is no field: it leaves equality, hashing and to_dict alone
+        assert nu == fresh
+        assert hash(nu) == hash(fresh)
+        assert nu.to_dict() == fresh.to_dict()
 
     def test_semicircle_moments_match_catalan_numbers(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)

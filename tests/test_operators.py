@@ -212,8 +212,7 @@ class TestGreenDiag:
 
     def test_truncation_cap_enforced(self):
         with pytest.raises(NumericError):
-            green_diag(JacobiCoefficients.free(), 0, 1e-6j, method="truncation",
-                       size_cap=1000)
+            green_diag(JacobiCoefficients.free(), 0, 1e-6j, method="truncation")
 
 
 def residual_by_points(j, m_set, grid, eta, sites):
