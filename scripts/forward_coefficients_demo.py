@@ -15,5 +15,8 @@ if __name__ == "__main__":
     print(coefficients_csv(rec), end="")
     summary = reconstruction_report(nu, rec)
     print(f"# a0 = {summary['a0']:.12f}  mass = {summary['mass']:.12f}")
-    print(f"# first {summary['moments_checked']} moments reproduced to "
-          f"{summary['max_moment_error']:.2e}")
+    for rule in summary["rules"]:
+        print(f"# {rule['interval']}: {rule['rule']} rule, {rule['nodes']} nodes, "
+              f"certified against {rule['certifying_nodes']}")
+    print(f"# certificate {summary['certificate']:.2e}, distance to the certified "
+          f"reconstruction {summary['max_coefficient_error']:.2e}")

@@ -3,12 +3,15 @@ r"""Half-line coefficient reconstruction from a spectral measure.
 The total mass gives the coupling a_0 (mass = a_0^2).  The normalized
 measure is the delta_1 spectral measure of the half-line operator on sites
 >= 1; its entries (b_1, a_1, b_2, ...) are the recurrence coefficients of
-the measure's orthonormal polynomials, computed by Lanczos
-tridiagonalization of multiplication-by-t on the discretized measure,
-started from the constant vector, with full reorthogonalization: one
-classical Gram-Schmidt pass against the whole basis per step, which the
-breakdown test makes sufficient (see `lanczos_tridiag`).  The discretized
-measure stays in arrays from the Gauss rule to the kernel.
+its orthonormal polynomials, computed by Gautschi's discretized Stieltjes
+procedure (Orthogonal Polynomials: Computation and Approximation, 2004,
+sec. 2.2): the plain three-term recurrence on a rule for the ac part, O(m)
+per step on m nodes, then one O(N) Gragg-Harrod sweep per atom (Numer.
+Math. 44, 1984).  Unreorthogonalized, the recurrence loses orthogonality
+only when a Ritz value converges onto a support point (Paige, 1976): at an
+isolated atom, which never enters it here, or on a rule too coarse for the
+depth, which the depth-sized rules exclude and the Bessel guard of
+`lanczos_tridiag` detects.
 
 Indexing: the returned window is [0, N] with a = (a_0, a_1, ..., a_N) and
 b = (b_0, b_1, ..., b_N).  The site-0 diagonal b_0 is NOT determined by
@@ -18,35 +21,35 @@ half-line data; it is stored as 0.0 as a documented placeholder (use
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
-from .measures import SpectralMeasure, _discretize, _support, moments, total_mass
+from .measures import SpectralMeasure, _arc_rule, _root_edges, _support, total_mass
 from .operators import JacobiCoefficients, Tail
 
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
            "reconstruction_report", "coefficients_csv"]
 
-# Gauss nodes per ac piece of the first discretization, and the cap that
-# node doubling on breakdown stops at
-_NODES_PER_PIECE = 400
-_MAX_NODES = 3200
+_MAX_NODES = 3200  # per ac piece, for a certified reconstruction
 
 
 def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients (alpha_1..alpha_n, beta_1..beta_n) of the
-    probability measure sum w_i delta_{t_i}, by Lanczos with full
-    reorthogonalization.  Raises on breakdown (support too small or
-    clustered for the requested depth).
+    probability measure sum w_i delta_{t_i}, by the three-term recurrence on
+    two vectors.  Raises on breakdown (support too small or clustered for
+    the requested depth) and on lost orthogonality.
 
-    Each step reorthogonalizes once, by classical Gram-Schmidt against the
-    whole basis Q.  That is enough: after the three-term step, u lies in
-    span(Q) only to rounding, about eps * scale * sqrt(k) with scale >= |t|,
-    and a second pass changes anything only when the first cancels most of
-    u (Daniel-Gragg-Kaufman-Stewart, Math. Comp. 30, 1976), i.e. when beta
-    is that small.  The breakdown test beta <= 1e-12 * scale raises first
-    (eps * sqrt(k) < 2e-14 for k <= 3200)."""
+    Without reorthogonalization the basis stays orthogonal until a Ritz
+    value converges onto a support point (Paige, 1976), at a node of large
+    isolated weight or once the depth outruns the rule, and the coefficients
+    go wrong from there.  Bessel's inequality detects it: the row sums s_i =
+    sum_k q_k[i]^2 of an orthonormal basis never exceed 1, while a basis that
+    has lost orthogonality repeats the converged direction and pushes them
+    past 1.  The sums only grow, so s.max() <= 1 + 1e-10 is checked once,
+    after the last step."""
     t = np.asarray(support, dtype=float)
     w = np.asarray(weights, dtype=float)
     if t.shape != w.shape or t.ndim != 1:
@@ -58,71 +61,135 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
     nrm = np.linalg.norm(q)
     if nrm == 0:
         raise ValueError("measure has no mass")
-    # one allocation for the whole basis: growing it per step costs a fresh
-    # mmap and page faults of up to (n_steps x len(t)) doubles every step
-    basis = np.empty((n_steps + 1, t.size))
-    basis[0] = q / nrm
+    q = q / nrm
+    q_prev, beta, row_sums = np.zeros_like(q), 0.0, q * q
     alphas, betas = np.empty(n_steps), np.empty(n_steps)
     for k in range(n_steps):
-        q = basis[k]
         u = t * q
-        if k:
-            u -= betas[k - 1] * basis[k - 1]
-        alphas[k] = q @ u
-        u -= alphas[k] * q
-        qm = basis[:k + 1]
-        u -= qm.T @ (qm @ u)
-        beta = float(np.linalg.norm(u))
+        u -= beta * q_prev
+        alphas[k] = alpha = q @ u
+        u -= alpha * q
+        beta = math.sqrt(u @ u)
         if beta <= 1e-12 * scale:
             raise NumericError(
                 f"Lanczos breakdown at step {k + 1}: off-diagonal {beta} "
                 "(discretization too coarse for the requested depth)")
         betas[k] = beta
-        np.divide(u, beta, out=basis[k + 1])
+        q_prev, q = q, u / beta
+        row_sums += q * q
+    if row_sums.max() > 1.0 + 1e-10:
+        raise NumericError(f"Lanczos lost orthogonality by step {n_steps}: basis row sum "
+                           f"{row_sums.max()} > 1 (isolated atom, or rule too coarse)")
     return alphas, betas
+
+
+def _fold_atom(a: list, d: list, x: float, mass: float) -> None:
+    """Add mass * delta_x, in place, to the measure of mass a[0]^2 whose
+    Jacobi matrix has diagonal d and off-diagonal a[1:-1], a[-1] = 0
+    (Gragg-Harrod): the atom enters as a decoupled row 0 tied to the
+    starting vector, and one Givens rotation per plane (j, j + 1) chases the
+    bulge to the bottom."""
+    g = a[0]
+    a[0:1] = [math.sqrt(mass), 0.0]
+    d.insert(0, x)
+    for j in range(len(d) - 1):
+        if g == 0.0:
+            break
+        r = math.hypot(a[j], g)
+        c, s = a[j] / r, g / r
+        a[j] = r
+        dj, dk, e = d[j], d[j + 1], a[j + 1]
+        d[j] = c * c * dj + 2.0 * c * s * e + s * s * dk
+        d[j + 1] = s * s * dj - 2.0 * c * s * e + c * c * dk
+        a[j + 1] = c * s * (dk - dj) + (c * c - s * s) * e
+        g, a[j + 2] = s * a[j + 2], c * a[j + 2]
+
+
+def _scale(nu: SpectralMeasure) -> float:
+    return max([1.0] + [abs(x) for x, _ in nu.atoms]
+               + [abs(e) for p in nu.ac_pieces for e in (p.lo, p.hi)])
+
+
+def _jacobi(nu: SpectralMeasure, rules, n_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b_1..b_N, a_1..a_N) of nu with each ac piece replaced by its (theta,
+    weight) rule.  With atoms the recurrence goes one step deeper: the Gauss
+    rule of that section matches the ac moments through degree 2N + 1, which
+    fixes the first N pairs once the atoms are folded in."""
+    a, d = [0.0], []
+    if nu.ac_pieces:
+        t, w = _support(nu.ac_pieces, rules)
+        alphas, betas = lanczos_tridiag(t, w, n_coeffs + 1 if nu.atoms else n_coeffs)
+        if not nu.atoms:
+            return alphas, betas
+        a, d = [math.sqrt(float(np.sum(w)))] + betas[:-1].tolist() + [0.0], alphas.tolist()
+    for x, mass in nu.atoms:
+        _fold_atom(a, d, x, mass)
+    if len(d) < n_coeffs + 1:
+        raise ValueError(f"measure support ({len(d)} points) too small for N={n_coeffs}")
+    betas = np.abs(a[1:n_coeffs + 1])
+    if n_coeffs and betas.min() <= 1e-12 * _scale(nu):
+        raise NumericError(f"breakdown: off-diagonal {betas.min()} (support too clustered)")
+    return np.array(d[:n_coeffs]), betas
+
+
+def _certified(nu: SpectralMeasure, n_coeffs: int):
+    """((b_1..b_N, a_1..a_N), rule per piece, certificate) on the depth-sized
+    rules that `reconstruct_coefficients` describes."""
+    if nu.is_atomic():
+        return _jacobi(nu, (), n_coeffs), [], 0.0
+    step = max(32, -(-n_coeffs // 4))
+    kinds = [_root_edges(nu, p) for p in nu.ac_pieces]
+    sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
+    if max(sizes) + step > _MAX_NODES:
+        raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
+    prev = None
+    for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
+        try:
+            cur = _jacobi(nu, [_arc_rule(nu, p, n + extra, mid)
+                               for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], n_coeffs)
+        except NumericError:
+            cur = None
+        cert = float(np.max(np.abs(np.subtract(prev, cur)), initial=0.0)) if prev and cur else math.inf
+        if cert <= 1e-12 * _scale(nu):
+            return prev, [{"interval": [p.lo, p.hi], "rule": "midpoint" if mid else "gauss-legendre",
+                           "nodes": n + extra - step, "certifying_nodes": n + extra}
+                          for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], cert
+        prev = cur
+    raise NumericError(f"N={n_coeffs} not certified within {_MAX_NODES} nodes per piece")
 
 
 def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoefficients:
     """Recover (a_0; a_1, b_1; ...; a_N, b_N) from the half-line measure.
 
-    a_0 = sqrt(total mass); the rest from the Lanczos recurrence of the
-    normalized discretized measure.  If 4N <= n for the n-node Gauss rule
-    at which each ac piece's mass converged, Lanczos runs on those rules
-    and the atoms (Gautschi's discretized Stieltjes procedure): the mass
-    had converged at n/2 nodes, so n/2 resolve the density, and the other
-    n/2 carry the polynomials of degree 2N, as Gauss-Legendre in theta
-    needs about one node per degree.  Otherwise, or if Lanczos breaks down
-    there, the measure is discretized at `_NODES_PER_PIECE` nodes per piece,
-    doubled on breakdown up to `_MAX_NODES` before raising; positivity is
-    never silently clamped.
+    a_0 = sqrt(total mass); the rest by the unreorthogonalized recurrence on
+    a rule per ac piece, atoms folded in afterwards.  It stays orthogonal on
+    a rule that resolves the depth (Paige), and the Bessel guard of
+    `lanczos_tridiag` raises where it does not.  If 4N <= n for the n-node
+    Gauss rule at which each ac piece's mass converged, it runs on those
+    rules: n/2 nodes resolve the density (the mass had converged there) and
+    n/2 the polynomials of degree 2N, at about one Gauss-Legendre node per
+    degree.  Deeper, or on a failure there, a piece gets the midpoint rule
+    in theta with N + n nodes if both its edges are square-root edges (exact
+    for degree below about 2(N + n)), else Gauss-Legendre with 2N + n.  A
+    rule with max(32, ceil(N/4)) more nodes per piece certifies it: all N
+    pairs must agree to 1e-12 * max(1, largest |t|), else both rules step up
+    by that many nodes.  Raises `ValueError` up front for an N whose rule
+    pair exceeds `_MAX_NODES` nodes per piece and `NumericError` if no pair
+    within it agrees; positivity is never silently clamped.
     """
     if n_coeffs < 0:
         raise ValueError("n_coeffs must be >= 0")
     mass = total_mass(nu)
     if mass <= 0:
         raise ValueError("measure must have positive mass")
-    a0 = float(np.sqrt(mass))
-    n = _NODES_PER_PIECE
-    reuse = not nu.is_atomic() and all(4 * n_coeffs <= rule[0] for rule in nu._mass_rules)
-    while True:
-        support, weights = (_support(nu, (r[1:3] for r in nu._mass_rules)) if reuse
-                            else _discretize(nu, n))
-        weights /= mass
-        if len(support) < n_coeffs + 1:
-            if nu.is_atomic() or n >= _MAX_NODES:
-                raise ValueError(
-                    f"measure support ({len(support)} points) too small for N={n_coeffs}")
-            n *= 2
-            continue
+    shallow = None
+    if all(4 * n_coeffs <= rule[0] for rule in nu._mass_rules):
         try:
-            alphas, betas = lanczos_tridiag(support, weights, n_coeffs)
-            break
+            shallow = _jacobi(nu, [rule[1:3] for rule in nu._mass_rules], n_coeffs)
         except NumericError:
-            if not reuse and (nu.is_atomic() or n >= _MAX_NODES):
-                raise
-            n *= 1 if reuse else 2
-            reuse = False
-    a = np.concatenate(([a0], betas))
+            pass
+    alphas, betas = shallow or _certified(nu, n_coeffs)[0]
+    a = np.concatenate(([math.sqrt(mass)], betas))
     b = np.concatenate(([0.0], alphas))
     return JacobiCoefficients(0, n_coeffs, a, b, Tail.free())
 
@@ -140,25 +207,16 @@ def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float
 
 
 def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> dict:
-    """Consistency summary {a0, mass, moments_checked, max_moment_error}: the
-    spectral measure of the reconstructed finite section must reproduce the
-    first 2N moments of the input (relative to their size)."""
-    from scipy.linalg import eigh_tridiagonal
-
+    """{a0, mass, rules, certificate, max_coefficient_error} of a certified
+    reconstruction of nu to the depth N of coeffs: per ac piece its interval,
+    rule, nodes and certifying nodes; the largest difference between the two
+    rules' coefficients; the largest difference of coeffs from it, n <= N."""
     n = coeffs.n_hi
-    mass = total_mass(nu)
-    exact = moments(nu, max(2 * n - 1, 0)) / mass
-    if n >= 1:
-        off, diag = coeffs.arrays(1, n)
-        # MRRR, so the figure does not depend on scipy's default driver
-        lam, vec = eigh_tridiagonal(diag, off[:-1], lapack_driver="stemr")
-        section = np.array([np.sum(vec[0, :] ** 2 * lam**k)
-                            for k in range(len(exact))])
-        err = float(np.max(np.abs(section - exact) / np.maximum(1.0, np.abs(exact))))
-    else:
-        err = 0.0
-    return {"a0": coeffs.a(0), "mass": mass,
-            "moments_checked": len(exact), "max_moment_error": err}
+    (alphas, betas), rules, cert = _certified(nu, n)
+    off, diag = coeffs.arrays(1, n)
+    err = float(np.max(np.abs(np.subtract((diag, off), (alphas, betas))), initial=0.0))
+    return {"a0": coeffs.a(0), "mass": total_mass(nu), "rules": rules,
+            "certificate": cert, "max_coefficient_error": err}
 
 
 def coefficients_csv(coeffs: JacobiCoefficients) -> str:

@@ -12,6 +12,10 @@ like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
 analytic; Gauss-Legendre in theta then converges spectrally.  The rule each
 piece's mass converged at is memoized and reused by shallow reconstructions.
+Where xi jumps by +-1/2 at both edges (every band of a reflectionless
+half-line measure), the integrand in theta is even, 2pi-periodic and
+analytic, so deep reconstructions use the midpoint rule in theta there: it
+is exact for polynomials of degree below about 2n, twice Gauss-Legendre's.
 """
 
 from __future__ import annotations
@@ -293,8 +297,7 @@ def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece,
     mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
     prev, n = None, 64
     while True:
-        th, w = _gl_rule(n)
-        wd = w * (half * np.cos(th)) * measure.density_on_arc(piece, th)
+        th, wd = _arc_rule(measure, piece, n)
         vals = wd if funcs is None else funcs(mid + half * np.sin(th)) * wd
         cur = vals.reshape(n_funcs, -1).sum(axis=1)
         if prev is not None and np.max(np.abs(cur - prev)) <= 1e-12 * max(1.0, np.max(np.abs(cur))):
@@ -337,12 +340,31 @@ def moments(measure: SpectralMeasure, k_max: int) -> np.ndarray:
     return out
 
 
-def _support(measure: SpectralMeasure, rules) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and each ac piece's (theta, weight) rule at t = mid + half*sin(theta),
+def _arc_rule(measure: SpectralMeasure, piece: AcPiece, n: int,
+              midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, weight x jacobian x density) of the n-node Gauss-Legendre or
+    midpoint (theta_k = -pi/2 + (k - 1/2) pi/n, weight pi/n) rule in theta."""
+    if midpoint:
+        th, w = (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
+    else:
+        th, w = _gl_rule(n)
+    return th, w * (0.5 * (piece.hi - piece.lo) * np.cos(th)) * measure.density_on_arc(piece, th)
+
+
+def _root_edges(measure: SpectralMeasure, piece: AcPiece) -> bool:
+    """Whether the density is |t - e|^(+-1/2) times an analytic factor at
+    both edges e: the coefficient of ln|t - e| in ln|H| is +-1/2 there."""
+    xi = measure.rep.xi
+    exponent = dict(zip(xi.breakpoints, xi.abs_log_coefficients.tolist()))
+    return all(abs(exponent.get(e, 0.0)) == 0.5 for e in (piece.lo, piece.hi))
+
+
+def _support(pieces, rules, atoms=()) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and each ac piece's (theta, weight) rule at t = mid + half*sin(theta),
     sorted by node, then by weight (as sorting (node, weight) pairs would)."""
-    nodes = [np.array([x for x, _ in measure.atoms], dtype=float)]
-    weights = [np.array([m for _, m in measure.atoms], dtype=float)]
-    for piece, (th, w) in zip(measure.ac_pieces, rules):
+    nodes = [np.array([x for x, _ in atoms], dtype=float)]
+    weights = [np.array([m for _, m in atoms], dtype=float)]
+    for piece, (th, w) in zip(pieces, rules):
         nodes.append(0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * np.sin(th))
         weights.append(w)
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
@@ -354,9 +376,8 @@ def _discretize(measure: SpectralMeasure, points_per_piece: int) -> tuple[np.nda
     """(nodes, weights) of `quadrature_discretize`, as sorted arrays."""
     if points_per_piece < 1:
         raise ValueError("points_per_piece must be >= 1")
-    th, w = _gl_rule(points_per_piece)
-    return _support(measure, ((th, w * (0.5 * (p.hi - p.lo)) * np.cos(th)
-                               * measure.density_on_arc(p, th)) for p in measure.ac_pieces))
+    return _support(measure.ac_pieces, (_arc_rule(measure, p, points_per_piece)
+                                        for p in measure.ac_pieces), measure.atoms)
 
 
 def quadrature_discretize(measure: SpectralMeasure, points_per_piece: int) -> SpectralMeasure:

@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRep,
-                            NumericError, SpectralMeasure, StepFunction,
+                            JacobiCoefficients, NumericError, SpectralMeasure,
+                            StepFunction, Tail,
                             canonical_krein_from_jumps, coefficient_deviation,
                             free_krein, half_line_measure, lanczos_tridiag,
                             moments, reconstruct_coefficients,
@@ -104,17 +106,35 @@ def density_calls(monkeypatch):
     return calls
 
 
+def dr_measure():
+    """The `dr` experiment's measure: semicircle plus atoms at 2.5, 3.0, -2.7."""
+    return semicircle_with_atoms(((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)))
+
+
+def cut_semicircle_with_atom():
+    """The semicircle cut at 0, so that each piece has one regular edge,
+    plus an atom at 2.61."""
+    return SpectralMeasure(HerglotzRep(free_krein(2.0)),
+                           (AcPiece(-2.0, 0.0, 0.5), AcPiece(0.0, 2.0, 0.5)), ((2.61, 0.3),))
+
+
+def assert_matches_two_pass(nu, depth, tol):
+    """Reconstruction to depth against two-pass Lanczos on 3200 Gauss nodes
+    per piece, atoms included."""
+    rec = reconstruct_coefficients(nu, depth)
+    t, w = _discretize(nu, 3200)
+    alphas, betas = two_pass_lanczos(t, w / np.sum(w), depth)
+    assert np.max(np.abs(rec.a_window[1:] - betas)) <= tol
+    assert np.max(np.abs(rec.b_window[1:] - alphas)) <= tol
+
+
 class TestLanczosKernel:
     @pytest.mark.parametrize("nu, nodes, depth", [
         (canonical_half_line(((-1.9, 3.3),)), 400, 200),
         (canonical_half_line(((-1.9, 3.3),)), 1600, 800),
-        (semicircle_with_atoms(((2.61, 0.3),)), 400, 200),
-        (semicircle_with_atoms(((-3.4, 0.1), (3.0, 0.45))), 200, 100),
-        (semicircle_with_atoms(((-2.55, 0.2), (2.95, 0.35), (3.45, 0.12))), 1600, 800),
         (canonical_half_line(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)), (0.6, 0.4)),
          200, 300),
-    ], ids=["semicircle-400", "semicircle-1600", "dr1-400", "dr2-200", "dr3-1600",
-            "canonical3-200"])
+    ], ids=["semicircle-400", "semicircle-1600", "canonical3-200"])
     def test_one_pass_matches_two_pass(self, nu, nodes, depth):
         t, w = _discretize(nu, nodes)
         w = w / np.sum(w)
@@ -123,6 +143,17 @@ class TestLanczosKernel:
         ref_alphas, ref_betas = two_pass_lanczos(t, w, depth)
         assert np.max(np.abs(alphas - ref_alphas)) <= 1e-13
         assert np.max(np.abs(betas - ref_betas)) <= 1e-13
+
+    @pytest.mark.parametrize("nu, nodes, depth", [
+        (semicircle_with_atoms(((2.61, 0.3),)), 400, 200),
+        (normalized_semicircle(), 400, 300),
+    ], ids=["isolated-atom", "semicircle-300-on-400"])
+    def test_lost_orthogonality_raises(self, nu, nodes, depth):
+        # the plain recurrence would return wrong coefficients here (the
+        # semicircle's last 20 off by 0.92); the Bessel guard refuses them
+        t, w = _discretize(nu, nodes)
+        with pytest.raises(NumericError, match="lost orthogonality"):
+            lanczos_tridiag(t, w / np.sum(w), depth)
 
 
 class TestReconstruction:
@@ -204,6 +235,40 @@ class TestReconstruction:
         added = total_mass(nu) - base
         assert total_mass(nu) >= 1.0 + added - 1e-8
 
+    @pytest.mark.parametrize("nu, depth", [
+        (semicircle_with_atoms(((2.61, 0.3),)), 200),
+        (semicircle_with_atoms(((-3.4, 0.1), (3.0, 0.45))), 100),
+        (semicircle_with_atoms(((-2.55, 0.2), (2.95, 0.35), (3.45, 0.12))), 800),
+    ], ids=["dr1-400", "dr2-200", "dr3-1600"])
+    def test_atoms_match_two_pass_lanczos(self, nu, depth):
+        assert_matches_two_pass(nu, depth, 1e-13)
+
+    @pytest.mark.parametrize("depth", [40, 100, 300])
+    def test_regular_edges_keep_gauss_legendre_accuracy(self, depth):
+        assert_matches_two_pass(cut_semicircle_with_atom(), depth, 1e-13)
+
+    @pytest.mark.parametrize("make", [normalized_semicircle, dr_measure],
+                             ids=["semicircle", "dr"])
+    @pytest.mark.parametrize("depth", [250, 300, 1000])
+    def test_deep_tail_is_free(self, make, depth):
+        # the measures' coefficients equal the free values to 1e-14 by n = 31
+        rec = reconstruct_coefficients(make(), depth)
+        tail = slice(depth - 19, depth + 1)
+        assert np.max(np.abs(rec.a_window[tail] - 1.0)) <= 1e-12
+        assert np.max(np.abs(rec.b_window[tail])) <= 1e-12
+
+    def test_deep_reconstruction_is_linear_time(self):
+        # O(N m) on depth-sized rules: N = 1000 took 0.67 s with the
+        # reorthogonalized recurrence on 400/800/1600-node rules
+        nu = dr_measure()
+        total_mass(nu)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            reconstruct_coefficients(nu, 1000)
+            best = min(best, time.perf_counter() - start)
+        assert best <= 0.3
+
     def test_breakdown_reported_not_clamped(self):
         nu = SpectralMeasure(None, (), ((0.0, 1.0), (0.0 + 1e-15, 1.0)))
         with pytest.raises(NumericError):
@@ -218,9 +283,10 @@ class TestMassRuleReuse:
         reconstruct_coefficients(nu, 6)
         # 64 and 128 nodes for the mass; the reconstruction reuses the 128
         assert len(density_calls) == 2 * len(nu.ac_pieces)
-        # past the gate (4N > 128) the measure is discretized afresh
+        # past the gate (4N > 128) the measure is discretized afresh, on a
+        # depth-sized rule and on the rule that certifies it
         reconstruct_coefficients(nu, 33)
-        assert len(density_calls) == 3 * len(nu.ac_pieces)
+        assert len(density_calls) == 4 * len(nu.ac_pieces)
 
     @pytest.mark.parametrize("make, nodes", [
         (two_band_cut_measure, 128),
@@ -236,13 +302,13 @@ class TestMassRuleReuse:
         rec = reconstruct_coefficients(nu, depth)
         assert len(density_calls) == evaluated  # the mass rules were reused
         t, w = _discretize(nu, 3200)
-        alphas, betas = lanczos_tridiag(t, w / mass, depth)
+        alphas, betas = two_pass_lanczos(t, w / mass, depth)
         assert np.max(np.abs(rec.a_window[1:] - betas)) <= 1e-12
         assert np.max(np.abs(rec.b_window[1:] - alphas)) <= 1e-12
 
-
     def test_breakdown_on_the_mass_rules_falls_back(self, monkeypatch):
         from reflectionless import inverse
+        from reflectionless.measures import _arc_rule, _support
 
         kernel, sizes = inverse.lanczos_tridiag, []
 
@@ -255,11 +321,25 @@ class TestMassRuleReuse:
         monkeypatch.setattr(inverse, "lanczos_tridiag", breaks_first)
         nu = two_band_cut_measure()
         rec = reconstruct_coefficients(nu, 6)
-        assert sizes == [3 * 128, 3 * 400]
-        t, w = _discretize(nu, 400)
-        alphas, betas = kernel(t, w / total_mass(nu), 6)
+        # Gauss-Legendre with 2N + 128 nodes on the two pieces with a regular
+        # edge, the midpoint rule with N + 128 on [1, 2]; certified at 32 more
+        assert sizes == [3 * 128, 2 * 140 + 134, 2 * 172 + 166]
+        rules = [_arc_rule(nu, p, n, mid) for p, n, mid in
+                 zip(nu.ac_pieces, (140, 140, 134), (False, False, True))]
+        t, w = _support(nu.ac_pieces, rules)
+        alphas, betas = kernel(t, w, 6)
         assert np.array_equal(rec.a_window[1:], betas)
         assert np.array_equal(rec.b_window[1:], alphas)
+
+    def test_uncertified_depth_raises(self, monkeypatch):
+        from reflectionless import inverse
+
+        def always_breaks(t, w, n_steps):
+            raise NumericError("forced breakdown")
+
+        monkeypatch.setattr(inverse, "lanczos_tridiag", always_breaks)
+        with pytest.raises(NumericError, match="not certified"):
+            reconstruct_coefficients(normalized_semicircle(), 300)
 
 
 class TestReports:
@@ -268,10 +348,18 @@ class TestReports:
         rec = reconstruct_coefficients(nu, 8)
         from reflectionless import reconstruction_report
         rep = reconstruction_report(nu, rec)
-        assert set(rep) == {"a0", "mass", "moments_checked", "max_moment_error"}
+        assert set(rep) == {"a0", "mass", "rules", "certificate", "max_coefficient_error"}
         assert rep["a0"] == pytest.approx(1.0, abs=1e-10)
-        assert rep["moments_checked"] == 16
-        assert rep["max_moment_error"] < 1e-10
+        assert rep["rules"] == [{"interval": [-2.0, 2.0], "rule": "midpoint",
+                                 "nodes": 136, "certifying_nodes": 168}]
+        assert rep["certificate"] <= 1e-12
+        assert rep["max_coefficient_error"] < 1e-13
+        # the report flags coefficients that are off, where the monomial
+        # moment check was blind (dr at N = 300)
+        bad = JacobiCoefficients(0, 8, rec.a_window, rec.b_window + 1e-6, Tail.free())
+        assert reconstruction_report(nu, bad)["max_coefficient_error"] == pytest.approx(1e-6)
+        cut = reconstruction_report(cut_semicircle_with_atom(), rec)
+        assert [r["rule"] for r in cut["rules"]] == ["gauss-legendre"] * 2
 
     def test_coefficients_csv(self):
         from reflectionless import coefficients_csv
