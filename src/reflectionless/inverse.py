@@ -142,18 +142,20 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
     if max(sizes) + step > _MAX_NODES:
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
-    prev = None
+    prev, tol = None, 1e-12 * _scale(nu)
     for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
         try:
             cur = _jacobi(nu, [_arc_rule(nu, p, n + extra, mid)
                                for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], n_coeffs)
         except NumericError:
             cur = None
-        cert = float(np.max(np.abs(np.subtract(prev, cur)), initial=0.0)) if prev and cur else math.inf
-        if cert <= 1e-12 * _scale(nu):
-            return prev, [{"interval": [p.lo, p.hi], "rule": "midpoint" if mid else "gauss-legendre",
-                           "nodes": n + extra - step, "certifying_nodes": n + extra}
-                          for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], cert
+        if prev and cur:
+            cert = float(np.max(np.abs(np.subtract(prev, cur)), initial=0.0))
+            if cert <= tol:
+                return prev, [{"interval": [p.lo, p.hi], "nodes": n + extra - step,
+                               "rule": "midpoint" if mid else "gauss-legendre",
+                               "certifying_nodes": n + extra}
+                              for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], cert
         prev = cur
     raise NumericError(f"N={n_coeffs} not certified within {_MAX_NODES} nodes per piece")
 
