@@ -13,15 +13,15 @@ from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
                     correction_factor)
 from .operators import (Tail, JacobiCoefficients, shift, coefficient_metric,
                         green_diag, reflectionless_residual)
-from .gapflow import (CanonicalKrein, gap_modify, flow_to_canonical,
+from .gapflow import (GapJumps, CanonicalKrein, default_bound,
+                      canonical_krein_from_jumps, gap_modify, flow_to_canonical,
                       flow_steps, is_canonical, gap_jump_masses)
 from .measures import (AcPiece, SpectralMeasure, FSelector, stieltjes_invert,
                        half_line_measure, total_mass, moments,
                        quadrature_discretize, nodes_weights_csv)
 from .inverse import (reconstruct_coefficients, coefficient_deviation,
                       lanczos_tridiag, reconstruction_report, coefficients_csv)
-from .extremal import (GapJumps, ExtremalResult, canonical_krein_from_jumps,
-                       default_bound, mass_objective, minimize_mass,
+from .extremal import (ExtremalResult, mass_objective, minimize_mass,
                        grid_min_mass)
 from .experiments import (ExperimentConfig, approximate_omega_limit,
                           random_compact_set, random_admissible_krein,
@@ -37,15 +37,15 @@ __all__ = [
     "correction_factor",
     "Tail", "JacobiCoefficients", "shift",
     "coefficient_metric", "green_diag", "reflectionless_residual",
-    "CanonicalKrein", "gap_modify", "flow_to_canonical", "flow_steps",
-    "is_canonical", "gap_jump_masses",
+    "GapJumps", "CanonicalKrein", "default_bound", "canonical_krein_from_jumps",
+    "gap_modify", "flow_to_canonical", "flow_steps", "is_canonical",
+    "gap_jump_masses",
     "AcPiece", "SpectralMeasure", "FSelector", "stieltjes_invert",
     "half_line_measure", "total_mass", "moments", "quadrature_discretize",
     "nodes_weights_csv",
     "reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
     "reconstruction_report", "coefficients_csv",
-    "GapJumps", "ExtremalResult", "canonical_krein_from_jumps",
-    "default_bound", "mass_objective", "minimize_mass", "grid_min_mass",
+    "ExtremalResult", "mass_objective", "minimize_mass", "grid_min_mass",
     "ExperimentConfig", "approximate_omega_limit",
     "random_compact_set", "random_admissible_krein", "random_f_selector",
 ]

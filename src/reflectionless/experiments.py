@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .extremal import (KKT_TOL, GapJumps, canonical_krein_from_jumps,
-                       grid_min_mass, minimize_mass)
-from .gapflow import flow_to_canonical
+from .extremal import KKT_TOL, grid_min_mass, minimize_mass
+from .gapflow import GapJumps, canonical_krein_from_jumps, flow_to_canonical
 from .inverse import (coefficient_deviation, reconstruct_coefficients,
                       reconstruction_report)
 from .krein import HerglotzRep, StepFunction, free_krein

@@ -26,14 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .krein import HerglotzRep, StepFunction, hilbert_transform
+from .gapflow import GapJumps, canonical_krein_from_jumps, default_bound
+from .krein import HerglotzRep, hilbert_transform
 from .measures import _gl_rule, stieltjes_invert, total_mass
 from .sets import CompactSet
 
 __all__ = [
-    "GapJumps",
-    "canonical_krein_from_jumps",
-    "default_bound",
     "mass_objective",
     "minimize_mass",
     "grid_min_mass",
@@ -51,64 +49,14 @@ _NODES_PER_BAND = 128
 _GRID_POINTS_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class GapJumps:
-    """One jump mass per gap of K, g_j in [0, |gap_j|]."""
-
-    masses: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "masses", tuple(float(g) for g in self.masses))
-
-    def validate(self, k_set: CompactSet):
-        gaps = k_set.gaps()
-        if len(self.masses) != len(gaps):
-            raise ValueError("need one jump mass per gap")
-        for g, (gc, gd) in zip(self.masses, gaps):
-            if not 0.0 <= g <= (gd - gc) + 1e-15:
-                raise ValueError(f"jump mass {g} outside [0, {gd - gc}]")
-
-
-def default_bound(k_set: CompactSet) -> float:
-    """R = max |K| + 1 (the objective is R-independent; any valid R works)."""
-    return max(abs(k_set.min), abs(k_set.max)) + 1.0
-
-
-def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
-                               bound: float | None = None) -> StepFunction:
-    """The canonical step function: 1 left of K, 1/2 on bands, 0 right of K,
-    and chi_{(d-g, d)} on each gap."""
-    r = default_bound(k_set) if bound is None else float(bound)
-    jumps.validate(k_set)
-    pieces = []
-    if k_set.min > -r:
-        pieces.append((-r, k_set.min, 1.0))
-    for c, d in k_set.intervals:
-        pieces.append((c, d, 0.5))
-    for g, (gc, gd) in zip(jumps.masses, k_set.gaps()):
-        width = gd - gc
-        if g <= 0.0:
-            pieces.append((gc, gd, 0.0))
-        elif g >= width:
-            pieces.append((gc, gd, 1.0))
-        else:
-            pieces.append((gc, gd - g, 0.0))
-            pieces.append((gd - g, gd, 1.0))
-    if k_set.max < r:
-        pieces.append((k_set.max, r, 0.0))
-    return StepFunction.from_pieces(r, pieces)
-
-
 def mass_objective(k_set: CompactSet, jumps: GapJumps,
                    bound: float | None = None) -> float:
     """a_0^2 of the canonical operator with the given jumps:
     (1/(2 pi)) integral_K |H|, by the adaptive edge-substituted quadrature."""
     xi = canonical_krein_from_jumps(k_set, jumps, bound)
     rho = stieltjes_invert(HerglotzRep(xi))
-    band_pieces = [p for p in rho.ac_pieces
-                   if any(c <= p.lo and p.hi <= d for c, d in k_set.intervals)]
-    masked = type(rho)(rho.rep, tuple(band_pieces), ())
-    return 0.5 * total_mass(masked)
+    # the ac pieces of a canonical function lie on the bands; drop the atoms
+    return 0.5 * total_mass(type(rho)(rho.rep, rho.ac_pieces, ()))
 
 
 class _FastObjective:
@@ -130,12 +78,12 @@ class _FastObjective:
         self.w = np.concatenate(ws)
         base = canonical_krein_from_jumps(k_set, GapJumps((0.0,) * len(k_set.gaps())))
         # log|H_base| at the nodes, with the per-gap zero-jump terms absent
-        self.log_base = np.log(self.t + base.bound) + hilbert_transform(base, self.t)
+        log_base = np.log(self.t + base.bound) + hilbert_transform(base, self.t)
         self.gap_ends = np.array([gd for _, gd in k_set.gaps()])
         self.gap_widths = np.array([gd - gc for gc, gd in k_set.gaps()])
         # the g-independent part of ln(w_i |H(t_i)|)
         to_ends = self.gap_ends[None, :] - self.t[:, None]
-        self.alpha = np.log(self.w) + self.log_base + np.log(np.abs(to_ends)).sum(axis=1)
+        self.alpha = np.log(self.w) + log_base + np.log(np.abs(to_ends)).sum(axis=1)
 
     def _exponents(self, masses) -> tuple[np.ndarray, np.ndarray]:
         """z_i = ln(w_i |H(t_i)|) and u_ij = d_j - g_j - t_i."""
@@ -164,24 +112,14 @@ class _FastObjective:
         return top + math.log(total / (2.0 * np.pi)), grad, hess
 
     def grid_values(self, grids: list[np.ndarray]) -> np.ndarray:
-        """Objective on the full product grid, shape = tuple(len(g) for g)."""
-        shape = tuple(len(g) for g in grids)
-        per_gap = []
-        for j, gvals in enumerate(grids):
-            d = self.gap_ends[j]
-            delta = (np.log(np.abs(d - self.t))[None, :]
-                     - np.log(np.abs(d - gvals[:, None] - self.t[None, :])))
-            delta[gvals == 0.0, :] = 0.0
-            per_gap.append(delta)
-        out = np.empty(shape)
-        it = np.ndindex(*shape[:-1]) if len(shape) > 1 else [()]
-        last = per_gap[-1]
-        for idx in it:
-            s = self.log_base[None, :].copy()
-            for j, i in enumerate(idx):
-                s = s + per_gap[j][i][None, :]
-            vals = np.exp(s + last) @ self.w
-            out[idx] = vals / (2.0 * np.pi)
+        """Objective on the full product grid, shape = tuple(len(g) for g):
+        z_i as in `value`, with one table of ln|d_j - g - t_i| per gap."""
+        logs = [np.log(np.abs(d - g[:, None] - self.t)) for d, g in zip(self.gap_ends, grids)]
+        last = np.exp(-logs[-1])
+        out = np.empty(tuple(len(g) for g in grids))
+        for idx in np.ndindex(*out.shape[:-1]):
+            z = self.alpha - sum(logs[j][i] for j, i in enumerate(idx))
+            out[idx] = last @ np.exp(z) / (2.0 * np.pi)
         return out
 
 

@@ -17,14 +17,67 @@ from .krein import StepFunction
 from .sets import CompactSet
 
 __all__ = [
-    "CompactSet",
+    "GapJumps",
     "CanonicalKrein",
+    "default_bound",
+    "canonical_krein_from_jumps",
     "gap_modify",
     "flow_to_canonical",
     "flow_steps",
     "is_canonical",
     "gap_jump_masses",
 ]
+
+
+@dataclass(frozen=True)
+class GapJumps:
+    """One jump mass per gap of K, g_j in [0, |gap_j|]."""
+
+    masses: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "masses", tuple(float(g) for g in self.masses))
+
+    def validate(self, k_set: CompactSet):
+        gaps = k_set.gaps()
+        if len(self.masses) != len(gaps):
+            raise ValueError("need one jump mass per gap")
+        for g, (gc, gd) in zip(self.masses, gaps):
+            if not 0.0 <= g <= (gd - gc) + 1e-15:
+                raise ValueError(f"jump mass {g} outside [0, {gd - gc}]")
+
+
+def default_bound(k_set: CompactSet) -> float:
+    """R = max |K| + 1 (the objective is R-independent; any valid R works)."""
+    return max(abs(k_set.min), abs(k_set.max)) + 1.0
+
+
+def _right_packed(c: float, d: float, g: float) -> tuple[tuple[float, float, float], ...]:
+    """Pieces of the right-packed indicator of mass g on the gap (c, d)."""
+    if g <= 0.0:
+        return ((c, d, 0.0),)
+    if g >= d - c:
+        return ((c, d, 1.0),)
+    return ((c, d - g, 0.0), (d - g, d, 1.0))
+
+
+def _canonical(k_set: CompactSet, masses, r: float) -> StepFunction:
+    """`canonical_krein_from_jumps` without the range check: the flow's masses
+    are integrals of xi over the gaps, in range only up to rounding."""
+    # a tail piece has zero width, and is dropped, when K reaches -R or R
+    pieces = [(-r, k_set.min, 1.0), (k_set.max, r, 0.0)]
+    pieces += [(c, d, 0.5) for c, d in k_set.intervals]
+    for g, (gc, gd) in zip(masses, k_set.gaps()):
+        pieces += _right_packed(gc, gd, g)
+    return StepFunction.from_pieces(r, pieces)
+
+
+def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
+                               bound: float | None = None) -> StepFunction:
+    """The canonical step function: 1 left of K, 1/2 on bands, 0 right of K,
+    and chi_{(d-g, d)} on each gap."""
+    jumps.validate(k_set)
+    return _canonical(k_set, jumps.masses, default_bound(k_set) if bound is None else bound)
 
 
 def _require_half_on_bands(xi: StepFunction, k_set: CompactSet):
@@ -41,13 +94,9 @@ def gap_modify(xi: StepFunction, gap: tuple[float, float]) -> StepFunction:
     c, d = float(gap[0]), float(gap[1])
     if not (-xi.bound <= c < d <= xi.bound):
         raise ValueError("gap must be a nonempty interval inside the domain")
-    g = xi.integral(c, d)
-    if g <= 0.0:
-        return xi.with_value(c, d, 0.0)
-    if g >= d - c:
-        return xi.with_value(c, d, 1.0)
-    p = d - g
-    return xi.with_value(c, p, 0.0).with_value(p, d, 1.0)
+    for lo, hi, v in _right_packed(c, d, xi.integral(c, d)):
+        xi = xi.with_value(lo, hi, v)
+    return xi
 
 
 @dataclass(frozen=True)
@@ -82,11 +131,10 @@ def flow_steps(xi: StepFunction, k_set: CompactSet) -> Iterator[tuple[str, StepF
 
 
 def flow_to_canonical(xi: StepFunction, k_set: CompactSet) -> CanonicalKrein:
-    """Run the whole flow; with finitely many gaps no limit is involved."""
-    cur = xi
-    for _, cur in flow_steps(xi, k_set):
-        pass
-    return CanonicalKrein(cur, k_set)
+    """The end of the flow in one build: no step changes the mass of a gap,
+    so the result is the canonical function with xi's gap masses."""
+    _require_half_on_bands(xi, k_set)
+    return CanonicalKrein(_canonical(k_set, gap_jump_masses(xi, k_set), xi.bound), k_set)
 
 
 def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:

@@ -18,6 +18,7 @@ are all evaluated in closed form; no quadrature enters this module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -152,24 +153,11 @@ class StepFunction:
             return self
         if lo < -self.bound or hi > self.bound:
             raise ValueError("(lo, hi) outside the domain")
-        bk, vals = [self.breakpoints[0]], []
-        def emit(x1, v):
-            bk.append(x1)
-            vals.append(v)
-        for x0, x1, v in self.pieces():
-            if x1 <= lo or x0 >= hi:
-                emit(x1, v)
-                continue
-            if x0 < lo:
-                emit(lo, v)
-            if x1 > hi:
-                emit(hi, value)
-                emit(x1, v)
-            elif x1 == hi:
-                emit(hi, value)
-            else:
-                emit(x1, value)
-        return StepFunction(self.bound, tuple(bk), tuple(vals))
+        bk, vals = self.breakpoints, self.values
+        i, k = bisect_left(bk, lo), bisect_right(bk, hi)
+        # (bk[i-1], lo) keeps values[i-1] and (hi, bk[k]) keeps values[k-1]
+        return StepFunction(self.bound, bk[:i] + (lo, hi) + bk[k:],
+                            vals[:i] + (value,) + vals[k - 1:])
 
     def _merged_cells(self, other: "StepFunction") -> Iterator[tuple[float, float, float]]:
         """(width, value_self, value_other) over the common breakpoint

@@ -214,38 +214,19 @@ def shift(j: JacobiCoefficients, k: int) -> JacobiCoefficients:
     return JacobiCoefficients(j.n_lo - k, j.n_hi - k, j.a_window, j.b_window, j.tail)
 
 
-def _tails_equal_beyond(j1: JacobiCoefficients, j2: JacobiCoefficients,
-                        lo: int, hi: int) -> bool:
-    """True if a/b of both operators agree at every site outside [lo, hi].
-    Checked on one common period beyond each edge; both tails are periodic
-    there, so agreement on it propagates."""
-    p = math.lcm(j1.tail.period, j2.tail.period)
-    return all(np.array_equal(x, y) for edge in ((hi + 1, hi + p), (lo - p, lo - 1))
-               for x, y in zip(j1.arrays(*edge), j2.arrays(*edge)))
+def coefficient_metric(j1: JacobiCoefficients, j2: JacobiCoefficients) -> float:
+    """d(J, J') = sum_n 2^{-|n|} (|a_n - a'_n| + |b_n - b'_n|), in closed form.
 
-
-def coefficient_metric(j1: JacobiCoefficients, j2: JacobiCoefficients,
-                       tol: float = 1e-12, max_terms: int = 100_000) -> float:
-    """d(J, J') = sum_n 2^{-|n|} (|a_n - a'_n| + |b_n - b'_n|).
-
-    When the two operators agree site-by-site beyond the union of their
-    windows the sum is finite and exact; otherwise it is truncated at an
-    index M with remainder <= (sup-sum of coefficient bounds) * 2^{1-M},
-    chosen so the truncation error is below `tol`.
+    Past both windows and site 0 the differences repeat with one common
+    period p = lcm(p1, p2), so the sum over each side beyond them is one
+    period of it times 1 / (1 - 2^-p).
     """
-    lo = min(j1.n_lo, j2.n_lo)
-    hi = max(j1.n_hi, j2.n_hi)
-    if not _tails_equal_beyond(j1, j2, lo, hi):
-        sup = sum(j1.sup_bounds()) + sum(j2.sup_bounds())
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        m = max(abs(lo), abs(hi), math.ceil(math.log2(max(2.0 * sup / tol, 2.0))) + 1)
-        if 2 * m + 1 > max_terms:
-            raise NumericError(
-                f"metric needs {2 * m + 1} terms for tol={tol}, over the cap {max_terms}")
-        lo, hi = -m, m
+    p = math.lcm(j1.tail.period, j2.tail.period)
+    lo, hi = min(j1.n_lo, j2.n_lo, 0) - p, max(j1.n_hi, j2.n_hi, 0) + p
     (a1, b1), (a2, b2) = j1.arrays(lo, hi), j2.arrays(lo, hi)
-    weights = 2.0 ** -np.abs(np.arange(lo, hi + 1))
+    n = np.arange(lo, hi + 1)
+    weights = 2.0 ** -np.abs(n)
+    weights[(n < lo + p) | (n > hi - p)] /= 1.0 - 2.0 ** -p
     return float(weights @ (np.abs(a1 - a2) + np.abs(b1 - b2)))
 
 

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             abs_boundary, canonical_krein_from_jumps,
-                            extremal, flow_to_canonical,
+                            extremal, flow_steps, flow_to_canonical,
                             grid_min_mass, half_line_measure, hilbert_transform,
                             mass_objective, minimize_mass, stieltjes_invert,
                             total_mass)
@@ -225,10 +225,11 @@ class TestLowerBoundProperty:
             assert flowed <= unflowed + 1e-7
 
     def test_canonical_krein_matches_flow_output(self, rng):
-        for _ in range(5):
-            k = random_compact_set(rng, max_gaps=2)
+        for _ in range(20):
+            k = random_compact_set(rng, max_gaps=3)
             xi = random_admissible_krein(rng, k)
             canon = flow_to_canonical(xi, k)
             rebuilt = canonical_krein_from_jumps(k, GapJumps(canon.jumps()),
                                                  bound=xi.bound)
-            assert rebuilt.approx_equal(canon.xi, tol=1e-12)
+            *_, (_, stepped) = flow_steps(xi, k)
+            assert canon.xi == rebuilt == stepped

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reflectionless import (CanonicalKrein, CompactSet, StepFunction,
+from reflectionless import (CanonicalKrein, CompactSet, GapJumps, StepFunction,
                             flow_steps, flow_to_canonical, free_krein,
                             gap_jump_masses, gap_modify, hilbert_transform,
                             is_canonical)
@@ -72,6 +72,19 @@ class TestFlow:
         xi = StepFunction.constant(3.0, 0.4)
         with pytest.raises(ValueError):
             flow_to_canonical(xi, CompactSet(((-2.0, 2.0),)))
+
+    def test_gap_mass_rounding_past_the_width(self):
+        # xi is just below 1 on part of a wide gap, and its integral rounds
+        # above the width by more than GapJumps allows
+        c, m, d = -8.893267542630808, 8.768654544025708, 10.452013204212161
+        k_set = CompactSet(((c - 1.0, c), (d, d + 1.0)))
+        xi = StepFunction(12.0, (-12.0, c - 1.0, c, m, d, d + 1.0, 12.0),
+                          (1.0, 0.5, 1.0, float(np.nextafter(1.0, 0.0)), 0.5, 0.0))
+        with pytest.raises(ValueError):
+            GapJumps(gap_jump_masses(xi, k_set)).validate(k_set)
+        *_, (_, stepped) = flow_steps(xi, k_set)
+        assert flow_to_canonical(xi, k_set).xi == stepped
+        assert stepped.values_on(c, d) == (1.0,)
 
     def test_idempotent_up_to_rounding(self, rng):
         for _ in range(10):

@@ -16,6 +16,32 @@ def free_rep(bound=2.0):
     return HerglotzRep(free_krein(bound))
 
 
+def with_value_by_sweep(s, lo, hi, value):
+    """Reference for `StepFunction.with_value`: a sweep over the pieces that
+    emits each one cut at lo and hi."""
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return s
+    bk, vals = [s.breakpoints[0]], []
+    def emit(x1, v):
+        bk.append(x1)
+        vals.append(v)
+    for x0, x1, v in s.pieces():
+        if x1 <= lo or x0 >= hi:
+            emit(x1, v)
+            continue
+        if x0 < lo:
+            emit(lo, v)
+        if x1 > hi:
+            emit(hi, value)
+            emit(x1, v)
+        elif x1 == hi:
+            emit(hi, value)
+        else:
+            emit(x1, value)
+    return StepFunction(s.bound, tuple(bk), tuple(vals))
+
+
 class TestStepFunction:
     def test_canonical_merges_equal_neighbors(self):
         s = StepFunction(2.0, (-2.0, -1.0, 0.0, 2.0), (0.5, 0.5, 0.0))
@@ -53,6 +79,18 @@ class TestStepFunction:
         assert s.value_at(2.7) == 0.0
         # merged with the central 1/2 piece
         assert s.breakpoints == (-3.0, -2.0, 2.5, 3.0)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_with_value_matches_the_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_step(rng, value_grid=[0.0, 0.5, 1.0])
+        # ends drawn from the breakpoints (-R and R among them) and the interior
+        ends = list(s.breakpoints) + rng.uniform(-s.bound, s.bound, 4).tolist()
+        for _ in range(20):
+            lo, hi = sorted(rng.choice(ends, size=2))
+            value = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
+            assert s.with_value(lo, hi, value) == with_value_by_sweep(s, lo, hi, value)
 
     def test_integral_exact(self):
         s = free_krein(3.0)

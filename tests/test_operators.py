@@ -138,7 +138,19 @@ class TestMetric:
         j = JacobiCoefficients.free()
         j2 = JacobiCoefficients.constant(1.0, 0.25)
         # exact value: sum 2^{-|n|} * 0.25 = 0.75
-        assert coefficient_metric(j, j2, tol=1e-12) == pytest.approx(0.75, abs=1e-11)
+        assert coefficient_metric(j, j2) == pytest.approx(0.75, abs=1e-11)
+        # periods 2 and 3 with windows off site 0, on one side of it and on
+        # both, against the explicit sum over |n| <= 200 (2^-200 is below
+        # one ulp)
+        j1 = JacobiCoefficients(3, 5, (0.7, 1.9, 1.2), (0.4, -0.3, 0.8),
+                                Tail.periodic((0.9, 1.6), (-0.5, 0.2)))
+        weights = 2.0 ** -np.abs(np.arange(-200, 201))
+        for n_lo in (7, -8):
+            j2 = JacobiCoefficients(n_lo, n_lo + 1, (1.1, 0.6), (0.1, 0.9),
+                                    Tail.periodic((1.3, 0.8, 1.7), (0.3, -0.6, 0.0)))
+            (a1, b1), (a2, b2) = j1.arrays(-200, 200), j2.arrays(-200, 200)
+            explicit = math.fsum(weights * (np.abs(a1 - a2) + np.abs(b1 - b2)))
+            assert coefficient_metric(j1, j2) == pytest.approx(explicit, rel=1e-15, abs=0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
