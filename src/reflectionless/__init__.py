@@ -9,16 +9,14 @@ extremal constant of a finite-gap compact set.
 from .errors import ConfigError, NumericError
 from .sets import CompactSet
 from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
-                    boundary_value, abs_boundary, hilbert_transform,
-                    correction_factor)
+                    boundary_value, abs_boundary, hilbert_transform)
 from .operators import (Tail, JacobiCoefficients, shift, coefficient_metric,
                         green_diag, reflectionless_residual)
 from .gapflow import (GapJumps, CanonicalKrein, default_bound,
                       canonical_krein_from_jumps, gap_modify, flow_to_canonical,
                       flow_steps, is_canonical, gap_jump_masses)
 from .measures import (AcPiece, SpectralMeasure, FSelector, stieltjes_invert,
-                       half_line_measure, total_mass, moments,
-                       quadrature_discretize, nodes_weights_csv)
+                       half_line_measure, total_mass)
 from .inverse import (reconstruct_coefficients, coefficient_deviation,
                       lanczos_tridiag, reconstruction_report, coefficients_csv)
 from .extremal import (ExtremalResult, mass_objective, minimize_mass,
@@ -34,15 +32,13 @@ __all__ = [
     "CompactSet",
     "StepFunction", "HerglotzRep", "free_krein",
     "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
-    "correction_factor",
     "Tail", "JacobiCoefficients", "shift",
     "coefficient_metric", "green_diag", "reflectionless_residual",
     "GapJumps", "CanonicalKrein", "default_bound", "canonical_krein_from_jumps",
     "gap_modify", "flow_to_canonical", "flow_steps", "is_canonical",
     "gap_jump_masses",
     "AcPiece", "SpectralMeasure", "FSelector", "stieltjes_invert",
-    "half_line_measure", "total_mass", "moments", "quadrature_discretize",
-    "nodes_weights_csv",
+    "half_line_measure", "total_mass",
     "reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
     "reconstruction_report", "coefficients_csv",
     "ExtremalResult", "mass_objective", "minimize_mass", "grid_min_mass",

@@ -103,11 +103,10 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def random_compact_set(rng: np.random.Generator, max_gaps: int = 3,
-                       lo: float = -4.0, hi: float = 4.0,
                        min_band: float = 0.4, min_gap: float = 0.25) -> CompactSet:
     n_bands = int(rng.integers(2, max_gaps + 2))
     while True:
-        pts = np.sort(rng.uniform(lo, hi, 2 * n_bands))
+        pts = np.sort(rng.uniform(-4.0, 4.0, 2 * n_bands))
         bands = [(pts[2 * i], pts[2 * i + 1]) for i in range(n_bands)]
         if any(d - c < min_band for c, d in bands):
             continue
@@ -116,15 +115,14 @@ def random_compact_set(rng: np.random.Generator, max_gaps: int = 3,
         return CompactSet(tuple(bands))
 
 
-def _random_region_pieces(rng: np.random.Generator, lo: float, hi: float,
-                          max_pieces: int = 2, min_width: float = 0.1) -> list:
-    """Split (lo, hi) into 1..max_pieces pieces with values in {0, 1/2, 1}."""
-    width = hi - lo
-    n = int(rng.integers(1, max_pieces + 1))
-    if width < n * min_width:
+def _random_region_pieces(rng: np.random.Generator, lo: float, hi: float) -> list:
+    """Split (lo, hi) into 1 or 2 pieces with values in {0, 1/2, 1}, cut at
+    least 0.1 from either end."""
+    n = int(rng.integers(1, 3))
+    if hi - lo < n * 0.1:
         n = 1
     cuts = [lo, hi] if n == 1 else \
-        [lo] + sorted(rng.uniform(lo + min_width, hi - min_width, n - 1).tolist()) + [hi]
+        [lo] + sorted(rng.uniform(lo + 0.1, hi - 0.1, n - 1).tolist()) + [hi]
     values = rng.choice([0.0, 0.5, 1.0], size=n)
     return [(cuts[i], cuts[i + 1], float(values[i])) for i in range(n)]
 

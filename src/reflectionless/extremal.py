@@ -129,7 +129,6 @@ class ExtremalResult:
     jumps: GapJumps
     objective_value: float
     bound_used: float
-    near_minimizers: tuple[tuple[float, ...], ...] = ()
     kkt_residual: float | None = None
     iterations: int = 0
 
@@ -137,8 +136,7 @@ class ExtremalResult:
 def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     """Exhaustive minimum of the mass objective over the uniform parameter
     grid (independent check for the refined minimizer).  Ties resolve to the
-    lexicographically smallest grid point; all grid points within 1e-8 of
-    the minimum are reported."""
+    lexicographically smallest grid point."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     r = default_bound(k_set)
@@ -146,7 +144,7 @@ def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     if not gaps:
         jumps = GapJumps(())
         val = mass_objective(k_set, jumps)
-        return ExtremalResult(math.sqrt(val), jumps, val, r, ((),))
+        return ExtremalResult(math.sqrt(val), jumps, val, r)
     if grid ** len(gaps) > _GRID_POINTS_CAP:
         raise ValueError(f"a {grid}-point grid on {len(gaps)} gaps has "
                          f"{grid ** len(gaps)} points, over the cap {_GRID_POINTS_CAP}")
@@ -154,13 +152,9 @@ def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     values = _FastObjective(k_set).grid_values(grids)
     flat = int(np.argmin(values))  # first occurrence = lexicographic smallest
     idx = np.unravel_index(flat, values.shape)
-    arg = tuple(float(grids[j][i]) for j, i in enumerate(idx))
-    vmin = float(values[idx])
-    near = [tuple(float(grids[j][i]) for j, i in enumerate(ix))
-            for ix in zip(*np.nonzero(values <= vmin + 1e-8))]
-    jumps = GapJumps(arg)
+    jumps = GapJumps(tuple(float(grids[j][i]) for j, i in enumerate(idx)))
     val = mass_objective(k_set, jumps)
-    return ExtremalResult(math.sqrt(val), jumps, val, r, tuple(near))
+    return ExtremalResult(math.sqrt(val), jumps, val, r)
 
 
 def _projected_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:

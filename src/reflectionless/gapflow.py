@@ -61,23 +61,18 @@ def _right_packed(c: float, d: float, g: float) -> tuple[tuple[float, float, flo
     return ((c, d - g, 0.0), (d - g, d, 1.0))
 
 
-def _canonical(k_set: CompactSet, masses, r: float) -> StepFunction:
-    """`canonical_krein_from_jumps` without the range check: the flow's masses
-    are integrals of xi over the gaps, in range only up to rounding."""
-    # a tail piece has zero width, and is dropped, when K reaches -R or R
-    pieces = [(-r, k_set.min, 1.0), (k_set.max, r, 0.0)]
-    pieces += [(c, d, 0.5) for c, d in k_set.intervals]
-    for g, (gc, gd) in zip(masses, k_set.gaps()):
-        pieces += _right_packed(gc, gd, g)
-    return StepFunction.from_pieces(r, pieces)
-
-
 def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
                                bound: float | None = None) -> StepFunction:
     """The canonical step function: 1 left of K, 1/2 on bands, 0 right of K,
     and chi_{(d-g, d)} on each gap."""
     jumps.validate(k_set)
-    return _canonical(k_set, jumps.masses, default_bound(k_set) if bound is None else bound)
+    r = default_bound(k_set) if bound is None else bound
+    # a tail piece has zero width, and is dropped, when K reaches -R or R
+    pieces = [(-r, k_set.min, 1.0), (k_set.max, r, 0.0)]
+    pieces += [(c, d, 0.5) for c, d in k_set.intervals]
+    for g, (gc, gd) in zip(jumps.masses, k_set.gaps()):
+        pieces += _right_packed(gc, gd, g)
+    return StepFunction.from_pieces(r, pieces)
 
 
 def _require_half_on_bands(xi: StepFunction, k_set: CompactSet):
@@ -134,7 +129,8 @@ def flow_to_canonical(xi: StepFunction, k_set: CompactSet) -> CanonicalKrein:
     """The end of the flow in one build: no step changes the mass of a gap,
     so the result is the canonical function with xi's gap masses."""
     _require_half_on_bands(xi, k_set)
-    return CanonicalKrein(_canonical(k_set, gap_jump_masses(xi, k_set), xi.bound), k_set)
+    jumps = GapJumps(gap_jump_masses(xi, k_set))
+    return CanonicalKrein(canonical_krein_from_jumps(k_set, jumps, xi.bound), k_set)
 
 
 def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:
@@ -152,5 +148,6 @@ def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:
 
 def gap_jump_masses(xi: StepFunction, k_set: CompactSet) -> tuple[float, ...]:
     """Per-gap masses g_j = integral of xi over gap j (for a canonical xi
-    these are the jump parameters)."""
-    return tuple(xi.integral(gc, gd) for gc, gd in k_set.gaps())
+    these are the jump parameters).  xi <= 1, so any excess over the gap
+    width is rounding, and g_j is capped at the width."""
+    return tuple(min(xi.integral(gc, gd), gd - gc) for gc, gd in k_set.gaps())

@@ -7,11 +7,10 @@ A step function xi on [-R, R] with values in [0, 1] determines
 
 which maps the upper half plane to itself.  Because xi is piecewise
 constant the integral is a finite sum of logarithms, so H, its boundary
-values H(x + i0) = |H(x)| e^{i pi xi(x)}, the log-modulus
+values H(x + i0) = |H(x)| e^{i pi xi(x)} and the log-modulus
 
     |H(x)| = (x + R) e^{(T xi)(x)},   (T xi)(x) = p.v. integral xi(t)/(t-x) dt,
 
-and the correction factor |H|/|H_0| against the half-bandwidth-2 reference
 are all evaluated in closed form; no quadrature enters this module.
 """
 
@@ -34,7 +33,6 @@ __all__ = [
     "abs_boundary",
     "log_abs_on_arc",
     "hilbert_transform",
-    "correction_factor",
 ]
 
 
@@ -177,9 +175,6 @@ class StepFunction:
     def l1_distance(self, other: "StepFunction") -> float:
         return sum(w * abs(u - v) for w, u, v in self._merged_cells(other))
 
-    def approx_equal(self, other: "StepFunction", tol: float = 1e-12) -> bool:
-        return self.bound == other.bound and self.l1_distance(other) <= tol
-
     @cached_property
     def log_coefficients(self) -> np.ndarray:
         """Coefficients c_k with sum_i v_i [ln(z-x_i) - ln(z-x_{i-1})]
@@ -317,27 +312,3 @@ def boundary_value(rep: HerglotzRep, x: float) -> complex:
     v = rep.xi.value_at(x)  # raises at breakpoints / outside
     mod = float(abs_boundary(rep, x))
     return mod * complex(math.cos(math.pi * v), math.sin(math.pi * v))
-
-
-def correction_factor(rep: HerglotzRep, x: float) -> float:
-    """|H(x)| / |H_0(x)| for x in (-2, 2), where H_0 is the reference with
-    xi = 1/2 on (-2, 2) and R = 2.  Requires xi == 1/2 on (-2, 2).
-
-    Equals exp of the two nonnegative closed-form integrals of
-    (xi-1)/(t-x) over (-R, -2) and xi/(t-x) over (2, R), so it is >= 1.
-    """
-    xi = rep.xi
-    x = float(x)
-    if not -2.0 < x < 2.0:
-        raise ValueError("x must lie in (-2, 2)")
-    if any(v != 0.5 for v in xi.values_on(-2.0, 2.0)):
-        raise ValueError("xi must equal 1/2 on (-2, 2)")
-    s = 0.0
-    for x0, x1, v in xi.pieces():
-        lo, hi = x0, min(x1, -2.0)
-        if hi > lo:
-            s += (v - 1.0) * math.log(abs((hi - x) / (lo - x)))
-        lo, hi = max(x0, 2.0), x1
-        if hi > lo:
-            s += v * math.log(abs((hi - x) / (lo - x)))
-    return math.exp(s)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -38,9 +37,6 @@ __all__ = [
     "stieltjes_invert",
     "half_line_measure",
     "total_mass",
-    "moments",
-    "quadrature_discretize",
-    "nodes_weights_csv",
 ]
 
 _ATOM_TOL = 1e-9  # an f atom weight applies to atoms within this distance
@@ -135,8 +131,8 @@ class SpectralMeasure:
 
     @cached_property
     def _mass_rules(self) -> tuple:
-        """`_adaptive_rule` of 1 per ac piece; no field, so == and hash ignore it."""
-        return tuple(_adaptive_rule(self, p, None, 1) for p in self.ac_pieces)
+        """`_adaptive_rule` per ac piece; no field, so == and hash ignore it."""
+        return tuple(_adaptive_rule(self, p) for p in self.ac_pieces)
 
     def to_dict(self) -> dict:
         return {
@@ -289,18 +285,14 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
     return SpectralMeasure(rho.rep, tuple(out_pieces), tuple(out_atoms))
 
 
-def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece,
-                   funcs: Callable[[np.ndarray], np.ndarray] | None, n_funcs: int):
-    """(n, theta, GL weight x jacobian x density, integrals of funcs(t)) at
-    the first n = 64, 128, ... where two successive integrals agree to
-    1e-12 * max(1, size); funcs None integrates 1 without forming t."""
-    mid, half = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
+def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece):
+    """(n, theta, GL weight x jacobian x density, mass) at the first n = 64,
+    128, ... where two successive masses agree to 1e-12 * max(1, mass)."""
     prev, n = None, 64
     while True:
         th, wd = _arc_rule(measure, piece, n)
-        vals = wd if funcs is None else funcs(mid + half * np.sin(th)) * wd
-        cur = vals.reshape(n_funcs, -1).sum(axis=1)
-        if prev is not None and np.max(np.abs(cur - prev)) <= 1e-12 * max(1.0, np.max(np.abs(cur))):
+        cur = wd.sum()
+        if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
             return n, th, wd, cur
         if n >= 8192:
             raise NumericError(
@@ -309,35 +301,11 @@ def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece,
         n *= 2
 
 
-def _integrate_pieces(measure: SpectralMeasure, funcs: Callable[[np.ndarray], np.ndarray],
-                      n_funcs: int) -> np.ndarray:
-    """integral of each component of funcs(t) against the ac part, by
-    `_adaptive_rule` per piece."""
-    return sum((_adaptive_rule(measure, p, funcs, n_funcs)[3] for p in measure.ac_pieces),
-               np.zeros(n_funcs))
-
-
 def total_mass(measure: SpectralMeasure) -> float:
     """Atoms summed exactly; ac mass by the adaptive edge-substituted
     quadrature (estimated error below 1e-12 * max(1, mass)), memoized."""
-    ac = sum(rule[3][0] for rule in measure._mass_rules)
+    ac = sum(rule[3] for rule in measure._mass_rules)
     return float(ac + sum(m for _, m in measure.atoms))
-
-
-def moments(measure: SpectralMeasure, k_max: int) -> np.ndarray:
-    """m_k = integral t^k dm for k = 0..k_max."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    powers = np.arange(k_max + 1)
-
-    def f(t):
-        return t[None, :] ** powers[:, None]
-
-    out = _integrate_pieces(measure, f, k_max + 1) if measure.ac_pieces \
-        else np.zeros(k_max + 1)
-    for x, m in measure.atoms:
-        out += m * np.asarray([x ** k for k in powers], dtype=float)
-    return out
 
 
 def _arc_rule(measure: SpectralMeasure, piece: AcPiece, n: int,
@@ -359,43 +327,10 @@ def _root_edges(measure: SpectralMeasure, piece: AcPiece) -> bool:
     return all(abs(exponent.get(e, 0.0)) == 0.5 for e in (piece.lo, piece.hi))
 
 
-def _support(pieces, rules, atoms=()) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms and each ac piece's (theta, weight) rule at t = mid + half*sin(theta),
-    sorted by node, then by weight (as sorting (node, weight) pairs would)."""
-    nodes = [np.array([x for x, _ in atoms], dtype=float)]
-    weights = [np.array([m for _, m in atoms], dtype=float)]
-    for piece, (th, w) in zip(pieces, rules):
-        nodes.append(0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * np.sin(th))
-        weights.append(w)
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-    order = np.lexsort((weights, nodes))
-    return nodes[order], weights[order]
-
-
-def _discretize(measure: SpectralMeasure, points_per_piece: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of `quadrature_discretize`, as sorted arrays."""
-    if points_per_piece < 1:
-        raise ValueError("points_per_piece must be >= 1")
-    return _support(measure.ac_pieces, (_arc_rule(measure, p, points_per_piece)
-                                        for p in measure.ac_pieces), measure.atoms)
-
-
-def quadrature_discretize(measure: SpectralMeasure, points_per_piece: int) -> SpectralMeasure:
-    """Replace each ac piece by its mapped Gauss rule (node t_i, weight
-    = GL weight x jacobian x density); atoms pass through unchanged.
-    Spectral accuracy of the rule preserves the total mass and low moments."""
-    if points_per_piece < 1:
-        raise ValueError("points_per_piece must be >= 1")
-    if measure.is_atomic():
-        return measure
-    nodes, weights = _discretize(measure, points_per_piece)
-    return SpectralMeasure(None, (), tuple(zip(nodes.tolist(), weights.tolist())))
-
-
-def nodes_weights_csv(measure: SpectralMeasure) -> str:
-    """CSV text of (node, weight) rows for an atoms-only measure."""
-    if not measure.is_atomic():
-        raise ValueError("discretize the measure first")
-    lines = ["node,weight"]
-    lines += [f"{x!r},{m!r}" for x, m in measure.atoms]
-    return "\n".join(lines) + "\n"
+def _support(pieces, rules) -> tuple[np.ndarray, np.ndarray]:
+    """Each ac piece's (theta, weight) rule at t = mid + half*sin(theta),
+    concatenated.  The pieces are disjoint and sorted and every rule's theta
+    ascends, so the nodes ascend."""
+    nodes = [0.5 * (p.lo + p.hi) + 0.5 * (p.hi - p.lo) * np.sin(th)
+             for p, (th, _) in zip(pieces, rules)]
+    return np.concatenate(nodes), np.concatenate([w for _, w in rules])

@@ -146,24 +146,6 @@ class JacobiCoefficients:
         p = tail.period
         return cls(n_lo, n_lo + p - 1, tail.a_block, tail.b_block, tail)
 
-    @classmethod
-    def from_overrides(cls, a_overrides: dict[int, float] | None = None,
-                       b_overrides: dict[int, float] | None = None,
-                       tail: Tail | None = None) -> "JacobiCoefficients":
-        """Tail values everywhere except finitely many overridden sites."""
-        a_overrides = a_overrides or {}
-        b_overrides = b_overrides or {}
-        tail = tail or Tail.free()
-        if tail.period > 1:
-            raise ValueError("from_overrides supports free/constant tails; "
-                             "use JacobiCoefficients.periodic instead")
-        (ta,), (tb,) = tail.a_block, tail.b_block
-        keys = list(a_overrides) + list(b_overrides)
-        n_lo, n_hi = (min(keys), max(keys)) if keys else (0, 0)
-        rng = range(n_lo, n_hi + 1)
-        return cls(n_lo, n_hi, tuple(a_overrides.get(n, ta) for n in rng),
-                   tuple(b_overrides.get(n, tb) for n in rng), tail)
-
     # -- accessors ----------------------------------------------------------
     def a(self, n: int) -> float:
         if self.n_lo <= n <= self.n_hi:

@@ -1,6 +1,6 @@
 """The benchmark's self-test runs as part of the test suite, so a change to
-a hook it relies on (the public `quadrature_discretize` and
-`lanczos_tridiag`, the Lanczos breakdown message) shows up here."""
+a hook it relies on (the public `lanczos_tridiag`, the Lanczos breakdown
+message) shows up here."""
 
 import subprocess
 import sys

@@ -191,11 +191,6 @@ class TestGridOracle:
         assert abs(res.objective_value - oracle.objective_value) < 1e-3
         assert res.objective_value <= oracle.objective_value + 1e-12
 
-    def test_near_minimizers_reported(self):
-        res = grid_min_mass(SYMMETRIC_TWO_BAND, grid=101)
-        assert res.near_minimizers
-        assert all(len(p) == 1 for p in res.near_minimizers)
-
 
 class TestLowerBoundProperty:
     def test_random_reflectionless_inputs_respect_the_constant(self, rng):

@@ -10,10 +10,10 @@ from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRe
                             StepFunction, Tail,
                             canonical_krein_from_jumps, coefficient_deviation,
                             free_krein, half_line_measure, lanczos_tridiag,
-                            moments, reconstruct_coefficients,
-                            stieltjes_invert, total_mass)
+                            reconstruct_coefficients, stieltjes_invert,
+                            total_mass)
 from reflectionless.experiments import random_admissible_krein, random_f_selector
-from reflectionless.measures import _discretize
+from reflectionless.measures import _arc_rule
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -32,6 +32,20 @@ def measure_of_tridiagonal(diag, offdiag, coupling):
     return SpectralMeasure(None, (), tuple(
         (float(l), float(coupling**2 * w)) for l, w in zip(lam, vec[0, :] ** 2)
         if w > 0))
+
+
+def discretize(nu, nodes):
+    """The atoms and each ac piece's nodes-point Gauss rule, as (node, weight)
+    arrays sorted by node, then by weight."""
+    t = [np.array([x for x, _ in nu.atoms], dtype=float)]
+    w = [np.array([m for _, m in nu.atoms], dtype=float)]
+    for p in nu.ac_pieces:
+        th, wd = _arc_rule(nu, p, nodes)
+        t.append(0.5 * (p.lo + p.hi) + 0.5 * (p.hi - p.lo) * np.sin(th))
+        w.append(wd)
+    t, w = np.concatenate(t), np.concatenate(w)
+    order = np.lexsort((w, t))
+    return t[order], w[order]
 
 
 def two_pass_lanczos(t, w, n_steps):
@@ -122,7 +136,7 @@ def assert_matches_two_pass(nu, depth, tol):
     """Reconstruction to depth against two-pass Lanczos on 3200 Gauss nodes
     per piece, atoms included."""
     rec = reconstruct_coefficients(nu, depth)
-    t, w = _discretize(nu, 3200)
+    t, w = discretize(nu, 3200)
     alphas, betas = two_pass_lanczos(t, w / np.sum(w), depth)
     assert np.max(np.abs(rec.a_window[1:] - betas)) <= tol
     assert np.max(np.abs(rec.b_window[1:] - alphas)) <= tol
@@ -136,7 +150,7 @@ class TestLanczosKernel:
          200, 300),
     ], ids=["semicircle-400", "semicircle-1600", "canonical3-200"])
     def test_one_pass_matches_two_pass(self, nu, nodes, depth):
-        t, w = _discretize(nu, nodes)
+        t, w = discretize(nu, nodes)
         w = w / np.sum(w)
         assert depth <= 0.5 * t.size
         alphas, betas = lanczos_tridiag(t, w, depth)
@@ -151,7 +165,7 @@ class TestLanczosKernel:
     def test_lost_orthogonality_raises(self, nu, nodes, depth):
         # the plain recurrence would return wrong coefficients here (the
         # semicircle's last 20 off by 0.92); the Bessel guard refuses them
-        t, w = _discretize(nu, nodes)
+        t, w = discretize(nu, nodes)
         with pytest.raises(NumericError, match="lost orthogonality"):
             lanczos_tridiag(t, w / np.sum(w), depth)
 
@@ -189,7 +203,7 @@ class TestReconstruction:
 
     def test_mass_coefficient_consistency(self):
         # the finite section of the reconstruction reproduces the first 2N
-        # moments of the input measure
+        # moments of the input measure: the Catalan numbers at even orders
         n = 10
         nu = normalized_semicircle()
         rec = reconstruct_coefficients(nu, n)
@@ -197,7 +211,8 @@ class TestReconstruction:
         off = np.array([rec.a(k) for k in range(1, n)])
         lam, vec = eigh_tridiagonal(diag, off, lapack_driver="stemr")
         sect = np.array([np.sum(vec[0, :] ** 2 * lam**k) for k in range(2 * n)])
-        exact = moments(nu, 2 * n - 1)
+        exact = np.array([0.0 if k % 2 else math.comb(k, k // 2) / (k // 2 + 1)
+                          for k in range(2 * n)])
         scale = np.maximum(1.0, np.abs(exact))
         assert np.max(np.abs(sect - exact) / scale) < 1e-8
         assert total_mass(nu) == pytest.approx(rec.a(0) ** 2, rel=1e-12)
@@ -301,14 +316,14 @@ class TestMassRuleReuse:
         depth = nodes // 4
         rec = reconstruct_coefficients(nu, depth)
         assert len(density_calls) == evaluated  # the mass rules were reused
-        t, w = _discretize(nu, 3200)
+        t, w = discretize(nu, 3200)
         alphas, betas = two_pass_lanczos(t, w / mass, depth)
         assert np.max(np.abs(rec.a_window[1:] - betas)) <= 1e-12
         assert np.max(np.abs(rec.b_window[1:] - alphas)) <= 1e-12
 
     def test_breakdown_on_the_mass_rules_falls_back(self, monkeypatch):
         from reflectionless import inverse
-        from reflectionless.measures import _arc_rule, _support
+        from reflectionless.measures import _support
 
         kernel, sizes = inverse.lanczos_tridiag, []
 
@@ -376,8 +391,7 @@ class TestDeviation:
         assert coefficient_deviation(rec, 1.0, 0.0, 5) < 1e-10
 
     def test_single_entry_dominates(self):
-        from reflectionless import JacobiCoefficients
-        j = JacobiCoefficients.from_overrides(b_overrides={2: 0.3})
+        j = JacobiCoefficients(2, 2, (1.0,), (0.3,), Tail.free())
         assert coefficient_deviation(j, 1.0, 0.0, 5) == 0.3
 
     def test_empty_window_rejected(self):

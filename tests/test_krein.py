@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectionless import (HerglotzRep, StepFunction, abs_boundary,
-                            boundary_value, correction_factor, free_krein,
+                            boundary_value, free_krein,
                             herglotz_eval, hilbert_transform)
 from reflectionless.krein import log_abs_on_arc
 
@@ -269,25 +269,27 @@ class TestHilbertTransform:
 
 
 class TestCorrectionFactor:
+    """|H| on (-2, 2) against |H_0(x)| = sqrt(4 - x^2), the free reference
+    (xi = 1/2 on the band, R = 2), for xi = 1/2 on the band: the factor
+    |H| / |H_0| is exp of the closed-form integrals of (xi - 1)/(t - x) over
+    (-R, -2) and xi/(t - x) over (2, R), both nonnegative, so |H| >= |H_0|
+    (the key inequality of arXiv 1006.2780)."""
+
     def test_free_reference_is_one(self):
         for r in (2.0, 2.5, 3.0, 4.0):
-            assert correction_factor(free_rep(r), 0.3) == pytest.approx(1.0, abs=1e-14)
+            assert abs_boundary(free_rep(r), 0.3) == pytest.approx(
+                math.sqrt(4.0 - 0.09), abs=1e-14)
 
     def test_right_half_piece(self):
         xi = StepFunction.from_pieces(
             2.5, [(-2.5, -2.0, 1.0), (-2.0, 2.0, 0.5), (2.0, 2.5, 0.5)])
-        assert correction_factor(HerglotzRep(xi), 0.0) == pytest.approx(
-            math.sqrt(1.25), abs=1e-14)
+        assert abs_boundary(HerglotzRep(xi), 0.0) == pytest.approx(
+            2.0 * math.sqrt(1.25), abs=1e-14)
 
     def test_left_zero_piece(self):
         xi = StepFunction.from_pieces(
             3.0, [(-3.0, -2.0, 0.0), (-2.0, 2.0, 0.5), (2.0, 3.0, 0.0)])
-        assert correction_factor(HerglotzRep(xi), 0.0) == pytest.approx(1.5, abs=1e-14)
-
-    def test_requires_half_on_the_band(self):
-        xi = StepFunction.constant(3.0, 0.4)
-        with pytest.raises(ValueError):
-            correction_factor(HerglotzRep(xi), 0.0)
+        assert abs_boundary(HerglotzRep(xi), 0.0) == pytest.approx(2.0 * 1.5, abs=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -303,7 +305,7 @@ class TestCorrectionFactor:
                    (cut_r, r, float(rng.uniform(0, 1)))]
         rep = HerglotzRep(StepFunction.from_pieces(r, pieces))
         for x in rng.uniform(-1.9, 1.9, 10):
-            assert correction_factor(rep, float(x)) >= 1.0 - 1e-13
+            assert abs_boundary(rep, x) >= math.sqrt(4.0 - x**2) * (1.0 - 1e-13)
 
     def test_matches_modulus_ratio(self):
         xi = StepFunction.from_pieces(
@@ -311,5 +313,7 @@ class TestCorrectionFactor:
                   (2.0, 2.7, 1.0), (2.7, 3.0, 0.0)])
         rep = HerglotzRep(xi)
         for x in (-1.5, -0.2, 0.9, 1.8):
-            ratio = abs_boundary(rep, x) / abs_boundary(free_rep(), x)
-            assert correction_factor(rep, x) == pytest.approx(float(ratio), rel=1e-12)
+            # the 0 on (-3, -2.4) and the 1 on (2, 2.7) give the factor
+            factor = (3.0 + x) / (2.4 + x) * (2.7 - x) / (2.0 - x)
+            assert abs_boundary(rep, x) == pytest.approx(
+                math.sqrt(4.0 - x**2) * factor, rel=1e-12)

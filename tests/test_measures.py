@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reflectionless import (CompactSet, FSelector, HerglotzRep, SpectralMeasure,
-                            StepFunction, abs_boundary, correction_factor,
-                            free_krein, half_line_measure, herglotz_eval,
-                            moments, nodes_weights_csv, quadrature_discretize,
-                            stieltjes_invert, total_mass)
-from reflectionless.measures import AcPiece, _discretize, _gl_rule, _integrate_pieces
+from reflectionless import (CompactSet, FSelector, GapJumps, HerglotzRep,
+                            SpectralMeasure, StepFunction, abs_boundary,
+                            canonical_krein_from_jumps, free_krein,
+                            half_line_measure, herglotz_eval, stieltjes_invert,
+                            total_mass)
+from reflectionless.measures import _adaptive_rule, _arc_rule, _gl_rule, _support
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -25,6 +25,35 @@ ATOM_MASS_07 = 0.8585452812752512
 
 def semicircle_rho():
     return stieltjes_invert(HerglotzRep(free_krein(2.0)))
+
+
+def catalan_moments(k_max):
+    """The exact moments of the normalized semicircle sqrt(4 - t^2) / (2 pi):
+    the Catalan numbers at even orders, 0 at odd."""
+    return np.array([0.0 if k % 2 else math.comb(k, k // 2) / (k // 2 + 1)
+                     for k in range(k_max + 1)])
+
+
+def quad_moments(measure, k_max):
+    """m_k = integral t^k dm for k <= k_max: atoms exactly, ac pieces by
+    scipy's adaptive quadrature of the closed-form density, which shares
+    nothing with the library's rules."""
+    out = np.array([sum(m * x**k for x, m in measure.atoms) for k in range(k_max + 1)])
+    for p in measure.ac_pieces:
+        v = measure.rep.xi.value_at(0.5 * (p.lo + p.hi))
+        scale = p.multiplier * math.sin(math.pi * v) / math.pi
+        out += [quad(lambda t: t**k * scale * abs_boundary(measure.rep, t), p.lo, p.hi,
+                     limit=200, epsabs=1e-13, epsrel=1e-13)[0] for k in range(k_max + 1)]
+    return out
+
+
+def rule_moments(t, w, k_max):
+    return np.array([np.sum(w * t**k) for k in range(k_max + 1)])
+
+
+def mass_rule_support(nu):
+    """Nodes and weights of the rules at which each ac piece's mass converged."""
+    return _support(nu.ac_pieces, [rule[1:3] for rule in nu._mass_rules])
 
 
 def arc_points(piece, t_lo, t_hi, n):
@@ -76,7 +105,7 @@ class TestStieltjesInversion:
         # from the square-root band edges), so extrapolate on that basis.
         rep = HerglotzRep(XI_WITH_ATOM)
         rho = stieltjes_invert(rep)
-        exact = moments(rho, 4)
+        exact = quad_moments(rho, 4)
 
         def smeared_moment(k, eta):
             def f(t):
@@ -146,7 +175,8 @@ class TestHalfLineMeasure:
         theta, t = arc_points(piece, -1.9, 1.9, 41)
         dens = nu.density_on_arc(piece, theta)
         reference = np.sqrt(4.0 - t**2) / (2.0 * math.pi)
-        h = np.array([correction_factor(rep, x) for x in t])
+        # |H| / |H_0| in closed form: the 0 on (-3, -2.4) and the 1 on (2, 2.7)
+        h = (3.0 + t) / (2.4 + t) * (2.7 - t) / (2.0 - t)
         assert np.max(np.abs(dens - h * reference)) < 1e-10
 
 
@@ -183,7 +213,7 @@ class TestMassAndMoments:
             return half_line_measure(stieltjes_invert(HerglotzRep(XI_WITH_ATOM)), k_set, f)
 
         nu, fresh = make(), make()
-        ac = _integrate_pieces(nu, lambda t: np.ones((1, len(t))), 1)[0]
+        ac = sum(_adaptive_rule(nu, p)[3] for p in nu.ac_pieces)
         expected = float(ac + sum(m for _, m in nu.atoms))
         assert total_mass(nu) == expected
         assert "_mass_rules" in vars(nu) and "_mass_rules" not in vars(fresh)
@@ -194,67 +224,63 @@ class TestMassAndMoments:
         assert nu.to_dict() == fresh.to_dict()
 
     def test_semicircle_moments_match_catalan_numbers(self):
+        # the memoized mass rule carries the low moments that shallow
+        # reconstruction relies on
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        got = moments(nu0, 6)
-        expected = np.array([1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 5.0])
-        assert np.max(np.abs(got - expected)) < 1e-10
+        got = rule_moments(*mass_rule_support(nu0), 6)
+        assert np.max(np.abs(got - catalan_moments(6))) < 1e-10
         # independent quadrature oracle for the even moments
         for k in (2, 4, 6):
             val, _ = quad(lambda t: t**k * np.sqrt(4.0 - t**2) / (2.0 * math.pi),
                           -2.0, 2.0, limit=200)
             assert got[k] == pytest.approx(val, abs=1e-9)
 
-    def test_atom_moments_are_powers(self):
-        m = SpectralMeasure(None, (), ((1.5, 0.25),))
-        got = moments(m, 3)
-        assert np.allclose(got, [0.25 * 1.5**k for k in range(4)], rtol=1e-15)
-
     def test_symmetric_measure_has_zero_odd_moments(self):
-        got = moments(half_line_measure(semicircle_rho(), BAND), 7)
+        nu0 = half_line_measure(semicircle_rho(), BAND)
+        got = rule_moments(*mass_rule_support(nu0), 7)
         assert np.max(np.abs(got[1::2])) < 1e-12
 
 
 class TestDiscretization:
     def test_semicircle_mass_preserved(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        disc = quadrature_discretize(nu0, 200)
-        assert disc.is_atomic()
-        assert sum(w for _, w in disc.atoms) == pytest.approx(1.0, abs=1e-12)
-
-    def test_atoms_only_input_unchanged(self):
-        m = SpectralMeasure(None, (), ((0.5, 1.0), (2.5, 0.25)))
-        assert quadrature_discretize(m, 50) is m
+        _, w = _arc_rule(nu0, nu0.ac_pieces[0], 200)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_array_discretization_matches_the_tuple_route(self):
-        # reference: the former body of quadrature_discretize, which sorted
-        # (node, weight) tuples; an extra atom sits exactly on a Gauss node
-        # with a larger mass, so ties must also order by weight
-        rho = stieltjes_invert(HerglotzRep(XI_WITH_ATOM))
-        th, w = _gl_rule(64)
-        piece = rho.ac_pieces[1]
-        on_node = 0.5 * (piece.lo + piece.hi) + 0.5 * (piece.hi - piece.lo) * np.sin(th[10])
-        nu = SpectralMeasure(rho.rep, rho.ac_pieces, rho.atoms + ((on_node, 1.0),))
-        ref = list(nu.atoms)
-        for p in nu.ac_pieces:
-            mid, half = 0.5 * (p.lo + p.hi), 0.5 * (p.hi - p.lo)
-            t = mid + half * np.sin(th)
-            wt = w * half * np.cos(th) * nu.density_on_arc(p, th)
-            ref.extend(zip(t.tolist(), wt.tolist()))
-        ref.sort()
-        nodes, weights = _discretize(nu, 64)
-        assert len(ref) == 2 * 64 + 2
-        assert nodes.tobytes() == np.array([x for x, _ in ref]).tobytes()
-        assert weights.tobytes() == np.array([m for _, m in ref]).tobytes()
-        assert quadrature_discretize(nu, 64).atoms == tuple(ref)
+        # `_support` concatenates the pieces' rules without a sort, so its
+        # nodes must already be in (node, weight) order and strictly ascend,
+        # also where two pieces share an edge: on several bands and on f-cut
+        # pieces, for the mass rules and depth-sized midpoint and
+        # Gauss-Legendre rules
+        three_bands = CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)))
+        xi = canonical_krein_from_jumps(three_bands, GapJumps((0.6, 0.4)))
+        f_cut = StepFunction.from_pieces(
+            3.0, [(-3.0, -2.0, 1.0), (-2.0, 0.0, 0.5), (0.0, 0.5, 0.5),
+                  (0.5, 1.0, 0.0), (1.0, 2.0, 0.5), (2.0, 3.0, 0.0)])
+        measures = [
+            half_line_measure(stieltjes_invert(HerglotzRep(xi)), three_bands),
+            half_line_measure(stieltjes_invert(HerglotzRep(f_cut)),
+                              CompactSet(((-2.0, 0.0), (1.0, 2.0))),
+                              FSelector(intervals=((0.0, 0.3, 0.6),))),
+        ]
+        assert [len(nu.ac_pieces) for nu in measures] == [3, 3]
+        assert measures[1].ac_pieces[0].hi == measures[1].ac_pieces[1].lo
+        for nu in measures:
+            rules = {"mass": [rule[1:3] for rule in nu._mass_rules],
+                     "midpoint": [_arc_rule(nu, p, 428, True) for p in nu.ac_pieces],
+                     "gauss-legendre": [_arc_rule(nu, p, 728) for p in nu.ac_pieces]}
+            for kind, rule in rules.items():
+                nodes, weights = _support(nu.ac_pieces, rule)
+                assert np.all(np.diff(nodes) > 0), kind
+                ref = sorted(zip(nodes.tolist(), weights.tolist()))
+                assert nodes.tolist() == [x for x, _ in ref], kind
 
     def test_moments_to_order_twenty(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        disc = quadrature_discretize(nu0, 200)
-        t = np.array([x for x, _ in disc.atoms])
-        w = np.array([m for _, m in disc.atoms])
-        exact = moments(nu0, 20)
-        got = np.array([np.sum(w * t**k) for k in range(21)])
-        assert np.max(np.abs(got - exact)) < 1e-10
+        th, w = _arc_rule(nu0, nu0.ac_pieces[0], 200)
+        got = rule_moments(2.0 * np.sin(th), w, 20)
+        assert np.max(np.abs(got - catalan_moments(20))) < 1e-10
 
     @pytest.mark.parametrize("n", [128, 200, 201])
     def test_gauss_rule_weights_to_full_precision(self, n):
@@ -282,18 +308,6 @@ class TestDiscretization:
             assert abs(x[i] - float(x_ref)) < 1e-15
             for k in (i, n - 1 - i):
                 assert abs(w[k] - w_ref) / w_ref < 1e-13
-
-    def test_original_atoms_survive(self):
-        rho = stieltjes_invert(HerglotzRep(XI_WITH_ATOM))
-        disc = quadrature_discretize(rho, 60)
-        assert any(x == 0.7 and m == pytest.approx(ATOM_MASS_07, abs=1e-15)
-                   for x, m in disc.atoms)
-
-    def test_csv_export(self):
-        m = SpectralMeasure(None, (), ((0.5, 1.0),))
-        text = nodes_weights_csv(m)
-        assert text.splitlines()[0] == "node,weight"
-        assert "0.5,1.0" in text
 
 
 class TestSerialization:

@@ -98,7 +98,7 @@ class TestShift:
         assert all(s.a(n) == 1.0 and s.b(n) == 0.0 for n in range(-8, 8))
 
     def test_single_entry_moves(self):
-        j = JacobiCoefficients.from_overrides(b_overrides={0: 1.0})
+        j = JacobiCoefficients(0, 0, (1.0,), (1.0,))
         s = shift(j, 1)
         assert s.b(-1) == 1.0
         assert all(s.b(n) == 0.0 for n in range(-5, 5) if n != -1)
@@ -126,12 +126,12 @@ class TestMetric:
 
     def test_single_center_difference(self):
         j = JacobiCoefficients.free()
-        j2 = JacobiCoefficients.from_overrides(b_overrides={0: 1.0})
+        j2 = JacobiCoefficients(0, 0, (1.0,), (1.0,))
         assert coefficient_metric(j, j2) == 1.0
 
     def test_two_symmetric_differences(self):
         j = JacobiCoefficients.free()
-        j2 = JacobiCoefficients.from_overrides(b_overrides={3: 1.0, -3: 1.0})
+        j2 = JacobiCoefficients(-3, 3, (1.0,) * 7, (1.0,) + (0.0,) * 5 + (1.0,))
         assert coefficient_metric(j, j2) == 0.25
 
     def test_differing_tails_truncated_with_bound(self):

@@ -1,6 +1,8 @@
 """The package as a fresh process sees it: what `import reflectionless`
-loads, and the example scripts under scripts/ running to completion."""
+loads, every CLI subcommand without scipy, and the example scripts under
+scripts/ running to completion."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +27,24 @@ def test_import_does_not_load_scipy_linalg(tmp_path):
     proc = run_python(["-c", "import reflectionless, sys; "
                              "assert 'scipy.linalg' not in sys.modules"], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["thm11", "oracle", "dr", "aktable", "omega", "eval"])
+def test_cli_runs_without_scipy(command, tmp_path):
+    # scipy is needed only by tests and the truncation oracle; an import of
+    # it anywhere on an experiment's path fails here
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "eval":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"extra": {
+            "what": "measure",
+            "xi": {"R": 3.0, "breakpoints": [-3.0, -2.0, 0.5, 0.8, 2.0, 3.0],
+                   "values": [1.0, 0.5, 0.0, 1.0, 0.5]}}}))
+        args += ["--config", str(cfg)]
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from reflectionless.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = run_python(["-c", code, *args], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
