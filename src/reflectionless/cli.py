@@ -3,8 +3,8 @@
 Subcommands: thm11 (lower-bound suite on an interval), oracle (perturbation
 sweep), dr (forward asymptotics), aktable (extremal constants), omega
 (shift-window clustering), eval (ad-hoc evaluation).  Exit codes: 0 pass,
-1 assertion failure, 2 config or input error (any ValueError), 3 numeric
-failure.
+1 assertion failure, 2 config or input error (any ValueError, or an output
+directory that cannot be written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -75,7 +75,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return 3
-    paths = write_report(report, cfg.out_dir, cfg.fmt)
+    try:
+        paths = write_report(report, cfg.out_dir, cfg.fmt)
+    except OSError as exc:
+        print(f"config error: cannot write to {cfg.out_dir}: {exc}", file=sys.stderr)
+        return 2
     for a in report["assertions"]:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['detail']}")

@@ -63,9 +63,12 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.seed) is not int:      # refuses floats and bools
+            raise ConfigError("seed must be an integer")
         for name in ("samples", "grid", "n_coeffs", "window", "horizon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer")
         if self.cluster_threshold <= 0:
             raise ConfigError("cluster_threshold must be positive")
         if self.fmt not in ("csv", "json"):
@@ -86,6 +89,8 @@ class ExperimentConfig:
                     data = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict) or not isinstance(data.get("extra", {}), dict):
+            raise ConfigError("a config and its extra must be JSON objects")
         data.update({k: v for k, v in overrides.items() if v is not None})
         known = {f for f in cls.__dataclass_fields__}
         extra = data.pop("extra", {})
@@ -165,15 +170,6 @@ def random_f_selector(rng: np.random.Generator, rho: SpectralMeasure,
 # omega-limit approximation
 # ---------------------------------------------------------------------------
 
-def window_distance(j1: JacobiCoefficients, n1: int, j2: JacobiCoefficients,
-                    n2: int, window: int) -> float:
-    """Truncated coefficient metric between the windows of S^{n1} J1 and
-    S^{n2} J2 (weights 2^{-i} from the shifted origin)."""
-    return sum(2.0 ** (-i) * (abs(j1.a(n1 + i) - j2.a(n2 + i))
-                              + abs(j1.b(n1 + i) - j2.b(n2 + i)))
-               for i in range(window))
-
-
 def approximate_omega_limit(j: JacobiCoefficients, horizon: int, window: int,
                             threshold: float = 1e-6) -> list[dict]:
     """Finite-horizon approximation of the forward shift limit set: the
@@ -184,20 +180,29 @@ def approximate_omega_limit(j: JacobiCoefficients, horizon: int, window: int,
         raise ValueError("need window >= 1 and horizon >= 0")
     if j.n_lo > 0 or horizon + window - 1 > j.n_hi:
         raise ValueError("horizon exceeds the explicitly available coefficients")
+    a, b = j.arrays(0, horizon + window - 1)
+    reps = np.empty(0, dtype=int)
+
+    def distances(n: int) -> np.ndarray:
+        # sum_i 2^-i (|a_{n+i} - a_{r+i}| + |b_{n+i} - b_{r+i}|) for every
+        # representative r, added term by term in i as a scalar sum would
+        d = np.zeros(len(reps))
+        for i in range(window):
+            d += 2.0 ** (-i) * (np.abs(a[n + i] - a[reps + i]) + np.abs(b[n + i] - b[reps + i]))
+        return d
+
     clusters: list[dict] = []
     for n in range(horizon + 1):
-        for cl in clusters:
-            if window_distance(j, n, j, cl["representative"], window) <= threshold:
-                cl["members"].append(n)
-                break
+        near = np.flatnonzero(distances(n) <= threshold)
+        if near.size:
+            clusters[near[0]]["members"].append(n)
         else:
-            a, b = j.arrays(n, n + window - 1)
+            reps = np.append(reps, n)
             clusters.append({"representative": n, "members": [n],
-                             "window_a": a.tolist(), "window_b": b.tolist()})
+                             "window_a": a[n:n + window].tolist(),
+                             "window_b": b[n:n + window].tolist()})
     for cl in clusters:
-        cl["distances"] = [window_distance(j, cl["representative"],
-                                           j, other["representative"], window)
-                           for other in clusters]
+        cl["distances"] = distances(cl["representative"]).tolist()
     return clusters
 
 

@@ -12,10 +12,11 @@ reflectionless on K can have any a_n below that value.
 On band quadrature nodes t_i the objective is f(g) = sum_i exp(z_i(g)) with
 z_i = alpha_i - sum_j ln|d_j - g_j - t_i|, and d_j - g_j - t_i keeps one sign
 across the box, so ln f is a log-sum-exp of convex functions: convex, with
-a unique minimizer.  `minimize_mass` finds it by projected Newton on the box
-(Bertsekas, SIAM J. Control Optim. 20, 1982) with closed-form gradient and
-Hessian, and certifies it by the projected-gradient (KKT) residual; an
-exhaustive grid evaluator serves as an independent check.
+a unique minimizer.  It is interior: d(ln f)/dg_j diverges at g_j = 0, where
+the next band's density goes like |t - d_j|^(-1/2), and at the mirror face
+g_j = |gap_j|.  `minimize_mass` finds it by damped Newton inside the box with
+closed-form gradient and Hessian, certified by the gradient norm (the KKT
+residual of an interior point); a grid evaluator is an independent check.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ __all__ = [
     "ExtremalResult",
 ]
 
-# projected Newton in y = g / |gap| on the unit box: stop once the residual
-# max_j |y_j - clip(y_j - d(ln f)/dy_j, 0, 1)| is at most KKT_TOL
+# Newton in y = g / |gap| inside the unit box: stop once the residual
+# max_j |d(ln f)/dy_j| is at most KKT_TOL
 KKT_TOL = 1e-11
 _MAX_ITER = 100
 _ARMIJO = 1e-4
@@ -157,45 +158,34 @@ def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     return ExtremalResult(math.sqrt(val), jumps, val, r)
 
 
-def _projected_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
-    """Minimize ln f over the jump box in y = g / |gap| in [0, 1]^m.
+def _interior_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
+    """Minimize ln f over the open jump box in y = g / |gap| in (0, 1)^m.
 
-    Each step holds the coordinates that sit within eps of a bound with the
-    gradient pushing outward (eps = min(residual, 1e-3)), takes a Newton
-    step on the others (at most half way to a face) and a diagonal Newton
-    step on the held ones, clips to the box and backtracks until the Armijo
-    test passes.  Returns the jump vector, the KKT residual and the number
-    of Newton steps.
+    Each step is the Newton step -hess^{-1} grad on all coordinates, cut so
+    that no coordinate covers more than half its distance to the face it
+    moves toward, then halved until the Armijo test passes; every iterate
+    stays inside the box.  Returns the jump vector, the gradient residual
+    and the number of Newton steps.
     """
     widths = fast.gap_widths
-    scale = np.outer(widths, widths)
     y = np.full(len(widths), 0.5)
     for it in range(_MAX_ITER + 1):
         phi, grad, hess = fast.log_derivatives(y * widths)
         grad *= widths
-        hess *= scale
-        resid = float(np.max(np.abs(y - np.clip(y - grad, 0.0, 1.0))))
+        resid = float(np.max(np.abs(grad)))
         if resid <= KKT_TOL:
             return y * widths, resid, it
         if it == _MAX_ITER:
             break
-        eps = min(resid, 1e-3)
-        held = ((y <= eps) & (grad > 0.0)) | ((y >= 1.0 - eps) & (grad < 0.0))
-        step = -grad / np.diag(hess)
-        free = np.flatnonzero(~held)
-        if free.size:
-            step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
-        # the derivatives of ln f grow without bound toward the box faces
-        # and the minimizer is interior, so a step clipped onto a face would
-        # creep back; unheld coordinates cover at most half the distance
+        step = -np.linalg.solve(hess * np.outer(widths, widths), grad)
         toward = np.where(step < 0.0, y, 1.0 - y)
-        moving = ~held & (step != 0.0)
+        moving = step != 0.0
         t = min(1.0, float(np.min(0.5 * toward[moving] / np.abs(step[moving]),
                                   initial=np.inf)))
         # the slack absorbs the rounding of ln f once the decrease is below it
         slack = 1e-14 * (1.0 + abs(phi))
         while True:
-            trial = np.clip(y + t * step, 0.0, 1.0)
+            trial = y + t * step
             if math.log(fast.value(trial * widths)) <= \
                     phi + _ARMIJO * float(grad @ (trial - y)) + slack:
                 break
@@ -211,10 +201,12 @@ def _projected_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
 def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     """Extremal constant A(K) = sqrt(min mass objective) over the jump box.
 
-    ln f is convex in the jump vector, so projected Newton on the box from
-    its centre converges to the unique minimizer; it stops once the KKT
-    residual (in jumps scaled by the gap widths) is at most `KKT_TOL` and
-    raises `NumericError` if it does not get there.  The final value is
+    ln f is convex with an interior minimizer, so damped Newton from the box
+    centre converges to it; it stops once the gradient residual (in jumps
+    scaled by the gap widths) is at most `KKT_TOL`.  If a minimizer of the
+    128-node objective ever sat on a face, the iterates would only halve
+    their distance to it, and the loop would raise `NumericError` after
+    `_MAX_ITER` steps instead of returning a face point.  The final value is
     recomputed with the accurate adaptive quadrature.
     """
     r = default_bound(k_set)
@@ -222,7 +214,7 @@ def minimize_mass(k_set: CompactSet) -> ExtremalResult:
         jumps = GapJumps(())
         val = mass_objective(k_set, jumps)
         return ExtremalResult(math.sqrt(val), jumps, val, r, kkt_residual=0.0)
-    g, resid, iterations = _projected_newton(_FastObjective(k_set))
+    g, resid, iterations = _interior_newton(_FastObjective(k_set))
     jumps = GapJumps(tuple(float(x) for x in g))
     val = mass_objective(k_set, jumps)
     return ExtremalResult(math.sqrt(val), jumps, val, r,

@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericError
+from .gapflow import _require_half_on_bands
 from .krein import HerglotzRep, StepFunction, log_abs_on_arc
 from .sets import CompactSet
 
@@ -248,17 +249,14 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
     """nu_+ = (1/2) chi_K rho_ac + f * (rho off K).
 
     ac pieces on K are halved; off-K pieces are scaled by the local f value
-    (dropped where f = 0); atoms get their f weight.  Requires rho's xi to
-    equal 1/2 on K, f supported off the interior of K, and no atom at a
-    band edge.
+    (dropped where f = 0); atoms get their f weight.  Requires K inside
+    rho's domain [-R, R], rho's xi equal to 1/2 on K, f supported off the
+    interior of K, and no atom at a band edge.
     """
     f = f or FSelector()
     if rho.rep is None:
         raise ValueError("half_line_measure needs a measure with a representation")
-    xi = rho.rep.xi
-    for c, d in k_set.intervals:
-        if any(v != 0.5 for v in xi.values_on(c, d)):
-            raise ValueError("rho must come from a Krein function equal to 1/2 on K")
+    _require_half_on_bands(rho.rep.xi, k_set)
     for a, b, _ in f.intervals:
         for c, d in k_set.intervals:
             if min(b, d) > max(a, c):

@@ -167,11 +167,6 @@ class JacobiCoefficients:
             ab[:, i - lo:k - lo] = self._window[:, i - self.n_lo:k - self.n_lo]
         return ab[0], ab[1]
 
-    def sup_bounds(self) -> tuple[float, float]:
-        """(sup |a_n|, sup |b_n|), exact from window plus tail values."""
-        return (float(max(self.a_window.max(), self._block[0].max())),
-                float(max(np.abs(self.b_window).max(), np.abs(self._block[1]).max())))
-
     def restrict(self, lo: int, hi: int) -> "JacobiCoefficients":
         """Explicit window narrowed/extended to lo..hi (values from `arrays`),
         tail blocks rotated to keep their phase: the same operator when lo..hi
@@ -274,11 +269,10 @@ def _truncation_size(j: JacobiCoefficients, z: complex, tol: float) -> int:
     Combes-Thomas bound |G(m, n)| <= (2/eta) e^{-gamma |m-n|} with
     gamma = log(1 + eta/(4 sup a))."""
     eta = z.imag
-    amax, _ = j.sup_bounds()
+    amax = max(float(j.a_window.max()), *j.tail.a_block)     # sup a_n
     gamma = math.log1p(eta / (4.0 * amax))
     c = 8.0 * amax / (eta * eta)
-    n = math.ceil(math.log(max(c / tol, 2.0)) / gamma) + 5
-    return n
+    return math.ceil(math.log(max(c / tol, 2.0)) / gamma) + 5
 
 
 def green_diag(j: JacobiCoefficients, n: int, z: complex,

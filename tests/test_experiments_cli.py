@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from reflectionless import ConfigError, JacobiCoefficients, NumericError, cli
+from reflectionless import ConfigError, JacobiCoefficients, NumericError, Tail, cli
 from reflectionless.experiments import (ExperimentConfig,
                                         approximate_omega_limit,
                                         run_extremal_table,
@@ -12,6 +13,34 @@ from reflectionless.experiments import (ExperimentConfig,
                                         run_lower_bound_suite,
                                         run_perturbation_sweep,
                                         run_shift_clusters, write_report)
+
+
+def window_distance(j, n1, n2, window):
+    """The clustering metric between the windows of S^n1 J and S^n2 J, as a
+    scalar sum read one coefficient at a time."""
+    return sum(2.0 ** (-i) * (abs(j.a(n1 + i) - j.a(n2 + i))
+                              + abs(j.b(n1 + i) - j.b(n2 + i)))
+               for i in range(window))
+
+
+def omega_limit_by_loop(j, horizon, window, threshold):
+    """Reference for `approximate_omega_limit`: each shift against each
+    representative in turn, through `window_distance`."""
+    clusters = []
+    for n in range(horizon + 1):
+        for cl in clusters:
+            if window_distance(j, n, cl["representative"], window) <= threshold:
+                cl["members"].append(n)
+                break
+        else:
+            a, b = j.arrays(n, n + window - 1)
+            clusters.append({"representative": n, "members": [n],
+                             "window_a": a.tolist(), "window_b": b.tolist()})
+    for cl in clusters:
+        cl["distances"] = [window_distance(j, cl["representative"],
+                                           other["representative"], window)
+                           for other in clusters]
+    return clusters
 
 
 def small_cfg(name, **kw):
@@ -118,16 +147,37 @@ class TestOmegaLimit:
         from reflectionless import (CompactSet, HerglotzRep, SpectralMeasure,
                                     free_krein, half_line_measure,
                                     reconstruct_coefficients, stieltjes_invert)
-        from reflectionless.experiments import window_distance
         rho = stieltjes_invert(HerglotzRep(free_krein(2.0)))
         nu0 = half_line_measure(rho, CompactSet(((-2.0, 2.0),)))
         nu = SpectralMeasure(nu0.rep, nu0.ac_pieces,
                              ((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)))
-        rec = reconstruct_coefficients(nu, 30)
-        free = JacobiCoefficients.free(0, 40)
-        d_near = window_distance(rec, 1, free, 0, 5)
-        d_far = window_distance(rec, 24, free, 0, 5)
+        a, b = reconstruct_coefficients(nu, 30).arrays(0, 28)
+        weights = 2.0 ** -np.arange(5)
+        # distance of the windows at sites 1 and 24 from the free window
+        d_near = weights @ (np.abs(a[1:6] - 1.0) + np.abs(b[1:6]))
+        d_far = weights @ (np.abs(a[24:29] - 1.0) + np.abs(b[24:29]))
         assert d_far < 1e-6 < d_near
+
+    def test_clustering_matches_the_scalar_loop(self):
+        # periodic operators perturbed by about the threshold, which is set
+        # to one of the operator's own window distances: ties and near misses
+        # must land on the same side as in the scalar loop
+        rng = np.random.default_rng(11)
+        multi = 0
+        for _ in range(30):
+            period = int(rng.integers(1, 4))
+            a0, b0 = rng.uniform(0.5, 1.5, period), rng.uniform(-1.0, 1.0, period)
+            noise = 1e-6 * rng.uniform(0.0, 1.0, (2, 70)) * (rng.random((2, 70)) < 0.3)
+            j = JacobiCoefficients(0, 69, np.resize(a0, 70) + noise[0],
+                                   np.resize(b0, 70) + noise[1], Tail.periodic(a0, b0))
+            # windows past 8 terms, where numpy's sum would pair the terms
+            horizon, window = int(rng.integers(10, 50)), int(rng.integers(1, 17))
+            n1, n2 = rng.integers(0, horizon + 1, 2) // period * period
+            threshold = window_distance(j, int(n1), int(n2), window) or 1e-6
+            clusters = approximate_omega_limit(j, horizon, window, threshold)
+            assert clusters == omega_limit_by_loop(j, horizon, window, threshold)
+            multi += any(len(cl["members"]) > 1 for cl in clusters) and len(clusters) > 1
+        assert multi >= 10
 
 
 class TestReportsAndCli:

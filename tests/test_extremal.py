@@ -132,6 +132,39 @@ class TestMinimize:
             assert a1 == pytest.approx(alpha * a0, abs=1e-8)
 
 
+def extreme_sets(seed, count):
+    """Sets with 1-5 gaps, band widths 10^U(-3, 1) and gap widths
+    10^U(-6, 1.5): minimizers close to the faces of the jump box."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        gaps = int(rng.integers(1, 6))
+        widths = 10.0 ** rng.uniform(-3.0, 1.0, gaps + 1)
+        spaces = 10.0 ** rng.uniform(-6.0, 1.5, gaps)
+        starts = np.concatenate([[0.0], np.cumsum(widths[:-1] + spaces)])
+        sets.append(CompactSet(tuple(zip(starts.tolist(), (starts + widths).tolist()))))
+    return sets
+
+
+class TestInteriorMinimizer:
+    def test_extreme_sets_converge_inside_the_box(self):
+        # ln f's derivatives diverge at every face, so the minimizer is
+        # interior; Newton kept inside the box must certify it there
+        for k in extreme_sets(17, 40):
+            res = minimize_mass(k)
+            assert res.kkt_residual <= extremal.KKT_TOL
+            assert all(0.0 < g < gd - gc for g, (gc, gd) in zip(res.jumps.masses, k.gaps()))
+            assert res.objective_value <= \
+                grid_min_mass(k, grid=5).objective_value * (1.0 + 1e-9)
+
+    def test_residual_is_the_scaled_gradient(self):
+        k = CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)))
+        res = minimize_mass(k)
+        fast = extremal._FastObjective(k)
+        _, grad, _ = fast.log_derivatives(np.array(res.jumps.masses))
+        assert res.kkt_residual == float(np.max(np.abs(grad * fast.gap_widths)))
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("bands", [
         ((-2.0, -0.5), (0.5, 2.0)),

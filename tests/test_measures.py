@@ -151,6 +151,13 @@ class TestHalfLineMeasure:
         nu = half_line_measure(rho, k_set, f)
         assert nu.atoms == ((0.7, pytest.approx(ATOM_MASS_07 / 2.0, abs=1e-15)),)
 
+    def test_set_past_the_domain_rejected(self):
+        # xi = 1/2 on [-2, 3] with R = 3: K = [-2, 4] reaches past R, as
+        # flow_to_canonical also refuses
+        xi = StepFunction.from_pieces(3.0, [(-3.0, -2.0, 1.0), (-2.0, 3.0, 0.5)])
+        with pytest.raises(ValueError, match="domain"):
+            half_line_measure(stieltjes_invert(HerglotzRep(xi)), CompactSet(((-2.0, 4.0),)))
+
     def test_selector_on_band_interior_rejected(self):
         f = FSelector(intervals=((-0.5, 0.5, 1.0),))
         with pytest.raises(ValueError):

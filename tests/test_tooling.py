@@ -51,3 +51,22 @@ def test_cli_runs_without_scipy(command, tmp_path):
 def test_script_runs(script, tmp_path):
     proc = run_python([str(script)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("config", [{"samples": 2.5}, {"seed": "abc"}, {"extra": [1, 2]}],
+                         ids=["float-samples", "string-seed", "list-extra"])
+def test_bad_config_value_exits_two(config, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_python(["-m", "reflectionless", "thm11", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_unwritable_output_directory_exits_two(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = run_python(["-m", "reflectionless", "omega", "--out",
+                       str(tmp_path / "file" / "out")], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
