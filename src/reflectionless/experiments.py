@@ -214,6 +214,14 @@ def _check(assertions: list, name: str, passed: bool, detail: str):
     assertions.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
+def _extra(cfg: ExperimentConfig, key: str, default, parse):
+    """parse(cfg.extra.get(key, default)); a wrong shape is a ConfigError."""
+    try:
+        return parse(cfg.extra.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad extra {key!r}: {exc}") from exc
+
+
 def _sample_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -285,14 +293,14 @@ def run_perturbation_sweep(cfg: ExperimentConfig) -> dict:
     """One-parameter families shrinking toward the free input: deviations
     from the constant coefficients must decrease with the perturbation."""
     k_set = CompactSet(((-2.0, 2.0),))
-    xi_widths = cfg.extra.get("xi_widths", [0.4, 0.04, 0.004])
-    f_masses = cfg.extra.get("f_masses", [0.3, 0.03, 0.003])
+    xi_widths = _extra(cfg, "xi_widths", [0.4, 0.04, 0.004], lambda v: list(map(float, v)))
+    f_masses = _extra(cfg, "f_masses", [0.3, 0.03, 0.003], lambda v: list(map(float, v)))
     n_rec = max(cfg.n_coeffs, 12)
     rows, assertions = [], []
 
     def measure_family(label, eps_list, builder):
         out = []
-        for eps in list(eps_list) + [0.0]:
+        for eps in eps_list + [0.0]:
             nu_f = builder(eps)
             rho, f = nu_f if isinstance(nu_f, tuple) else (nu_f, FSelector())
             nu = half_line_measure(rho, k_set, f)
@@ -326,9 +334,9 @@ def run_perturbation_sweep(cfg: ExperimentConfig) -> dict:
 def run_forward_asymptotics(cfg: ExperimentConfig) -> dict:
     """Semicircle plus finitely many off-band atoms: reconstructed
     coefficients must trend to the free values along the half line."""
-    atoms = tuple((float(p), float(m)) for p, m in
-                  cfg.extra.get("atoms", [[2.5, 0.3], [3.0, 0.3], [-2.7, 0.3]]))
-    scale = float(cfg.extra.get("semicircle_scale", 1.0))
+    atoms = _extra(cfg, "atoms", [[2.5, 0.3], [3.0, 0.3], [-2.7, 0.3]],
+                   lambda v: tuple((float(p), float(m)) for p, m in v))
+    scale = _extra(cfg, "semicircle_scale", 1.0, float)
     for pos, _ in atoms:
         if -2.0 <= pos <= 2.0:
             raise ConfigError(f"atom at {pos} is not off the band [-2, 2]")
@@ -356,7 +364,8 @@ def run_forward_asymptotics(cfg: ExperimentConfig) -> dict:
 def run_extremal_table(cfg: ExperimentConfig) -> dict:
     """Extremal constants for a list of sets, with the grid oracle delta and
     the single-interval closed form."""
-    sets = cfg.extra.get("sets") or [
+    sets = _extra(cfg, "sets", None,
+                  lambda v: [[[float(c), float(d)] for c, d in s] for s in v or ()]) or [
         [[-2.0, 2.0]], [[0.0, 4.0]],
         [[-2.0, -0.5], [0.5, 2.0]],
         [[-3.0, -1.5], [-0.5, 1.0], [2.0, 3.0]],
@@ -437,25 +446,27 @@ def run_eval(cfg: ExperimentConfig) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad xi: {exc}") from exc
     rep = HerglotzRep(xi)
-    points = cfg.extra.get("points", [])
+
+    def points(parse) -> list:
+        return _extra(cfg, "points", [], lambda v: [parse(p) for p in v])
+
     rows = []
     from . import krein
     if what == "herglotz":
-        for p in points:
-            z = complex(p[0], p[1]) if isinstance(p, (list, tuple)) else complex(p)
+        for z in points(lambda p: complex(*p) if isinstance(p, list) else complex(p)):
             h = krein.herglotz_eval(rep, z)
             rows.append({"re_z": z.real, "im_z": z.imag, "re_H": h.real, "im_H": h.imag})
     elif what == "boundary":
-        for x in points:
-            h = krein.boundary_value(rep, float(x))
-            rows.append({"x": float(x), "re_H": h.real, "im_H": h.imag,
+        for x in points(float):
+            h = krein.boundary_value(rep, x)
+            rows.append({"x": x, "re_H": h.real, "im_H": h.imag,
                          "abs_H": abs(h)})
     elif what == "hilbert":
-        for x in points:
-            rows.append({"x": float(x), "T_xi": krein.hilbert_transform(xi, float(x))})
+        for x in points(float):
+            rows.append({"x": x, "T_xi": krein.hilbert_transform(xi, x)})
     elif what == "xi":
-        for x in points:
-            rows.append({"x": float(x), "xi": xi.value_at(float(x))})
+        for x in points(float):
+            rows.append({"x": x, "xi": xi.value_at(x)})
     elif what == "measure":
         rho = stieltjes_invert(rep)
         rows.append({"total_mass": total_mass(rho),

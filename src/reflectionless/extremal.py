@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NumericError
 from .gapflow import GapJumps, canonical_krein_from_jumps, default_bound
 from .krein import HerglotzRep, hilbert_transform
-from .measures import _gl_rule, stieltjes_invert, total_mass
+from .measures import _fejer_rule, stieltjes_invert, total_mass
 from .sets import CompactSet
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 KKT_TOL = 1e-11
 _MAX_ITER = 100
 _ARMIJO = 1e-4
-# Gauss-Legendre nodes per band of the vectorized objective
+# Fejer nodes per band of the vectorized objective
 _NODES_PER_BAND = 128
 # the grid oracle holds grid**gaps values in memory
 _GRID_POINTS_CAP = 10**7
@@ -69,7 +69,7 @@ class _FastObjective:
     """
 
     def __init__(self, k_set: CompactSet):
-        th, w = _gl_rule(_NODES_PER_BAND)
+        th, w = _fejer_rule(_NODES_PER_BAND)
         ts, ws = [], []
         for c, d in k_set.intervals:
             mid, half = 0.5 * (c + d), 0.5 * (d - c)

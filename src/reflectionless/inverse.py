@@ -32,7 +32,7 @@ from .operators import JacobiCoefficients, Tail
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
            "reconstruction_report", "coefficients_csv"]
 
-_MAX_NODES = 3200  # per ac piece, for a certified reconstruction
+_MAX_NODES = 4000  # per ac piece, for a certified reconstruction
 
 
 def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
@@ -153,7 +153,7 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
             cert = float(np.max(np.abs(np.subtract(prev, cur)), initial=0.0))
             if cert <= tol:
                 return prev, [{"interval": [p.lo, p.hi], "nodes": n + extra - step,
-                               "rule": "midpoint" if mid else "gauss-legendre",
+                               "rule": "midpoint" if mid else "fejer",
                                "certifying_nodes": n + extra}
                               for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], cert
         prev = cur
@@ -166,18 +166,21 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     a_0 = sqrt(total mass); the rest by the unreorthogonalized recurrence on
     a rule per ac piece, atoms folded in afterwards.  It stays orthogonal on
     a rule that resolves the depth (Paige), and the Bessel guard of
-    `lanczos_tridiag` raises where it does not.  If 4N <= n for the n-node
-    Gauss rule at which each ac piece's mass converged, it runs on those
-    rules: n/2 nodes resolve the density (the mass had converged there) and
-    n/2 the polynomials of degree 2N, at about one Gauss-Legendre node per
-    degree.  Deeper, or on a failure there, a piece gets the midpoint rule
-    in theta with N + n nodes if both its edges are square-root edges (exact
-    for degree below about 2(N + n)), else Gauss-Legendre with 2N + n.  A
-    rule with max(32, ceil(N/4)) more nodes per piece certifies it: all N
-    pairs must agree to 1e-12 * max(1, largest |t|), else both rules step up
-    by that many nodes.  Raises `ValueError` up front for an N whose rule
-    pair exceeds `_MAX_NODES` nodes per piece and `NumericError` if no pair
-    within it agrees; positivity is never silently clamped.
+    `lanczos_tridiag` raises where it does not.  If 5N <= n for the n-node
+    Fejer rule at which each ac piece's mass converged, it runs on those
+    rules: degree 2N + 1 in t is frequency about pi N in the rule's variable
+    2 theta / pi, where Fejer is exact only to degree n - 1, and a
+    frequency's Chebyshev tail needs some N^(1/3) degrees more (at N = n/4
+    the semicircle is off by 3e-11; no measure tried failed before n/4.1).
+    Deeper, or on a failure there, a piece gets the midpoint rule in theta
+    with N + n nodes if both its edges are square-root edges (exact for
+    degree below about 2(N + n)), else Fejer with 2N + n (stepped up to
+    about 3.4N on a lone regular-edge piece).  A rule max(32, ceil(N/4))
+    nodes larger per piece certifies it: all N pairs must agree to 1e-12 *
+    max(1, largest |t|), else both rules step up by that many nodes.  Raises
+    `ValueError` up front for an N whose rule pair exceeds `_MAX_NODES`
+    nodes per piece and `NumericError` if no pair within it agrees;
+    positivity is never silently clamped.
     """
     if n_coeffs < 0:
         raise ValueError("n_coeffs must be >= 0")
@@ -185,7 +188,7 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     if mass <= 0:
         raise ValueError("measure must have positive mass")
     shallow = None
-    if all(4 * n_coeffs <= rule[0] for rule in nu._mass_rules):
+    if all(5 * n_coeffs <= rule[0] for rule in nu._mass_rules):
         try:
             shallow = _jacobi(nu, [rule[1:3] for rule in nu._mass_rules], n_coeffs)
         except NumericError:

@@ -10,12 +10,12 @@ at every breakpoint where xi jumps from 0 directly to 1, with mass
 (the residue of H, with c_k the log-coefficients of xi).  Densities behave
 like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
-analytic; Gauss-Legendre in theta then converges spectrally.  The rule each
-piece's mass converged at is memoized and reused by shallow reconstructions.
-Where xi jumps by +-1/2 at both edges (every band of a reflectionless
-half-line measure), the integrand in theta is even, 2pi-periodic and
-analytic, so deep reconstructions use the midpoint rule in theta there: it
-is exact for polynomials of degree below about 2n, twice Gauss-Legendre's.
+analytic; Fejer's first rule in theta then converges spectrally, at about
+Gauss's rate (Trefethen, SIAM Rev. 50, 2008).  The rule each piece's mass
+converged at is memoized and reused by shallow reconstructions.  Where xi
+jumps by +-1/2 at both edges (every band of a reflectionless half-line
+measure), the integrand in theta is even, 2pi-periodic and analytic, so deep
+reconstructions use the midpoint rule in theta there, exact below degree 2n.
 """
 
 from __future__ import annotations
@@ -43,45 +43,16 @@ __all__ = [
 _ATOM_TOL = 1e-9  # an f atom weight applies to atoms within this distance
 
 
-def _legendre_sweep(n: int, theta: np.ndarray, christoffel: bool = False):
-    """P_n, P_{n-1} and, if asked, sum_{j<n} (j + 1/2) P_j^2 at x = cos(theta).
-
-    The three-term recurrence runs on D_j = P_j - P_{j-1} in y = 1 - x =
-    2 sin^2(theta/2), so nothing cancels near x = 1."""
-    y = 2.0 * np.sin(0.5 * theta) ** 2
-    p_prev, p, d = np.zeros_like(y), np.ones_like(y), np.zeros_like(y)
-    cd = np.zeros_like(y)
-    for j in range(n):
-        if christoffel:
-            cd += (j + 0.5) * p * p
-        d = (j * d - (2 * j + 1) * y * p) / (j + 1)
-        p_prev, p = p, p + d
-    return p, p_prev, cd
-
-
 @lru_cache(maxsize=64)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule scaled to (-pi/2, pi/2), nodes ascending.
-
-    Newton in the angle (x = cos theta) from Tricomi's guess, on the
-    nonnegative nodes, mirrored; weights 1/w = sum_{j<n} (j + 1/2) P_j(x)^2
-    (Christoffel-Darboux), all in double precision.  Against a 40-digit
-    reference the nodes are within 2.5e-16 absolute and the weights within
-    3e-15 relative for n <= 256 (5e-15 at the ends for n = 3200), the
-    outermost weights included, where numpy's leggauss is off by up to
-    3e-11 (n ~ 200) and 2e-7 (n = 3200)."""
-    k = np.arange(1, (n + 1) // 2 + 1)
-    phi = (4 * k - 1) * np.pi / (4 * n + 2)
-    theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3)) * np.cos(phi))
-    for _ in range(3):  # quadratic from a 2e-3 relative start: 1e-6, 1e-12, eps
-        p, q, _ = _legendre_sweep(n, theta)
-        theta += p * np.sin(theta) / (n * (q - np.cos(theta) * p))
-    _, _, cd = _legendre_sweep(n, theta, christoffel=True)
-    x, w = np.cos(theta), 1.0 / cd
-    if n % 2:
-        x[-1] = 0.0
-    x = np.concatenate([-x, x[::-1][n % 2:]])
-    w = np.concatenate([w, w[::-1][n % 2:]])
+def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fejer's first n-point rule, exact to degree n - 1, scaled to (-pi/2,
+    pi/2): nodes -cos((k + 1/2) pi/n) ascending, computed as exactly symmetric
+    sines, and positive weights from one inverse FFT (Waldvogel, BIT 46, 2006)."""
+    j = np.arange((n + 1) // 2)
+    v = np.zeros(n + 1, dtype=complex)
+    v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
+    w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real
+    x = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n))
     return x * (np.pi / 2.0), w * (np.pi / 2.0)
 
 
@@ -284,8 +255,8 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
 
 
 def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece):
-    """(n, theta, GL weight x jacobian x density, mass) at the first n = 64,
-    128, ... where two successive masses agree to 1e-12 * max(1, mass)."""
+    """(n, theta, Fejer weight x jacobian x density, mass) at the first n =
+    64, 128, ... where two successive masses agree to 1e-12 * max(1, mass)."""
     prev, n = None, 64
     while True:
         th, wd = _arc_rule(measure, piece, n)
@@ -308,12 +279,12 @@ def total_mass(measure: SpectralMeasure) -> float:
 
 def _arc_rule(measure: SpectralMeasure, piece: AcPiece, n: int,
               midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, weight x jacobian x density) of the n-node Gauss-Legendre or
-    midpoint (theta_k = -pi/2 + (k - 1/2) pi/n, weight pi/n) rule in theta."""
+    """(theta, weight x jacobian x density) of the n-node Fejer or midpoint
+    (theta_k = -pi/2 + (k - 1/2) pi/n, weight pi/n) rule in theta."""
     if midpoint:
         th, w = (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
     else:
-        th, w = _gl_rule(n)
+        th, w = _fejer_rule(n)
     return th, w * (0.5 * (piece.hi - piece.lo) * np.cos(th)) * measure.density_on_arc(piece, th)
 
 

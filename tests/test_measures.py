@@ -9,7 +9,7 @@ from reflectionless import (CompactSet, FSelector, GapJumps, HerglotzRep,
                             canonical_krein_from_jumps, free_krein,
                             half_line_measure, herglotz_eval, stieltjes_invert,
                             total_mass)
-from reflectionless.measures import _adaptive_rule, _arc_rule, _gl_rule, _support
+from reflectionless.measures import _adaptive_rule, _arc_rule, _fejer_rule, _support
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -258,8 +258,8 @@ class TestDiscretization:
         # `_support` concatenates the pieces' rules without a sort, so its
         # nodes must already be in (node, weight) order and strictly ascend,
         # also where two pieces share an edge: on several bands and on f-cut
-        # pieces, for the mass rules and depth-sized midpoint and
-        # Gauss-Legendre rules
+        # pieces, for the mass rules and depth-sized midpoint and Fejer
+        # rules
         three_bands = CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)))
         xi = canonical_krein_from_jumps(three_bands, GapJumps((0.6, 0.4)))
         f_cut = StepFunction.from_pieces(
@@ -276,7 +276,7 @@ class TestDiscretization:
         for nu in measures:
             rules = {"mass": [rule[1:3] for rule in nu._mass_rules],
                      "midpoint": [_arc_rule(nu, p, 428, True) for p in nu.ac_pieces],
-                     "gauss-legendre": [_arc_rule(nu, p, 728) for p in nu.ac_pieces]}
+                     "fejer": [_arc_rule(nu, p, 728) for p in nu.ac_pieces]}
             for kind, rule in rules.items():
                 nodes, weights = _support(nu.ac_pieces, rule)
                 assert np.all(np.diff(nodes) > 0), kind
@@ -289,32 +289,27 @@ class TestDiscretization:
         got = rule_moments(2.0 * np.sin(th), w, 20)
         assert np.max(np.abs(got - catalan_moments(20))) < 1e-10
 
-    @pytest.mark.parametrize("n", [128, 200, 201])
-    def test_gauss_rule_weights_to_full_precision(self, n):
-        # the end weights sit where t^k is largest, so their relative
-        # accuracy bounds the moments of every discretization
-        mpmath = pytest.importorskip("mpmath")
-        th, w = _gl_rule(n)
+    @pytest.mark.parametrize("n", [2, 5, 64, 128, 727, 3200])
+    def test_fejer_rule(self, n):
+        th, w = _fejer_rule(n)
         x, w = th / (np.pi / 2.0), w / (np.pi / 2.0)
-
-        def reference(x0):
-            # Newton on P_n at 40 digits, then w = 2 / ((1 - x^2) P_n'(x)^2)
-            with mpmath.workdps(40):
-                r = mpmath.mpf(x0)
-                for step in range(7):
-                    p_prev, p = mpmath.mpf(1), r
-                    for j in range(1, n):
-                        p_prev, p = p, ((2 * j + 1) * r * p - j * p_prev) / (j + 1)
-                    dp = n * (r * p - p_prev) / (r * r - 1)
-                    if step < 6:
-                        r -= p / dp
-                return r, 2 / ((1 - r * r) * dp * dp)
-
-        for i in (0, 1, 2, n // 2):
-            x_ref, w_ref = reference(x[i])
-            assert abs(x[i] - float(x_ref)) < 1e-15
-            for k in (i, n - 1 - i):
-                assert abs(w[k] - w_ref) / w_ref < 1e-13
+        # the O(n^2) cosine sum that the FFT evaluates
+        theta = (np.arange(n) + 0.5) * np.pi / n
+        j = np.arange(1, n // 2 + 1)
+        direct = (2.0 / n) * (1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, j))
+                                           / (4.0 * j * j - 1.0)).sum(axis=1))
+        assert np.max(np.abs(w - direct)) <= 1e-15
+        assert np.all(w > 0)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        for k in range(min(n - 1, 20) + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x**k - exact) <= 1e-15, k
+        if n >= 64:  # fewer nodes do not resolve e^x cos 3x
+            def primitive(t):
+                return np.exp(t) * (np.cos(3.0 * t) + 3.0 * np.sin(3.0 * t)) / 10.0
+            got = w @ (np.exp(x) * np.cos(3.0 * x))
+            assert abs(got - (primitive(1.0) - primitive(-1.0))) <= 1e-15
 
 
 class TestSerialization:

@@ -53,12 +53,25 @@ def test_script_runs(script, tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("config", [{"samples": 2.5}, {"seed": "abc"}, {"extra": [1, 2]}],
-                         ids=["float-samples", "string-seed", "list-extra"])
-def test_bad_config_value_exits_two(config, tmp_path):
+XI = {"R": 3.0, "breakpoints": [-3.0, -2.0, 2.0, 3.0], "values": [1.0, 0.5, 0.0]}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("thm11", {"samples": 2.5}),
+    ("thm11", {"seed": "abc"}),
+    ("thm11", {"extra": [1, 2]}),
+    # runner extras of the wrong shape, each read where its runner uses it
+    ("oracle", {"xi_widths": "abc"}),
+    ("oracle", {"f_masses": [0.3, "x"]}),
+    ("eval", {"xi": XI, "points": [{}]}),
+    ("dr", {"atoms": [1, 2]}),
+    ("aktable", {"sets": [1]}),
+], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
+        "dict-point", "flat-atoms", "number-set"])
+def test_bad_config_value_exits_two(command, config, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    proc = run_python(["-m", "reflectionless", "thm11", "--config", str(cfg),
+    proc = run_python(["-m", "reflectionless", command, "--config", str(cfg),
                        "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "config error" in proc.stderr and "Traceback" not in proc.stderr
