@@ -121,7 +121,8 @@ class StepFunction:
     def values_on(self, lo: float, hi: float) -> tuple[float, ...]:
         """Values of the pieces that overlap (lo, hi) in an interval of
         positive length, left to right; () if none does."""
-        return tuple(v for x0, x1, v in self.pieces() if min(x1, hi) > max(x0, lo))
+        bk = self.breakpoints
+        return self.values[max(bisect_right(bk, lo) - 1, 0):bisect_left(bk, hi)] if hi > lo else ()
 
     def value_at(self, x: float) -> float:
         """Value on the piece whose interior contains x; breakpoints are
@@ -279,31 +280,30 @@ def abs_boundary(rep: HerglotzRep, x):
     return (np.asarray(x, dtype=float) + rep.bound) * np.exp(hilbert_transform(rep.xi, x))
 
 
-def log_abs_on_arc(rep: HerglotzRep, lo: float, hi: float, theta: np.ndarray) -> np.ndarray:
-    """ln|H| at t = mid + half*sin(theta) on the piece (lo, hi).
+def log_abs_on_arc(rep: HerglotzRep, lo: np.ndarray, hi: np.ndarray, theta: np.ndarray):
+    """ln|H| at t = mid + half*sin(theta) on each piece (lo[p], hi[p]) of the
+    arrays lo, hi: one row per piece.
 
     Distances to breakpoints equal to lo or hi are computed
     trigonometrically (half*(1+sin) = 2*half*cos^2(pi/4 - theta/2) and its
     mirror), which keeps full relative precision arbitrarily close to the
     edges where |H| has square-root behavior; naive t - lo cancels
-    catastrophically there.
+    catastrophically there.  All (piece, breakpoint) distances go through
+    one log, and the terms are summed in breakpoint order.
     """
     xi = rep.xi
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mid, half = (0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None]
     t = mid + half * np.sin(theta)
-    c2 = np.cos(0.25 * np.pi - 0.5 * theta) ** 2
-    s2 = np.sin(0.25 * np.pi - 0.5 * theta) ** 2
+    d = xi.abs_log_coefficients
+    xk = np.asarray(xi.breakpoints)[d != 0.0]
+    dist = np.abs(t[:, None, :] - xk[:, None])
+    for edge, trig in ((lo, np.cos), (hi, np.sin)):
+        hit = xk == edge[:, None]
+        dist[hit] = (2.0 * half * trig(0.25 * np.pi - 0.5 * theta) ** 2)[hit.nonzero()[0]]
+    logs = np.log(dist)
     out = np.zeros_like(t)
-    for dk, xk in zip(xi.abs_log_coefficients, xi.breakpoints):
-        if dk == 0.0:
-            continue
-        if xk == lo:
-            dist = 2.0 * half * c2
-        elif xk == hi:
-            dist = 2.0 * half * s2
-        else:
-            dist = np.abs(t - xk)
-        out = out + dk * np.log(dist)
+    for k, dk in enumerate(d[d != 0.0]):
+        out = out + dk * logs[:, k]
     return out
 
 

@@ -11,9 +11,11 @@ at every breakpoint where xi jumps from 0 directly to 1, with mass
 like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
 analytic; Fejer's first rule in theta then converges spectrally, at about
-Gauss's rate (Trefethen, SIAM Rev. 50, 2008).  The rule each piece's mass
-converged at is memoized and reused by shallow reconstructions.  Where xi
-jumps by +-1/2 at both edges (every band of a reflectionless half-line
+Gauss's rate (Trefethen, SIAM Rev. 50, 2008).  The mass rules of all ac
+pieces of a measure come from one density evaluation at 64 and 128 nodes
+and one per later doubling of the unconverged pieces; the rule each piece's
+mass converged at is memoized and reused by shallow reconstructions.  Where
+xi jumps by +-1/2 at both edges (every band of a reflectionless half-line
 measure), the integrand in theta is even, 2pi-periodic and analytic, so deep
 reconstructions use the midpoint rule in theta there, exact below degree 2n.
 """
@@ -94,17 +96,39 @@ class SpectralMeasure:
     def is_atomic(self) -> bool:
         return not self.ac_pieces
 
-    def density_on_arc(self, piece: AcPiece, theta: np.ndarray) -> np.ndarray:
-        """Density at t = mid + half*sin(theta), stable up to the piece
-        edges (where it behaves like a power of the distance)."""
-        v = self.rep.xi.value_at(0.5 * (piece.lo + piece.hi))
-        log_h = log_abs_on_arc(self.rep, piece.lo, piece.hi, theta)
-        return piece.multiplier * np.exp(log_h) * math.sin(math.pi * v) / math.pi
+    def density_on_arc(self, pieces, theta: np.ndarray) -> np.ndarray:
+        """Density of each piece at t = mid + half*sin(theta), one row per
+        piece, stable up to the piece edges (where it behaves like a power
+        of the distance)."""
+        lo, hi, m, v = np.array([(p.lo, p.hi, p.multiplier, self.rep.xi.value_at(
+            0.5 * (p.lo + p.hi))) for p in pieces]).T
+        sin_v = np.array([[math.sin(math.pi * x)] for x in v.tolist()])
+        return m[:, None] * np.exp(log_abs_on_arc(self.rep, lo, hi, theta)) * sin_v / math.pi
 
     @cached_property
     def _mass_rules(self) -> tuple:
-        """`_adaptive_rule` per ac piece; no field, so == and hash ignore it."""
-        return tuple(_adaptive_rule(self, p) for p in self.ac_pieces)
+        """Per ac piece, (n, theta, Fejer weight x jacobian x density, mass)
+        at the first n = 64, 128, ... where two successive masses agree to
+        1e-12 * max(1, mass); one density call builds the 64 and 128 rules
+        of all pieces.  No field, so == and hash ignore it."""
+        if not self.ac_pieces:
+            return ()
+        th, w = (np.concatenate(pair) for pair in zip(_fejer_rule(64), _fejer_rule(128)))
+        wd = _weighted_density(self, self.ac_pieces, th, w)
+        todo, rows, rules, n = {i: r[:64].sum() for i, r in enumerate(wd)}, wd[:, 64:], {}, 128
+        while True:
+            for (i, prev), row in zip(list(todo.items()), rows):
+                cur = todo[i] = row.sum()
+                if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+                    rules[i] = (n, _fejer_rule(n)[0], row, todo.pop(i))
+            if not todo:
+                return tuple(rules[i] for i in range(len(wd)))
+            if n >= 8192:
+                piece = self.ac_pieces[min(todo)]
+                raise NumericError(f"quadrature on ({piece.lo}, {piece.hi}) "
+                                   f"did not reach tol=1e-12 with {n} nodes")
+            n *= 2
+            rows = _weighted_density(self, [self.ac_pieces[i] for i in todo], *_fejer_rule(n))
 
     def to_dict(self) -> dict:
         return {
@@ -254,22 +278,6 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
     return SpectralMeasure(rho.rep, tuple(out_pieces), tuple(out_atoms))
 
 
-def _adaptive_rule(measure: SpectralMeasure, piece: AcPiece):
-    """(n, theta, Fejer weight x jacobian x density, mass) at the first n =
-    64, 128, ... where two successive masses agree to 1e-12 * max(1, mass)."""
-    prev, n = None, 64
-    while True:
-        th, wd = _arc_rule(measure, piece, n)
-        cur = wd.sum()
-        if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            return n, th, wd, cur
-        if n >= 8192:
-            raise NumericError(
-                f"quadrature on ({piece.lo}, {piece.hi}) did not reach tol=1e-12 with {n} nodes")
-        prev = cur
-        n *= 2
-
-
 def total_mass(measure: SpectralMeasure) -> float:
     """Atoms summed exactly; ac mass by the adaptive edge-substituted
     quadrature (estimated error below 1e-12 * max(1, mass)), memoized."""
@@ -285,7 +293,13 @@ def _arc_rule(measure: SpectralMeasure, piece: AcPiece, n: int,
         th, w = (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
     else:
         th, w = _fejer_rule(n)
-    return th, w * (0.5 * (piece.hi - piece.lo) * np.cos(th)) * measure.density_on_arc(piece, th)
+    return th, _weighted_density(measure, (piece,), th, w)[0]
+
+
+def _weighted_density(measure: SpectralMeasure, pieces, th, w) -> np.ndarray:
+    """Weight x jacobian x density of each piece at the nodes th."""
+    half = np.array([0.5 * (p.hi - p.lo) for p in pieces])[:, None]
+    return w * (half * np.cos(th)) * measure.density_on_arc(pieces, th)
 
 
 def _root_edges(measure: SpectralMeasure, piece: AcPiece) -> bool:

@@ -37,3 +37,22 @@ def interior_points(step, rng, count, margin_frac=0.1):
         m = margin_frac * (hi - lo)
         pts.append(float(rng.uniform(lo + m, hi - m)))
     return np.array(pts)
+
+
+def per_piece_log_abs(xi, lo, hi, theta):
+    """ln|H| on the arc of one piece (lo, hi), summed one breakpoint at a
+    time, with the trigonometric distances to the piece's own edges: the
+    reference for the (piece, breakpoint) array form of `log_abs_on_arc`."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t, out = mid + half * np.sin(theta), np.zeros_like(theta)
+    for dk, xk in zip(xi.abs_log_coefficients, xi.breakpoints):
+        if dk == 0.0:
+            continue
+        if xk == lo:
+            dist = 2.0 * half * np.cos(0.25 * np.pi - 0.5 * theta) ** 2
+        elif xk == hi:
+            dist = 2.0 * half * np.sin(0.25 * np.pi - 0.5 * theta) ** 2
+        else:
+            dist = np.abs(t - xk)
+        out = out + dk * np.log(dist)
+    return out

@@ -108,13 +108,13 @@ def near_breakpoint_measure():
 
 @pytest.fixture
 def density_calls(monkeypatch):
-    """The ac pieces of every density evaluation from here on."""
+    """(ac piece, node count) of every density evaluation from here on."""
     calls = []
     original = SpectralMeasure.density_on_arc
 
-    def counted(self, piece, theta):
-        calls.append(piece)
-        return original(self, piece, theta)
+    def counted(self, pieces, theta):
+        calls.extend((p, len(theta)) for p in pieces)
+        return original(self, pieces, theta)
 
     monkeypatch.setattr(SpectralMeasure, "density_on_arc", counted)
     return calls
@@ -298,12 +298,13 @@ class TestMassRuleReuse:
         assert len(nu.ac_pieces) == 3
         total_mass(nu)
         reconstruct_coefficients(nu, 6)
-        # 64 and 128 nodes for the mass; the reconstruction reuses the 128
-        assert len(density_calls) == 2 * len(nu.ac_pieces)
+        # 64 and 128 nodes for the mass, in one evaluation of all pieces;
+        # the reconstruction reuses the 128
+        assert density_calls == [(p, 64 + 128) for p in nu.ac_pieces]
         # past the gate (5N > 128) the measure is discretized afresh, on a
         # depth-sized rule and on the rule that certifies it
         reconstruct_coefficients(nu, 33)
-        assert len(density_calls) == 4 * len(nu.ac_pieces)
+        assert len(density_calls) == 3 * len(nu.ac_pieces)
 
     @pytest.mark.parametrize("make, nodes", [
         (two_band_cut_measure, 128),

@@ -9,7 +9,7 @@ from reflectionless import (HerglotzRep, StepFunction, abs_boundary,
                             herglotz_eval, hilbert_transform)
 from reflectionless.krein import log_abs_on_arc
 
-from conftest import interior_points, random_step
+from conftest import interior_points, per_piece_log_abs, random_step
 
 
 def free_rep(bound=2.0):
@@ -68,6 +68,19 @@ class TestStepFunction:
         # touching a piece at a breakpoint is no overlap
         assert s.values_on(2.0, 2.0) == ()
         assert s.values_on(3.0, 4.0) == ()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_values_on_matches_the_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_step(rng, value_grid=[0.0, 0.5, 1.0, 0.25])
+        # ends on the breakpoints, inside, and outside [-R, R], in either order
+        ends = (list(s.breakpoints) + rng.uniform(-s.bound, s.bound, 4).tolist()
+                + [-2.0 * s.bound, 2.0 * s.bound])
+        for _ in range(30):
+            lo, hi = (float(x) for x in rng.choice(ends, size=2))
+            brute = tuple(v for x0, x1, v in s.pieces() if min(x1, hi) > max(x0, lo))
+            assert s.values_on(lo, hi) == brute
 
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -261,11 +274,24 @@ class TestHilbertTransform:
         rng = np.random.default_rng(13)
         xi = random_step(rng, max_pieces=4, min_width=0.3)
         rep = HerglotzRep(xi)
-        lo, hi, _ = list(xi.pieces())[0]
+        lo, hi, _ = np.array(list(xi.pieces())).T
         theta = np.linspace(-1.2, 1.2, 7)
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sin(theta)
+        # one row per piece
+        t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * np.sin(theta)
         assert np.allclose(np.exp(log_abs_on_arc(rep, lo, hi, theta)),
                            abs_boundary(rep, t), rtol=1e-12)
+
+    def test_arc_evaluation_is_the_per_piece_sum(self):
+        # the (piece, breakpoint) array form adds the same terms in the same
+        # order as a sum over the breakpoints of one piece at a time
+        rng = np.random.default_rng(17)
+        xi = random_step(rng, max_pieces=6, min_width=0.2)
+        rep = HerglotzRep(xi)
+        theta = np.linspace(-np.pi / 2, np.pi / 2, 33)[1:-1]
+        pieces = [(lo, hi) for lo, hi, _ in xi.pieces()] + [(-0.1, 0.2)]
+        rows = log_abs_on_arc(rep, *np.array(pieces).T, theta)
+        for (lo, hi), row in zip(pieces, rows):
+            assert np.array_equal(row, per_piece_log_abs(xi, lo, hi, theta))
 
 
 class TestCorrectionFactor:

@@ -1,15 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from reflectionless import (CompactSet, FSelector, GapJumps, HerglotzRep,
-                            SpectralMeasure, StepFunction, abs_boundary,
+                            NumericError, SpectralMeasure, StepFunction, abs_boundary,
                             canonical_krein_from_jumps, free_krein,
                             half_line_measure, herglotz_eval, stieltjes_invert,
                             total_mass)
-from reflectionless.measures import _adaptive_rule, _arc_rule, _fejer_rule, _support
+from reflectionless import measures
+from reflectionless.experiments import random_admissible_krein, random_f_selector
+from reflectionless.measures import _arc_rule, _fejer_rule, _support
+
+from conftest import per_piece_log_abs
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -51,6 +56,45 @@ def rule_moments(t, w, k_max):
     return np.array([np.sum(w * t**k) for k in range(k_max + 1)])
 
 
+def per_piece_rule(measure, piece):
+    """The mass rule of one ac piece by the per-piece loop: (n, theta, Fejer
+    weight x jacobian x density, mass) at the first n = 64, 128, ... where
+    two successive masses agree to 1e-12 * max(1, mass), each density summed
+    one breakpoint at a time.  The reference for the lockstep `_mass_rules`."""
+    half = 0.5 * (piece.hi - piece.lo)
+    v = measure.rep.xi.value_at(0.5 * (piece.lo + piece.hi))
+    prev, n = None, 64
+    while True:
+        th, w = measures._fejer_rule(n)
+        log_h = per_piece_log_abs(measure.rep.xi, piece.lo, piece.hi, th)
+        dens = piece.multiplier * np.exp(log_h) * math.sin(math.pi * v) / math.pi
+        wd = w * (half * np.cos(th)) * dens
+        cur = wd.sum()
+        if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+            return n, th, wd, cur
+        if n >= 8192:
+            raise NumericError(
+                f"quadrature on ({piece.lo}, {piece.hi}) did not reach tol=1e-12 with {n} nodes")
+        prev = cur
+        n *= 2
+
+
+def random_half_line(rng, n_pieces):
+    """A half-line measure with n_pieces ac pieces: random bands, a random
+    admissible Krein function and a random selector, drawn until the count
+    fits."""
+    while True:
+        n_bands = int(rng.integers(1, min(n_pieces, 4) + 1))
+        edges = np.sort(rng.uniform(-3.0, 3.0, 2 * n_bands))
+        if np.min(np.diff(edges)) < 0.1:
+            continue
+        k_set = CompactSet(tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))
+        rho = stieltjes_invert(HerglotzRep(random_admissible_krein(rng, k_set)))
+        nu = half_line_measure(rho, k_set, random_f_selector(rng, rho, k_set))
+        if len(nu.ac_pieces) == n_pieces:
+            return nu
+
+
 def mass_rule_support(nu):
     """Nodes and weights of the rules at which each ac piece's mass converged."""
     return _support(nu.ac_pieces, [rule[1:3] for rule in nu._mass_rules])
@@ -70,7 +114,7 @@ class TestStieltjesInversion:
         assert rho.atoms == ()
         assert len(rho.ac_pieces) == 1
         theta, t = arc_points(rho.ac_pieces[0], -1.9, 1.9, 21)
-        dens = rho.density_on_arc(rho.ac_pieces[0], theta)
+        dens = rho.density_on_arc(rho.ac_pieces, theta)[0]
         assert np.allclose(dens, np.sqrt(4.0 - t**2) / math.pi, atol=1e-13)
 
     def test_full_value_pieces_carry_no_ac_mass(self):
@@ -131,7 +175,7 @@ class TestHalfLineMeasure:
     def test_free_gives_the_normalized_semicircle(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
         theta, t = arc_points(nu0.ac_pieces[0], -1.9, 1.9, 11)
-        dens = nu0.density_on_arc(nu0.ac_pieces[0], theta)
+        dens = nu0.density_on_arc(nu0.ac_pieces, theta)[0]
         assert np.allclose(dens, np.sqrt(4.0 - t**2) / (2.0 * math.pi), atol=1e-13)
         assert total_mass(nu0) == pytest.approx(1.0, abs=1e-11)
 
@@ -180,7 +224,7 @@ class TestHalfLineMeasure:
         nu = half_line_measure(stieltjes_invert(rep), BAND)
         piece = [p for p in nu.ac_pieces if p.lo == -2.0][0]
         theta, t = arc_points(piece, -1.9, 1.9, 41)
-        dens = nu.density_on_arc(piece, theta)
+        dens = nu.density_on_arc([piece], theta)[0]
         reference = np.sqrt(4.0 - t**2) / (2.0 * math.pi)
         # |H| / |H_0| in closed form: the 0 on (-3, -2.4) and the 1 on (2, 2.7)
         h = (3.0 + t) / (2.4 + t) * (2.7 - t) / (2.0 - t)
@@ -220,7 +264,7 @@ class TestMassAndMoments:
             return half_line_measure(stieltjes_invert(HerglotzRep(XI_WITH_ATOM)), k_set, f)
 
         nu, fresh = make(), make()
-        ac = sum(_adaptive_rule(nu, p)[3] for p in nu.ac_pieces)
+        ac = sum(per_piece_rule(nu, p)[3] for p in nu.ac_pieces)
         expected = float(ac + sum(m for _, m in nu.atoms))
         assert total_mass(nu) == expected
         assert "_mass_rules" in vars(nu) and "_mass_rules" not in vars(fresh)
@@ -246,6 +290,49 @@ class TestMassAndMoments:
         nu0 = half_line_measure(semicircle_rho(), BAND)
         got = rule_moments(*mass_rule_support(nu0), 7)
         assert np.max(np.abs(got[1::2])) < 1e-12
+
+
+class TestLockstepMassRules:
+    """`_mass_rules` evaluates every piece's density in one call per rule
+    size; it must give bitwise the rules of the per-piece loop."""
+
+    @staticmethod
+    def assert_per_piece(nu):
+        rules = nu._mass_rules
+        assert len(rules) == len(nu.ac_pieces)
+        for (n, th, wd, mass), piece in zip(rules, nu.ac_pieces):
+            n0, th0, wd0, mass0 = per_piece_rule(nu, piece)
+            assert n == n0
+            assert np.array_equal(th, th0)
+            assert np.array_equal(wd, wd0)
+            assert np.array_equal(mass, mass0)
+
+    @pytest.mark.parametrize("n_pieces", range(1, 9))
+    def test_one_to_eight_pieces(self, n_pieces):
+        self.assert_per_piece(random_half_line(np.random.default_rng(n_pieces), n_pieces))
+
+    def test_pieces_converging_at_different_sizes(self):
+        # the middle band sees xi jump 0 -> 1 at 1.00001, 1e-5 past its right
+        # edge: only it needs the doublings past 128 nodes
+        xi = StepFunction.from_pieces(
+            3.0, [(-3.0, -2.0, 1.0), (-2.0, -1.0, 0.5), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.5),
+                  (1.0, 1.00001, 0.0), (1.00001, 1.5, 1.0), (1.5, 2.5, 0.5), (2.5, 3.0, 0.0)])
+        k_set = CompactSet(((-2.0, -1.0), (0.0, 1.0), (1.5, 2.5)))
+        nu = half_line_measure(stieltjes_invert(HerglotzRep(xi)), k_set)
+        assert [rule[0] for rule in nu._mass_rules] == [128, 512, 128]
+        self.assert_per_piece(nu)
+
+    def test_no_convergence_within_8192_nodes_raises(self, monkeypatch):
+        # weights that grow with n keep successive masses 1e-9 apart
+        fejer = measures._fejer_rule
+        monkeypatch.setattr(measures, "_fejer_rule",
+                            lambda n: (fejer(n)[0], fejer(n)[1] * (1.0 + 1e-9 * n)))
+        nu = random_half_line(np.random.default_rng(3), 3)
+        with pytest.raises(NumericError) as oracle:
+            per_piece_rule(nu, nu.ac_pieces[0])
+        assert "8192 nodes" in str(oracle.value)
+        with pytest.raises(NumericError, match=re.escape(str(oracle.value))):
+            total_mass(nu)
 
 
 class TestDiscretization:
