@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import NumericError
 from .gapflow import GapJumps, canonical_krein_from_jumps, default_bound
-from .krein import HerglotzRep, hilbert_transform
-from .measures import _fejer_rule, stieltjes_invert, total_mass
+from .krein import HerglotzRep
+from .measures import AcPiece, SpectralMeasure, _fejer_rule, stieltjes_invert, total_mass
 from .sets import CompactSet
 
 __all__ = [
@@ -63,38 +63,33 @@ def mass_objective(k_set: CompactSet, jumps: GapJumps,
 class _FastObjective:
     """Vectorized evaluator on fixed band quadrature nodes.
 
-    |H(t)| = (t + R) exp(T_0(t) + sum_j [ln|d_j - t| - ln|d_j - g_j - t|])
-    where T_0 is the no-jump canonical transform; only the per-gap terms
-    depend on the jump vector, so grids evaluate as array operations.
+    |H(t)| = |H_0(t)| prod_j |d_j - t| / |d_j - g_j - t|, where H_0 has no
+    jumps; only the per-gap factors depend on the jump vector, so grids
+    evaluate as array operations.
     """
 
     def __init__(self, k_set: CompactSet):
-        th, w = _fejer_rule(_NODES_PER_BAND)
-        ts, ws = [], []
-        for c, d in k_set.intervals:
-            mid, half = 0.5 * (c + d), 0.5 * (d - c)
-            ts.append(mid + half * np.sin(th))
-            ws.append(w * half * np.cos(th))
-        self.t = np.concatenate(ts)
-        self.w = np.concatenate(ws)
         base = canonical_krein_from_jumps(k_set, GapJumps((0.0,) * len(k_set.gaps())))
-        # log|H_base| at the nodes, with the per-gap zero-jump terms absent
-        log_base = np.log(self.t + base.bound) + hilbert_transform(base, self.t)
+        # the no-jump half-line measure: density |H_0| / (2 pi) on the bands
+        nu = SpectralMeasure(HerglotzRep(base),
+                             tuple(AcPiece(c, d, 0.5) for c, d in k_set.intervals))
+        t, wd = nu._rule(np.arange(len(k_set.intervals))[:, None], *_fejer_rule(_NODES_PER_BAND))
+        self.t = t.ravel()
         self.gap_ends = np.array([gd for _, gd in k_set.gaps()])
         self.gap_widths = np.array([gd - gc for gc, gd in k_set.gaps()])
-        # the g-independent part of ln(w_i |H(t_i)|)
+        # the g-independent part of ln(w_i |H(t_i)| / (2 pi))
         to_ends = self.gap_ends[None, :] - self.t[:, None]
-        self.alpha = np.log(self.w) + log_base + np.log(np.abs(to_ends)).sum(axis=1)
+        self.alpha = np.log(wd.ravel()) + np.log(np.abs(to_ends)).sum(axis=1)
 
     def _exponents(self, masses) -> tuple[np.ndarray, np.ndarray]:
-        """z_i = ln(w_i |H(t_i)|) and u_ij = d_j - g_j - t_i."""
+        """z_i = ln(w_i |H(t_i)| / (2 pi)) and u_ij = d_j - g_j - t_i."""
         g = np.asarray(masses, dtype=float)
         u = (self.gap_ends - g)[None, :] - self.t[:, None]
         return self.alpha - np.log(np.abs(u)).sum(axis=1), u
 
     def value(self, masses) -> float:
         z, _ = self._exponents(masses)
-        return float(np.exp(z).sum()) / (2.0 * np.pi)
+        return float(np.exp(z).sum())
 
     def log_derivatives(self, masses) -> tuple[float, np.ndarray, np.ndarray]:
         """ln f, its gradient and its Hessian in g, from one pass over the
@@ -110,7 +105,7 @@ class _FastObjective:
         grad = p @ dz
         centred = dz - grad
         hess = (centred * p[:, None]).T @ centred + np.diag(p @ (dz * dz))
-        return top + math.log(total / (2.0 * np.pi)), grad, hess
+        return top + math.log(total), grad, hess
 
     def grid_values(self, grids: list[np.ndarray]) -> np.ndarray:
         """Objective on the full product grid, shape = tuple(len(g) for g):
@@ -120,7 +115,7 @@ class _FastObjective:
         out = np.empty(tuple(len(g) for g in grids))
         for idx in np.ndindex(*out.shape[:-1]):
             z = self.alpha - sum(logs[j][i] for j, i in enumerate(idx))
-            out[idx] = last @ np.exp(z) / (2.0 * np.pi)
+            out[idx] = last @ np.exp(z)
         return out
 
 

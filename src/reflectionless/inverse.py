@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .measures import SpectralMeasure, _arc_rule, _root_edges, _support, total_mass
+from .measures import SpectralMeasure, _fejer_rule, _root_edges, total_mass
 from .operators import JacobiCoefficients, Tail
 
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
@@ -54,7 +54,9 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
     w = np.asarray(weights, dtype=float)
     if t.shape != w.shape or t.ndim != 1:
         raise ValueError("support and weights must be matching 1-d arrays")
-    if np.any(w < 0):
+    if not (np.isfinite(t).all() and np.isfinite(w).all()):
+        raise ValueError("support and weights must be finite")
+    if not np.all(w >= 0):
         raise ValueError("weights must be nonnegative")
     scale = max(1.0, float(np.max(np.abs(t))))
     q = np.sqrt(w)
@@ -110,14 +112,13 @@ def _scale(nu: SpectralMeasure) -> float:
                + [abs(e) for p in nu.ac_pieces for e in (p.lo, p.hi)])
 
 
-def _jacobi(nu: SpectralMeasure, rules, n_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(b_1..b_N, a_1..a_N) of nu with each ac piece replaced by its (theta,
-    weight) rule.  With atoms the recurrence goes one step deeper: the Gauss
-    rule of that section matches the ac moments through degree 2N + 1, which
-    fixes the first N pairs once the atoms are folded in."""
+def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b_1..b_N, a_1..a_N) of nu with its ac part replaced by the rule of
+    nodes t and weights w.  With atoms the recurrence goes one step deeper:
+    the Gauss rule of that section matches the ac moments through degree
+    2N + 1, which fixes the first N pairs once the atoms are folded in."""
     a, d = [0.0], []
     if nu.ac_pieces:
-        t, w = _support(nu.ac_pieces, rules)
         alphas, betas = lanczos_tridiag(t, w, n_coeffs + 1 if nu.atoms else n_coeffs)
         if not nu.atoms:
             return alphas, betas
@@ -132,11 +133,20 @@ def _jacobi(nu: SpectralMeasure, rules, n_coeffs: int) -> tuple[np.ndarray, np.n
     return np.array(d[:n_coeffs]), betas
 
 
+def _theta_rule(n: int, midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Fejer or midpoint (theta_k = -pi/2 + (k - 1/2) pi/n,
+    weight pi/n) rule in theta."""
+    if midpoint:
+        return (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
+    return _fejer_rule(n)
+
+
 def _certified(nu: SpectralMeasure, n_coeffs: int):
     """((b_1..b_N, a_1..a_N), rule per piece, certificate) on the depth-sized
-    rules that `reconstruct_coefficients` describes."""
+    rules that `reconstruct_coefficients` describes; one density call builds
+    the rules of all pieces at each size."""
     if nu.is_atomic():
-        return _jacobi(nu, (), n_coeffs), [], 0.0
+        return _jacobi(nu, None, None, n_coeffs), [], 0.0
     step = max(32, -(-n_coeffs // 4))
     kinds = [_root_edges(nu, p) for p in nu.ac_pieces]
     sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
@@ -144,9 +154,12 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
     prev, tol = None, 1e-12 * _scale(nu)
     for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
+        counts = [n + extra for n in sizes]
+        th, w = (np.concatenate(parts) for parts in
+                 zip(*(_theta_rule(n, mid) for n, mid in zip(counts, kinds))))
+        index = np.repeat(np.arange(len(counts)), counts)
         try:
-            cur = _jacobi(nu, [_arc_rule(nu, p, n + extra, mid)
-                               for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], n_coeffs)
+            cur = _jacobi(nu, *nu._rule(index, th, w), n_coeffs)
         except NumericError:
             cur = None
         if prev and cur:
@@ -187,10 +200,11 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     mass = total_mass(nu)
     if mass <= 0:
         raise ValueError("measure must have positive mass")
-    shallow = None
-    if all(5 * n_coeffs <= rule[0] for rule in nu._mass_rules):
+    shallow, rules = None, nu._mass_rules
+    if rules and all(5 * n_coeffs <= rule[0] for rule in rules):
+        t, w = (np.concatenate(part) for part in zip(*(rule[1:3] for rule in rules)))
         try:
-            shallow = _jacobi(nu, [rule[1:3] for rule in nu._mass_rules], n_coeffs)
+            shallow = _jacobi(nu, t, w, n_coeffs)
         except NumericError:
             pass
     alphas, betas = shallow or _certified(nu, n_coeffs)[0]

@@ -53,17 +53,17 @@ class StepFunction:
 
     def __post_init__(self):
         r = float(self.bound)
-        if not r > 0:
-            raise ValueError("domain bound must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError("domain bound must be positive and finite")
         bk = [float(x) for x in self.breakpoints]
         vals = [float(v) for v in self.values]
         if len(bk) != len(vals) + 1 or len(vals) < 1:
             raise ValueError("need len(breakpoints) == len(values) + 1 >= 2")
         if bk[0] != -r or bk[-1] != r:
             raise ValueError("breakpoints must start at -R and end at R")
-        if any(x1 < x0 for x0, x1 in zip(bk, bk[1:])):
+        if not all(x1 >= x0 for x0, x1 in zip(bk, bk[1:])):
             raise ValueError("breakpoints must be nondecreasing")
-        if any(v < 0.0 or v > 1.0 for v in vals):
+        if not all(0.0 <= v <= 1.0 for v in vals):
             raise ValueError("values must lie in [0, 1]")
         cbk, cvals = [bk[0]], []
         for x0, x1, v in zip(bk, bk[1:], vals):
@@ -81,10 +81,10 @@ class StepFunction:
         object.__setattr__(self, "values", tuple(cvals))
 
     @classmethod
-    def from_pieces(cls, bound: float, pieces: Iterable[tuple[float, float, float]],
-                    fill: float = 0.0) -> "StepFunction":
+    def from_pieces(cls, bound: float,
+                    pieces: Iterable[tuple[float, float, float]]) -> "StepFunction":
         """Build from (lo, hi, value) pieces; unspecified parts of [-R, R]
-        take the fill value.  Pieces must be disjoint."""
+        take the value 0.  Pieces must be disjoint."""
         r = float(bound)
         ps = sorted((float(a), float(b), float(v)) for a, b, v in pieces)
         bk, vals = [-r], []
@@ -96,14 +96,14 @@ class StepFunction:
                 raise ValueError("piece outside [-R, R]")
             if a > cur:
                 bk.append(a)
-                vals.append(fill)
+                vals.append(0.0)
             if b > a:
                 bk.append(b)
                 vals.append(v)
             cur = max(cur, b)
         if cur < r:
             bk.append(r)
-            vals.append(fill)
+            vals.append(0.0)
         return cls(r, tuple(bk), tuple(vals))
 
     @classmethod
@@ -215,13 +215,6 @@ class HerglotzRep:
     def bound(self) -> float:
         return self.xi.bound
 
-    def to_dict(self) -> dict:
-        return self.xi.to_dict()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HerglotzRep":
-        return cls(StepFunction.from_dict(data))
-
 
 def free_krein(bound: float = 2.0) -> StepFunction:
     """The Krein function of the free Jacobi matrix on [-R, R], R >= 2:
@@ -280,30 +273,32 @@ def abs_boundary(rep: HerglotzRep, x):
     return (np.asarray(x, dtype=float) + rep.bound) * np.exp(hilbert_transform(rep.xi, x))
 
 
-def log_abs_on_arc(rep: HerglotzRep, lo: np.ndarray, hi: np.ndarray, theta: np.ndarray):
-    """ln|H| at t = mid + half*sin(theta) on each piece (lo[p], hi[p]) of the
-    arrays lo, hi: one row per piece.
+def log_abs_on_arc(rep: HerglotzRep, lo, hi, theta):
+    """ln|H| at t = mid + half*sin(theta) on the piece (lo, hi), elementwise
+    over the broadcast shape of lo, hi and theta.
 
     Distances to breakpoints equal to lo or hi are computed
     trigonometrically (half*(1+sin) = 2*half*cos^2(pi/4 - theta/2) and its
     mirror), which keeps full relative precision arbitrarily close to the
     edges where |H| has square-root behavior; naive t - lo cancels
-    catastrophically there.  All (piece, breakpoint) distances go through
+    catastrophically there.  All (breakpoint, point) distances go through
     one log, and the terms are summed in breakpoint order.
     """
     xi = rep.xi
-    mid, half = (0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     t = mid + half * np.sin(theta)
     d = xi.abs_log_coefficients
-    xk = np.asarray(xi.breakpoints)[d != 0.0]
-    dist = np.abs(t[:, None, :] - xk[:, None])
-    for edge, trig in ((lo, np.cos), (hi, np.sin)):
-        hit = xk == edge[:, None]
-        dist[hit] = (2.0 * half * trig(0.25 * np.pi - 0.5 * theta) ** 2)[hit.nonzero()[0]]
-    logs = np.log(dist)
+    xk = np.asarray(xi.breakpoints)[d != 0.0].reshape((-1,) + (1,) * t.ndim)
+    phase = 0.25 * np.pi - 0.5 * theta
+    terms = t - xk
+    np.abs(terms, out=terms)
+    np.copyto(terms, 2.0 * half * np.cos(phase) ** 2, where=xk == lo)
+    np.copyto(terms, 2.0 * half * np.sin(phase) ** 2, where=xk == hi)
+    np.log(terms, out=terms)
+    terms *= d[d != 0.0].reshape(xk.shape)
     out = np.zeros_like(t)
-    for k, dk in enumerate(d[d != 0.0]):
-        out = out + dk * logs[:, k]
+    for term in terms:
+        out += term
     return out
 
 

@@ -11,12 +11,16 @@ at every breakpoint where xi jumps from 0 directly to 1, with mass
 like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
 analytic; Fejer's first rule in theta then converges spectrally, at about
-Gauss's rate (Trefethen, SIAM Rev. 50, 2008).  The mass rules of all ac
-pieces of a measure come from one density evaluation at 64 and 128 nodes
-and one per later doubling of the unconverged pieces; the rule each piece's
-mass converged at is memoized and reused by shallow reconstructions.  Where
-xi jumps by +-1/2 at both edges (every band of a reflectionless half-line
-measure), the integrand in theta is even, 2pi-periodic and analytic, so deep
+Gauss's rate (Trefethen, SIAM Rev. 50, 2008).  Every quadrature rule of a
+measure comes from `SpectralMeasure._rule`: nodes and weighted densities
+from one density evaluation, elementwise over an array of piece indices
+broadcast against the thetas, so one call serves the same rule on all
+pieces (a column of indices) or a different rule on each (a flat index).
+The mass rules take one call at 64 and 128 nodes and one per later doubling
+of the unconverged pieces; the rule each piece's mass converged at is
+memoized and reused by shallow reconstructions.  Where xi jumps by +-1/2 at
+both edges (every band of a reflectionless half-line measure), the
+integrand in theta is even, 2pi-periodic and analytic, so deep
 reconstructions use the midpoint rule in theta there, exact below degree 2n.
 """
 
@@ -67,6 +71,12 @@ class AcPiece:
     hi: float
     multiplier: float
 
+    def __post_init__(self):
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError("ac piece must be a finite interval of positive length")
+        if not 0 < self.multiplier < math.inf:
+            raise ValueError("ac piece multiplier must be positive and finite")
+
 
 @dataclass(frozen=True)
 class SpectralMeasure:
@@ -80,47 +90,59 @@ class SpectralMeasure:
     def __post_init__(self):
         if self.ac_pieces and self.rep is None:
             raise ValueError("ac pieces need a Herglotz representation")
-        for p in self.ac_pieces:
-            if not p.hi > p.lo:
-                raise ValueError("ac piece must have positive length")
         pieces = sorted(self.ac_pieces, key=lambda p: p.lo)
         for p0, p1 in zip(pieces, pieces[1:]):
             if p1.lo < p0.hi:
                 raise ValueError("ac pieces must be disjoint")
-        for _, m in self.atoms:
-            if not m > 0:
-                raise ValueError("atom masses must be positive")
+        for x, m in self.atoms:
+            if not (math.isfinite(x) and 0 < m < math.inf):
+                raise ValueError("atoms need a finite position and a positive finite mass")
         object.__setattr__(self, "ac_pieces", tuple(pieces))
         object.__setattr__(self, "atoms", tuple((float(x), float(m)) for x, m in self.atoms))
 
     def is_atomic(self) -> bool:
         return not self.ac_pieces
 
-    def density_on_arc(self, pieces, theta: np.ndarray) -> np.ndarray:
-        """Density of each piece at t = mid + half*sin(theta), one row per
-        piece, stable up to the piece edges (where it behaves like a power
-        of the distance)."""
-        lo, hi, m, v = np.array([(p.lo, p.hi, p.multiplier, self.rep.xi.value_at(
-            0.5 * (p.lo + p.hi))) for p in pieces]).T
-        sin_v = np.array([[math.sin(math.pi * x)] for x in v.tolist()])
-        return m[:, None] * np.exp(log_abs_on_arc(self.rep, lo, hi, theta)) * sin_v / math.pi
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Rows lo, hi, multiplier and sin(pi xi) over the ac pieces."""
+        xi = self.rep.xi
+        return np.array([(p.lo, p.hi, p.multiplier,
+                          math.sin(math.pi * xi.value_at(0.5 * (p.lo + p.hi))))
+                         for p in self.ac_pieces]).T
+
+    def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:
+        """Density at t = mid + half*sin(theta) on ac piece `index`,
+        elementwise over the broadcast shape of index and theta, stable up to
+        the piece edges (where it behaves like a power of the distance)."""
+        lo, hi, m, sin_v = self._rows[:, index]
+        return m * np.exp(log_abs_on_arc(self.rep, lo, hi, theta)) * sin_v / math.pi
+
+    def _rule(self, index, theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes t = mid + half*sin(theta) and weight x jacobian x density of
+        the rule (theta, w) in theta, node i on ac piece index[i]."""
+        lo, hi = self._rows[:2, index]
+        half = 0.5 * (hi - lo)
+        t = 0.5 * (lo + hi) + half * np.sin(theta)
+        return t, w * (half * np.cos(theta)) * self.density_on_arc(index, theta)
 
     @cached_property
     def _mass_rules(self) -> tuple:
-        """Per ac piece, (n, theta, Fejer weight x jacobian x density, mass)
+        """Per ac piece, (n, nodes t, Fejer weight x jacobian x density, mass)
         at the first n = 64, 128, ... where two successive masses agree to
         1e-12 * max(1, mass); one density call builds the 64 and 128 rules
         of all pieces.  No field, so == and hash ignore it."""
         if not self.ac_pieces:
             return ()
         th, w = (np.concatenate(pair) for pair in zip(_fejer_rule(64), _fejer_rule(128)))
-        wd = _weighted_density(self, self.ac_pieces, th, w)
-        todo, rows, rules, n = {i: r[:64].sum() for i, r in enumerate(wd)}, wd[:, 64:], {}, 128
+        ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], th, w)
+        todo, rules, n = {i: r[:64].sum() for i, r in enumerate(wd)}, {}, 128
+        ts, rows = ts[:, 64:], wd[:, 64:]
         while True:
-            for (i, prev), row in zip(list(todo.items()), rows):
+            for (i, prev), t, row in zip(list(todo.items()), ts, rows):
                 cur = todo[i] = row.sum()
                 if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-                    rules[i] = (n, _fejer_rule(n)[0], row, todo.pop(i))
+                    rules[i] = (n, t, row, todo.pop(i))
             if not todo:
                 return tuple(rules[i] for i in range(len(wd)))
             if n >= 8192:
@@ -128,23 +150,7 @@ class SpectralMeasure:
                 raise NumericError(f"quadrature on ({piece.lo}, {piece.hi}) "
                                    f"did not reach tol=1e-12 with {n} nodes")
             n *= 2
-            rows = _weighted_density(self, [self.ac_pieces[i] for i in todo], *_fejer_rule(n))
-
-    def to_dict(self) -> dict:
-        return {
-            "rep": None if self.rep is None else self.rep.to_dict(),
-            "ac_pieces": [{"interval": [p.lo, p.hi], "multiplier": p.multiplier}
-                          for p in self.ac_pieces],
-            "atoms": [[x, m] for x, m in self.atoms],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpectralMeasure":
-        rep = None if data.get("rep") is None else HerglotzRep.from_dict(data["rep"])
-        pieces = tuple(AcPiece(p["interval"][0], p["interval"][1], p["multiplier"])
-                       for p in data.get("ac_pieces", []))
-        atoms = tuple((x, m) for x, m in data.get("atoms", []))
-        return cls(rep, pieces, atoms)
+            ts, rows = self._rule(np.array(list(todo))[:, None], *_fejer_rule(n))
 
 
 @dataclass(frozen=True)
@@ -196,11 +202,6 @@ class FSelector:
     def to_dict(self) -> dict:
         return {"intervals": [[a, b, v] for a, b, v in self.intervals],
                 "atoms": [[x, w] for x, w in self.atom_weights]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FSelector":
-        return cls(tuple((a, b, v) for a, b, v in data.get("intervals", [])),
-                   tuple((x, w) for x, w in data.get("atoms", [])))
 
 
 def atom_positions_and_masses(xi: StepFunction) -> list[tuple[float, float]]:
@@ -285,23 +286,6 @@ def total_mass(measure: SpectralMeasure) -> float:
     return float(ac + sum(m for _, m in measure.atoms))
 
 
-def _arc_rule(measure: SpectralMeasure, piece: AcPiece, n: int,
-              midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, weight x jacobian x density) of the n-node Fejer or midpoint
-    (theta_k = -pi/2 + (k - 1/2) pi/n, weight pi/n) rule in theta."""
-    if midpoint:
-        th, w = (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
-    else:
-        th, w = _fejer_rule(n)
-    return th, _weighted_density(measure, (piece,), th, w)[0]
-
-
-def _weighted_density(measure: SpectralMeasure, pieces, th, w) -> np.ndarray:
-    """Weight x jacobian x density of each piece at the nodes th."""
-    half = np.array([0.5 * (p.hi - p.lo) for p in pieces])[:, None]
-    return w * (half * np.cos(th)) * measure.density_on_arc(pieces, th)
-
-
 def _root_edges(measure: SpectralMeasure, piece: AcPiece) -> bool:
     """Whether the density is |t - e|^(+-1/2) times an analytic factor at
     both edges e: the coefficient of ln|t - e| in ln|H| is +-1/2 there."""
@@ -309,11 +293,3 @@ def _root_edges(measure: SpectralMeasure, piece: AcPiece) -> bool:
     exponent = dict(zip(xi.breakpoints, xi.abs_log_coefficients.tolist()))
     return all(abs(exponent.get(e, 0.0)) == 0.5 for e in (piece.lo, piece.hi))
 
-
-def _support(pieces, rules) -> tuple[np.ndarray, np.ndarray]:
-    """Each ac piece's (theta, weight) rule at t = mid + half*sin(theta),
-    concatenated.  The pieces are disjoint and sorted and every rule's theta
-    ascends, so the nodes ascend."""
-    nodes = [0.5 * (p.lo + p.hi) + 0.5 * (p.hi - p.lo) * np.sin(th)
-             for p, (th, _) in zip(pieces, rules)]
-    return np.concatenate(nodes), np.concatenate([w for _, w in rules])

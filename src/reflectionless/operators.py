@@ -15,6 +15,7 @@ runs elementwise over an ndarray of energies as well as on one energy.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _SIZE_CAP = 10_000  # most sites of a truncated section in green_diag
+_TRUNCATION_TOL = 1e-10  # resolvent-entry error that sizes the truncated section
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class Tail:
         a, b = tuple(map(float, self.a_block)), tuple(map(float, self.b_block))
         if len(a) != len(b) or not a:
             raise ValueError("tail needs equal-length nonempty blocks")
-        if any(x <= 0 for x in a):
-            raise ValueError("tail needs a > 0")
+        if not all(0 < x < math.inf for x in a) or not all(map(math.isfinite, b)):
+            raise ValueError("tail needs finite a > 0 and finite b")
         object.__setattr__(self, "a_block", a)
         object.__setattr__(self, "b_block", b)
 
@@ -111,8 +113,8 @@ class JacobiCoefficients:
         ab = np.array([self.a_window, self.b_window], dtype=float)
         if ab.shape != (2, self.n_hi - self.n_lo + 1):
             raise ValueError("window arrays must match window size")
-        if np.count_nonzero(ab[0] <= 0):
-            raise ValueError("all a_n must be positive")
+        if not (np.all(ab[0] > 0) and np.isfinite(ab).all()):
+            raise ValueError("all a_n must be positive and all a_n, b_n finite")
         ab.flags.writeable = False
         for name, value in (("_window", ab), ("a_window", ab[0]), ("b_window", ab[1]),
                             ("_block", np.array((self.tail.a_block, self.tail.b_block)))):
@@ -264,37 +266,37 @@ def _green_recursion(j: JacobiCoefficients, n: int, z):
     return 1.0 / (b[c] - z - a[c] * a[c] * mp - a[c - 1] * a[c - 1] * mm)
 
 
-def _truncation_size(j: JacobiCoefficients, z: complex, tol: float) -> int:
-    """Window half-width giving resolvent-entry error below tol, from the
-    Combes-Thomas bound |G(m, n)| <= (2/eta) e^{-gamma |m-n|} with
-    gamma = log(1 + eta/(4 sup a))."""
+def _truncation_size(j: JacobiCoefficients, z: complex) -> int:
+    """Window half-width giving resolvent-entry error below
+    `_TRUNCATION_TOL`, from the Combes-Thomas bound
+    |G(m, n)| <= (2/eta) e^{-gamma |m-n|} with gamma = log(1 + eta/(4 sup a))."""
     eta = z.imag
     amax = max(float(j.a_window.max()), *j.tail.a_block)     # sup a_n
     gamma = math.log1p(eta / (4.0 * amax))
     c = 8.0 * amax / (eta * eta)
-    return math.ceil(math.log(max(c / tol, 2.0)) / gamma) + 5
+    return math.ceil(math.log(max(c / _TRUNCATION_TOL, 2.0)) / gamma) + 5
 
 
 def green_diag(j: JacobiCoefficients, n: int, z: complex,
-               method: str = "recursion", tol: float = 1e-10) -> complex:
+               method: str = "recursion") -> complex:
     """Diagonal Green function g_n(z) = <delta_n, (J - z)^{-1} delta_n>,
     Im z > 0.
 
     method "recursion" (default): Weyl half-line recursion closed at both
     tails; exact up to roundoff for free/constant/periodic tails, stable
     down to tiny Im z.  method "truncation": resolvent entry of a finite
-    section sized by the Combes-Thomas estimate for the requested `tol`
-    (raises if that exceeds `_SIZE_CAP` sites).
+    section sized by the Combes-Thomas estimate for an error of
+    `_TRUNCATION_TOL` (raises if that exceeds `_SIZE_CAP` sites).
     """
     z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("green_diag requires Im z > 0")
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise ValueError("green_diag requires a finite z with Im z > 0")
     if method == "recursion":
         return _green_recursion(j, n, z)
     if method == "truncation":
         from scipy.linalg import solve_banded
 
-        half = _truncation_size(j, z, tol)
+        half = _truncation_size(j, z)
         if 2 * half + 1 > _SIZE_CAP:
             raise NumericError(
                 f"truncation needs {2 * half + 1} sites at Im z = {z.imag}, over the cap {_SIZE_CAP}")

@@ -65,10 +65,3 @@ class CompactSet:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         return CompactSet(tuple((alpha * c + beta, alpha * d + beta) for c, d in self.intervals))
-
-    def to_dict(self) -> dict:
-        return {"intervals": [[c, d] for c, d in self.intervals]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompactSet":
-        return cls(tuple((float(c), float(d)) for c, d in data["intervals"]))

@@ -303,6 +303,23 @@ class TestReportsAndCli:
             rows = json.loads((tmp_path / what / "rows.json").read_text())
             assert key in rows[0]
 
+    @pytest.mark.parametrize("command, config", [
+        ("eval", {"extra": {"what": "hilbert", "points": [0.5],
+                            "xi": {"R": 2.0, "breakpoints": [-2.0, 0.0, 2.0],
+                                   "values": [0.5, float("nan")]}}}),
+        ("omega", {"horizon": 1, "window": 1,
+                   "extra": {"operator": {"n_lo": 0, "n_hi": 1, "a": [1.0, 1.0],
+                                          "b": [0.0, float("nan")],
+                                          "tail": {"kind": "free"}}}}),
+    ], ids=["eval-nan-value", "omega-nan-coefficient"])
+    def test_cli_non_finite_input_exit_two(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = self._cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_config_unknown_keys_go_to_extra(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"atoms": [[2.5, 0.1]], "n_coeffs": 30, "eta": 1e-6}))

@@ -58,7 +58,8 @@ class TestFlow:
 
     def test_partial_gap_mass_right_packs(self):
         xi = StepFunction.from_pieces(
-            3.0, [(-2.0, 0.0, 0.5), (0.0, 1.0, 0.3), (1.0, 2.0, 0.5)], fill=0.5)
+            3.0, [(-3.0, -2.0, 0.5), (-2.0, 0.0, 0.5), (0.0, 1.0, 0.3), (1.0, 2.0, 0.5),
+                  (2.0, 3.0, 0.5)])
         k_set = CompactSet(((-2.0, 0.0), (1.0, 2.0)))
         out = flow_to_canonical(xi, k_set)
         assert out.jumps() == pytest.approx((0.3,), abs=1e-15)
@@ -140,7 +141,8 @@ class TestCanonicalShape:
 
     def test_wrong_left_tail_is_not_canonical(self):
         k_set = CompactSet(((-2.0, 2.0),))
-        xi = StepFunction.from_pieces(3.0, [(-2.0, 2.0, 0.5)], fill=0.0)
+        xi = StepFunction.from_pieces(3.0, [(-3.0, -2.0, 0.0), (-2.0, 2.0, 0.5),
+                                            (2.0, 3.0, 0.0)])
         assert not is_canonical(xi, k_set)
 
     def test_left_packed_gap_is_not_canonical(self):

@@ -13,7 +13,7 @@ from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRe
                             reconstruct_coefficients, stieltjes_invert,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein, random_f_selector
-from reflectionless.measures import _arc_rule
+from reflectionless.measures import _fejer_rule
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -39,10 +39,10 @@ def discretize(nu, nodes):
     arrays sorted by node, then by weight."""
     t = [np.array([x for x, _ in nu.atoms], dtype=float)]
     w = [np.array([m for _, m in nu.atoms], dtype=float)]
-    for p in nu.ac_pieces:
-        th, wd = _arc_rule(nu, p, nodes)
-        t.append(0.5 * (p.lo + p.hi) + 0.5 * (p.hi - p.lo) * np.sin(th))
-        w.append(wd)
+    for i in range(len(nu.ac_pieces)):
+        ti, wi = nu._rule(i, *_fejer_rule(nodes))
+        t.append(ti)
+        w.append(wi)
     t, w = np.concatenate(t), np.concatenate(w)
     order = np.lexsort((w, t))
     return t[order], w[order]
@@ -108,13 +108,16 @@ def near_breakpoint_measure():
 
 @pytest.fixture
 def density_calls(monkeypatch):
-    """(ac piece, node count) of every density evaluation from here on."""
+    """(ac piece, node count) of every density evaluation from here on, one
+    entry per piece that a call evaluates."""
     calls = []
     original = SpectralMeasure.density_on_arc
 
-    def counted(self, pieces, theta):
-        calls.extend((p, len(theta)) for p in pieces)
-        return original(self, pieces, theta)
+    def counted(self, index, theta):
+        nodes = np.broadcast_arrays(index, theta)[0]
+        calls.extend((self.ac_pieces[i], int(np.count_nonzero(nodes == i)))
+                     for i in np.unique(nodes))
+        return original(self, index, theta)
 
     monkeypatch.setattr(SpectralMeasure, "density_on_arc", counted)
     return calls
@@ -143,6 +146,13 @@ def assert_matches_two_pass(nu, depth, tol):
 
 
 class TestLanczosKernel:
+    @pytest.mark.parametrize("t, w", [((0.0, 1.0), (0.5, math.nan)),
+                                      ((0.0, math.nan), (0.5, 0.5)),
+                                      ((0.0, 1.0), (0.5, math.inf))])
+    def test_non_finite_input_rejected(self, t, w):
+        with pytest.raises(ValueError, match="finite"):
+            lanczos_tridiag(np.array(t), np.array(w), 1)
+
     @pytest.mark.parametrize("nu, nodes, depth", [
         (canonical_half_line(((-1.9, 3.3),)), 400, 200),
         (canonical_half_line(((-1.9, 3.3),)), 1600, 800),
@@ -306,6 +316,26 @@ class TestMassRuleReuse:
         reconstruct_coefficients(nu, 33)
         assert len(density_calls) == 3 * len(nu.ac_pieces)
 
+    def test_certified_rules_take_one_density_call_per_size(self, monkeypatch):
+        # past the gate every rule size of `_certified` evaluates the density
+        # of all three pieces in one call
+        from reflectionless import inverse
+
+        nu = two_band_cut_measure()
+        total_mass(nu)
+        calls = []
+        original = SpectralMeasure.density_on_arc
+
+        def counted(self, index, theta):
+            calls.append(np.unique(index).tolist())
+            return original(self, index, theta)
+
+        monkeypatch.setattr(SpectralMeasure, "density_on_arc", counted)
+        _, rules, _ = inverse._certified(nu, 33)
+        # certified by the first pair: the depth-sized rules and 32 nodes more
+        assert [r["certifying_nodes"] - r["nodes"] for r in rules] == [32, 32, 32]
+        assert calls == [[0, 1, 2], [0, 1, 2]]
+
     @pytest.mark.parametrize("make, nodes", [
         (two_band_cut_measure, 128),
         (near_breakpoint_measure, 256),
@@ -327,7 +357,6 @@ class TestMassRuleReuse:
 
     def test_breakdown_on_the_mass_rules_falls_back(self, monkeypatch):
         from reflectionless import inverse
-        from reflectionless.measures import _support
 
         kernel, sizes = inverse.lanczos_tridiag, []
 
@@ -343,9 +372,9 @@ class TestMassRuleReuse:
         # Fejer with 2N + 128 nodes on the two pieces with a regular
         # edge, the midpoint rule with N + 128 on [1, 2]; certified at 32 more
         assert sizes == [3 * 128, 2 * 140 + 134, 2 * 172 + 166]
-        rules = [_arc_rule(nu, p, n, mid) for p, n, mid in
-                 zip(nu.ac_pieces, (140, 140, 134), (False, False, True))]
-        t, w = _support(nu.ac_pieces, rules)
+        rules = [nu._rule(i, *inverse._theta_rule(n, mid)) for i, n, mid in
+                 zip(range(3), (140, 140, 134), (False, False, True))]
+        t, w = (np.concatenate(part) for part in zip(*rules))
         alphas, betas = kernel(t, w, 6)
         assert np.array_equal(rec.a_window[1:], betas)
         assert np.array_equal(rec.b_window[1:], alphas)

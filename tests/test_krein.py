@@ -43,6 +43,15 @@ def with_value_by_sweep(s, lo, hi, value):
 
 
 class TestStepFunction:
+    @pytest.mark.parametrize("bound, breakpoints, values", [
+        (2.0, (-2.0, 0.0, 2.0), (0.5, math.nan)),
+        (2.0, (-2.0, math.nan, 2.0), (0.5, 0.0)),
+        (math.inf, (-math.inf, math.inf), (0.5,)),
+    ], ids=["nan-value", "nan-breakpoint", "infinite-bound"])
+    def test_non_finite_input_rejected(self, bound, breakpoints, values):
+        with pytest.raises(ValueError):
+            StepFunction(bound, breakpoints, values)
+
     def test_canonical_merges_equal_neighbors(self):
         s = StepFunction(2.0, (-2.0, -1.0, 0.0, 2.0), (0.5, 0.5, 0.0))
         assert s.breakpoints == (-2.0, 0.0, 2.0)
@@ -274,24 +283,39 @@ class TestHilbertTransform:
         rng = np.random.default_rng(13)
         xi = random_step(rng, max_pieces=4, min_width=0.3)
         rep = HerglotzRep(xi)
-        lo, hi, _ = np.array(list(xi.pieces())).T
+        lo, hi, _ = np.array(list(xi.pieces())).T[:, :, None]
         theta = np.linspace(-1.2, 1.2, 7)
         # one row per piece
-        t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * np.sin(theta)
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sin(theta)
         assert np.allclose(np.exp(log_abs_on_arc(rep, lo, hi, theta)),
                            abs_boundary(rep, t), rtol=1e-12)
 
+    @staticmethod
+    def arc_pieces(seed):
+        xi = random_step(np.random.default_rng(seed), max_pieces=6, min_width=0.2)
+        return xi, [(lo, hi) for lo, hi, _ in xi.pieces()] + [(-0.1, 0.2)]
+
     def test_arc_evaluation_is_the_per_piece_sum(self):
-        # the (piece, breakpoint) array form adds the same terms in the same
-        # order as a sum over the breakpoints of one piece at a time
-        rng = np.random.default_rng(17)
-        xi = random_step(rng, max_pieces=6, min_width=0.2)
-        rep = HerglotzRep(xi)
+        # pieces as a column against one shared theta: the broadcast form
+        # adds the same terms in the same order as a sum over the
+        # breakpoints of one piece at a time
+        xi, pieces = self.arc_pieces(17)
         theta = np.linspace(-np.pi / 2, np.pi / 2, 33)[1:-1]
-        pieces = [(lo, hi) for lo, hi, _ in xi.pieces()] + [(-0.1, 0.2)]
-        rows = log_abs_on_arc(rep, *np.array(pieces).T, theta)
+        lo, hi = np.array(pieces).T[:, :, None]
+        rows = log_abs_on_arc(HerglotzRep(xi), lo, hi, theta)
         for (lo, hi), row in zip(pieces, rows):
             assert np.array_equal(row, per_piece_log_abs(xi, lo, hi, theta))
+
+    def test_arc_evaluation_on_a_ragged_flat_layout(self):
+        # one flat array of nodes, node i on piece index[i], each piece with
+        # its own rule size: bitwise the per-piece sum as well
+        xi, pieces = self.arc_pieces(19)
+        sizes = [5 + 7 * i for i in range(len(pieces))]
+        thetas = [np.linspace(-np.pi / 2, np.pi / 2, n + 2)[1:-1] for n in sizes]
+        lo, hi = np.array(pieces)[np.repeat(np.arange(len(pieces)), sizes)].T
+        flat = log_abs_on_arc(HerglotzRep(xi), lo, hi, np.concatenate(thetas))
+        ref = [per_piece_log_abs(xi, a, b, th) for (a, b), th in zip(pieces, thetas)]
+        assert np.array_equal(flat, np.concatenate(ref))
 
 
 class TestCorrectionFactor:

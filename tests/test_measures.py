@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reflectionless import (CompactSet, FSelector, GapJumps, HerglotzRep,
+from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRep,
                             NumericError, SpectralMeasure, StepFunction, abs_boundary,
                             canonical_krein_from_jumps, free_krein,
                             half_line_measure, herglotz_eval, stieltjes_invert,
                             total_mass)
-from reflectionless import measures
+from reflectionless import inverse, measures
 from reflectionless.experiments import random_admissible_krein, random_f_selector
-from reflectionless.measures import _arc_rule, _fejer_rule, _support
+from reflectionless.measures import _fejer_rule
 
 from conftest import per_piece_log_abs
 
@@ -57,10 +57,11 @@ def rule_moments(t, w, k_max):
 
 
 def per_piece_rule(measure, piece):
-    """The mass rule of one ac piece by the per-piece loop: (n, theta, Fejer
-    weight x jacobian x density, mass) at the first n = 64, 128, ... where
-    two successive masses agree to 1e-12 * max(1, mass), each density summed
-    one breakpoint at a time.  The reference for the lockstep `_mass_rules`."""
+    """The mass rule of one ac piece by the per-piece loop: (n, nodes t,
+    Fejer weight x jacobian x density, mass) at the first n = 64, 128, ...
+    where two successive masses agree to 1e-12 * max(1, mass), each density
+    summed one breakpoint at a time.  The reference for the lockstep
+    `_mass_rules`."""
     half = 0.5 * (piece.hi - piece.lo)
     v = measure.rep.xi.value_at(0.5 * (piece.lo + piece.hi))
     prev, n = None, 64
@@ -71,7 +72,7 @@ def per_piece_rule(measure, piece):
         wd = w * (half * np.cos(th)) * dens
         cur = wd.sum()
         if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            return n, th, wd, cur
+            return n, 0.5 * (piece.lo + piece.hi) + half * np.sin(th), wd, cur
         if n >= 8192:
             raise NumericError(
                 f"quadrature on ({piece.lo}, {piece.hi}) did not reach tol=1e-12 with {n} nodes")
@@ -97,7 +98,15 @@ def random_half_line(rng, n_pieces):
 
 def mass_rule_support(nu):
     """Nodes and weights of the rules at which each ac piece's mass converged."""
-    return _support(nu.ac_pieces, [rule[1:3] for rule in nu._mass_rules])
+    return tuple(np.concatenate(part) for part in zip(*(rule[1:3] for rule in nu._mass_rules)))
+
+
+def flat_rule(nu, n, midpoint=False):
+    """The n-node rule in theta on every ac piece, laid out as one flat
+    array as `inverse._certified` lays it out."""
+    th, w = inverse._theta_rule(n, midpoint)
+    count = len(nu.ac_pieces)
+    return nu._rule(np.repeat(np.arange(count), n), np.tile(th, count), np.tile(w, count))
 
 
 def arc_points(piece, t_lo, t_hi, n):
@@ -114,7 +123,7 @@ class TestStieltjesInversion:
         assert rho.atoms == ()
         assert len(rho.ac_pieces) == 1
         theta, t = arc_points(rho.ac_pieces[0], -1.9, 1.9, 21)
-        dens = rho.density_on_arc(rho.ac_pieces, theta)[0]
+        dens = rho.density_on_arc(0, theta)
         assert np.allclose(dens, np.sqrt(4.0 - t**2) / math.pi, atol=1e-13)
 
     def test_full_value_pieces_carry_no_ac_mass(self):
@@ -175,7 +184,7 @@ class TestHalfLineMeasure:
     def test_free_gives_the_normalized_semicircle(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
         theta, t = arc_points(nu0.ac_pieces[0], -1.9, 1.9, 11)
-        dens = nu0.density_on_arc(nu0.ac_pieces, theta)[0]
+        dens = nu0.density_on_arc(0, theta)
         assert np.allclose(dens, np.sqrt(4.0 - t**2) / (2.0 * math.pi), atol=1e-13)
         assert total_mass(nu0) == pytest.approx(1.0, abs=1e-11)
 
@@ -224,7 +233,7 @@ class TestHalfLineMeasure:
         nu = half_line_measure(stieltjes_invert(rep), BAND)
         piece = [p for p in nu.ac_pieces if p.lo == -2.0][0]
         theta, t = arc_points(piece, -1.9, 1.9, 41)
-        dens = nu.density_on_arc([piece], theta)[0]
+        dens = nu.density_on_arc(nu.ac_pieces.index(piece), theta)
         reference = np.sqrt(4.0 - t**2) / (2.0 * math.pi)
         # |H| / |H_0| in closed form: the 0 on (-3, -2.4) and the 1 on (2, 2.7)
         h = (3.0 + t) / (2.4 + t) * (2.7 - t) / (2.0 - t)
@@ -269,10 +278,9 @@ class TestMassAndMoments:
         assert total_mass(nu) == expected
         assert "_mass_rules" in vars(nu) and "_mass_rules" not in vars(fresh)
         assert total_mass(nu) == expected
-        # the memo is no field: it leaves equality, hashing and to_dict alone
+        # the memo is no field: it leaves equality and hashing alone
         assert nu == fresh
         assert hash(nu) == hash(fresh)
-        assert nu.to_dict() == fresh.to_dict()
 
     def test_semicircle_moments_match_catalan_numbers(self):
         # the memoized mass rule carries the low moments that shallow
@@ -300,10 +308,10 @@ class TestLockstepMassRules:
     def assert_per_piece(nu):
         rules = nu._mass_rules
         assert len(rules) == len(nu.ac_pieces)
-        for (n, th, wd, mass), piece in zip(rules, nu.ac_pieces):
-            n0, th0, wd0, mass0 = per_piece_rule(nu, piece)
+        for (n, t, wd, mass), piece in zip(rules, nu.ac_pieces):
+            n0, t0, wd0, mass0 = per_piece_rule(nu, piece)
             assert n == n0
-            assert np.array_equal(th, th0)
+            assert np.array_equal(t, t0)
             assert np.array_equal(wd, wd0)
             assert np.array_equal(mass, mass0)
 
@@ -338,13 +346,13 @@ class TestLockstepMassRules:
 class TestDiscretization:
     def test_semicircle_mass_preserved(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        _, w = _arc_rule(nu0, nu0.ac_pieces[0], 200)
+        _, w = nu0._rule(0, *_fejer_rule(200))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_array_discretization_matches_the_tuple_route(self):
-        # `_support` concatenates the pieces' rules without a sort, so its
-        # nodes must already be in (node, weight) order and strictly ascend,
-        # also where two pieces share an edge: on several bands and on f-cut
+        # the pieces' rules are concatenated without a sort, so their nodes
+        # must already be in (node, weight) order and strictly ascend, also
+        # where two pieces share an edge: on several bands and on f-cut
         # pieces, for the mass rules and depth-sized midpoint and Fejer
         # rules
         three_bands = CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)))
@@ -361,19 +369,18 @@ class TestDiscretization:
         assert [len(nu.ac_pieces) for nu in measures] == [3, 3]
         assert measures[1].ac_pieces[0].hi == measures[1].ac_pieces[1].lo
         for nu in measures:
-            rules = {"mass": [rule[1:3] for rule in nu._mass_rules],
-                     "midpoint": [_arc_rule(nu, p, 428, True) for p in nu.ac_pieces],
-                     "fejer": [_arc_rule(nu, p, 728) for p in nu.ac_pieces]}
-            for kind, rule in rules.items():
-                nodes, weights = _support(nu.ac_pieces, rule)
+            rules = {"mass": mass_rule_support(nu),
+                     "midpoint": flat_rule(nu, 428, True),
+                     "fejer": flat_rule(nu, 728)}
+            for kind, (nodes, weights) in rules.items():
                 assert np.all(np.diff(nodes) > 0), kind
                 ref = sorted(zip(nodes.tolist(), weights.tolist()))
                 assert nodes.tolist() == [x for x, _ in ref], kind
 
     def test_moments_to_order_twenty(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        th, w = _arc_rule(nu0, nu0.ac_pieces[0], 200)
-        got = rule_moments(2.0 * np.sin(th), w, 20)
+        t, w = nu0._rule(0, *_fejer_rule(200))
+        got = rule_moments(t, w, 20)
         assert np.max(np.abs(got - catalan_moments(20))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 5, 64, 128, 727, 3200])
@@ -399,18 +406,19 @@ class TestDiscretization:
             assert abs(got - (primitive(1.0) - primitive(-1.0))) <= 1e-15
 
 
+class TestValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: AcPiece(-2.0, 2.0, math.nan),
+        lambda: AcPiece(-2.0, math.inf, 0.5),
+        lambda: SpectralMeasure(None, (), ((math.nan, 1.0),)),
+        lambda: SpectralMeasure(None, (), ((0.0, math.inf),)),
+    ], ids=["nan-multiplier", "infinite-edge", "nan-atom-position", "infinite-atom-mass"])
+    def test_non_finite_measure_data_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestSerialization:
-    def test_measure_roundtrip(self):
-        rho = stieltjes_invert(HerglotzRep(XI_WITH_ATOM))
-        back = SpectralMeasure.from_dict(rho.to_dict())
-        assert back.atoms == rho.atoms
-        assert back.ac_pieces == rho.ac_pieces
-        assert back.rep == rho.rep
-
-    def test_selector_roundtrip(self):
-        f = FSelector(intervals=((2.0, 3.0, 0.25),), atom_weights=((2.5, 1.0),))
-        assert FSelector.from_dict(f.to_dict()) == f
-
     def test_selector_validation(self):
         with pytest.raises(ValueError):
             FSelector(intervals=((0.0, 1.0, 1.5),))
