@@ -69,7 +69,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer")
-        if self.cluster_threshold <= 0:
+        if not self.cluster_threshold > 0:          # refuses NaN too
             raise ConfigError("cluster_threshold must be positive")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")

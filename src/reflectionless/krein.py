@@ -235,10 +235,13 @@ def herglotz_eval(rep: HerglotzRep, z):
 
     Each piece (a, b) of value v contributes the principal power
     ((z-b)/(z-a))^v; the base never meets (-inf, 0] for z off [a, b], so
-    the principal-log sum equals the defining integral.  Scalar or array z.
+    the principal-log sum equals the defining integral.  Scalar or array z,
+    finite: a NaN or infinite point raises ValueError.
     """
     xi = rep.xi
     zc = _as_complex_points(z)
+    if not np.isfinite(zc).all():
+        raise ValueError("herglotz_eval needs finite points z")
     on_cut = (zc.imag == 0.0) & (np.abs(zc.real) <= xi.bound)
     if np.any(on_cut):
         raise ValueError("z on [-R, R]; use boundary_value for boundary limits")
@@ -253,9 +256,11 @@ def herglotz_eval(rep: HerglotzRep, z):
 
 def hilbert_transform(f: StepFunction, x):
     """(Tf)(x) = p.v. integral f(t)/(t-x) dt = sum_k c_k ln|x - x_k|,
-    exact for step functions.  x may be scalar or array, anywhere off the
-    breakpoints that carry a jump."""
+    exact for step functions.  x may be scalar or array of finite points,
+    anywhere off the breakpoints that carry a jump."""
     xa = np.asarray(x, dtype=float)
+    if not np.isfinite(xa).all():
+        raise ValueError("hilbert_transform needs finite points x")
     c = f.log_coefficients
     s = np.zeros_like(xa)
     for ck, xk in zip(c, f.breakpoints):

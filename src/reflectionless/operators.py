@@ -9,8 +9,9 @@ functions computable two independent ways:
 * the Weyl m-function recursion m_k = 1/(b_k - z - a_k^2 m_{k+1}) closed at
   the tails by the attracting fixed point of the one-period Moebius map.
 
-Both read their coefficients as arrays over a site range, and the recursion
-runs elementwise over an ndarray of energies as well as on one energy.
+Both read their coefficients as arrays over a site range.  The recursion
+serves a run of sites from one walk per side and one solve per tail phase,
+on one energy or elementwise over an ndarray of energies.
 """
 
 from __future__ import annotations
@@ -159,15 +160,15 @@ class JacobiCoefficients:
             return self.b_window.item(n - self.n_lo)
         return self._block.item(1, (n - self.n_lo) % self._block.shape[1])
 
-    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) on lo..hi inclusive: tail blocks tiled from n_lo, the window
-        slice copied over them."""
-        phase = np.arange(lo - self.n_lo, hi + 1 - self.n_lo) % self.tail.period
+    def arrays(self, lo: int, hi: int) -> np.ndarray:
+        """Rows (a, b) on lo..hi inclusive, one new (2, hi - lo + 1) array: tail
+        blocks tiled from n_lo, the window slice copied over them."""
+        phase = np.arange(lo - self.n_lo, hi + 1 - self.n_lo) % self._block.shape[1]
         ab = self._block.take(phase, axis=1)
         i, k = max(lo, self.n_lo), min(hi, self.n_hi) + 1
         if i < k:
             ab[:, i - lo:k - lo] = self._window[:, i - self.n_lo:k - self.n_lo]
-        return ab[0], ab[1]
+        return ab
 
     def restrict(self, lo: int, hi: int) -> "JacobiCoefficients":
         """Explicit window narrowed/extended to lo..hi (values from `arrays`),
@@ -213,57 +214,65 @@ def coefficient_metric(j1: JacobiCoefficients, j2: JacobiCoefficients) -> float:
 # Green functions
 # ---------------------------------------------------------------------------
 
-def _attracting_fixed_point(m00, m01, m10, m11):
-    """Attracting fixed point of the Moebius map w -> (m00 w + m01)/(m10 w + m11),
-    elementwise when the entries are arrays.
+def _tail_m(pairs, z):
+    """m at the first site of an infinite half line whose (a, b) repeat the
+    one-period pairs of the iterator toward the far end, elementwise when z
+    is an array: the attracting fixed point of the one-period Moebius map
+    w -> (m00 w + m01)/(m10 w + m11).
 
-    For Im z > 0 the one-period transfer map of the Weyl recursion contracts
-    the upper half plane, so its attracting fixed point is the half-line
-    m-function.  m10 = -a_p^2 det(J' - z), J' the Jacobi block of the first
-    p - 1 sites of the period, has real roots only, so it is nonzero for
-    Im z > 0.  Plain arithmetic, builtin abs and ** 0.5 keep a scalar z in
-    Python complex numbers.
+    For Im z > 0 that map contracts the upper half plane, so its attracting
+    fixed point is the half-line m-function.  m10 = -a_p^2 det(J' - z), J'
+    the Jacobi block of the first p - 1 sites of the period, has real roots
+    only, so it is nonzero for Im z > 0.  Plain arithmetic, builtin abs and
+    ** 0.5 keep a scalar z in Python complex numbers.
     """
+    a, b = next(pairs)
+    m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z     # the first pair's matrix
+    for a, b in pairs:
+        # compose with [[0, 1], [-a^2, b - z]] on the right
+        q, c = -a * a, b - z
+        m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
     disc = ((m11 - m00) ** 2 + 4.0 * m01 * m10) ** 0.5
     r1 = ((m00 - m11) + disc) / (2.0 * m10)
     r2 = ((m00 - m11) - disc) / (2.0 * m10)
     d1, d2 = abs(m10 * r1 + m11), abs(m10 * r2 + m11)
     pick1, pick2 = d1 > d2, d1 <= d2        # max(d1, d2) = d1 * pick1 + d2 * pick2
-    if np.count_nonzero(abs(d1 - d2) <= 1e-13 * (d1 * pick1 + d2 * pick2)):
+    tie = abs(d1 - d2) <= 1e-13 * (d1 * pick1 + d2 * pick2)
+    if tie is True or tie is not False and np.count_nonzero(tie):   # builtin bools skip numpy
         raise NumericError("tail fixed points indistinguishable (z too close to the band)")
     return r1 * pick1 + r2 * pick2
 
 
-def _tail_m(pairs, z):
-    """m at the first site of an infinite half line whose (a, b) repeat the
-    given one-period pairs toward the far end."""
-    (a, b), *rest = pairs
-    m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z     # the first pair's matrix
-    for a, b in rest:
-        # compose with [[0, 1], [-a^2, b - z]] on the right
-        q, c = -a * a, b - z
-        m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
-    return _attracting_fixed_point(m00, m01, m10, m11)
+def _half_line_m(a, b, k0, k1, e, p, z):
+    """[m_k for k = k1 down to k0], 1 <= k0 <= k1, of m_k = 1/(b_k - z - a_k^2 m_{k+1}) on
+    lists whose (a, b) repeat with period p from index e on: one tail solve per phase, one walk."""
+    ms = []
+    for k in range(k1, max(k0, e) - 1, -1):
+        ms.append(ms[-p] if len(ms) >= p else _tail_m(zip(a[k:k + p], b[k:k + p]), z))
+    if k0 < e:
+        m, top = ms[-1] if ms else _tail_m(zip(a[e:e + p], b[e:e + p]), z), e - 1
+        for k in range(min(k1, e - 1), k0 - 1, -1):      # walk on from top down to k
+            for a_k, b_k in zip(a[top:k - 1:-1], b[top:k - 1:-1]):
+                m = 1.0 / (b_k - z - a_k * a_k * m)
+            ms.append(m)
+            top = k - 1
+    return ms
 
 
-def _green_recursion(j: JacobiCoefficients, n: int, z):
-    """g_n(z) from the Weyl m-functions of the half lines right and left of
-    n, each closed at its tail; z is a complex number or an ndarray of them.
-    One `arrays` call fetches every coefficient the two walks read."""
+def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z) -> list:
+    """[g_n(z) for n = n0..n1], z complex or an ndarray, from one `arrays` call
+    and one m-function sweep per side.  The left sweep is the right one on the
+    lists reflected about n1, index i holding b_{n1 - i} and a_{n1 - i - 1}."""
     p = j.tail.period
-    right = max(n, j.n_hi) + 1          # the right tail repeats from here on
-    lo = min(n, j.n_lo) - 1 - p         # the left tail repeats from lo + p down
-    a, b = (x.tolist() for x in j.arrays(lo, right + p - 1))   # site s at index s - lo
-    c, r = n - lo, right - lo
-    # right: m_s = 1/(b_s - z - a_s^2 m_{s+1}), from site right down to n + 1
-    mp = _tail_m(zip(a[r:], b[r:]), z)
-    for a_s, b_s in zip(a[r - 1:c:-1], b[r - 1:c:-1]):
-        mp = 1.0 / (b_s - z - a_s * a_s * mp)
-    # left: m_s = 1/(b_s - z - a_{s-1}^2 m_{s-1}), from site lo + p up to n - 1
-    mm = _tail_m(zip(a[p - 1::-1], b[p:0:-1]), z)
-    for a_s, b_s in zip(a[p:c - 1], b[p + 1:c]):
-        mm = 1.0 / (b_s - z - a_s * a_s * mm)
-    return 1.0 / (b[c] - z - a[c] * a[c] * mp - a[c - 1] * a[c - 1] * mm)
+    lo = min(n0, j.n_lo) - 1 - p        # the left tail repeats from lo + p down
+    a, b = j.arrays(lo, max(n1, j.n_hi) + p).tolist()     # site s at index s - lo
+    c0, c1 = n0 - lo, n1 - lo
+    mp = _half_line_m(a, b, c0 + 1, c1 + 1, j.n_hi + 1 - lo, p, z)
+    mm = _half_line_m(a[c1 - 1::-1], b[c1::-1], 1, c1 - c0 + 1, c1 + 1 + lo - j.n_lo, p, z)
+    g = []
+    for c in range(c0, c1 + 1):
+        g.append(1.0 / (b[c] - z - a[c] * a[c] * mp[c1 - c] - a[c - 1] * a[c - 1] * mm[c - c0]))
+    return g
 
 
 def _truncation_size(j: JacobiCoefficients, z: complex) -> int:
@@ -292,7 +301,7 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
     if not (cmath.isfinite(z) and z.imag > 0):
         raise ValueError("green_diag requires a finite z with Im z > 0")
     if method == "recursion":
-        return _green_recursion(j, n, z)
+        return _green_sites(j, n, n, z)[0]
     if method == "truncation":
         from scipy.linalg import solve_banded
 
@@ -320,17 +329,18 @@ def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
     """max over interior grid points t of M and the given sites of
     |Re g_n(t + i0)|, the boundary value taken by Richardson extrapolation
     in eta.  Small residuals certify approximate membership in the
-    reflectionless class on M; O(1) values certify violation.  One recursion
-    per site covers every grid point at both eta and eta / 2; a non-finite
-    Green function value raises `NumericError`."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    reflectionless class on M; O(1) values certify violation.  One sweep per
+    side, each tail phase solved once, covers every site and grid point at
+    eta and eta / 2; a non-finite Green function value raises `NumericError`."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError("eta must be finite and positive")
     if m_set.total_length <= 0:
         raise ValueError("M must have positive total length")
     points = m_set.interior_grid(grid)
     z = np.concatenate([points + 1j * eta, points + 0.5j * eta])
-    rows = [_green_recursion(j, n, z) for n in sites]
-    g = np.reshape(rows, (len(rows), 2, len(points)))
+    n0 = min(sites, default=0)
+    g = _green_sites(j, n0, max(sites), z) if sites else []
+    g = np.reshape([g[n - n0] for n in sites], (len(sites), 2, len(points)))
     if not np.isfinite(g).all():
         raise NumericError("non-finite Green function in the reflectionless residual")
     return float(np.abs((2.0 * g[:, 1] - g[:, 0]).real).max(initial=0.0))

@@ -320,6 +320,16 @@ class TestReportsAndCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("what, points", [("hilbert", [float("nan"), 0.5]),
+                                              ("herglotz", [[float("nan"), 1.0]])])
+    def test_cli_eval_non_finite_point_exit_two(self, tmp_path, what, points):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"extra": {"what": what, "points": points, "xi": {
+            "R": 2.0, "breakpoints": [-2.0, 0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.0]}}}))
+        proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_config_unknown_keys_go_to_extra(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"atoms": [[2.5, 0.1]], "n_coeffs": 30, "eta": 1e-6}))

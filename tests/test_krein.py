@@ -174,6 +174,12 @@ class TestHerglotzEval:
         with pytest.raises(ValueError):
             herglotz_eval(free_rep(), 1.0)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(0.5, math.inf),
+                                   np.array([2j, complex(math.nan, 1.0)])])
+    def test_rejects_non_finite_points(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            herglotz_eval(free_rep(), z)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_upper_half_plane_maps_to_itself(self, seed):
@@ -259,6 +265,11 @@ class TestHilbertTransform:
         f = StepFunction.indicator(2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             hilbert_transform(f, 1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, -math.inf, np.array([0.5, math.nan])])
+    def test_non_finite_points_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            hilbert_transform(StepFunction.indicator(2.0, 0.0, 1.0), x)
 
     def test_l2_convergence_carries_to_transform(self):
         # T is linear, so xi_n = xi + (eta - xi)/n converging in L^2 forces

@@ -236,6 +236,27 @@ class TestGreenDiag:
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
         assert abs(green_diag(shift(j, k), n, z) - green_diag(j, n + k, z)) < 1e-10
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_rows_equal_one_site_calls(self, seed, array_z):
+        """Every row of a multi-site sweep equals the one-site value, with
+        sites beyond the window on either side."""
+        rng = np.random.default_rng(seed)
+        j = random_operator(rng, max_span=8, kind="periodic")
+        n0 = int(rng.integers(j.n_lo - 8, j.n_hi + 2))
+        n1 = int(rng.integers(n0, j.n_hi + 9))
+        eta = 10.0 ** rng.uniform(-6, 0)
+        if array_z:
+            z = rng.uniform(-3.0, 3.0, 5) + 1j * eta
+            one = [operators._green_sites(j, n, n, z)[0] for n in range(n0, n1 + 1)]
+        else:
+            z = complex(rng.uniform(-3.0, 3.0), eta)
+            one = [green_diag(j, n, z) for n in range(n0, n1 + 1)]
+        rows = operators._green_sites(j, n0, n1, z)
+        assert len(rows) == n1 - n0 + 1
+        for row, ref in zip(rows, one):
+            assert np.all(row == ref)
+
     def test_real_energies_rejected(self):
         with pytest.raises(ValueError):
             green_diag(JacobiCoefficients.free(), 0, 3.0)
@@ -284,15 +305,45 @@ class TestReflectionlessResidual:
         assert abs(res - ref) <= 1e-12 * max(1.0, ref)
 
     def test_non_finite_green_function_raises(self, monkeypatch):
-        def one_nan(j, n, z):
+        def one_nan(j, n0, n1, z):
             g = np.full(z.shape, 0.5j)
             g[3] = np.nan
-            return g
+            return [g] * (n1 - n0 + 1)
 
-        monkeypatch.setattr(operators, "_green_recursion", one_nan)
+        monkeypatch.setattr(operators, "_green_sites", one_nan)
         with pytest.raises(NumericError):
             reflectionless_residual(JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),)),
                                     grid=10)
+
+    @pytest.mark.parametrize("sites", [range(-4, 5, 2), range(3, -4, -3), range(0)],
+                             ids=["step-2", "descending", "empty"])
+    def test_site_ranges_match_scalar_loop(self, sites):
+        j = JacobiCoefficients.periodic([1.0, 0.6, 1.3], [0.2, -0.4, 0.5]).restrict(-1, 5)
+        m_set = CompactSet(((-2.5, -0.5), (0.0, 2.5)))
+        ref = residual_by_points(j, m_set, 8, 1e-6, sites)
+        res = reflectionless_residual(j, m_set, grid=8, eta=1e-6, sites=sites)
+        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
+        assert (res == 0.0) == (len(sites) == 0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_default_sites_solve_each_tail_phase_once(self, monkeypatch, p):
+        calls = []
+
+        def counted(pairs, z):
+            calls.append(z)
+            return tail_m(pairs, z)
+
+        tail_m = operators._tail_m
+        monkeypatch.setattr(operators, "_tail_m", counted)
+        j = JacobiCoefficients.periodic([1.0, 0.6, 1.3][:p], [0.2, -0.4, 0.5][:p]).restrict(0, 7)
+        reflectionless_residual(j, CompactSet(((-0.5, 0.5),)), grid=8)
+        assert 0 < len(calls) <= 2 * p      # one solve per site and side would be 10
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
+    def test_rejects_non_finite_or_zero_eta(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            reflectionless_residual(JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),)),
+                                    eta=eta)
 
     def test_no_per_site_accessor_on_the_green_paths(self, monkeypatch):
         def boom(self, n):

@@ -66,8 +66,9 @@ XI = {"R": 3.0, "breakpoints": [-3.0, -2.0, 2.0, 3.0], "values": [1.0, 0.5, 0.0]
     ("eval", {"xi": XI, "points": [{}]}),
     ("dr", {"atoms": [1, 2]}),
     ("aktable", {"sets": [1]}),
+    ("omega", {"cluster_threshold": float("nan")}),
 ], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
-        "dict-point", "flat-atoms", "number-set"])
+        "dict-point", "flat-atoms", "number-set", "nan-threshold"])
 def test_bad_config_value_exits_two(command, config, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
