@@ -1,22 +1,24 @@
 r"""The extremal constant of a finite-gap compact set.
 
 Over the canonical Krein class of K (one up-jump of mass g_j per gap) the
-half-line mass of the associated measure is
+half-line mass a_0^2 = (1/2) rho_ac(K) is a smooth function f of the jump
+vector.  Its minimum over the box prod_j [0, |gap_j|] is the square of the
+extremal constant: no operator reflectionless on K has any a_n below it.
 
-    a_0^2 = (1/2) rho_ac(K) = (1/(2 pi)) integral_K |H(x)| dx,
-
-a smooth function of the jump vector.  Its minimum over the box
-prod_j [0, |gap_j|] is the square of the extremal constant: no operator
-reflectionless on K can have any a_n below that value.
-
-On band quadrature nodes t_i the objective is f(g) = sum_i exp(z_i(g)) with
-z_i = alpha_i - sum_j ln|d_j - g_j - t_i|, and d_j - g_j - t_i keeps one sign
-across the box, so ln f is a log-sum-exp of convex functions: convex, with
-a unique minimizer.  It is interior: d(ln f)/dg_j diverges at g_j = 0, where
-the next band's density goes like |t - d_j|^(-1/2), and at the mirror face
-g_j = |gap_j|.  `minimize_mass` finds it by damped Newton inside the box with
-closed-form gradient and Hessian, certified by the gradient norm (the KKT
-residual of an interior point); a grid evaluator is an independent check.
+At infinity H = z + (R - m_0) - s_0/z + O(z^-2), m_k = integral t^k xi, so
+rho has mass s_0 = integral (t + R) xi - m_0^2/2.  With xi = 1 on [-R, a],
+a = min K, and eta = xi on the hull of K, R drops out: s_0 = integral
+(t - a) eta - (integral eta)^2/2.  Off K, rho is the atoms at the jump
+points x_j = d_j - g_j, of residue mass w_j = prod_e |x_j - e|^(1/2) /
+prod_{i != j} |x_j - x_i| over the band edges e.  So f = (s_0 - sum_j w_j)/2.
+On K, |H| = |H_0| prod_j |d_j - t| / |d_j - g_j - t| is log-convex in g, so
+ln f is convex; its minimizer is interior, as d(ln f)/dg_j diverges at both
+faces g_j = 0 and |gap_j|.  `minimize_mass` finds it by damped Newton in
+the box, certified by the gradient norm (the KKT residual of an interior
+point); a grid evaluator is an independent check.  f cancels where the
+atoms carry nearly all of rho (s_0/(2f) reaches 1.8e6), so Newton allows for
+its rounding bounds, and the value returned is the quadrature of the band
+density, which has no cancellation.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import NumericError
 from .gapflow import GapJumps, canonical_krein_from_jumps, default_bound
 from .krein import HerglotzRep
-from .measures import AcPiece, SpectralMeasure, _fejer_rule, stieltjes_invert, total_mass
+from .measures import stieltjes_invert, total_mass
 from .sets import CompactSet
 
 __all__ = [
@@ -40,12 +42,10 @@ __all__ = [
 ]
 
 # Newton in y = g / |gap| inside the unit box: stop once the residual
-# max_j |d(ln f)/dy_j| is at most KKT_TOL
+# max_j |d(ln f)/dy_j| is at most KKT_TOL plus its rounding bound
 KKT_TOL = 1e-11
 _MAX_ITER = 100
 _ARMIJO = 1e-4
-# Fejer nodes per band of the vectorized objective
-_NODES_PER_BAND = 128
 # the grid oracle holds grid**gaps values in memory
 _GRID_POINTS_CAP = 10**7
 
@@ -61,62 +61,73 @@ def mass_objective(k_set: CompactSet, jumps: GapJumps,
 
 
 class _FastObjective:
-    """Vectorized evaluator on fixed band quadrature nodes.
-
-    |H(t)| = |H_0(t)| prod_j |d_j - t| / |d_j - g_j - t|, where H_0 has no
-    jumps; only the per-gap factors depend on the jump vector, so grids
-    evaluate as array operations.
-    """
+    """The closed form f(g) = (s_0 - sum_j w_j)/2, elementwise over the
+    leading axes of jump vectors g of shape (..., m)."""
 
     def __init__(self, k_set: CompactSet):
-        base = canonical_krein_from_jumps(k_set, GapJumps((0.0,) * len(k_set.gaps())))
-        # the no-jump half-line measure: density |H_0| / (2 pi) on the bands
-        nu = SpectralMeasure(HerglotzRep(base),
-                             tuple(AcPiece(c, d, 0.5) for c, d in k_set.intervals))
-        t, wd = nu._rule(np.arange(len(k_set.intervals))[:, None], *_fejer_rule(_NODES_PER_BAND))
-        self.t = t.ravel()
-        self.gap_ends = np.array([gd for _, gd in k_set.gaps()])
-        self.gap_widths = np.array([gd - gc for gc, gd in k_set.gaps()])
-        # the g-independent part of ln(w_i |H(t_i)| / (2 pi))
-        to_ends = self.gap_ends[None, :] - self.t[:, None]
-        self.alpha = np.log(wd.ravel()) + np.log(np.abs(to_ends)).sum(axis=1)
+        a, bands = k_set.min, np.array(k_set.intervals)
+        m, edges = len(bands) - 1, bands.ravel()
+        self.gap_widths = bands[1:, 0] - bands[:-1, 1]
+        # x_j - p at g = 0 for the points p: the band edges (a first), then
+        # the jump points; w_j = prod_p |x_j - p|^c_p, c = 1/2 or -1 (0 at x_j)
+        self.base = bands[1:, :1] - np.concatenate([edges, bands[1:, 0]])
+        self.powers = np.hstack([np.full((m, len(edges)), 0.5), np.eye(m) - 1.0])
+        self.atoms = slice(len(edges), None)
+        # integral eta and integral (t - a) eta over the bands, where eta = 1/2
+        self.half_length = 0.5 * k_set.total_length
+        self.band_moment = 0.25 * float(np.sum((bands[:, 1] - bands[:, 0])
+                                               * ((bands[:, 0] - a) + (bands[:, 1] - a))))
 
-    def _exponents(self, masses) -> tuple[np.ndarray, np.ndarray]:
-        """z_i = ln(w_i |H(t_i)| / (2 pi)) and u_ij = d_j - g_j - t_i."""
+    def _terms(self, masses):
+        """f, M = integral eta, the gap moments integral_{x_j}^{d_j} (t - a),
+        the distances x_j - p (0 at p = x_j) and the atom masses w."""
         g = np.asarray(masses, dtype=float)
-        u = (self.gap_ends - g)[None, :] - self.t[:, None]
-        return self.alpha - np.log(np.abs(u)).sum(axis=1), u
+        mass = self.half_length + g.sum(axis=-1)
+        moments = g * (self.base[:, 0] - 0.5 * g)
+        dist = self.base - g[..., :, None]
+        dist[..., self.atoms] += g[..., None, :]
+        w = (np.abs(dist) ** self.powers).prod(axis=-1)   # 0 for a jump on a face
+        f = 0.5 * (self.band_moment + moments.sum(axis=-1) - 0.5 * mass * mass - w.sum(axis=-1))
+        return f, mass, moments, dist, w
 
     def value(self, masses) -> float:
-        z, _ = self._exponents(masses)
-        return float(np.exp(z).sum())
-
-    def log_derivatives(self, masses) -> tuple[float, np.ndarray, np.ndarray]:
-        """ln f, its gradient and its Hessian in g, from one pass over the
-        nodes.  With the softmax weights p_i of z_i and dz_i/dg_j = 1/u_ij,
-        d2z_i/dg_j^2 = 1/u_ij^2, the gradient is sum_i p_i dz_i and the
-        Hessian sum_i p_i ((dz_i - grad)(dz_i - grad)^T + diag(1/u_i^2))."""
-        z, u = self._exponents(masses)
-        top = float(z.max())
-        p = np.exp(z - top)
-        total = float(p.sum())
-        p /= total
-        dz = 1.0 / u
-        grad = p @ dz
-        centred = dz - grad
-        hess = (centred * p[:, None]).T @ centred + np.diag(p @ (dz * dz))
-        return top + math.log(total), grad, hess
+        return float(self._terms(masses)[0])
 
     def grid_values(self, grids: list[np.ndarray]) -> np.ndarray:
-        """Objective on the full product grid, shape = tuple(len(g) for g):
-        z_i as in `value`, with one table of ln|d_j - g - t_i| per gap."""
-        logs = [np.log(np.abs(d - g[:, None] - self.t)) for d, g in zip(self.gap_ends, grids)]
-        last = np.exp(-logs[-1])
-        out = np.empty(tuple(len(g) for g in grids))
-        for idx in np.ndindex(*out.shape[:-1]):
-            z = self.alpha - sum(logs[j][i] for j, i in enumerate(idx))
-            out[idx] = last @ np.exp(z)
-        return out
+        """f on the product grid, shape = tuple(len(g) for g in grids)."""
+        shape = tuple(len(grid) for grid in grids)
+        flat = np.empty(math.prod(shape))
+        for start in range(0, flat.size, 1 << 14):   # in blocks of 2^14 points
+            k = np.arange(start, min(start + (1 << 14), flat.size))
+            idx = np.unravel_index(k, shape) if shape else ()
+            g = np.reshape([grid[i] for grid, i in zip(grids, idx)], (len(grids), k.size))
+            flat[k] = self._terms(g.T)[0]
+        return flat.reshape(shape)
+
+    def log_derivatives(self, masses):
+        """ln f, its gradient and Hessian in g, and rounding bounds of ln f
+        and of that gradient (one ulp of the terms that cancel).  With
+        L_ij = d(ln w_i)/dx_j, df/dg_j = (x_j - a - M + sum_i w_i L_ij)/2."""
+        g = np.asarray(masses, dtype=float)
+        f, mass, moments, dist, w = self._terms(g)
+        dist = np.where(self.powers == 0.0, 1.0, dist)
+        inv = self.powers / dist                          # c_p / (x_j - p)
+        sq = inv / dist
+        lw = -inv[:, self.atoms]
+        lw.flat[::len(g) + 1] = inv.sum(axis=1)
+        wl = w[:, None] * lw
+        pull = self.base[:, 0] - g - mass                 # x_j - a - M
+        grad = 0.5 * (pull + wl.sum(axis=0)) / f
+        # sum_i w_i (L_i L_i^T + d2 ln w_i), the atoms' share of the Hessian
+        d2w = lw.T @ wl + (w[:, None] + w) * sq[:, self.atoms]
+        d2w.flat[::len(g) + 1] -= w * sq.sum(axis=1) + w @ sq[:, self.atoms]
+        hess = -0.5 * (1.0 + np.eye(len(g)) + d2w) / f - np.outer(grad, grad)
+        ulps = 2.0 ** -52
+        phi_err = ulps * (self.band_moment + np.abs(moments).sum() + 0.5 * mass * mass
+                          + w.sum()) / f
+        grad_err = ulps * (np.abs(pull) + mass + np.abs(wl).sum(axis=0)) / f \
+            + np.abs(grad) * phi_err
+        return math.log(f), grad, hess, phi_err, grad_err
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,7 @@ class ExtremalResult:
     objective_value: float
     bound_used: float
     kkt_residual: float | None = None
+    kkt_tolerance: float | None = None
     iterations: int = 0
 
 
@@ -137,10 +149,6 @@ def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
         raise ValueError("grid must be >= 2")
     r = default_bound(k_set)
     gaps = k_set.gaps()
-    if not gaps:
-        jumps = GapJumps(())
-        val = mass_objective(k_set, jumps)
-        return ExtremalResult(math.sqrt(val), jumps, val, r)
     if grid ** len(gaps) > _GRID_POINTS_CAP:
         raise ValueError(f"a {grid}-point grid on {len(gaps)} gaps has "
                          f"{grid ** len(gaps)} points, over the cap {_GRID_POINTS_CAP}")
@@ -153,23 +161,24 @@ def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     return ExtremalResult(math.sqrt(val), jumps, val, r)
 
 
-def _interior_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
+def _interior_newton(fast: _FastObjective) -> tuple[np.ndarray, float, float, int]:
     """Minimize ln f over the open jump box in y = g / |gap| in (0, 1)^m.
 
     Each step is the Newton step -hess^{-1} grad on all coordinates, cut so
     that no coordinate covers more than half its distance to the face it
     moves toward, then halved until the Armijo test passes; every iterate
-    stays inside the box.  Returns the jump vector, the gradient residual
-    and the number of Newton steps.
+    stays inside the box.  Returns the jump vector, the residual, the
+    tolerance it met and the number of Newton steps.
     """
     widths = fast.gap_widths
     y = np.full(len(widths), 0.5)
     for it in range(_MAX_ITER + 1):
-        phi, grad, hess = fast.log_derivatives(y * widths)
+        phi, grad, hess, phi_err, grad_err = fast.log_derivatives(y * widths)
         grad *= widths
-        resid = float(np.max(np.abs(grad)))
-        if resid <= KKT_TOL:
-            return y * widths, resid, it
+        resid = float(np.max(np.abs(grad), initial=0.0))
+        tol = KKT_TOL + float(np.max(grad_err * widths, initial=0.0))
+        if resid <= tol:
+            return y * widths, resid, tol, it
         if it == _MAX_ITER:
             break
         step = -np.linalg.solve(hess * np.outer(widths, widths), grad)
@@ -178,7 +187,7 @@ def _interior_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
         t = min(1.0, float(np.min(0.5 * toward[moving] / np.abs(step[moving]),
                                   initial=np.inf)))
         # the slack absorbs the rounding of ln f once the decrease is below it
-        slack = 1e-14 * (1.0 + abs(phi))
+        slack = 1e-14 * (1.0 + abs(phi)) + 2.0 * phi_err
         while True:
             trial = y + t * step
             if math.log(fast.value(trial * widths)) <= \
@@ -196,21 +205,14 @@ def _interior_newton(fast: _FastObjective) -> tuple[np.ndarray, float, int]:
 def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     """Extremal constant A(K) = sqrt(min mass objective) over the jump box.
 
-    ln f is convex with an interior minimizer, so damped Newton from the box
-    centre converges to it; it stops once the gradient residual (in jumps
-    scaled by the gap widths) is at most `KKT_TOL`.  If a minimizer of the
-    128-node objective ever sat on a face, the iterates would only halve
-    their distance to it, and the loop would raise `NumericError` after
-    `_MAX_ITER` steps instead of returning a face point.  The final value is
-    recomputed with the accurate adaptive quadrature.
+    Damped Newton on the closed form from the box centre (no step without
+    gaps) stops once the gradient residual in jumps scaled by the gap
+    widths is at most `kkt_tolerance`, `KKT_TOL` plus its rounding bound;
+    a minimizer on a face would make it raise `NumericError` after
+    `_MAX_ITER` steps.  The value is `mass_objective` at the minimizer.
     """
-    r = default_bound(k_set)
-    if not k_set.gaps():
-        jumps = GapJumps(())
-        val = mass_objective(k_set, jumps)
-        return ExtremalResult(math.sqrt(val), jumps, val, r, kkt_residual=0.0)
-    g, resid, iterations = _interior_newton(_FastObjective(k_set))
+    g, resid, tol, iterations = _interior_newton(_FastObjective(k_set))
     jumps = GapJumps(tuple(float(x) for x in g))
     val = mass_objective(k_set, jumps)
-    return ExtremalResult(math.sqrt(val), jumps, val, r,
-                          kkt_residual=resid, iterations=iterations)
+    return ExtremalResult(math.sqrt(val), jumps, val, default_bound(k_set),
+                          kkt_residual=resid, kkt_tolerance=tol, iterations=iterations)

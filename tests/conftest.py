@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,3 +57,60 @@ def per_piece_log_abs(xi, lo, hi, theta):
             dist = np.abs(t - xk)
         out = out + dk * np.log(dist)
     return out
+
+
+def mp_mass_objective(k_set, masses):
+    """The extremal objective f(g) = (s_0 - sum_j w_j) / 2 and its gradient
+    in g, in mpmath at the working precision: s_0 = integral (t - a) eta -
+    (integral eta)^2 / 2 with eta = 1/2 on the bands and 1 on each
+    (x_j, d_j), x_j = d_j - g_j, and the atom masses
+    w_j = prod_e |x_j - e|^(1/2) / prod_{i != j} |x_j - x_i|."""
+    a = mpmath.mpf(k_set.min)
+    edges = [mpmath.mpf(e) for band in k_set.intervals for e in band]
+    ends = [mpmath.mpf(d) for _, d in k_set.gaps()]
+    g = [mpmath.mpf(x) for x in masses]
+    x = [d - gj for d, gj in zip(ends, g)]
+    mass = sum((mpmath.mpf(d) - c for c, d in k_set.intervals), mpmath.mpf(0)) / 2 + sum(g)
+    s0 = sum(((mpmath.mpf(d) - a) ** 2 - (mpmath.mpf(c) - a) ** 2) / 4
+             for c, d in k_set.intervals)
+    s0 += sum((d - a) ** 2 / 2 - (xj - a) ** 2 / 2 for d, xj in zip(ends, x)) - mass ** 2 / 2
+    w, dlog = [], []
+    for j, xj in enumerate(x):
+        others = [xi for i, xi in enumerate(x) if i != j]
+        w.append(mpmath.sqrt(mpmath.fprod(abs(xj - e) for e in edges))
+                 / mpmath.fprod(abs(xj - xi) for xi in others))
+        # d(ln w_j)/dx_i for every i
+        dlog.append([sum(1 / (2 * (xj - e)) for e in edges)
+                     - sum(1 / (xj - xi) for xi in others) if i == j else 1 / (xj - x[i])
+                     for i in range(len(x))])
+    f = (s0 - sum(w)) / 2
+    grad = [(x[k] - a - mass + sum(w[i] * dlog[i][k] for i in range(len(x)))) / 2
+            for k in range(len(x))]
+    return f, grad
+
+
+def mp_stationary_point(k_set, masses):
+    """The stationary point of the extremal objective by Newton at 60
+    digits from the jump vector `masses`, with a central-difference Hessian
+    (step 1e-20 of the gap width) of the closed-form gradient.  Returns the
+    jumps as mpf."""
+    with mpmath.workdps(60):
+        g = mpmath.matrix([mpmath.mpf(x) for x in masses])
+        widths = [mpmath.mpf(gd) - gc for gc, gd in k_set.gaps()]
+        for _ in range(12):
+            grad = mpmath.matrix(mp_mass_objective(k_set, g)[1])
+            hess = mpmath.matrix(len(g), len(g))
+            for j, wj in enumerate(widths):
+                h = wj * mpmath.mpf(10) ** -20
+                up, down = g.copy(), g.copy()
+                up[j] += h
+                down[j] -= h
+                col = (mpmath.matrix(mp_mass_objective(k_set, up)[1])
+                       - mpmath.matrix(mp_mass_objective(k_set, down)[1])) / (2 * h)
+                for i in range(len(g)):
+                    hess[i, j] = col[i]
+            step = mpmath.lu_solve(hess, grad)
+            g -= step
+            if max(abs(s) / wj for s, wj in zip(step, widths)) < mpmath.mpf(10) ** -30:
+                return list(g)
+        raise AssertionError("mpmath Newton did not converge")

@@ -110,6 +110,18 @@ class TestRunners:
                     "kkt_residual", "iterations", "R_used"} <= set(row)
             assert row["kkt_residual"] <= row["refinement_tolerance"]
 
+    def test_extremal_table_certifies_against_the_solver_tolerance(self):
+        # bands 1e-2 wide and 23 apart, where s_0/(2f) is 1.8e6: the gradient
+        # residual stops at 4e-10, above KKT_TOL but within the solver's
+        # tolerance, KKT_TOL plus the residual's rounding bound
+        cfg = small_cfg("aktable", grid=9, extra={"sets": [
+            [[0.0, 0.013333428764625703], [23.39727979849806, 23.408466016736373]]]})
+        rep = run_extremal_table(cfg)
+        assert rep["passed"]
+        row = rep["rows"][0]
+        assert row["kkt_residual"] <= row["refinement_tolerance"]
+        assert row["A"] == pytest.approx(row["closed_form"], rel=1e-12)
+
 
 class TestOmegaLimit:
     def test_free_operator_single_cluster(self):
