@@ -67,10 +67,28 @@ class _FastObjective:
     def __init__(self, k_set: CompactSet):
         a, bands = k_set.min, np.array(k_set.intervals)
         m, edges = len(bands) - 1, bands.ravel()
-        self.gap_widths = bands[1:, 0] - bands[:-1, 1]
-        # x_j - p at g = 0 for the points p: the band edges (a first), then
-        # the jump points; w_j = prod_p |x_j - p|^c_p, c = 1/2 or -1 (0 at x_j)
-        self.base = bands[1:, :1] - np.concatenate([edges, bands[1:, 0]])
+        starts, ends = bands[:-1, 1], bands[1:, 0]          # c_j, d_j
+        self.gap_widths, self.span = ends - starts, ends - a
+        back = self.gap_widths + starts                     # TwoSum: d_j - c_j exactly
+        err = (ends - back) - (starts + (self.gap_widths - back))
+        # w_j = prod_p |x_j - p|^c_p over the points p: the band edges (a
+        # first), then the jump points; c = 1/2 or -1 (0 at x_j).  Each x_j - p
+        # is static + (near - g_j), plus g_i - far for p = x_i, and its terms
+        # have one sign, so none cancels as x_j nears p.  Left of gap j (an
+        # edge up to c_j, or x_i = d_i - g_i with i < j) it is
+        # (c_j - p + err_j) + (|gap_j| - g_j), exact near c_j.  Right of gap j
+        # (an edge from d_j, or x_i = c_i + err_i + (|gap_i| - g_i) with i > j)
+        # it is (d_j - p) - g_j.  `pos` orders the columns, edge k at k and x_i
+        # between c_i and d_i; the rows of `cols` are p's anchor left of a gap
+        # (d_i for x_i), its anchor right of one (c_i), err_i and |gap_i|.
+        pos = np.concatenate([np.arange(len(edges)), 2.0 * np.arange(m) + 1.5])
+        left = pos <= 2.0 * np.arange(m)[:, None] + 1.0
+        zero = np.zeros(len(edges))
+        cols = np.concatenate([[edges, edges, zero, zero], [ends, starts, err, self.gap_widths]], 1)
+        self.static = np.where(left, (starts[:, None] - cols[0]) + err[:, None],
+                               (ends[:, None] - cols[1]) - cols[2])
+        self.near = left * self.gap_widths[:, None]                    # |gap_j| on the left
+        self.far = np.where(left, 0.0, cols[3])[:, len(edges):]        # |gap_i| for i > j
         self.powers = np.hstack([np.full((m, len(edges)), 0.5), np.eye(m) - 1.0])
         self.atoms = slice(len(edges), None)
         # integral eta and integral (t - a) eta over the bands, where eta = 1/2
@@ -80,12 +98,12 @@ class _FastObjective:
 
     def _terms(self, masses):
         """f, M = integral eta, the gap moments integral_{x_j}^{d_j} (t - a),
-        the distances x_j - p (0 at p = x_j) and the atom masses w."""
+        the distances x_j - p (unused at p = x_j) and the atom masses w."""
         g = np.asarray(masses, dtype=float)
         mass = self.half_length + g.sum(axis=-1)
-        moments = g * (self.base[:, 0] - 0.5 * g)
-        dist = self.base - g[..., :, None]
-        dist[..., self.atoms] += g[..., None, :]
+        moments = g * (self.span - 0.5 * g)
+        dist = self.static + (self.near - g[..., :, None])
+        dist[..., self.atoms] += g[..., None, :] - self.far
         w = (np.abs(dist) ** self.powers).prod(axis=-1)   # 0 for a jump on a face
         f = 0.5 * (self.band_moment + moments.sum(axis=-1) - 0.5 * mass * mass - w.sum(axis=-1))
         return f, mass, moments, dist, w
@@ -116,7 +134,7 @@ class _FastObjective:
         lw = -inv[:, self.atoms]
         lw.flat[::len(g) + 1] = inv.sum(axis=1)
         wl = w[:, None] * lw
-        pull = self.base[:, 0] - g - mass                 # x_j - a - M
+        pull = self.span - g - mass                       # x_j - a - M
         grad = 0.5 * (pull + wl.sum(axis=0)) / f
         # sum_i w_i (L_i L_i^T + d2 ln w_i), the atoms' share of the Hessian
         d2w = lw.T @ wl + (w[:, None] + w) * sq[:, self.atoms]

@@ -5,13 +5,17 @@ A Jacobi matrix acts on ell^2(Z) by (Ju)_n = a_n u_{n+1} + a_{n-1} u_{n-1}
 a tail descriptor (free, constant, or periodic), which makes diagonal Green
 functions computable two independent ways:
 
-* a finite truncation sized by a Combes-Thomas decay estimate, and
+* the resolvent entry of a finite section with Dirichlet ends, sized by a
+  Combes-Thomas decay estimate, and
 * the Weyl m-function recursion m_k = 1/(b_k - z - a_k^2 m_{k+1}) closed at
   the tails by the attracting fixed point of the one-period Moebius map.
 
 Both read their coefficients as arrays over a site range.  The recursion
 serves a run of sites from one walk per side and one solve per tail phase,
-on one energy or elementwise over an ndarray of energies.
+on one energy or elementwise over an ndarray of energies.  The section walks
+its explicit sites and takes each tail's whole periods as one power of the
+period's transfer matrix, in closed form, so its cost does not grow with its
+size; it never solves for a tail fixed point, and so checks that solve.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "reflectionless_residual",
 ]
 
-_SIZE_CAP = 10_000  # most sites of a truncated section in green_diag
 _TRUNCATION_TOL = 1e-10  # resolvent-entry error that sizes the truncated section
 
 
@@ -91,7 +94,9 @@ class Tail:
             return cls.free()
         if kind == "constant":
             return cls.constant(data["a"], data["b"])
-        return cls.periodic(data["a"], data["b"])
+        if kind == "periodic":
+            return cls.periodic(data["a"], data["b"])
+        raise ValueError(f"unknown tail kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +189,10 @@ class JacobiCoefficients:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JacobiCoefficients":
-        return cls(int(data["n_lo"]), int(data["n_hi"]), data["a"], data["b"],
-                   Tail.from_dict(data["tail"]))
+        n_lo, n_hi = data["n_lo"], data["n_hi"]
+        if type(n_lo) is not int or type(n_hi) is not int:     # refuses floats and bools
+            raise ValueError("window indices n_lo and n_hi must be integers")
+        return cls(n_lo, n_hi, data["a"], data["b"], Tail.from_dict(data["tail"]))
 
 
 def shift(j: JacobiCoefficients, k: int) -> JacobiCoefficients:
@@ -286,6 +293,32 @@ def _truncation_size(j: JacobiCoefficients, z: complex) -> int:
     return math.ceil(math.log(max(c / _TRUNCATION_TOL, 2.0)) / gamma) + 5
 
 
+def _section_m(a, b, e, p, count, z):
+    """m_0 of m_k = 1/(b_k - z - a_k^2 m_{k+1}) on sites 0..count-1, closed by
+    the Dirichlet end m_count = 0, on lists of at least e + 2p sites whose
+    (a, b) repeat with period p from index e on.
+
+    Past s = e + ((count - e) mod p) lie q whole periods, so m_s = B^q(0) for
+    the Moebius map of the period's transfer matrix B = T_s ... T_{s+p-1},
+    T_k = [[0, 1], [-a_k^2, b_k - z]].  With l, l' the roots of B's
+    characteristic polynomial and t = (l'/l)^q, Cayley-Hamilton gives B^q
+    proportional to (1 - t) B - (l' - t l) I.  That is the same for either
+    order of the roots; |l| >= |l'| keeps t finite.  Sites s - 1 down to 0
+    are walked directly.
+    """
+    s = min(count, e + (count - e) % p)
+    top, bot = np.eye(2)            # rows of T_k ... T_{s+p-1}, built for k = s+p-1 down to s
+    for k in range(s + p - 1, s - 1, -1):
+        top, bot = bot, (b[k] - z) * bot - a[k] * a[k] * top
+    root = cmath.sqrt((top[0] - bot[1]) ** 2 + 4.0 * top[1] * bot[0])
+    small, big = sorted((0.5 * (top[0] + bot[1] - root), 0.5 * (top[0] + bot[1] + root)), key=abs)
+    t = (small / big) ** ((count - s) // p)
+    m = (1.0 - t) * top[1] / ((1.0 - t) * bot[1] - small + t * big)
+    for k in range(s - 1, -1, -1):
+        m = 1.0 / (b[k] - z - a[k] * a[k] * m)
+    return m
+
+
 def green_diag(j: JacobiCoefficients, n: int, z: complex,
                method: str = "recursion") -> complex:
     """Diagonal Green function g_n(z) = <delta_n, (J - z)^{-1} delta_n>,
@@ -293,9 +326,10 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
 
     method "recursion" (default): Weyl half-line recursion closed at both
     tails; exact up to roundoff for free/constant/periodic tails, stable
-    down to tiny Im z.  method "truncation": resolvent entry of a finite
-    section sized by the Combes-Thomas estimate for an error of
-    `_TRUNCATION_TOL` (raises if that exceeds `_SIZE_CAP` sites).
+    down to tiny Im z.  method "truncation": resolvent entry of the section
+    n - h..n + h with Dirichlet ends, h = `_truncation_size(j, z)` sized by
+    the Combes-Thomas estimate for an error of `_TRUNCATION_TOL`, at a cost
+    that does not depend on h (`_section_m` on each side of n).
     """
     z = complex(z)
     if not (cmath.isfinite(z) and z.imag > 0):
@@ -303,23 +337,12 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
     if method == "recursion":
         return _green_sites(j, n, n, z)[0]
     if method == "truncation":
-        from scipy.linalg import solve_banded
-
-        half = _truncation_size(j, z)
-        if 2 * half + 1 > _SIZE_CAP:
-            raise NumericError(
-                f"truncation needs {2 * half + 1} sites at Im z = {z.imag}, over the cap {_SIZE_CAP}")
-        lo, hi = n - half, n + half
-        a_arr, b_arr = j.arrays(lo, hi)
-        size = hi - lo + 1
-        ab = np.zeros((3, size), dtype=complex)
-        ab[0, 1:] = a_arr[:-1]
-        ab[1, :] = b_arr - z
-        ab[2, :-1] = a_arr[:-1]
-        e = np.zeros(size, dtype=complex)
-        e[n - lo] = 1.0
-        x = solve_banded((1, 1), ab, e)
-        return complex(x[n - lo])
+        half, p = _truncation_size(j, z), j.tail.period
+        c = max(n - j.n_lo, j.n_hi - n, 0) + 2 * p + 1
+        a, b = j.arrays(n - c, n + c).tolist()           # site n at index c
+        m_right = _section_m(a[c + 1:], b[c + 1:], max(j.n_hi - n, 0), p, half, z)
+        m_left = _section_m(a[c - 2::-1], b[c - 1::-1], max(n - j.n_lo, 0), p, half, z)
+        return complex(1.0 / (b[c] - z - a[c] * a[c] * m_right - a[c - 1] * a[c - 1] * m_left))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from reflectionless import StepFunction
+from reflectionless import StepFunction, operators
 
 
 @pytest.fixture
@@ -114,3 +114,19 @@ def mp_stationary_point(k_set, masses):
             if max(abs(s) / wj for s, wj in zip(step, widths)) < mpmath.mpf(10) ** -30:
                 return list(g)
         raise AssertionError("mpmath Newton did not converge")
+
+
+def banded_section_green(j, n, z):
+    """The reference for green_diag(method="truncation"): the (n, n) entry of
+    the inverse of J - z on the same Combes-Thomas section n - h..n + h with
+    Dirichlet ends, by one banded LU solve (scipy.linalg.solve_banded)."""
+    from scipy.linalg import solve_banded
+
+    half = operators._truncation_size(j, z)
+    a, b = j.arrays(n - half, n + half)
+    bands = np.zeros((3, a.size), dtype=complex)
+    bands[0, 1:] = bands[2, :-1] = a[:-1]
+    bands[1] = b - z
+    rhs = np.zeros(a.size, dtype=complex)
+    rhs[half] = 1.0
+    return complex(solve_banded((1, 1), bands, rhs)[half])

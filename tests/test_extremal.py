@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +13,7 @@ from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein, random_compact_set
 
-from conftest import mp_stationary_point
+from conftest import mp_mass_objective, mp_stationary_point
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
 
@@ -215,6 +216,25 @@ class TestDerivatives:
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-7, atol=1e-7)
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-4)
         assert np.all(np.linalg.eigvalsh(hess) > 0.0)  # ln f is convex
+
+
+    def test_gradient_errors_within_their_rounding_bound_near_a_left_face(self):
+        # one jump 10^U(-8, -1) of its gap's width right of the face c_j, the
+        # others anywhere inside: each distance x_j - p is a sum of terms of
+        # one sign, so the gradient is within its bound of the 50-digit
+        # closed form (conftest) at every point
+        rng = np.random.default_rng(5)
+        for k in extreme_sets(17, 100):
+            fast = extremal._FastObjective(k)
+            for _ in range(2):
+                y = rng.uniform(0.05, 0.95, len(fast.gap_widths))
+                y[int(rng.integers(0, y.size))] = 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
+                g = y * fast.gap_widths
+                _, grad, _, _, grad_err = fast.log_derivatives(g)
+                with mpmath.workdps(50):
+                    f, df = mp_mass_objective(k, g.tolist())
+                    exact = np.array([float(d / f) for d in df])
+                assert np.all(np.abs(grad - exact) <= grad_err), (k.intervals, y)
 
 
 class TestGridOracle:

@@ -8,6 +8,8 @@ from reflectionless import (CompactSet, JacobiCoefficients, NumericError, Tail,
                             coefficient_metric, green_diag, operators,
                             reflectionless_residual, shift)
 
+from conftest import banded_section_green
+
 # Frozen two-sided value for the alternating-diagonal operator
 # b = (..., +1, -1, +1, ...), a = 1 at site 0 and z = 3i, cross-checked
 # against a 4000-site truncation during development.
@@ -261,9 +263,49 @@ class TestGreenDiag:
         with pytest.raises(ValueError):
             green_diag(JacobiCoefficients.free(), 0, 3.0)
 
-    def test_truncation_cap_enforced(self):
-        with pytest.raises(NumericError):
-            green_diag(JacobiCoefficients.free(), 0, 1e-6j, method="truncation")
+    def test_truncation_of_the_free_operator_at_tiny_eta(self):
+        # the section has 421,890,573 sites; g_0(i eta) = i / sqrt(4 + eta^2)
+        eta = 1e-6
+        g = green_diag(JacobiCoefficients.free(), 0, 1j * eta, method="truncation")
+        assert abs(g - 1j / math.sqrt(4.0 + eta * eta)) <= 1e-10
+
+    @given(st.integers(0, 2**32 - 1), TAIL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    def test_truncation_matches_the_banded_solve_of_its_section(self, seed, kind):
+        # windows of 1-61 sites, sections of up to about 6e5 sites
+        rng = np.random.default_rng(seed)
+        j = random_operator(rng, max_span=30, kind=kind)
+        n = int(rng.integers(j.n_lo - 5, j.n_hi + 6))
+        z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.5))
+        ref = banded_section_green(j, n, z)
+        assert abs(green_diag(j, n, z, method="truncation") - ref) <= 1e-12 * abs(ref)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_section_m_is_the_walk_of_a_short_section(self, seed):
+        """Short sections, where the Dirichlet end still shows, against the
+        plain walk over every site: a partial period at the far end, and
+        sections shorter than their explicit part."""
+        rng = np.random.default_rng(seed)
+        p, e, count = int(rng.integers(1, 4)), int(rng.integers(0, 7)), int(rng.integers(1, 41))
+        period = rng.uniform(0.5, 2.0, (2, p))
+        a, b = np.hstack([rng.uniform(0.5, 2.0, (2, e)),
+                          np.tile(period, count // p + 2)]).tolist()
+        z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 0.0))
+        m = 0.0
+        for k in range(count - 1, -1, -1):
+            m = 1.0 / (b[k] - z - a[k] * a[k] * m)
+        got = operators._section_m(a[:e + 2 * p], b[:e + 2 * p], e, p, count, z)
+        assert abs(got - m) <= 1e-12 * abs(m)
+
+    def test_truncation_solves_no_tail_fixed_point(self, monkeypatch):
+        def boom(pairs, z):
+            raise AssertionError("tail fixed point solved")
+
+        monkeypatch.setattr(operators, "_tail_m", boom)
+        j = JacobiCoefficients.periodic([1.0, 0.6, 1.3], [0.2, -0.4, 0.5]).restrict(-2, 4)
+        for n in (-8, 1, 9):
+            assert green_diag(j, n, 0.2 + 1e-3j, method="truncation").imag > 0
 
 
 def residual_by_points(j, m_set, grid, eta, sites):
@@ -397,6 +439,16 @@ class TestSerialization:
         j1 = JacobiCoefficients.periodic([2.0], [0.5])
         j2 = JacobiCoefficients.constant(2.0, 0.5)
         assert j1 == j2 and hash(j1) == hash(j2)
+
+    @pytest.mark.parametrize("changes", [
+        {"tail": {"kind": "bogus", "a": [2.0], "b": [0.5]}},
+        {"tail": {"kind": ["periodic"], "a": [2.0], "b": [0.5]}},
+        {"n_lo": 0.7, "n_hi": 2.9}, {"n_lo": 0.0}, {"n_lo": False}, {"n_lo": "0"},
+    ], ids=["unknown-kind", "list-kind", "fractional", "float", "bool", "string"])
+    def test_malformed_json_refused(self, changes):
+        data = JacobiCoefficients(0, 2, (1.0, 2.0, 1.5), (0.0, 0.3, -0.2)).to_dict()
+        with pytest.raises(ValueError):
+            JacobiCoefficients.from_dict({**data, **changes})
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):

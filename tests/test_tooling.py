@@ -1,7 +1,9 @@
-"""The package as a fresh process sees it: what `import reflectionless`
-loads, every CLI subcommand without scipy, and the example scripts under
-scripts/ running to completion."""
+"""The package as a fresh process sees it: what its modules import, what
+`import reflectionless` loads, every CLI subcommand and the truncated Green
+function without scipy, and the example scripts under scripts/ running to
+completion."""
 
+import ast
 import json
 import os
 import subprocess
@@ -23,6 +25,29 @@ def run_python(args, cwd):
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
 
 
+def test_runtime_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "reflectionless"}
+    package = Path(reflectionless.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:                   # relative imports stay inside the package
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_truncation_runs_without_scipy(tmp_path):
+    code = ("import sys; sys.modules['scipy'] = None; import reflectionless as rf; "
+            "g = rf.green_diag(rf.JacobiCoefficients.free(), 0, 0.5j, method='truncation'); "
+            "assert abs(g - 1j / 4.25 ** 0.5) <= 1e-12, g")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_does_not_load_scipy_linalg(tmp_path):
     proc = run_python(["-c", "import reflectionless, sys; "
                              "assert 'scipy.linalg' not in sys.modules"], tmp_path)
@@ -31,8 +56,8 @@ def test_import_does_not_load_scipy_linalg(tmp_path):
 
 @pytest.mark.parametrize("command", ["thm11", "oracle", "dr", "aktable", "omega", "eval"])
 def test_cli_runs_without_scipy(command, tmp_path):
-    # scipy is needed only by tests and the truncation oracle; an import of
-    # it anywhere on an experiment's path fails here
+    # scipy is needed only by the tests; an import of it anywhere on an
+    # experiment's path fails here
     args = [command, "--out", str(tmp_path / "out")]
     if command == "eval":
         cfg = tmp_path / "cfg.json"
@@ -56,6 +81,12 @@ def test_script_runs(script, tmp_path):
 XI = {"R": 3.0, "breakpoints": [-3.0, -2.0, 2.0, 3.0], "values": [1.0, 0.5, 0.0]}
 
 
+def omega_operator(**changes):
+    """An omega config whose operator has a long enough window, with fields replaced."""
+    op = {"n_lo": 0, "n_hi": 5, "a": [1.0] * 6, "b": [0.0, 0.5] * 3, "tail": {"kind": "free"}}
+    return {"horizon": 2, "window": 2, "operator": {**op, **changes}}
+
+
 @pytest.mark.parametrize("command, config", [
     ("thm11", {"samples": 2.5}),
     ("thm11", {"seed": "abc"}),
@@ -67,8 +98,12 @@ XI = {"R": 3.0, "breakpoints": [-3.0, -2.0, 2.0, 3.0], "values": [1.0, 0.5, 0.0]
     ("dr", {"atoms": [1, 2]}),
     ("aktable", {"sets": [1]}),
     ("omega", {"cluster_threshold": float("nan")}),
+    ("omega", omega_operator(tail={"kind": "bogus", "a": [2.0], "b": [0.5]})),
+    ("omega", omega_operator(n_lo=0.7, n_hi=5.9)),
+    ("omega", omega_operator(n_lo=False)),
 ], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
-        "dict-point", "flat-atoms", "number-set", "nan-threshold"])
+        "dict-point", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
+        "float-window-index", "bool-window-index"])
 def test_bad_config_value_exits_two(command, config, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
