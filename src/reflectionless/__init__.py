@@ -12,13 +12,13 @@ from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
                     boundary_value, abs_boundary, hilbert_transform)
 from .operators import (Tail, JacobiCoefficients, shift, coefficient_metric,
                         green_diag, reflectionless_residual)
-from .gapflow import (GapJumps, CanonicalKrein, default_bound,
-                      canonical_krein_from_jumps, gap_modify, flow_to_canonical,
-                      flow_steps, is_canonical, gap_jump_masses)
+from .gapflow import (GapJumps, default_bound, canonical_krein_from_jumps,
+                      gap_modify, flow_to_canonical, flow_steps, is_canonical,
+                      gap_jump_masses)
 from .measures import (AcPiece, SpectralMeasure, FSelector, stieltjes_invert,
                        half_line_measure, total_mass)
 from .inverse import (reconstruct_coefficients, coefficient_deviation,
-                      lanczos_tridiag, reconstruction_report, coefficients_csv)
+                      lanczos_tridiag, reconstruction_report)
 from .extremal import (ExtremalResult, mass_objective, minimize_mass,
                        grid_min_mass)
 from .experiments import (ExperimentConfig, approximate_omega_limit,
@@ -34,13 +34,13 @@ __all__ = [
     "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
     "Tail", "JacobiCoefficients", "shift",
     "coefficient_metric", "green_diag", "reflectionless_residual",
-    "GapJumps", "CanonicalKrein", "default_bound", "canonical_krein_from_jumps",
+    "GapJumps", "default_bound", "canonical_krein_from_jumps",
     "gap_modify", "flow_to_canonical", "flow_steps", "is_canonical",
     "gap_jump_masses",
     "AcPiece", "SpectralMeasure", "FSelector", "stieltjes_invert",
     "half_line_measure", "total_mass",
     "reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
-    "reconstruction_report", "coefficients_csv",
+    "reconstruction_report",
     "ExtremalResult", "mass_objective", "minimize_mass", "grid_min_mass",
     "ExperimentConfig", "approximate_omega_limit",
     "random_compact_set", "random_admissible_krein", "random_f_selector",

@@ -3,8 +3,8 @@
 
 class NumericError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target
-    (quadrature budget exceeded, fixed-point closure degenerate,
-    truncation size over the configured cap, Lanczos breakdown)."""
+    (quadrature budget exceeded, fixed-point closure degenerate, Lanczos
+    breakdown)."""
 
 
 class ConfigError(ValueError):

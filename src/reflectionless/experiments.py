@@ -176,8 +176,8 @@ def approximate_omega_limit(j: JacobiCoefficients, horizon: int, window: int,
     windows of S^n J for n = 0..horizon, greedily clustered under the
     truncated coefficient metric.  Only an approximation: the true limit
     set needs n -> infinity."""
-    if window < 1 or horizon < 0:
-        raise ValueError("need window >= 1 and horizon >= 0")
+    if window < 1 or horizon < 0 or not threshold > 0:    # refuses NaN too
+        raise ValueError("need window >= 1, horizon >= 0 and threshold > 0")
     if j.n_lo > 0 or horizon + window - 1 > j.n_hi:
         raise ValueError("horizon exceeds the explicitly available coefficients")
     a, b = j.arrays(0, horizon + window - 1)
@@ -255,7 +255,7 @@ def run_lower_bound_suite(cfg: ExperimentConfig) -> dict:
             dev = max(abs(rec.a(0) - a_const),
                       coefficient_deviation(rec.restrict(1, n_rec), a_const,
                                             b_const, cfg.window))
-            xi_dist = xi.l1_distance(flow_to_canonical(xi, k_set).xi)
+            xi_dist = xi.l1_distance(flow_to_canonical(xi, k_set))
         except NumericError as exc:
             raise NumericError(
                 f"sample {i} failed: {exc}; xi={json.dumps(xi.to_dict())} "

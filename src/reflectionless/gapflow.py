@@ -18,7 +18,6 @@ from .sets import CompactSet
 
 __all__ = [
     "GapJumps",
-    "CanonicalKrein",
     "default_bound",
     "canonical_krein_from_jumps",
     "gap_modify",
@@ -94,21 +93,6 @@ def gap_modify(xi: StepFunction, gap: tuple[float, float]) -> StepFunction:
     return xi
 
 
-@dataclass(frozen=True)
-class CanonicalKrein:
-    """A step function certified to lie in the canonical class of K."""
-
-    xi: StepFunction
-    k_set: CompactSet
-
-    def __post_init__(self):
-        if not is_canonical(self.xi, self.k_set):
-            raise ValueError("step function does not have the canonical shape")
-
-    def jumps(self) -> tuple[float, ...]:
-        return gap_jump_masses(self.xi, self.k_set)
-
-
 def flow_steps(xi: StepFunction, k_set: CompactSet) -> Iterator[tuple[str, StepFunction]]:
     """The flow one modification at a time: tails first, then each gap left
     to right.  Yields (label, xi_after_step)."""
@@ -125,12 +109,13 @@ def flow_steps(xi: StepFunction, k_set: CompactSet) -> Iterator[tuple[str, StepF
         yield f"gap({gap[0]},{gap[1]})", cur
 
 
-def flow_to_canonical(xi: StepFunction, k_set: CompactSet) -> CanonicalKrein:
+def flow_to_canonical(xi: StepFunction, k_set: CompactSet) -> StepFunction:
     """The end of the flow in one build: no step changes the mass of a gap,
-    so the result is the canonical function with xi's gap masses."""
+    so the result is the canonical function with xi's gap masses (canonical
+    by construction, as `is_canonical` confirms)."""
     _require_half_on_bands(xi, k_set)
     jumps = GapJumps(gap_jump_masses(xi, k_set))
-    return CanonicalKrein(canonical_krein_from_jumps(k_set, jumps, xi.bound), k_set)
+    return canonical_krein_from_jumps(k_set, jumps, xi.bound)
 
 
 def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:

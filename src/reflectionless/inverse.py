@@ -30,7 +30,7 @@ from .measures import SpectralMeasure, _fejer_rule, _root_edges, total_mass
 from .operators import JacobiCoefficients, Tail
 
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
-           "reconstruction_report", "coefficients_csv"]
+           "reconstruction_report"]
 
 _MAX_NODES = 4000  # per ac piece, for a certified reconstruction
 
@@ -145,7 +145,7 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     """((b_1..b_N, a_1..a_N), rule per piece, certificate) on the depth-sized
     rules that `reconstruct_coefficients` describes; one density call builds
     the rules of all pieces at each size."""
-    if nu.is_atomic():
+    if not nu.ac_pieces:
         return _jacobi(nu, None, None, n_coeffs), [], 0.0
     step = max(32, -(-n_coeffs // 4))
     kinds = [_root_edges(nu, p) for p in nu.ac_pieces]
@@ -236,12 +236,3 @@ def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> di
     err = float(np.max(np.abs(np.subtract((diag, off), (alphas, betas))), initial=0.0))
     return {"a0": coeffs.a(0), "mass": total_mass(nu), "rules": rules,
             "certificate": cert, "max_coefficient_error": err}
-
-
-def coefficients_csv(coeffs: JacobiCoefficients) -> str:
-    """CSV text of (n, a_n, b_n) over the explicit window."""
-    lines = ["n,a,b"]
-    rows = zip(range(coeffs.n_lo, coeffs.n_hi + 1), coeffs.a_window.tolist(),
-               coeffs.b_window.tolist())
-    lines += [f"{n},{a!r},{b!r}" for n, a, b in rows]
-    return "\n".join(lines) + "\n"

@@ -90,10 +90,10 @@ class StepFunction:
         bk, vals = [-r], []
         cur = -r
         for a, b, v in ps:
-            if a < cur:
-                raise ValueError("pieces overlap")
             if a < -r or b > r:
                 raise ValueError("piece outside [-R, R]")
+            if a < cur:
+                raise ValueError("pieces overlap")
             if a > cur:
                 bk.append(a)
                 vals.append(0.0)
@@ -105,14 +105,6 @@ class StepFunction:
             bk.append(r)
             vals.append(0.0)
         return cls(r, tuple(bk), tuple(vals))
-
-    @classmethod
-    def indicator(cls, bound: float, lo: float, hi: float) -> "StepFunction":
-        return cls.from_pieces(bound, [(lo, hi, 1.0)])
-
-    @classmethod
-    def constant(cls, bound: float, value: float) -> "StepFunction":
-        return cls(bound, (-float(bound), float(bound)), (float(value),))
 
     def pieces(self) -> Iterator[tuple[float, float, float]]:
         for x0, x1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
@@ -226,10 +218,6 @@ def free_krein(bound: float = 2.0) -> StepFunction:
         r, [(-r, -2.0, 1.0), (-2.0, 2.0, 0.5), (2.0, r, 0.0)])
 
 
-def _as_complex_points(z) -> np.ndarray:
-    return np.asarray(z, dtype=complex)
-
-
 def herglotz_eval(rep: HerglotzRep, z):
     """Evaluate H(z) = (z+R) exp(sum_k c_k Log(z - x_k)) off [-R, R].
 
@@ -239,7 +227,7 @@ def herglotz_eval(rep: HerglotzRep, z):
     finite: a NaN or infinite point raises ValueError.
     """
     xi = rep.xi
-    zc = _as_complex_points(z)
+    zc = np.asarray(z, dtype=complex)
     if not np.isfinite(zc).all():
         raise ValueError("herglotz_eval needs finite points z")
     on_cut = (zc.imag == 0.0) & (np.abs(zc.real) <= xi.bound)

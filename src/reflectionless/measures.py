@@ -100,9 +100,6 @@ class SpectralMeasure:
         object.__setattr__(self, "ac_pieces", tuple(pieces))
         object.__setattr__(self, "atoms", tuple((float(x), float(m)) for x, m in self.atoms))
 
-    def is_atomic(self) -> bool:
-        return not self.ac_pieces
-
     @cached_property
     def _rows(self) -> np.ndarray:
         """Rows lo, hi, multiplier and sin(pi xi) over the ac pieces."""
@@ -174,9 +171,9 @@ class FSelector:
         for (_, b0, _), (a1, _, _) in zip(ivs, ivs[1:]):
             if a1 < b0:
                 raise ValueError("f intervals must be disjoint")
-        for _, w in self.atom_weights:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError("atom weights must lie in [0, 1]")
+        for x, w in self.atom_weights:
+            if not (math.isfinite(x) and 0.0 <= w <= 1.0):
+                raise ValueError("atoms need a finite position and a weight in [0, 1]")
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "atom_weights",
                            tuple((float(x), float(w)) for x, w in self.atom_weights))
@@ -224,20 +221,12 @@ def stieltjes_invert(rep: HerglotzRep) -> SpectralMeasure:
     """The measure of H: density |H(t)| sin(pi xi)/pi wherever 0 < xi < 1,
     atoms at the full 0 -> 1 up-jumps.
 
-    Up-jumps bigger than 1 cannot occur for values in [0, 1]; any piece
-    pattern that would make the density non-integrable is rejected.
+    The density is integrable: its exponent at a piece edge is v_left -
+    v_right, where one value is the piece's own in (0, 1) and the other is
+    in [0, 1], so it is always > -1.
     """
-    xi = rep.xi
-    pieces = []
-    vals = (0.0,) + xi.values + (0.0,)
-    for i, (lo, hi, v) in enumerate(xi.pieces()):
-        if 0.0 < v < 1.0:
-            # edge exponents c = v_left - v_right must stay > -1 for an
-            # integrable density; guaranteed for values in [0, 1]
-            if vals[i] - v <= -1.0 or vals[i + 2] - v <= -1.0:
-                raise NumericError("non-integrable density edge (jump past 1)")
-            pieces.append(AcPiece(lo, hi, 1.0))
-    return SpectralMeasure(rep, tuple(pieces), tuple(atom_positions_and_masses(xi)))
+    pieces = tuple(AcPiece(lo, hi, 1.0) for lo, hi, v in rep.xi.pieces() if 0.0 < v < 1.0)
+    return SpectralMeasure(rep, pieces, tuple(atom_positions_and_masses(rep.xi)))
 
 
 def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,

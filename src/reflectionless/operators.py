@@ -137,16 +137,6 @@ class JacobiCoefficients:
 
     # -- factories ---------------------------------------------------------
     @classmethod
-    def free(cls, n_lo: int = 0, n_hi: int = 0) -> "JacobiCoefficients":
-        w = n_hi - n_lo + 1
-        return cls(n_lo, n_hi, (1.0,) * w, (0.0,) * w, Tail.free())
-
-    @classmethod
-    def constant(cls, a: float, b: float, n_lo: int = 0, n_hi: int = 0) -> "JacobiCoefficients":
-        w = n_hi - n_lo + 1
-        return cls(n_lo, n_hi, (float(a),) * w, (float(b),) * w, Tail.constant(a, b))
-
-    @classmethod
     def periodic(cls, a_block, b_block, n_lo: int = 0) -> "JacobiCoefficients":
         """Globally periodic operator whose window holds one block starting
         at n_lo."""

@@ -24,8 +24,8 @@ class CompactSet:
         if not ivs:
             raise ValueError("CompactSet needs at least one interval")
         for c, d in ivs:
-            if not d > c:
-                raise ValueError(f"degenerate interval [{c}, {d}]")
+            if not -np.inf < c < d < np.inf:
+                raise ValueError(f"degenerate or unbounded interval [{c}, {d}]")
         for (_, d0), (c1, _) in zip(ivs, ivs[1:]):
             if not c1 > d0:
                 raise ValueError("intervals must be sorted with nonempty gaps")

@@ -198,7 +198,7 @@ def test_criterion_09_forward_coefficient_trend():
 
 def test_criterion_10_reflectionless_residuals():
     t0 = time.perf_counter()
-    free = JacobiCoefficients.free()
+    free = JacobiCoefficients.periodic([1.0], [0.0])
     r_free = reflectionless_residual(free, BAND, grid=100, eta=1e-6)
     assert r_free < 1e-4
     alternating = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -125,7 +126,7 @@ class TestRunners:
 
 class TestOmegaLimit:
     def test_free_operator_single_cluster(self):
-        j = JacobiCoefficients.free(0, 30)
+        j = JacobiCoefficients.periodic([1.0], [0.0]).restrict(0, 30)
         clusters = approximate_omega_limit(j, horizon=20, window=6)
         assert len(clusters) == 1
         assert clusters[0]["members"] == list(range(21))
@@ -138,9 +139,16 @@ class TestOmegaLimit:
         assert clusters[0]["distances"][1] > 1.0
 
     def test_horizon_past_window_rejected(self):
-        j = JacobiCoefficients.free(0, 10)
+        j = JacobiCoefficients.periodic([1.0], [0.0]).restrict(0, 10)
         with pytest.raises(ValueError):
             approximate_omega_limit(j, horizon=10, window=5)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0])
+    def test_nan_or_non_positive_threshold_rejected(self, threshold):
+        # such a threshold would leave every shift in a cluster of its own
+        j = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0]).restrict(0, 20)
+        with pytest.raises(ValueError, match="threshold"):
+            approximate_omega_limit(j, horizon=10, window=6, threshold=threshold)
 
     def test_runner_counts_all_shifts(self):
         full = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])
@@ -272,6 +280,13 @@ class TestReportsAndCli:
         assert row["A"] == pytest.approx(0.6, abs=1e-10)
         assert row["kkt_residual"] <= row["refinement_tolerance"]
         assert row["iterations"] > 0
+
+    def test_cli_aktable_unbounded_set_exit_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sets": [[[0.0, math.inf]]]}))
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "unbounded interval" in proc.stderr and "Warning" not in proc.stderr
 
     def test_cli_aktable_coarse_grid_exit_zero(self, tmp_path):
         # grid 5 lies 5.5e-3 above the exact constant 0.6 on this set; a

@@ -8,9 +8,9 @@ from scipy.integrate import quad
 from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             abs_boundary, canonical_krein_from_jumps,
                             extremal, flow_steps, flow_to_canonical,
-                            grid_min_mass, half_line_measure, hilbert_transform,
-                            mass_objective, minimize_mass, stieltjes_invert,
-                            total_mass)
+                            gap_jump_masses, grid_min_mass, half_line_measure,
+                            is_canonical, mass_objective, minimize_mass,
+                            stieltjes_invert, total_mass)
 from reflectionless.experiments import random_admissible_krein, random_compact_set
 
 from conftest import mp_mass_objective, mp_stationary_point
@@ -283,7 +283,8 @@ class TestLowerBoundProperty:
                      limit=200)[0]
                 for c, d in k.intervals)
             canon = flow_to_canonical(xi, k)
-            jumps = GapJumps(canon.jumps())
+            assert is_canonical(canon, k)
+            jumps = GapJumps(gap_jump_masses(canon, k))
             flowed = mass_objective(k, jumps, bound=xi.bound)
             assert flowed <= unflowed + 1e-7
 
@@ -292,7 +293,8 @@ class TestLowerBoundProperty:
             k = random_compact_set(rng, max_gaps=3)
             xi = random_admissible_krein(rng, k)
             canon = flow_to_canonical(xi, k)
-            rebuilt = canonical_krein_from_jumps(k, GapJumps(canon.jumps()),
+            assert is_canonical(canon, k)
+            rebuilt = canonical_krein_from_jumps(k, GapJumps(gap_jump_masses(canon, k)),
                                                  bound=xi.bound)
             *_, (_, stepped) = flow_steps(xi, k)
-            assert canon.xi == rebuilt == stepped
+            assert canon == rebuilt == stepped

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reflectionless import (CanonicalKrein, CompactSet, GapJumps, StepFunction,
+from reflectionless import (CompactSet, GapJumps, StepFunction,
                             flow_steps, flow_to_canonical, free_krein,
                             gap_jump_masses, gap_modify, hilbert_transform,
                             is_canonical, mass_objective)
@@ -13,9 +13,17 @@ def half_on(k_set, rng, bound=None):
     return random_admissible_krein(rng, k_set, bound)
 
 
+class TestCompactSet:
+    @pytest.mark.parametrize("intervals", [((0.0, np.inf),), ((-np.inf, 0.0),),
+                                           ((-1.0, 0.0), (1.0, np.inf)), ((np.nan, 1.0),)])
+    def test_non_finite_endpoints_rejected(self, intervals):
+        with pytest.raises(ValueError, match="unbounded"):
+            CompactSet(intervals)
+
+
 class TestGapModify:
     def test_half_mass_splits_the_gap(self):
-        xi = StepFunction.constant(2.0, 0.5)
+        xi = StepFunction.from_pieces(2.0, [(-2.0, 2.0, 0.5)])
         out = gap_modify(xi, (0.0, 1.0))
         assert out.value_at(0.25) == 0.0
         assert out.value_at(0.75) == 1.0
@@ -47,12 +55,14 @@ class TestFlow:
     def test_no_gap_no_tail_identity(self):
         xi = free_krein(2.0)
         k_set = CompactSet(((-2.0, 2.0),))
-        assert flow_to_canonical(xi, k_set).xi == xi
+        out = flow_to_canonical(xi, k_set)
+        assert out == xi and is_canonical(out, k_set)
 
     def test_tail_assignment_only(self):
-        xi = StepFunction.constant(3.0, 0.5)
+        xi = StepFunction.from_pieces(3.0, [(-3.0, 3.0, 0.5)])
         k_set = CompactSet(((-2.0, 2.0),))
-        out = flow_to_canonical(xi, k_set).xi
+        out = flow_to_canonical(xi, k_set)
+        assert is_canonical(out, k_set)
         assert list(out.pieces()) == [(-3.0, -2.0, 1.0), (-2.0, 2.0, 0.5),
                                       (2.0, 3.0, 0.0)]
 
@@ -62,15 +72,16 @@ class TestFlow:
                   (2.0, 3.0, 0.5)])
         k_set = CompactSet(((-2.0, 0.0), (1.0, 2.0)))
         out = flow_to_canonical(xi, k_set)
-        assert out.jumps() == pytest.approx((0.3,), abs=1e-15)
-        assert out.xi.value_at(0.5) == 0.0
-        assert out.xi.value_at(0.85) == 1.0
+        assert is_canonical(out, k_set)
+        assert gap_jump_masses(out, k_set) == pytest.approx((0.3,), abs=1e-15)
+        assert out.value_at(0.5) == 0.0
+        assert out.value_at(0.85) == 1.0
         # the transform dropped on the bands
         pts = k_set.interior_grid(25)
-        assert np.all(hilbert_transform(out.xi, pts) <= hilbert_transform(xi, pts) + 1e-12)
+        assert np.all(hilbert_transform(out, pts) <= hilbert_transform(xi, pts) + 1e-12)
 
     def test_requires_half_on_bands(self):
-        xi = StepFunction.constant(3.0, 0.4)
+        xi = StepFunction.from_pieces(3.0, [(-3.0, 3.0, 0.4)])
         with pytest.raises(ValueError):
             flow_to_canonical(xi, CompactSet(((-2.0, 2.0),)))
 
@@ -88,7 +99,8 @@ class TestFlow:
         jumps.validate(k_set)
         assert mass_objective(k_set, jumps) == mass_objective(k_set, GapJumps((d - c,)))
         *_, (_, stepped) = flow_steps(xi, k_set)
-        assert flow_to_canonical(xi, k_set).xi == stepped
+        canon = flow_to_canonical(xi, k_set)
+        assert canon == stepped and is_canonical(canon, k_set)
         assert stepped.values_on(c, d) == (1.0,)
         # a mass clearly over the width is still refused
         with pytest.raises(ValueError):
@@ -98,8 +110,9 @@ class TestFlow:
         for _ in range(10):
             k_set = random_compact_set(rng)
             xi = half_on(k_set, rng)
-            once = flow_to_canonical(xi, k_set).xi
-            twice = flow_to_canonical(once, k_set).xi
+            once = flow_to_canonical(xi, k_set)
+            twice = flow_to_canonical(once, k_set)
+            assert is_canonical(once, k_set) and is_canonical(twice, k_set)
             assert twice.bound == once.bound and twice.l1_distance(once) <= 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -130,7 +143,7 @@ class TestCanonicalShape:
         for _ in range(10):
             k_set = random_compact_set(rng)
             xi = half_on(k_set, rng)
-            assert is_canonical(flow_to_canonical(xi, k_set).xi, k_set)
+            assert is_canonical(flow_to_canonical(xi, k_set), k_set)
 
     def test_fractional_gap_value_is_not_canonical(self):
         k_set = CompactSet(((-2.0, 0.0), (1.0, 2.0)))
@@ -152,10 +165,9 @@ class TestCanonicalShape:
                   (0.0, 0.5, 0.0), (0.5, 2.0, 0.5), (2.0, 3.0, 0.0)])
         assert not is_canonical(xi, k_set)
 
-    def test_certificate_constructor_validates(self):
+    def test_constant_half_is_not_canonical(self):
         k_set = CompactSet(((-2.0, 2.0),))
-        with pytest.raises(ValueError):
-            CanonicalKrein(StepFunction.constant(3.0, 0.5), k_set)
+        assert not is_canonical(StepFunction.from_pieces(3.0, [(-3.0, 3.0, 0.5)]), k_set)
 
     def test_jump_mass_extraction(self):
         k_set = CompactSet(((-2.0, -0.5), (0.5, 2.0)))

@@ -409,13 +409,18 @@ class TestReports:
         cut = reconstruction_report(cut_semicircle_with_atom(), rec)
         assert [r["rule"] for r in cut["rules"]] == ["fejer"] * 2
 
-    def test_coefficients_csv(self):
-        from reflectionless import coefficients_csv
-        rec = reconstruct_coefficients(normalized_semicircle(), 3)
-        lines = coefficients_csv(rec).splitlines()
+    def test_coefficients_csv(self, tmp_path):
+        # the n,a,b CSV of a reconstructed window is dr's rows.csv
+        from reflectionless.experiments import (ExperimentConfig, run_forward_asymptotics,
+                                                write_report)
+        cfg = ExperimentConfig(name="dr", seed=7, n_coeffs=30, out_dir=str(tmp_path))
+        write_report(run_forward_asymptotics(cfg), str(tmp_path))
+        nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-2.0, 2.0, 0.5),),
+                             ((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)))
+        rec = reconstruct_coefficients(nu, 30)
+        lines = (tmp_path / "rows.csv").read_text().splitlines()
         assert lines[0] == "n,a,b"
-        assert len(lines) == 5
-        assert lines[1].startswith("0,")
+        assert lines[1:] == [f"{n},{rec.a(n)!r},{rec.b(n)!r}" for n in range(31)]
 
 
 class TestDeviation:
@@ -429,7 +434,7 @@ class TestDeviation:
 
     def test_empty_window_rejected(self):
         from reflectionless import JacobiCoefficients
-        j = JacobiCoefficients.free(10, 12)
+        j = JacobiCoefficients.periodic([1.0], [0.0]).restrict(10, 12)
         with pytest.raises(ValueError):
             coefficient_deviation(j, 1.0, 0.0, 5)
 

@@ -95,6 +95,12 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction(2.0, (-2.0, 2.0), (1.5,))
 
+    @pytest.mark.parametrize("pieces", [[(-3.0, 0.0, 1.0)], [(0.0, 3.0, 1.0)],
+                                        [(-1.0, 0.5, 1.0), (0.0, 2.5, 0.5)]])
+    def test_piece_past_the_domain_is_reported_as_such(self, pieces):
+        with pytest.raises(ValueError, match="outside"):
+            StepFunction.from_pieces(2.0, pieces)
+
     def test_with_value_splices(self):
         s = free_krein(3.0).with_value(2.0, 2.5, 0.5)
         assert s.value_at(2.2) == 0.5
@@ -160,7 +166,7 @@ class TestHerglotzEval:
         assert herglotz_eval(free_rep(), 3.0) == pytest.approx(math.sqrt(5.0), abs=1e-12)
 
     def test_full_value_piece_telescopes(self):
-        rep = HerglotzRep(StepFunction.constant(3.0, 1.0))
+        rep = HerglotzRep(StepFunction.from_pieces(3.0, [(-3.0, 3.0, 1.0)]))
         assert herglotz_eval(rep, 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_free_matches_square_root_branch(self):
@@ -250,26 +256,27 @@ class TestBoundaryValues:
 
 class TestHilbertTransform:
     def test_indicator_right_of_support(self):
-        f = StepFunction.indicator(2.0, 0.0, 1.0)
+        f = StepFunction.from_pieces(2.0, [(0.0, 1.0, 1.0)])
         assert hilbert_transform(f, 2.0) == pytest.approx(-math.log(2.0), abs=1e-14)
 
     def test_principal_value_symmetry_point(self):
-        f = StepFunction.indicator(2.0, 0.0, 1.0)
+        f = StepFunction.from_pieces(2.0, [(0.0, 1.0, 1.0)])
         assert hilbert_transform(f, 0.5) == 0.0
 
     def test_indicator_left_of_support(self):
-        f = StepFunction.indicator(2.0, 0.0, 1.0)
+        f = StepFunction.from_pieces(2.0, [(0.0, 1.0, 1.0)])
         assert hilbert_transform(f, -1.0) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_jump_point_rejected(self):
-        f = StepFunction.indicator(2.0, 0.0, 1.0)
+        f = StepFunction.from_pieces(2.0, [(0.0, 1.0, 1.0)])
         with pytest.raises(ValueError):
             hilbert_transform(f, 1.0)
 
     @pytest.mark.parametrize("x", [math.nan, -math.inf, np.array([0.5, math.nan])])
     def test_non_finite_points_rejected(self, x):
+        f = StepFunction.from_pieces(2.0, [(0.0, 1.0, 1.0)])
         with pytest.raises(ValueError, match="finite"):
-            hilbert_transform(StepFunction.indicator(2.0, 0.0, 1.0), x)
+            hilbert_transform(f, x)
 
     def test_l2_convergence_carries_to_transform(self):
         # T is linear, so xi_n = xi + (eta - xi)/n converging in L^2 forces

@@ -412,7 +412,10 @@ class TestValidation:
         lambda: AcPiece(-2.0, math.inf, 0.5),
         lambda: SpectralMeasure(None, (), ((math.nan, 1.0),)),
         lambda: SpectralMeasure(None, (), ((0.0, math.inf),)),
-    ], ids=["nan-multiplier", "infinite-edge", "nan-atom-position", "infinite-atom-mass"])
+        lambda: FSelector(atom_weights=((math.nan, 0.5),)),
+        lambda: FSelector(atom_weights=((math.inf, 0.5),)),
+    ], ids=["nan-multiplier", "infinite-edge", "nan-atom-position", "infinite-atom-mass",
+            "nan-selector-atom-position", "infinite-selector-atom-position"])
     def test_non_finite_measure_data_rejected(self, make):
         with pytest.raises(ValueError):
             make()

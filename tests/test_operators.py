@@ -81,8 +81,9 @@ class TestRestrict:
         assert JacobiCoefficients.from_dict(r.to_dict()) == r
         assert same_sites(r, j, range(-9, 10))
 
-    @pytest.mark.parametrize("j", [JacobiCoefficients.free(-1, 2),
-                                   JacobiCoefficients.constant(2.0, 0.5, 0, 3)])
+    @pytest.mark.parametrize("j", [
+        JacobiCoefficients.periodic([1.0], [0.0]).restrict(-1, 2),
+        JacobiCoefficients.periodic([2.0], [0.5]).restrict(0, 3)])
     def test_restrict_keeps_free_and_constant_tails(self, j):
         for lo, hi in ((0, 1), (-5, 7), (4, 9)):
             assert j.restrict(lo, hi).tail == j.tail
@@ -106,7 +107,7 @@ class TestArrays:
 
 class TestShift:
     def test_free_operator_invariant(self):
-        j = JacobiCoefficients.free()
+        j = JacobiCoefficients.periodic([1.0], [0.0])
         s = shift(j, 5)
         assert all(s.a(n) == 1.0 and s.b(n) == 0.0 for n in range(-8, 8))
 
@@ -138,18 +139,18 @@ class TestMetric:
             assert coefficient_metric(j, j) == 0.0
 
     def test_single_center_difference(self):
-        j = JacobiCoefficients.free()
+        j = JacobiCoefficients.periodic([1.0], [0.0])
         j2 = JacobiCoefficients(0, 0, (1.0,), (1.0,))
         assert coefficient_metric(j, j2) == 1.0
 
     def test_two_symmetric_differences(self):
-        j = JacobiCoefficients.free()
+        j = JacobiCoefficients.periodic([1.0], [0.0])
         j2 = JacobiCoefficients(-3, 3, (1.0,) * 7, (1.0,) + (0.0,) * 5 + (1.0,))
         assert coefficient_metric(j, j2) == 0.25
 
     def test_differing_tails_truncated_with_bound(self):
-        j = JacobiCoefficients.free()
-        j2 = JacobiCoefficients.constant(1.0, 0.25)
+        j = JacobiCoefficients.periodic([1.0], [0.0])
+        j2 = JacobiCoefficients.periodic([1.0], [0.25])
         # exact value: sum 2^{-|n|} * 0.25 = 0.75
         assert coefficient_metric(j, j2) == pytest.approx(0.75, abs=1e-11)
         # periods 2 and 3 with windows off site 0, on one side of it and on
@@ -188,14 +189,14 @@ class TestGreenDiag:
     def test_non_finite_energy_rejected(self, z):
         for method in ("recursion", "truncation"):
             with pytest.raises(ValueError, match="finite z"):
-                green_diag(JacobiCoefficients.free(), 0, z, method)
+                green_diag(JacobiCoefficients.periodic([1.0], [0.0]), 0, z, method)
 
     def test_free_at_2i(self):
-        g = green_diag(JacobiCoefficients.free(), 0, 2j)
+        g = green_diag(JacobiCoefficients.periodic([1.0], [0.0]), 0, 2j)
         assert g == pytest.approx(1j / (2.0 * math.sqrt(2.0)), abs=1e-13)
 
     def test_free_outside_spectrum_via_vertical_limit(self):
-        j = JacobiCoefficients.free()
+        j = JacobiCoefficients.periodic([1.0], [0.0])
         g1 = green_diag(j, 0, 5.0 + 1e-6j)
         g2 = green_diag(j, 0, 5.0 + 5e-7j)
         extrap = 2.0 * g2 - g1
@@ -261,12 +262,13 @@ class TestGreenDiag:
 
     def test_real_energies_rejected(self):
         with pytest.raises(ValueError):
-            green_diag(JacobiCoefficients.free(), 0, 3.0)
+            green_diag(JacobiCoefficients.periodic([1.0], [0.0]), 0, 3.0)
 
     def test_truncation_of_the_free_operator_at_tiny_eta(self):
         # the section has 421,890,573 sites; g_0(i eta) = i / sqrt(4 + eta^2)
         eta = 1e-6
-        g = green_diag(JacobiCoefficients.free(), 0, 1j * eta, method="truncation")
+        free = JacobiCoefficients.periodic([1.0], [0.0])
+        g = green_diag(free, 0, 1j * eta, method="truncation")
         assert abs(g - 1j / math.sqrt(4.0 + eta * eta)) <= 1e-10
 
     @given(st.integers(0, 2**32 - 1), TAIL_KINDS)
@@ -321,8 +323,8 @@ def residual_by_points(j, m_set, grid, eta, sites):
 
 class TestReflectionlessResidual:
     @pytest.mark.parametrize("j, m_set", [
-        (JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),))),
-        (JacobiCoefficients.free(), CompactSet(((3.0, 4.0),))),
+        (JacobiCoefficients.periodic([1.0], [0.0]), CompactSet(((-2.0, 2.0),))),
+        (JacobiCoefficients.periodic([1.0], [0.0]), CompactSet(((3.0, 4.0),))),
         (JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0]).restrict(-3, 7),
          CompactSet(((-math.sqrt(5.0), -1.0), (1.0, math.sqrt(5.0))))),
         (JacobiCoefficients.periodic([1.0, 0.6, 1.3], [0.2, -0.4, 0.5]).restrict(0, 10),
@@ -354,8 +356,8 @@ class TestReflectionlessResidual:
 
         monkeypatch.setattr(operators, "_green_sites", one_nan)
         with pytest.raises(NumericError):
-            reflectionless_residual(JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),)),
-                                    grid=10)
+            reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
+                                    CompactSet(((-2.0, 2.0),)), grid=10)
 
     @pytest.mark.parametrize("sites", [range(-4, 5, 2), range(3, -4, -3), range(0)],
                              ids=["step-2", "descending", "empty"])
@@ -384,8 +386,8 @@ class TestReflectionlessResidual:
     @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
     def test_rejects_non_finite_or_zero_eta(self, eta):
         with pytest.raises(ValueError, match="eta"):
-            reflectionless_residual(JacobiCoefficients.free(), CompactSet(((-2.0, 2.0),)),
-                                    eta=eta)
+            reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
+                                    CompactSet(((-2.0, 2.0),)), eta=eta)
 
     def test_no_per_site_accessor_on_the_green_paths(self, monkeypatch):
         def boom(self, n):
@@ -399,7 +401,7 @@ class TestReflectionlessResidual:
         assert reflectionless_residual(j, CompactSet(((-1.0, 1.0),)), grid=5) >= 0.0
 
     def test_free_operator_on_its_band(self):
-        j = JacobiCoefficients.free()
+        j = JacobiCoefficients.periodic([1.0], [0.0])
         res = reflectionless_residual(j, CompactSet(((-2.0, 2.0),)), grid=100)
         assert res < 1e-4
 
@@ -410,7 +412,7 @@ class TestReflectionlessResidual:
         assert reflectionless_residual(j, bands, grid=60) < 1e-4
 
     def test_free_operator_off_band_negative_control(self):
-        j = JacobiCoefficients.free()
+        j = JacobiCoefficients.periodic([1.0], [0.0])
         res = reflectionless_residual(j, CompactSet(((3.0, 4.0),)), grid=50)
         # Re g = -1/sqrt(t^2-4) on [3, 4], so at least 1/sqrt(12)
         assert res >= 1.0 / math.sqrt(12.0) - 1e-6
@@ -418,7 +420,7 @@ class TestReflectionlessResidual:
 
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
-            reflectionless_residual(JacobiCoefficients.free(),
+            reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
                                     CompactSet(((-2.0, 2.0),)), eta=0.0)
 
 
@@ -437,7 +439,7 @@ class TestSerialization:
         assert Tail.periodic([1.0], [0.0]) == Tail.free()
         assert Tail.periodic([1.0], [0.0]).to_dict() == {"kind": "free"}
         j1 = JacobiCoefficients.periodic([2.0], [0.5])
-        j2 = JacobiCoefficients.constant(2.0, 0.5)
+        j2 = JacobiCoefficients(0, 0, (2.0,), (0.5,), Tail.constant(2.0, 0.5))
         assert j1 == j2 and hash(j1) == hash(j2)
 
     @pytest.mark.parametrize("changes", [
