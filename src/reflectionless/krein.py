@@ -84,12 +84,15 @@ class StepFunction:
     def from_pieces(cls, bound: float,
                     pieces: Iterable[tuple[float, float, float]]) -> "StepFunction":
         """Build from (lo, hi, value) pieces; unspecified parts of [-R, R]
-        take the value 0.  Pieces must be disjoint."""
+        take the value 0.  Pieces must be disjoint, each with lo <= hi; one
+        with lo == hi is dropped."""
         r = float(bound)
         ps = sorted((float(a), float(b), float(v)) for a, b, v in pieces)
         bk, vals = [-r], []
         cur = -r
         for a, b, v in ps:
+            if b < a:
+                raise ValueError("piece with hi < lo")
             if a < -r or b > r:
                 raise ValueError("piece outside [-R, R]")
             if a < cur:

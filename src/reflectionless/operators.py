@@ -11,9 +11,10 @@ functions computable two independent ways:
   the tails by the attracting fixed point of the one-period Moebius map.
 
 Both read their coefficients as arrays over a site range.  The recursion
-serves a run of sites from one walk per side and one solve per tail phase,
-on one energy or elementwise over an ndarray of energies.  The section walks
-its explicit sites and takes each tail's whole periods as one power of the
+serves a run of sites from one walk per side over the effective window (end
+sites equal to the tail are not walked) and one tail solve per side, on one
+energy or elementwise over an ndarray of energies.  The section walks its
+explicit sites and takes each tail's whole periods as one power of the
 period's transfer matrix, in closed form, so its cost does not grow with its
 size; it never solves for a tail fixed point, and so checks that solve.
 """
@@ -240,32 +241,50 @@ def _tail_m(pairs, z):
     return r1 * pick1 + r2 * pick2
 
 
-def _half_line_m(a, b, k0, k1, e, p, z):
+def _half_line_m(a, b, k0, k1, e, p, m_e, z):
     """[m_k for k = k1 down to k0], 1 <= k0 <= k1, of m_k = 1/(b_k - z - a_k^2 m_{k+1}) on
-    lists whose (a, b) repeat with period p from index e on: one tail solve per phase, one walk."""
-    ms = []
-    for k in range(k1, max(k0, e) - 1, -1):
-        ms.append(ms[-p] if len(ms) >= p else _tail_m(zip(a[k:k + p], b[k:k + p]), z))
-    if k0 < e:
-        m, top = ms[-1] if ms else _tail_m(zip(a[e:e + p], b[e:e + p]), z), e - 1
-        for k in range(min(k1, e - 1), k0 - 1, -1):      # walk on from top down to k
-            for a_k, b_k in zip(a[top:k - 1:-1], b[top:k - 1:-1]):
-                m = 1.0 / (b_k - z - a_k * a_k * m)
-            ms.append(m)
-            top = k - 1
+    lists whose (a, b) repeat with period p from index e on: one walk down from the tail's
+    m_e = m_{e+p}."""
+    ms, m, top = [], m_e, e - 1
+    if k1 >= e:
+        tail = [m_e] * p        # m_e..m_{e+p-1}, walked down from m_{e+p} = m_e
+        for k in range(e + p - 1, e, -1):
+            tail[k - e] = 1.0 / (b[k] - z - a[k] * a[k] * tail[(k + 1 - e) % p])
+        ms = [tail[(k - e) % p] for k in range(k1, max(k0, e) - 1, -1)]
+    for k in range(min(k1, e - 1), k0 - 1, -1):      # walk on from top down to k
+        for a_k, b_k in zip(a[top:k - 1:-1], b[top:k - 1:-1]):
+            m = 1.0 / (b_k - z - a_k * a_k * m)
+        ms.append(m)
+        top = k - 1
     return ms
 
 
 def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z) -> list:
     """[g_n(z) for n = n0..n1], z complex or an ndarray, from one `arrays` call
     and one m-function sweep per side.  The left sweep is the right one on the
-    lists reflected about n1, index i holding b_{n1 - i} and a_{n1 - i - 1}."""
+    lists reflected about a site r >= n1, index i holding b_{r - i} and a_{r - i - 1}.
+    Each tail is solved once, next to the effective window w0..w1: the window
+    less its end sites equal to the in-phase tail, so at sites fixed by the
+    operator alone.  If all are, each tail starts at a multiple of p past
+    n0..n1 (every such start reads the same period) and no site is walked.
+    One solve serves both sides when their periods read alike, as at p = 1."""
     p = j.tail.period
     lo = min(n0, j.n_lo) - 1 - p        # the left tail repeats from lo + p down
     a, b = j.arrays(lo, max(n1, j.n_hi) + p).tolist()     # site s at index s - lo
-    c0, c1 = n0 - lo, n1 - lo
-    mp = _half_line_m(a, b, c0 + 1, c1 + 1, j.n_hi + 1 - lo, p, z)
-    mm = _half_line_m(a[c1 - 1::-1], b[c1::-1], 1, c1 - c0 + 1, c1 + 1 + lo - j.n_lo, p, z)
+    c0, c1, w0, w1 = n0 - lo, n1 - lo, j.n_lo - lo, j.n_hi - lo
+    while w1 >= w0 and a[w1] == a[w1 + p] and b[w1] == b[w1 + p]:
+        w1 -= 1
+    if w1 < w0:     # periodic throughout: each tail from a multiple of p past n0..n1
+        w0, w1 = n1 + (-n1) % p - lo, n0 - (n0 + 1) % p - lo
+    while w0 <= w1 and a[w0] == a[w0 - p] and b[w0] == b[w0 - p]:
+        w0 += 1
+    r = max(c1, w0 - 1)         # the lists reflected about r, and w0 - 1 there
+    ra, rb, e, f = a[r - 1::-1], b[r::-1], w1 + 1, r + 1 - w0
+    right, left = (a[e:e + p], b[e:e + p]), (ra[f:f + p], rb[f:f + p])     # one period each
+    m_right = _tail_m(zip(*right), z)
+    m_left = m_right if left == right else _tail_m(zip(*left), z)
+    mp = _half_line_m(a, b, c0 + 1, c1 + 1, e, p, m_right, z)
+    mm = _half_line_m(ra, rb, r - c1 + 1, r - c0 + 1, f, p, m_left, z)
     g = []
     for c in range(c0, c1 + 1):
         g.append(1.0 / (b[c] - z - a[c] * a[c] * mp[c1 - c] - a[c - 1] * a[c - 1] * mm[c - c0]))
@@ -297,13 +316,14 @@ def _section_m(a, b, e, p, count, z):
     are walked directly.
     """
     s = min(count, e + (count - e) % p)
-    top, bot = np.eye(2)            # rows of T_k ... T_{s+p-1}, built for k = s+p-1 down to s
-    for k in range(s + p - 1, s - 1, -1):
-        top, bot = bot, (b[k] - z) * bot - a[k] * a[k] * top
-    root = cmath.sqrt((top[0] - bot[1]) ** 2 + 4.0 * top[1] * bot[0])
-    small, big = sorted((0.5 * (top[0] + bot[1] - root), 0.5 * (top[0] + bot[1] + root)), key=abs)
+    t0, t1, u0, u1 = 1.0, 0.0, 0.0, 1.0     # [[t0, t1], [u0, u1]] = T_k ... T_{s+p-1}
+    for k in range(s + p - 1, s - 1, -1):     # k = s+p-1 down to s
+        c, q = b[k] - z, a[k] * a[k]
+        t0, t1, u0, u1 = u0, u1, c * u0 - q * t0, c * u1 - q * t1
+    root = cmath.sqrt((t0 - u1) ** 2 + 4.0 * t1 * u0)
+    small, big = sorted((0.5 * (t0 + u1 - root), 0.5 * (t0 + u1 + root)), key=abs)
     t = (small / big) ** ((count - s) // p)
-    m = (1.0 - t) * top[1] / ((1.0 - t) * bot[1] - small + t * big)
+    m = (1.0 - t) * t1 / ((1.0 - t) * u1 - small + t * big)
     for k in range(s - 1, -1, -1):
         m = 1.0 / (b[k] - z - a[k] * a[k] * m)
     return m
@@ -332,7 +352,7 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
         a, b = j.arrays(n - c, n + c).tolist()           # site n at index c
         m_right = _section_m(a[c + 1:], b[c + 1:], max(j.n_hi - n, 0), p, half, z)
         m_left = _section_m(a[c - 2::-1], b[c - 1::-1], max(n - j.n_lo, 0), p, half, z)
-        return complex(1.0 / (b[c] - z - a[c] * a[c] * m_right - a[c - 1] * a[c - 1] * m_left))
+        return 1.0 / (b[c] - z - a[c] * a[c] * m_right - a[c - 1] * a[c - 1] * m_left)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -343,7 +363,7 @@ def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
     |Re g_n(t + i0)|, the boundary value taken by Richardson extrapolation
     in eta.  Small residuals certify approximate membership in the
     reflectionless class on M; O(1) values certify violation.  One sweep per
-    side, each tail phase solved once, covers every site and grid point at
+    side, with one tail solve per side, covers every site and grid point at
     eta and eta / 2; a non-finite Green function value raises `NumericError`."""
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError("eta must be finite and positive")

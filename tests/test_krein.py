@@ -101,6 +101,14 @@ class TestStepFunction:
         with pytest.raises(ValueError, match="outside"):
             StepFunction.from_pieces(2.0, pieces)
 
+    def test_reversed_piece_rejected_and_empty_piece_dropped(self):
+        with pytest.raises(ValueError, match="hi < lo"):
+            StepFunction.from_pieces(2.0, [(1.0, 0.5, 1.0)])
+        with pytest.raises(ValueError, match="hi < lo"):
+            StepFunction.from_pieces(2.0, [(-1.0, 0.0, 1.0), (1.0, 0.5, 0.5)])
+        s = StepFunction.from_pieces(2.0, [(0.5, 0.5, 1.0), (0.0, 0.25, 0.5)])
+        assert s == StepFunction.from_pieces(2.0, [(0.0, 0.25, 0.5)])
+
     def test_with_value_splices(self):
         s = free_krein(3.0).with_value(2.0, 2.5, 0.5)
         assert s.value_at(2.2) == 0.5

@@ -35,6 +35,20 @@ def random_operator(rng, max_span=4, kind=None):
 TAIL_KINDS = st.sampled_from(["free", "constant", "periodic"])
 
 
+def tail_matching_ends(rng, j):
+    """j with up to two sites at each end of its window set to their in-phase
+    tail value in a, in b or in both."""
+    a, b, w, p = j.a_window.copy(), j.b_window.copy(), j.n_hi - j.n_lo + 1, j.tail.period
+    left, right = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    for i in {*range(min(left, w)), *range(max(w - right, 0), w)}:
+        which = int(rng.integers(0, 3))         # 0: a alone, 1: b alone, 2: both
+        if which != 1:
+            a[i] = j.tail.a_block[i % p]
+        if which != 0:
+            b[i] = j.tail.b_block[i % p]
+    return JacobiCoefficients(j.n_lo, j.n_hi, a, b, j.tail)
+
+
 def same_sites(j1, j2, sites):
     return all(j1.a(n) == j2.a(n) and j1.b(n) == j2.b(n) for n in sites)
 
@@ -260,6 +274,32 @@ class TestGreenDiag:
         for row, ref in zip(rows, one):
             assert np.all(row == ref)
 
+    @given(st.integers(0, 2**32 - 1), TAIL_KINDS, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_padded_windows_give_the_same_rows(self, seed, kind, array_z):
+        """A window padded with tail values by `restrict` gives bitwise the
+        same rows, also where end sites repeat the tail in a, in b or in both
+        (and so may be trimmed); every row matches the truncation."""
+        rng = np.random.default_rng(seed)
+        j = tail_matching_ends(rng, random_operator(rng, kind=kind))
+        padded = j.restrict(j.n_lo - int(rng.integers(0, 7)), j.n_hi + int(rng.integers(0, 7)))
+        n0 = int(rng.integers(j.n_lo - 5, j.n_hi + 2))
+        n1 = int(rng.integers(n0, j.n_hi + 6))
+        z = rng.uniform(-3.0, 3.0, 3) + 1j * rng.uniform(0.5, 3.0, 3)
+        z = z if array_z else complex(z[0])
+        rows = operators._green_sites(j, n0, n1, z)
+        for row, other in zip(rows, operators._green_sites(padded, n0, n1, z)):
+            assert np.all(row == other)
+        for n, row in zip(range(n0, n1 + 1), rows):
+            for zk, g in zip(np.atleast_1d(z), np.atleast_1d(row)):
+                assert abs(g - green_diag(j, n, complex(zk), method="truncation")) < 1e-8
+
+    def test_scalar_kernels_return_python_complex(self):
+        a, b, z = [1.0, 0.7, 1.2, 0.9, 1.1], [0.1, -0.2, 0.3, 0.0, -0.1], 0.3 + 0.2j
+        assert type(operators._tail_m(zip(a[:2], b[:2]), z)) is complex
+        assert type(operators._section_m(a, b, 1, 2, 40, z)) is complex
+        assert type(operators._section_m(a, b, 0, 1, 7, z)) is complex    # no walk
+
     def test_real_energies_rejected(self):
         with pytest.raises(ValueError):
             green_diag(JacobiCoefficients.periodic([1.0], [0.0]), 0, 3.0)
@@ -369,8 +409,8 @@ class TestReflectionlessResidual:
         assert abs(res - ref) <= 1e-12 * max(1.0, ref)
         assert (res == 0.0) == (len(sites) == 0)
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_default_sites_solve_each_tail_phase_once(self, monkeypatch, p):
+    @staticmethod
+    def count_tail_solves(monkeypatch, j):
         calls = []
 
         def counted(pairs, z):
@@ -379,9 +419,19 @@ class TestReflectionlessResidual:
 
         tail_m = operators._tail_m
         monkeypatch.setattr(operators, "_tail_m", counted)
-        j = JacobiCoefficients.periodic([1.0, 0.6, 1.3][:p], [0.2, -0.4, 0.5][:p]).restrict(0, 7)
         reflectionless_residual(j, CompactSet(((-0.5, 0.5),)), grid=8)
-        assert 0 < len(calls) <= 2 * p      # one solve per site and side would be 10
+        return len(calls)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_default_sites_solve_one_tail_per_side(self, monkeypatch, p):
+        j = JacobiCoefficients.periodic([1.0, 0.6, 1.3][:p], [0.2, -0.4, 0.5][:p]).restrict(0, 7)
+        # one solve per site and side would be 10, one per phase and side 2p
+        assert self.count_tail_solves(monkeypatch, j) == (1 if p == 1 else 2)
+
+    def test_mirror_symmetric_period_shares_its_solve(self, monkeypatch):
+        # b constant: the pairs (a_s, b_s) up from an even s equal (a_{s-1}, b_s) down from s - 1
+        j = JacobiCoefficients.periodic([1.0, 0.6], [0.2, 0.2]).restrict(0, 5)
+        assert self.count_tail_solves(monkeypatch, j) == 1
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
     def test_rejects_non_finite_or_zero_eta(self, eta):
