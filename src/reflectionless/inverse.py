@@ -33,6 +33,7 @@ __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag
            "reconstruction_report"]
 
 _MAX_NODES = 4000  # per ac piece, for a certified reconstruction
+_BLOCK = 16  # basis rows per Bessel-sum update of `lanczos_tridiag`
 
 
 def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
@@ -49,7 +50,9 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
     sum_k q_k[i]^2 of an orthonormal basis never exceed 1, while a basis that
     has lost orthogonality repeats the converged direction and pushes them
     past 1.  The sums only grow, so s.max() <= 1 + 1e-10 is checked once,
-    after the last step."""
+    after the last step.  The loop reuses u, one scratch vector and a block
+    of at most 16 basis rows (16 m doubles); one einsum, the only allocation,
+    adds the block's squares to the row sums when it fills and at the end."""
     t = np.asarray(support, dtype=float)
     w = np.asarray(weights, dtype=float)
     if t.shape != w.shape or t.ndim != 1:
@@ -63,22 +66,27 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
     nrm = np.linalg.norm(q)
     if nrm == 0:
         raise ValueError("measure has no mass")
-    q = q / nrm
-    q_prev, beta, row_sums = np.zeros_like(q), 0.0, q * q
+    block = np.empty((min(_BLOCK, n_steps + 1), t.size))
+    q = np.divide(q, nrm, out=block[0])
+    q_prev, beta, row, row_sums = np.zeros_like(q), 0.0, 0, np.zeros_like(q)
+    u, scratch = np.empty_like(q), np.empty_like(q)
     alphas, betas = np.empty(n_steps), np.empty(n_steps)
     for k in range(n_steps):
-        u = t * q
-        u -= beta * q_prev
-        alphas[k] = alpha = q @ u
-        u -= alpha * q
-        beta = math.sqrt(u @ u)
+        np.multiply(t, q, out=u)
+        u -= np.multiply(q_prev, beta, out=scratch)
+        alphas[k] = alpha = q.dot(u)
+        u -= np.multiply(q, alpha, out=scratch)
+        beta = math.sqrt(u.dot(u))
         if beta <= 1e-12 * scale:
             raise NumericError(
                 f"Lanczos breakdown at step {k + 1}: off-diagonal {beta} "
                 "(discretization too coarse for the requested depth)")
         betas[k] = beta
-        q_prev, q = q, u / beta
-        row_sums += q * q
+        if row == _BLOCK - 1:
+            row_sums += np.einsum("ij,ij->j", block, block)
+        row = (row + 1) % _BLOCK
+        q_prev, q = q, np.divide(u, beta, out=block[row])
+    row_sums += np.einsum("ij,ij->j", block[:row + 1], block[:row + 1])
     if row_sums.max() > 1.0 + 1e-10:
         raise NumericError(f"Lanczos lost orthogonality by step {n_steps}: basis row sum "
                            f"{row_sums.max()} > 1 (isolated atom, or rule too coarse)")
@@ -152,7 +160,7 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
     if max(sizes) + step > _MAX_NODES:
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
-    prev, tol = None, 1e-12 * _scale(nu)
+    prev, tol, best = None, 1e-12 * _scale(nu), math.inf
     for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
         counts = [n + extra for n in sizes]
         th, w = (np.concatenate(parts) for parts in
@@ -169,8 +177,11 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
                                "rule": "midpoint" if mid else "fejer",
                                "certifying_nodes": n + extra}
                               for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], cert
+            best = min(best, cert)
         prev = cur
-    raise NumericError(f"N={n_coeffs} not certified within {_MAX_NODES} nodes per piece")
+    reached = f"best agreement {best:.2g}" if best < math.inf else "no rule pair completed"
+    raise NumericError(f"N={n_coeffs} not certified within {_MAX_NODES} nodes per piece: "
+                       f"{reached}, target {tol:.2g} (1e-12 x scale)")
 
 
 def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoefficients:
@@ -226,13 +237,15 @@ def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float
 
 
 def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> dict:
-    """{a0, mass, rules, certificate, max_coefficient_error} of a certified
-    reconstruction of nu to the depth N of coeffs: per ac piece its interval,
-    rule, nodes and certifying nodes; the largest difference between the two
-    rules' coefficients; the largest difference of coeffs from it, n <= N."""
+    """{a0, mass, rules, certificate, max_coefficient_error, min_offdiagonal}
+    of a certified reconstruction of nu to depth N = coeffs.n_hi: per ac piece
+    its interval, rule, nodes and certifying nodes; the largest difference of
+    the two rules' coefficients; that of coeffs from them, n <= N; and their
+    smallest a_n over the breakdown test's scale (None at N = 0)."""
     n = coeffs.n_hi
     (alphas, betas), rules, cert = _certified(nu, n)
     off, diag = coeffs.arrays(1, n)
     err = float(np.max(np.abs(np.subtract((diag, off), (alphas, betas))), initial=0.0))
     return {"a0": coeffs.a(0), "mass": total_mass(nu), "rules": rules,
-            "certificate": cert, "max_coefficient_error": err}
+            "certificate": cert, "max_coefficient_error": err,
+            "min_offdiagonal": float(betas.min()) / _scale(nu) if n else None}

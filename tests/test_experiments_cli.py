@@ -260,6 +260,16 @@ class TestReportsAndCli:
         assert cli.main(["dr", "--out", "unused"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_cli_unclassified_error_exit_three_with_traceback(self, monkeypatch, capsys):
+        # the catch-all is the last resort for an error no other branch names
+        def failing(cfg):
+            raise RuntimeError("unclassified")
+
+        monkeypatch.setitem(cli._RUNNERS, "dr", failing)
+        assert cli.main(["dr", "--out", "unused"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: unclassified" in err
+
     def test_cli_oversized_request_exit_two(self, tmp_path):
         # demands more coefficients than the discretized measure can support
         cfg = tmp_path / "cfg.json"

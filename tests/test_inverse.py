@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -73,6 +74,33 @@ def two_pass_lanczos(t, w, n_steps):
         beta_prev = beta
         basis[k] = q
     return np.asarray(alphas), np.asarray(betas)
+
+
+def plain_lanczos(t, w, n_steps):
+    """The three-term recurrence with fresh temporaries and a per-step
+    Bessel sum: the bitwise reference for the buffered kernel."""
+    scale = max(1.0, float(np.max(np.abs(t))))
+    q = np.sqrt(w)
+    q = q / np.linalg.norm(q)
+    q_prev, beta, row_sums = np.zeros_like(q), 0.0, q * q
+    alphas, betas = np.empty(n_steps), np.empty(n_steps)
+    for k in range(n_steps):
+        u = t * q
+        u -= beta * q_prev
+        alphas[k] = alpha = q @ u
+        u -= alpha * q
+        beta = math.sqrt(u @ u)
+        if beta <= 1e-12 * scale:
+            raise NumericError(
+                f"Lanczos breakdown at step {k + 1}: off-diagonal {beta} "
+                "(discretization too coarse for the requested depth)")
+        betas[k] = beta
+        q_prev, q = q, u / beta
+        row_sums += q * q
+    if row_sums.max() > 1.0 + 1e-10:
+        raise NumericError(f"Lanczos lost orthogonality by step {n_steps}: basis row sum "
+                           f"{row_sums.max()} > 1 (isolated atom, or rule too coarse)")
+    return alphas, betas
 
 
 def canonical_half_line(bands, jumps=()):
@@ -168,13 +196,46 @@ class TestLanczosKernel:
         assert np.max(np.abs(alphas - ref_alphas)) <= 1e-13
         assert np.max(np.abs(betas - ref_betas)) <= 1e-13
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 15, 16, 17, 33, 100])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_plain_recurrence(self, n_steps, seed):
+        # the depths put the last basis row on either side of a block edge
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-3.0, 3.0, 400)
+        w = rng.uniform(0.0, 1.0, 400)
+        alphas, betas = lanczos_tridiag(t, w / np.sum(w), n_steps)
+        ref_alphas, ref_betas = plain_lanczos(t, w / np.sum(w), n_steps)
+        assert np.array_equal(alphas, ref_alphas) and np.array_equal(betas, ref_betas)
+
+    @pytest.mark.parametrize("t, w, n_steps", [
+        (np.arange(12.0), np.ones(12) / 12, 17),
+        (np.linspace(-1.0, 1.0, 40), np.ones(40) / 40, 40),
+        (*discretize(normalized_semicircle(), 400), 300),
+        (*discretize(semicircle_with_atoms(((2.61, 0.3),)), 400), 200),
+    ], ids=["breakdown-12", "lost-40-on-40", "semicircle-300-on-400", "isolated-atom"])
+    def test_raises_as_plain_recurrence(self, t, w, n_steps):
+        # a lost-orthogonality message quotes the largest row sum, whose
+        # summation order differs; its digits agree to rounding
+        with pytest.raises(NumericError) as ref:
+            plain_lanczos(t, w / np.sum(w), n_steps)
+        with pytest.raises(NumericError) as got:
+            lanczos_tridiag(t, w / np.sum(w), n_steps)
+        number = re.compile(r"row sum (\S+) >")
+        got, ref = str(got.value), str(ref.value)
+        assert number.sub("", got) == number.sub("", ref)
+        if number.search(ref):
+            assert float(number.search(got)[1]) == pytest.approx(float(number.search(ref)[1]),
+                                                                 rel=1e-13)
+
     @pytest.mark.parametrize("nu, nodes, depth", [
         (semicircle_with_atoms(((2.61, 0.3),)), 400, 200),
         (normalized_semicircle(), 400, 300),
-    ], ids=["isolated-atom", "semicircle-300-on-400"])
+        (normalized_semicircle(), 400, 303),
+    ], ids=["isolated-atom", "semicircle-300-on-400", "semicircle-303-on-400"])
     def test_lost_orthogonality_raises(self, nu, nodes, depth):
         # the plain recurrence would return wrong coefficients here (the
-        # semicircle's last 20 off by 0.92); the Bessel guard refuses them
+        # semicircle's last 20 off by 0.92); the Bessel guard refuses them.
+        # At depth 303 the 304 basis rows end on a full block.
         t, w = discretize(nu, nodes)
         with pytest.raises(NumericError, match="lost orthogonality"):
             lanczos_tridiag(t, w / np.sum(w), depth)
@@ -386,8 +447,20 @@ class TestMassRuleReuse:
             raise NumericError("forced breakdown")
 
         monkeypatch.setattr(inverse, "lanczos_tridiag", always_breaks)
-        with pytest.raises(NumericError, match="not certified"):
+        with pytest.raises(NumericError, match="not certified.*: no rule pair completed, "
+                                               r"target 2e-12 \(1e-12 x scale\)$"):
             reconstruct_coefficients(normalized_semicircle(), 300)
+
+    def test_refusal_names_the_reachable_accuracy(self):
+        # atoms accumulating at 2.5: no float64 fold certifies 1e-12 at
+        # N = 400 (the fold alone is off by 1.6e-9 against 80 digits)
+        atoms = tuple((2.5 + 2.0**-k, 0.3 * 2.0**-k) for k in range(1, 20))
+        with pytest.raises(NumericError) as err:
+            reconstruct_coefficients(semicircle_with_atoms(atoms), 400)
+        text = re.fullmatch(r"N=400 not certified within 4000 nodes per piece: "
+                            r"best agreement (\S+), target 3e-12 \(1e-12 x scale\)",
+                            str(err.value))
+        assert text and 3e-12 < float(text.group(1)) < 1e-9
 
 
 class TestReports:
@@ -396,8 +469,13 @@ class TestReports:
         rec = reconstruct_coefficients(nu, 8)
         from reflectionless import reconstruction_report
         rep = reconstruction_report(nu, rec)
-        assert set(rep) == {"a0", "mass", "rules", "certificate", "max_coefficient_error"}
+        assert set(rep) == {"a0", "mass", "rules", "certificate", "max_coefficient_error",
+                            "min_offdiagonal"}
         assert rep["a0"] == pytest.approx(1.0, abs=1e-10)
+        # a_n = 1 on the free half line, over the scale 2 of [-2, 2]
+        assert rep["min_offdiagonal"] == pytest.approx(0.5, abs=1e-12)
+        shallow = reconstruct_coefficients(nu, 0)
+        assert reconstruction_report(nu, shallow)["min_offdiagonal"] is None
         assert rep["rules"] == [{"interval": [-2.0, 2.0], "rule": "midpoint",
                                  "nodes": 136, "certifying_nodes": 168}]
         assert rep["certificate"] <= 1e-12
