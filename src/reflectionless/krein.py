@@ -55,13 +55,12 @@ class StepFunction:
         r = float(self.bound)
         if not 0 < r < math.inf:
             raise ValueError("domain bound must be positive and finite")
-        bk = [float(x) for x in self.breakpoints]
-        vals = [float(v) for v in self.values]
+        bk, vals = list(map(float, self.breakpoints)), list(map(float, self.values))
         if len(bk) != len(vals) + 1 or len(vals) < 1:
             raise ValueError("need len(breakpoints) == len(values) + 1 >= 2")
         if bk[0] != -r or bk[-1] != r:
             raise ValueError("breakpoints must start at -R and end at R")
-        if not all(x1 >= x0 for x0, x1 in zip(bk, bk[1:])):
+        if not all(map(float.__le__, bk, bk[1:])):
             raise ValueError("breakpoints must be nondecreasing")
         if not all(0.0 <= v <= 1.0 for v in vals):
             raise ValueError("values must lie in [0, 1]")
@@ -122,10 +121,10 @@ class StepFunction:
     def value_at(self, x: float) -> float:
         """Value on the piece whose interior contains x; breakpoints are
         excluded points."""
-        x = float(x)
-        for x0, x1, v in self.pieces():
-            if x0 < x < x1:
-                return v
+        x, bk = float(x), self.breakpoints
+        i = bisect_left(bk, x)
+        if 0 < i < len(bk) and bk[i] != x:
+            return self.values[i - 1]
         raise ValueError(f"x={x} is a breakpoint or outside (-R, R)")
 
     def integral(self, lo: float | None = None, hi: float | None = None) -> float:
@@ -134,7 +133,7 @@ class StepFunction:
         lo = -self.bound if lo is None else float(lo)
         hi = self.bound if hi is None else float(hi)
         total = 0.0
-        for x0, x1, v in self.pieces():
+        for x0, x1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
             a, b = max(x0, lo), min(x1, hi)
             if b > a:
                 total += v * (b - a)
@@ -277,25 +276,25 @@ def log_abs_on_arc(rep: HerglotzRep, lo, hi, theta):
     trigonometrically (half*(1+sin) = 2*half*cos^2(pi/4 - theta/2) and its
     mirror), which keeps full relative precision arbitrarily close to the
     edges where |H| has square-root behavior; naive t - lo cancels
-    catastrophically there.  All (breakpoint, point) distances go through
-    one log, and the terms are summed in breakpoint order.
+    catastrophically there.  The (breakpoint, point) distances form one
+    array; the edge distances are placed into it where a breakpoint equals
+    lo or hi, one log takes them all, and one reduction adds the terms in
+    breakpoint order: numpy adds along the leading axis row by row, except
+    when a single point leaves that axis innermost, where it sums pairwise
+    and the rows are added in Python instead.
     """
-    xi = rep.xi
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = mid + half * np.sin(theta)
+    xi, half = rep.xi, 0.5 * (hi - lo)
+    t = 0.5 * (lo + hi) + half * np.sin(theta)
     d = xi.abs_log_coefficients
-    xk = np.asarray(xi.breakpoints)[d != 0.0].reshape((-1,) + (1,) * t.ndim)
-    phase = 0.25 * np.pi - 0.5 * theta
+    xk, dk = np.array((xi.breakpoints, d))[:, d != 0.0].reshape((2, -1) + (1,) * t.ndim)
+    phase, width = 0.25 * np.pi - 0.5 * theta, 2.0 * half
     terms = t - xk
     np.abs(terms, out=terms)
-    np.copyto(terms, 2.0 * half * np.cos(phase) ** 2, where=xk == lo)
-    np.copyto(terms, 2.0 * half * np.sin(phase) ** 2, where=xk == hi)
+    np.copyto(terms, width * np.cos(phase) ** 2, where=xk == lo)
+    np.copyto(terms, width * np.sin(phase) ** 2, where=xk == hi)
     np.log(terms, out=terms)
-    terms *= d[d != 0.0].reshape(xk.shape)
-    out = np.zeros_like(t)
-    for term in terms:
-        out += term
-    return out
+    terms *= dk
+    return terms.sum(axis=0) if t.size > 1 else sum(terms)
 
 
 def boundary_value(rep: HerglotzRep, x: float) -> complex:

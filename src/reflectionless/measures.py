@@ -27,6 +27,7 @@ reconstructions use the midpoint rule in theta there, exact below degree 2n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -102,25 +103,24 @@ class SpectralMeasure:
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        """Rows lo, hi, multiplier and sin(pi xi) over the ac pieces."""
+        """Rows lo, hi, multiplier, sin(pi xi), mid and half over the ac pieces."""
         xi = self.rep.xi
         return np.array([(p.lo, p.hi, p.multiplier,
-                          math.sin(math.pi * xi.value_at(0.5 * (p.lo + p.hi))))
-                         for p in self.ac_pieces]).T
+                          math.sin(math.pi * xi.value_at(0.5 * (p.lo + p.hi))),
+                          0.5 * (p.lo + p.hi), 0.5 * (p.hi - p.lo)) for p in self.ac_pieces]).T
 
     def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:
         """Density at t = mid + half*sin(theta) on ac piece `index`,
         elementwise over the broadcast shape of index and theta, stable up to
         the piece edges (where it behaves like a power of the distance)."""
-        lo, hi, m, sin_v = self._rows[:, index]
+        lo, hi, m, sin_v = self._rows[:4, index]
         return m * np.exp(log_abs_on_arc(self.rep, lo, hi, theta)) * sin_v / math.pi
 
     def _rule(self, index, theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodes t = mid + half*sin(theta) and weight x jacobian x density of
         the rule (theta, w) in theta, node i on ac piece index[i]."""
-        lo, hi = self._rows[:2, index]
-        half = 0.5 * (hi - lo)
-        t = 0.5 * (lo + hi) + half * np.sin(theta)
+        mid, half = self._rows[4:, index]
+        t = mid + half * np.sin(theta)
         return t, w * (half * np.cos(theta)) * self.density_on_arc(index, theta)
 
     @cached_property
@@ -133,11 +133,11 @@ class SpectralMeasure:
             return ()
         th, w = (np.concatenate(pair) for pair in zip(_fejer_rule(64), _fejer_rule(128)))
         ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], th, w)
-        todo, rules, n = {i: r[:64].sum() for i, r in enumerate(wd)}, {}, 128
+        todo, rules, n = dict(enumerate(wd[:, :64].sum(1).tolist())), {}, 128
         ts, rows = ts[:, 64:], wd[:, 64:]
         while True:
-            for (i, prev), t, row in zip(list(todo.items()), ts, rows):
-                cur = todo[i] = row.sum()
+            for (i, prev), t, row, cur in zip([*todo.items()], ts, rows, rows.sum(1).tolist()):
+                todo[i] = cur
                 if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
                     rules[i] = (n, t, row, todo.pop(i))
             if not todo:
@@ -250,7 +250,7 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
     cuts = sorted(set(band_edges) | set(f.breakpoints()))
     out_pieces = []
     for piece in rho.ac_pieces:
-        grid = [piece.lo] + [x for x in cuts if piece.lo < x < piece.hi] + [piece.hi]
+        grid = [piece.lo, *cuts[bisect_right(cuts, piece.lo):bisect_left(cuts, piece.hi)], piece.hi]
         for lo, hi in zip(grid, grid[1:]):
             mid = 0.5 * (lo + hi)
             scale = 0.5 if k_set.contains_interior(mid) else f.value_at(mid)

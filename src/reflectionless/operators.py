@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -62,10 +63,13 @@ class Tail:
             raise ValueError("tail needs equal-length nonempty blocks")
         if not all(0 < x < math.inf for x in a) or not all(map(math.isfinite, b)):
             raise ValueError("tail needs finite a > 0 and finite b")
-        object.__setattr__(self, "a_block", a)
-        object.__setattr__(self, "b_block", b)
+        block = np.array((a, b))       # rows a, b of one period, shared by every operator
+        block.flags.writeable = False
+        for name, value in (("a_block", a), ("b_block", b), ("_block", block)):
+            object.__setattr__(self, name, value)
 
     @classmethod
+    @cache
     def free(cls) -> "Tail":
         return cls()
 
@@ -112,7 +116,6 @@ class JacobiCoefficients:
     b_window: np.ndarray
     tail: Tail = field(default_factory=Tail.free)
     _window: np.ndarray = field(init=False, repr=False)   # rows a_window, b_window
-    _block: np.ndarray = field(init=False, repr=False)    # rows a, b of one tail period
 
     def __post_init__(self):
         if self.n_lo > self.n_hi:
@@ -120,11 +123,10 @@ class JacobiCoefficients:
         ab = np.array([self.a_window, self.b_window], dtype=float)
         if ab.shape != (2, self.n_hi - self.n_lo + 1):
             raise ValueError("window arrays must match window size")
-        if not (np.all(ab[0] > 0) and np.isfinite(ab).all()):
+        if not (ab[0].min() > 0 and ab.max() < math.inf and ab[1].min() > -math.inf):
             raise ValueError("all a_n must be positive and all a_n, b_n finite")
         ab.flags.writeable = False
-        for name, value in (("_window", ab), ("a_window", ab[0]), ("b_window", ab[1]),
-                            ("_block", np.array((self.tail.a_block, self.tail.b_block)))):
+        for name, value in (("_window", ab), ("a_window", ab[0]), ("b_window", ab[1])):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -149,18 +151,18 @@ class JacobiCoefficients:
     def a(self, n: int) -> float:
         if self.n_lo <= n <= self.n_hi:
             return self.a_window.item(n - self.n_lo)
-        return self._block.item(0, (n - self.n_lo) % self._block.shape[1])
+        return self.tail._block.item(0, (n - self.n_lo) % self.tail.period)
 
     def b(self, n: int) -> float:
         if self.n_lo <= n <= self.n_hi:
             return self.b_window.item(n - self.n_lo)
-        return self._block.item(1, (n - self.n_lo) % self._block.shape[1])
+        return self.tail._block.item(1, (n - self.n_lo) % self.tail.period)
 
     def arrays(self, lo: int, hi: int) -> np.ndarray:
         """Rows (a, b) on lo..hi inclusive, one new (2, hi - lo + 1) array: tail
         blocks tiled from n_lo, the window slice copied over them."""
-        phase = np.arange(lo - self.n_lo, hi + 1 - self.n_lo) % self._block.shape[1]
-        ab = self._block.take(phase, axis=1)
+        phase = np.arange(lo - self.n_lo, hi + 1 - self.n_lo) % self.tail.period
+        ab = self.tail._block.take(phase, axis=1)
         i, k = max(lo, self.n_lo), min(hi, self.n_hi) + 1
         if i < k:
             ab[:, i - lo:k - lo] = self._window[:, i - self.n_lo:k - self.n_lo]
@@ -170,7 +172,7 @@ class JacobiCoefficients:
         """Explicit window narrowed/extended to lo..hi (values from `arrays`),
         tail blocks rotated to keep their phase: the same operator when lo..hi
         covers the old window."""
-        tail = Tail(*np.roll(self._block, self.n_lo - lo, axis=1))
+        tail = Tail(*np.roll(self.tail._block, self.n_lo - lo, axis=1))
         return JacobiCoefficients(lo, hi, *self.arrays(lo, hi), tail)
 
     def to_dict(self) -> dict:

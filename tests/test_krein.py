@@ -344,6 +344,82 @@ class TestHilbertTransform:
         assert np.array_equal(flat, np.concatenate(ref))
 
 
+def log_abs_on_arc_by_masks(rep, lo, hi, theta):
+    """The kernel as it was before its fixed cost was cut: full-size masks
+    place the edge distances, and one add per breakpoint sums the terms.
+    The bitwise reference for `log_abs_on_arc`."""
+    xi = rep.xi
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = mid + half * np.sin(theta)
+    d = xi.abs_log_coefficients
+    xk = np.asarray(xi.breakpoints)[d != 0.0].reshape((-1,) + (1,) * t.ndim)
+    phase = 0.25 * np.pi - 0.5 * theta
+    terms = t - xk
+    np.abs(terms, out=terms)
+    np.copyto(terms, 2.0 * half * np.cos(phase) ** 2, where=xk == lo)
+    np.copyto(terms, 2.0 * half * np.sin(phase) ** 2, where=xk == hi)
+    np.log(terms, out=terms)
+    terms *= d[d != 0.0].reshape(xk.shape)
+    out = np.zeros_like(t)
+    for term in terms:
+        out += term
+    return out
+
+
+class TestArcKernelOracle:
+    """`log_abs_on_arc` against `log_abs_on_arc_by_masks`, bitwise."""
+
+    @staticmethod
+    def case(seed):
+        """A step function with up to 14 pieces, values from a grid that
+        includes 0, 1/2 and 1 (so some log coefficients vanish), and pieces:
+        its own, ones that share one edge with a breakpoint, and ones that
+        share none; thetas that include points within 1e-8 of +-pi/2."""
+        rng = np.random.default_rng(seed)
+        xi = random_step(rng, max_pieces=14, min_width=0.05,
+                         value_grid=(0.0, 0.25, 0.5, 0.5, 1.0))
+        bk = xi.breakpoints
+        pieces = [(lo, hi) for lo, hi, _ in xi.pieces()]
+        lo, hi = pieces[int(rng.integers(len(pieces)))]
+        pieces += [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi),
+                   (float(rng.uniform(bk[0], bk[-1] - 0.1)), bk[-1] - 0.05)]
+        edge = 0.5 * np.pi - np.concatenate(([0.0, 1e-16], 10.0 ** rng.uniform(-16, -8, 6)))
+        theta = np.concatenate((-edge, edge, rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 25)))
+        return HerglotzRep(xi), np.array(pieces), rng.permutation(theta)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_broadcast_piece_index(self, seed):
+        rep, pieces, theta = self.case(seed)
+        lo, hi = pieces.T[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, ref = (f(rep, lo, hi, theta) for f in (log_abs_on_arc, log_abs_on_arc_by_masks))
+        assert got.shape == ref.shape == (len(pieces), theta.size)
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_flat_piece_index(self, seed):
+        rep, pieces, theta = self.case(seed)
+        index = np.random.default_rng(seed).integers(len(pieces), size=theta.size)
+        lo, hi = pieces[index].T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, ref = (f(rep, lo, hi, theta) for f in (log_abs_on_arc, log_abs_on_arc_by_masks))
+        assert got.shape == ref.shape == theta.shape
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scalar_piece_and_single_points(self, seed):
+        # one piece against a vector, and single points, where a sum over
+        # the breakpoints would run along numpy's pairwise-summed axis
+        rep, pieces, theta = self.case(seed)
+        (lo, hi), th = pieces[0], theta[:1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for args in ((lo, hi, theta), (lo, hi, th), (lo, hi, th[0]),
+                         (pieces[:1, :1], pieces[:1, 1:], th)):
+                got, ref = log_abs_on_arc(rep, *args), log_abs_on_arc_by_masks(rep, *args)
+                assert np.shape(got) == np.shape(ref)
+                assert np.array_equal(got, ref, equal_nan=True)
+
+
 class TestCorrectionFactor:
     """|H| on (-2, 2) against |H_0(x)| = sqrt(4 - x^2), the free reference
     (xi = 1/2 on the band, R = 2), for xi = 1/2 on the band: the factor

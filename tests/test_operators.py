@@ -361,6 +361,62 @@ def residual_by_points(j, m_set, grid, eta, sites):
     return worst
 
 
+def tail_solve_size(tail, z):
+    """Size, in units of the rounding unit, of the error of the tail's
+    m-function as `_tail_m` computes it at z, largest over the starting
+    phases and both directions: m is the root of m10 m^2 + (m11 - m00) m -
+    m01 = 0 for the one-period matrix M, taken as ((m00 - m11) +- disc) /
+    (2 m10).  Rounding the formula costs (|m00| + |m11| + |disc|) / |m10|,
+    which is large where the numerator cancels (m near 0); rounding M's p
+    products moves its entries by p |M| and the root by that times
+    (1 + |m|)^2 / |disc|."""
+    a_blk, b_blk, p = tail.a_block, tail.b_block, tail.period
+    worst = 0.0
+    for s in range(p):
+        for pairs in ([(a_blk[(s + i) % p], b_blk[(s + i) % p]) for i in range(p)],
+                      [(a_blk[(s - i - 1) % p], b_blk[(s - i) % p]) for i in range(p)]):
+            (a, b), *rest = pairs
+            m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z
+            for a, b in rest:
+                q, c = -a * a, b - z
+                m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
+            disc = ((m11 - m00) ** 2 + 4.0 * m01 * m10) ** 0.5
+            m = max((((m00 - m11) + sign * disc) / (2.0 * m10) for sign in (1.0, -1.0)),
+                    key=lambda r: abs(m10 * r + m11))
+            size = max(abs(m00), abs(m01), abs(m10), abs(m11))
+            worst = max(worst, (abs(m00) + abs(m11) + abs(disc)) / abs(m10)
+                        + p * size * (1.0 + abs(m)) ** 2 / abs(disc))
+    return worst
+
+
+def residual_rounding_bound(j, m_set, grid, eta, sites):
+    """Largest difference that rounding alone can make between the
+    vectorized residual and `residual_by_points`, to first order.
+
+    Both paths run the same recursion on the same numbers and differ only in
+    rounding (numpy's complex kernels against Python's complex arithmetic).
+    Each value is g = 1/D, D = b - z - a^2 m_+ - a'^2 m_-, so |dg| = |g|^2 |dD|.
+    The m come from walks of at most L steps (the window and the requested
+    sites, plus one tail period on each side), closed by the tail solve.  A
+    walk step is a complex multiply-add and a complex division, c u with
+    c = 6 between them (u = 2^-53), on terms of D of size at most |D| + S,
+    S = max|b| + 2 max a + |z| the energy scale: L c u (|D| + S) in all.
+    The tail solve adds a^2 c u Q to D, with Q = `tail_solve_size`.
+    So |dg| <= c u (L (|g| + S |g|^2) + a^2 Q |g|^2).  The Richardson step
+    2 g(eta/2) - g(eta) takes 2 |dg| + |dg| <= 3 max |dg|, its real part and
+    the max over sites and points add nothing, and the two paths round
+    independently: a factor 2.  With G the largest |g| entering the step,
+    the bound is 6 c u (L (G + S G^2) + A^2 Q G^2), 6 c = 36, with A = max a."""
+    energies = [complex(t, e) for t in m_set.interior_grid(grid) for e in (eta, eta / 2.0)]
+    g = max(abs(green_diag(j, n, z)) for n in sites for z in energies)
+    tail = max(tail_solve_size(j.tail, z) for z in energies)
+    walk = max(j.n_hi, *sites) - min(j.n_lo, *sites) + 1 + 2 * j.tail.period
+    a_max = max(*j.a_window, *j.tail.a_block)
+    scale = (max(abs(b) for b in (*j.b_window, *j.tail.b_block)) + 2.0 * a_max
+             + max(abs(m_set.min), abs(m_set.max)) + eta)
+    return 36.0 * 2.0 ** -53 * (walk * (g + scale * g * g) + a_max ** 2 * tail * g * g)
+
+
 class TestReflectionlessResidual:
     @pytest.mark.parametrize("j, m_set", [
         (JacobiCoefficients.periodic([1.0], [0.0]), CompactSet(((-2.0, 2.0),))),
@@ -386,7 +442,7 @@ class TestReflectionlessResidual:
         sites = range(int(rng.integers(-8, 1)), int(rng.integers(1, 9)))
         ref = residual_by_points(j, m_set, 6, eta, sites)
         res = reflectionless_residual(j, m_set, grid=6, eta=eta, sites=sites)
-        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
+        assert abs(res - ref) <= residual_rounding_bound(j, m_set, 6, eta, sites)
 
     def test_non_finite_green_function_raises(self, monkeypatch):
         def one_nan(j, n0, n1, z):
