@@ -13,10 +13,10 @@ functions computable two independent ways:
 Both read their coefficients as arrays over a site range.  The recursion
 serves a run of sites from one walk per side over the effective window (end
 sites equal to the tail are not walked) and one tail solve per side, on one
-energy or elementwise over an ndarray of energies.  The section walks its
-explicit sites and takes each tail's whole periods as one power of the
-period's transfer matrix, in closed form, so its cost does not grow with its
-size; it never solves for a tail fixed point, and so checks that solve.
+energy or elementwise over an ndarray of energies, real ones (t + i0) too.
+The section walks its explicit sites and takes each tail's whole periods as
+one power of the period's transfer matrix, in closed form, so its cost does
+not grow with its size; it solves no tail fixed point, and so checks that solve.
 """
 
 from __future__ import annotations
@@ -217,14 +217,16 @@ def coefficient_metric(j1: JacobiCoefficients, j2: JacobiCoefficients) -> float:
 def _tail_m(pairs, z):
     """m at the first site of an infinite half line whose (a, b) repeat the
     one-period pairs of the iterator toward the far end, elementwise when z
-    is an array: the attracting fixed point of the one-period Moebius map
+    is an array: a fixed point of the one-period Moebius map
     w -> (m00 w + m01)/(m10 w + m11).
 
-    For Im z > 0 that map contracts the upper half plane, so its attracting
-    fixed point is the half-line m-function.  m10 = -a_p^2 det(J' - z), J'
-    the Jacobi block of the first p - 1 sites of the period, has real roots
-    only, so it is nonzero for Im z > 0.  Plain arithmetic, builtin abs and
-    ** 0.5 keep a scalar z in Python complex numbers.
+    For Im z > 0 that map contracts the upper half plane, and m is its attracting
+    fixed point, as is m(z + i0) at real z in a gap of the tail.  On a band the two
+    tie in modulus as a conjugate pair, and m(z + i0) is the one with Im m > 0 (m is
+    Herglotz); a tie with none above the axis, as at a band edge, is refused.
+    m10 = -a_p^2 det(J' - z), J' the Jacobi block of the first p - 1 sites of the
+    period, has real roots only, so it is nonzero for Im z > 0.  Plain arithmetic,
+    builtin abs and ** 0.5 keep a scalar z in Python complex numbers.
     """
     a, b = next(pairs)
     m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z     # the first pair's matrix
@@ -239,7 +241,10 @@ def _tail_m(pairs, z):
     pick1, pick2 = d1 > d2, d1 <= d2        # max(d1, d2) = d1 * pick1 + d2 * pick2
     tie = abs(d1 - d2) <= 1e-13 * (d1 * pick1 + d2 * pick2)
     if tie is True or tie is not False and np.count_nonzero(tie):   # builtin bools skip numpy
-        raise NumericError("tail fixed points indistinguishable (z too close to the band)")
+        pick1 = r1.imag > 0 if tie is True else np.greater(r1.imag, 0.0, out=pick1, where=tie)
+        pick2 = r2.imag > 0 if tie is True else np.greater(r2.imag, 0.0, out=pick2, where=tie)
+        if np.count_nonzero(tie > (pick1 | pick2)):      # a tie with no root above the axis
+            raise NumericError("tail fixed points indistinguishable (z at a band edge of the tail)")
     return r1 * pick1 + r2 * pick2
 
 
@@ -287,10 +292,8 @@ def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z) -> list:
     m_left = m_right if left == right else _tail_m(zip(*left), z)
     mp = _half_line_m(a, b, c0 + 1, c1 + 1, e, p, m_right, z)
     mm = _half_line_m(ra, rb, r - c1 + 1, r - c0 + 1, f, p, m_left, z)
-    g = []
-    for c in range(c0, c1 + 1):
-        g.append(1.0 / (b[c] - z - a[c] * a[c] * mp[c1 - c] - a[c - 1] * a[c - 1] * mm[c - c0]))
-    return g
+    return [1.0 / (b[c] - z - a[c] * a[c] * mp[c1 - c] - a[c - 1] * a[c - 1] * mm[c - c0])
+            for c in range(c0, c1 + 1)]
 
 
 def _truncation_size(j: JacobiCoefficients, z: complex) -> int:
@@ -359,23 +362,17 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
 
 
 def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
-                            grid: int = 100, eta: float = 1e-6,
-                            sites: range = range(-2, 3)) -> float:
+                            grid: int = 100, sites: range = range(-2, 3)) -> float:
     """max over interior grid points t of M and the given sites of
-    |Re g_n(t + i0)|, the boundary value taken by Richardson extrapolation
-    in eta.  Small residuals certify approximate membership in the
-    reflectionless class on M; O(1) values certify violation.  One sweep per
-    side, with one tail solve per side, covers every site and grid point at
-    eta and eta / 2; a non-finite Green function value raises `NumericError`."""
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError("eta must be finite and positive")
-    if m_set.total_length <= 0:
-        raise ValueError("M must have positive total length")
-    points = m_set.interior_grid(grid)
-    z = np.concatenate([points + 1j * eta, points + 0.5j * eta])
+    |Re g_n(t + i0)|, read on the real axis: exact tail m-functions at t + i0
+    (`_tail_m`), then one walk per side at real t over every site and point.
+    Small residuals certify approximate membership in the reflectionless
+    class on M; O(1) values certify violation.  A band edge of the tail, or
+    a non-finite g (t an eigenvalue of a half line), raises `NumericError`."""
     n0 = min(sites, default=0)
-    g = _green_sites(j, n0, max(sites), z) if sites else []
-    g = np.reshape([g[n - n0] for n in sites], (len(sites), 2, len(points)))
+    with np.errstate(all="ignore"):
+        g = _green_sites(j, n0, max(sites), m_set.interior_grid(grid) + 0j) if sites else []
+    g = np.array([g[n - n0] for n in sites])
     if not np.isfinite(g).all():
         raise NumericError("non-finite Green function in the reflectionless residual")
-    return float(np.abs((2.0 * g[:, 1] - g[:, 0]).real).max(initial=0.0))
+    return float(np.abs(g.real).max(initial=0.0))

@@ -130,3 +130,19 @@ def banded_section_green(j, n, z):
     rhs = np.zeros(a.size, dtype=complex)
     rhs[half] = 1.0
     return complex(solve_banded((1, 1), bands, rhs)[half])
+
+
+def periodic_bands(a_block, b_block, inset=0.0):
+    """Bands of the periodic operator, each narrowed by `inset` of its width at
+    both ends: the 2p eigenvalues of its p x p blocks closed with Floquet
+    multiplier +1 and -1, sorted, pair up into the band edges."""
+    a, b = np.asarray(a_block, dtype=float), np.asarray(b_block, dtype=float)
+    edges = []
+    for sign in (1.0, -1.0):
+        block = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+        block[-1, 0] += sign * a[-1]
+        block[0, -1] += sign * a[-1]
+        edges.extend(np.linalg.eigvalsh(block))
+    edges.sort()
+    return tuple((c + inset * (d - c), d - inset * (d - c))
+                 for c, d in zip(edges[::2], edges[1::2]))

@@ -14,13 +14,13 @@ from reflectionless import (CompactSet, GapJumps, HerglotzRep,
                             abs_boundary, coefficient_deviation, free_krein,
                             flow_steps, grid_min_mass, half_line_measure,
                             herglotz_eval, hilbert_transform, minimize_mass,
-                            reconstruct_coefficients, reflectionless_residual,
+                            operators, reconstruct_coefficients, reflectionless_residual,
                             stieltjes_invert, total_mass)
 from reflectionless.experiments import (_f_atom_input, _xi_mass_input,
                                         random_admissible_krein,
                                         random_compact_set, random_f_selector)
 
-from conftest import interior_points, random_step
+from conftest import interior_points, periodic_bands, random_step
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -198,16 +198,20 @@ def test_criterion_09_forward_coefficient_trend():
 
 def test_criterion_10_reflectionless_residuals():
     t0 = time.perf_counter()
-    free = JacobiCoefficients.periodic([1.0], [0.0])
-    r_free = reflectionless_residual(free, BAND, grid=100, eta=1e-6)
-    assert r_free < 1e-4
-    alternating = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])
-    bands = CompactSet(((-math.sqrt(5.0), -1.0), (1.0, math.sqrt(5.0))))
-    r_alt = reflectionless_residual(alternating, bands, grid=100, eta=1e-6)
-    assert r_alt < 1e-4
-    r_neg = reflectionless_residual(free, CompactSet(((3.0, 4.0),)),
-                                    grid=100, eta=1e-6)
-    assert r_neg > 0.2
+    ratios = []
+    for a, b in (([1.0], [0.0]), ([1.0, 1.0], [1.0, -1.0]), ([0.8, 1.3, 1.1], [0.5, -0.7, 0.2])):
+        # on the bands of a periodic operator g_n(t + i0) is purely imaginary
+        j = JacobiCoefficients.periodic(a, b).restrict(-3, 7)
+        bands = CompactSet(periodic_bands(a, b, inset=0.01))
+        g = operators._green_sites(j, -2, 2, bands.interior_grid(100) + 0j)
+        ratios.append(reflectionless_residual(j, bands, grid=100) / np.abs(g).max())
+    assert max(ratios) <= 1e-12
+    # off the band, Re g_n(t + i0) = -1/sqrt(t^2 - 4) at every site of the free operator
+    off = CompactSet(((3.0, 4.0),))
+    t = off.interior_grid(100)
+    expected = float(np.max(1.0 / np.sqrt(t * t - 4.0)))
+    r_neg = reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]), off, grid=100)
+    assert abs(r_neg - expected) <= 1e-12 * expected
     _stamp(10, "reflectionless residuals",
-           f"free {r_free:.1e}, two-periodic {r_alt:.1e}, control {r_neg:.2f}",
-           t0)
+           "free / two- / three-periodic residual over max|g| "
+           + " / ".join(f"{r:.1e}" for r in ratios) + f", control {r_neg:.6f}", t0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from reflectionless import (CompactSet, JacobiCoefficients, NumericError, Tail,
                             coefficient_metric, green_diag, operators,
                             reflectionless_residual, shift)
 
-from conftest import banded_section_green
+from conftest import banded_section_green, periodic_bands
 
 # Frozen two-sided value for the alternating-diagonal operator
 # b = (..., +1, -1, +1, ...), a = 1 at site 0 and z = 3i, cross-checked
@@ -350,15 +351,17 @@ class TestGreenDiag:
             assert green_diag(j, n, 0.2 + 1e-3j, method="truncation").imag > 0
 
 
-def residual_by_points(j, m_set, grid, eta, sites):
-    """The residual as one scalar green_diag call per point and eta."""
-    worst = 0.0
-    for n in sites:
-        for t in m_set.interior_grid(grid):
-            g1 = green_diag(j, n, complex(t, eta))
-            g2 = green_diag(j, n, complex(t, eta / 2.0))
-            worst = max(worst, abs((2.0 * g2 - g1).real))
-    return worst
+def residual_by_points(j, m_set, grid, sites):
+    """The residual as one scalar `_green_sites` call per site and point, in
+    Python complex arithmetic at real t."""
+    return max((abs(operators._green_sites(j, n, n, complex(t))[0].real)
+                for n in sites for t in m_set.interior_grid(grid)), default=0.0)
+
+
+def max_abs_green(j, m_set, grid, sites=range(-2, 3)):
+    """max |g_n(t + i0)| over the residual's sites and grid points."""
+    g = operators._green_sites(j, min(sites), max(sites), m_set.interior_grid(grid) + 0j)
+    return float(np.abs(g).max())
 
 
 def tail_solve_size(tail, z):
@@ -389,7 +392,7 @@ def tail_solve_size(tail, z):
     return worst
 
 
-def residual_rounding_bound(j, m_set, grid, eta, sites):
+def residual_rounding_bound(j, m_set, grid, sites):
     """Largest difference that rounding alone can make between the
     vectorized residual and `residual_by_points`, to first order.
 
@@ -400,21 +403,23 @@ def residual_rounding_bound(j, m_set, grid, eta, sites):
     sites, plus one tail period on each side), closed by the tail solve.  A
     walk step is a complex multiply-add and a complex division, c u with
     c = 6 between them (u = 2^-53), on terms of D of size at most |D| + S,
-    S = max|b| + 2 max a + |z| the energy scale: L c u (|D| + S) in all.
+    S = max|b| + 2 max a + max|t| the energy scale: L c u (|D| + S) in all.
     The tail solve adds a^2 c u Q to D, with Q = `tail_solve_size`.
-    So |dg| <= c u (L (|g| + S |g|^2) + a^2 Q |g|^2).  The Richardson step
-    2 g(eta/2) - g(eta) takes 2 |dg| + |dg| <= 3 max |dg|, its real part and
-    the max over sites and points add nothing, and the two paths round
-    independently: a factor 2.  With G the largest |g| entering the step,
-    the bound is 6 c u (L (G + S G^2) + A^2 Q G^2), 6 c = 36, with A = max a."""
-    energies = [complex(t, e) for t in m_set.interior_grid(grid) for e in (eta, eta / 2.0)]
-    g = max(abs(green_diag(j, n, z)) for n in sites for z in energies)
+    So |dg| <= c u (L (|g| + S |g|^2) + a^2 Q |g|^2).  Its real part and the
+    max over sites and points add nothing, and the two paths round
+    independently: a factor 2.  With G the largest |g|, the bound is
+    2 c u (L (G + S G^2) + A^2 Q G^2), 2 c = 12, with A = max a."""
+    energies = [complex(t) for t in m_set.interior_grid(grid)]
+    g = max(abs(operators._green_sites(j, n, n, z)[0]) for n in sites for z in energies)
     tail = max(tail_solve_size(j.tail, z) for z in energies)
     walk = max(j.n_hi, *sites) - min(j.n_lo, *sites) + 1 + 2 * j.tail.period
     a_max = max(*j.a_window, *j.tail.a_block)
     scale = (max(abs(b) for b in (*j.b_window, *j.tail.b_block)) + 2.0 * a_max
-             + max(abs(m_set.min), abs(m_set.max)) + eta)
-    return 36.0 * 2.0 ** -53 * (walk * (g + scale * g * g) + a_max ** 2 * tail * g * g)
+             + max(abs(m_set.min), abs(m_set.max)))
+    return 12.0 * 2.0 ** -53 * (walk * (g + scale * g * g) + a_max ** 2 * tail * g * g)
+
+
+FREE = JacobiCoefficients.periodic([1.0], [0.0])
 
 
 class TestReflectionlessResidual:
@@ -427,9 +432,8 @@ class TestReflectionlessResidual:
          CompactSet(((-2.5, -0.5), (0.0, 2.5)))),
     ])
     def test_vectorized_matches_scalar_loop(self, j, m_set):
-        for eta in (1e-6, 1e-3):
-            ref = residual_by_points(j, m_set, 25, eta, range(-2, 3))
-            assert abs(reflectionless_residual(j, m_set, grid=25, eta=eta) - ref) <= 1e-12
+        ref = residual_by_points(j, m_set, 25, range(-2, 3))
+        assert abs(reflectionless_residual(j, m_set, grid=25) - ref) <= 1e-12
 
     @given(st.integers(0, 2**32 - 1), TAIL_KINDS)
     @settings(max_examples=30, deadline=None)
@@ -438,11 +442,10 @@ class TestReflectionlessResidual:
         j = random_operator(rng, kind=kind)
         c = float(rng.uniform(-3.0, 2.0))
         m_set = CompactSet(((c, c + float(rng.uniform(0.1, 1.0))),))
-        eta = float(10.0 ** rng.uniform(-6, -2))
         sites = range(int(rng.integers(-8, 1)), int(rng.integers(1, 9)))
-        ref = residual_by_points(j, m_set, 6, eta, sites)
-        res = reflectionless_residual(j, m_set, grid=6, eta=eta, sites=sites)
-        assert abs(res - ref) <= residual_rounding_bound(j, m_set, 6, eta, sites)
+        ref = residual_by_points(j, m_set, 6, sites)
+        res = reflectionless_residual(j, m_set, grid=6, sites=sites)
+        assert abs(res - ref) <= residual_rounding_bound(j, m_set, 6, sites)
 
     def test_non_finite_green_function_raises(self, monkeypatch):
         def one_nan(j, n0, n1, z):
@@ -455,13 +458,47 @@ class TestReflectionlessResidual:
             reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
                                     CompactSet(((-2.0, 2.0),)), grid=10)
 
+    def test_half_line_eigenvalue_raises_without_a_warning(self):
+        # b_0 = 2 on the free line: u_n = 2^-n solves J u = 2.5 u on sites >= 0, so the
+        # right walk for g_{-1} divides by exactly zero at t = 2.5
+        j = JacobiCoefficients(0, 0, [1.0], [2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                reflectionless_residual(j, CompactSet(((2.0, 3.0),)), grid=1)
+
+    @pytest.mark.parametrize("j", [FREE, JacobiCoefficients(0, 0, [1.0], [0.3])],
+                             ids=["free", "window"])
+    def test_tail_band_edge_raises(self, j):
+        # the grid's one point is t = 2, the edge of the free tail's band
+        with pytest.raises(NumericError, match="band edge"):
+            reflectionless_residual(j, CompactSet(((1.5, 2.5),)), grid=1)
+
+    def test_tail_m_refuses_a_band_edge(self):
+        for z in (2.0 + 0j, np.array([0.0, 2.0, 3.0]) + 0j):
+            with pytest.raises(NumericError, match="band edge"):
+                operators._tail_m(iter([(1.0, 0.0)]), z)
+
+    def test_tail_m_on_the_real_axis(self):
+        # free tail: m(t + i0) = (-t +- sqrt(t^2 - 4)) / 2, the root with |m| < 1 in a
+        # gap and the one with Im m > 0 on the band
+        t = np.array([-3.0, -1.5, 0.0, 0.7, 1.99, 2.5])
+        root = np.sqrt((t * t - 4.0).astype(complex))      # i sqrt(4 - t^2) on the band
+        m = (-t + np.where(np.abs(t) > 2.0, np.sign(t), 1.0) * root) / 2.0
+        got = operators._tail_m(iter([(1.0, 0.0)]), t + 0j)
+        assert np.all(np.abs(got - m) <= 1e-15 * np.abs(m))
+        assert np.all(got[1:5].imag > 0) and np.all(got[[0, 5]].imag == 0)
+        for tk, gk in zip(t, got):
+            scalar = operators._tail_m(iter([(1.0, 0.0)]), complex(tk))
+            assert type(scalar) is complex and scalar == pytest.approx(gk, rel=1e-15)
+
     @pytest.mark.parametrize("sites", [range(-4, 5, 2), range(3, -4, -3), range(0)],
                              ids=["step-2", "descending", "empty"])
     def test_site_ranges_match_scalar_loop(self, sites):
         j = JacobiCoefficients.periodic([1.0, 0.6, 1.3], [0.2, -0.4, 0.5]).restrict(-1, 5)
         m_set = CompactSet(((-2.5, -0.5), (0.0, 2.5)))
-        ref = residual_by_points(j, m_set, 8, 1e-6, sites)
-        res = reflectionless_residual(j, m_set, grid=8, eta=1e-6, sites=sites)
+        ref = residual_by_points(j, m_set, 8, sites)
+        res = reflectionless_residual(j, m_set, grid=8, sites=sites)
         assert abs(res - ref) <= 1e-12 * max(1.0, ref)
         assert (res == 0.0) == (len(sites) == 0)
 
@@ -489,12 +526,6 @@ class TestReflectionlessResidual:
         j = JacobiCoefficients.periodic([1.0, 0.6], [0.2, 0.2]).restrict(0, 5)
         assert self.count_tail_solves(monkeypatch, j) == 1
 
-    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
-    def test_rejects_non_finite_or_zero_eta(self, eta):
-        with pytest.raises(ValueError, match="eta"):
-            reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
-                                    CompactSet(((-2.0, 2.0),)), eta=eta)
-
     def test_no_per_site_accessor_on_the_green_paths(self, monkeypatch):
         def boom(self, n):
             raise AssertionError("per-site accessor called")
@@ -507,27 +538,34 @@ class TestReflectionlessResidual:
         assert reflectionless_residual(j, CompactSet(((-1.0, 1.0),)), grid=5) >= 0.0
 
     def test_free_operator_on_its_band(self):
-        j = JacobiCoefficients.periodic([1.0], [0.0])
-        res = reflectionless_residual(j, CompactSet(((-2.0, 2.0),)), grid=100)
-        assert res < 1e-4
+        m_set = CompactSet(((-2.0, 2.0),))
+        assert reflectionless_residual(FREE, m_set) <= 1e-12 * max_abs_green(FREE, m_set, 100)
+        # the boundary value itself: g_0(t + i0) = i / sqrt(4 - t^2), above the axis
+        t = m_set.interior_grid(100)
+        g = operators._green_sites(FREE, 0, 0, t + 0j)[0]
+        assert np.all(np.abs(g - 1j / np.sqrt(4.0 - t * t)) <= 1e-12 * np.abs(g))
 
     def test_alternating_diagonal_on_its_bands(self):
         # bands of the two-periodic diagonal +-1: |t^2 - 3| <= 2
         j = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])
         bands = CompactSet(((-math.sqrt(5.0), -1.0), (1.0, math.sqrt(5.0))))
-        assert reflectionless_residual(j, bands, grid=60) < 1e-4
+        assert reflectionless_residual(j, bands, grid=60) <= 1e-12 * max_abs_green(j, bands, 60)
+
+    def test_three_periodic_operator_on_its_bands(self):
+        a, b = [0.8, 1.3, 1.1], [0.5, -0.7, 0.2]
+        j = JacobiCoefficients.periodic(a, b).restrict(-4, 6)
+        bands = CompactSet(periodic_bands(a, b, inset=0.01))
+        assert reflectionless_residual(j, bands) <= 1e-12 * max_abs_green(j, bands, 100)
+        g = np.array(operators._green_sites(j, -2, 2, bands.interior_grid(100) + 0j))
+        assert np.all(g.imag > 0)       # on the spectrum, the Herglotz boundary values
 
     def test_free_operator_off_band_negative_control(self):
-        j = JacobiCoefficients.periodic([1.0], [0.0])
-        res = reflectionless_residual(j, CompactSet(((3.0, 4.0),)), grid=50)
-        # Re g = -1/sqrt(t^2-4) on [3, 4], so at least 1/sqrt(12)
-        assert res >= 1.0 / math.sqrt(12.0) - 1e-6
-        assert res > 0.2
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ValueError):
-            reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
-                                    CompactSet(((-2.0, 2.0),)), eta=0.0)
+        m_set = CompactSet(((3.0, 4.0),))
+        res = reflectionless_residual(FREE, m_set, grid=50)
+        # Re g_n = -1/sqrt(t^2 - 4) at every site, largest at the grid point nearest 3
+        t = m_set.interior_grid(50)
+        expected = float(np.max(1.0 / np.sqrt(t * t - 4.0)))
+        assert abs(res - expected) <= 1e-12 * expected
 
 
 class TestSerialization:

@@ -107,6 +107,9 @@ def omega_operator(**changes):
     # runner extras of the wrong shape, each read where its runner uses it
     ("oracle", {"xi_widths": "abc"}),
     ("oracle", {"f_masses": [0.3, "x"]}),
+    ("oracle", {"f_masses": [-1.0]}),
+    ("oracle", {"xi_widths": [float("nan")]}),
+    ("oracle", {"xi_widths": []}),
     ("eval", {"xi": XI, "points": [{}]}),
     ("dr", {"atoms": [1, 2]}),
     ("aktable", {"sets": [1]}),
@@ -115,7 +118,7 @@ def omega_operator(**changes):
     ("omega", omega_operator(n_lo=0.7, n_hi=5.9)),
     ("omega", omega_operator(n_lo=False)),
 ], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
-        "dict-point", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
+        "negative-mass", "nan-width", "empty-widths", "dict-point", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
         "float-window-index", "bool-window-index"])
 def test_bad_config_value_exits_two(command, config, tmp_path):
     cfg = tmp_path / "cfg.json"
