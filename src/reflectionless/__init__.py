@@ -10,11 +10,10 @@ from .errors import ConfigError, NumericError
 from .sets import CompactSet
 from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
                     boundary_value, abs_boundary, hilbert_transform)
-from .operators import (Tail, JacobiCoefficients, shift, coefficient_metric,
-                        green_diag, reflectionless_residual)
+from .operators import (Tail, JacobiCoefficients, green_diag,
+                        reflectionless_residual)
 from .gapflow import (GapJumps, default_bound, canonical_krein_from_jumps,
-                      gap_modify, flow_to_canonical, flow_steps, is_canonical,
-                      gap_jump_masses)
+                      gap_modify, flow_to_canonical, flow_steps, gap_jump_masses)
 from .measures import (AcPiece, SpectralMeasure, FSelector, stieltjes_invert,
                        half_line_measure, total_mass)
 from .inverse import (reconstruct_coefficients, coefficient_deviation,
@@ -22,8 +21,7 @@ from .inverse import (reconstruct_coefficients, coefficient_deviation,
 from .extremal import (ExtremalResult, mass_objective, minimize_mass,
                        grid_min_mass)
 from .experiments import (ExperimentConfig, approximate_omega_limit,
-                          random_compact_set, random_admissible_krein,
-                          random_f_selector)
+                          random_admissible_krein, random_f_selector)
 
 __version__ = "0.1.0"
 
@@ -32,16 +30,14 @@ __all__ = [
     "CompactSet",
     "StepFunction", "HerglotzRep", "free_krein",
     "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
-    "Tail", "JacobiCoefficients", "shift",
-    "coefficient_metric", "green_diag", "reflectionless_residual",
+    "Tail", "JacobiCoefficients", "green_diag", "reflectionless_residual",
     "GapJumps", "default_bound", "canonical_krein_from_jumps",
-    "gap_modify", "flow_to_canonical", "flow_steps", "is_canonical",
-    "gap_jump_masses",
+    "gap_modify", "flow_to_canonical", "flow_steps", "gap_jump_masses",
     "AcPiece", "SpectralMeasure", "FSelector", "stieltjes_invert",
     "half_line_measure", "total_mass",
     "reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
     "reconstruction_report",
     "ExtremalResult", "mass_objective", "minimize_mass", "grid_min_mass",
     "ExperimentConfig", "approximate_omega_limit",
-    "random_compact_set", "random_admissible_krein", "random_f_selector",
+    "random_admissible_krein", "random_f_selector",
 ]

@@ -32,7 +32,7 @@ _HELP = {
     "thm11": "random admissible inputs over an interval; checks the a0 lower bound",
     "oracle": "perturbation families; checks deviations shrink with the perturbation",
     "dr": "semicircle plus off-band atoms; checks the coefficient tail trend",
-    "aktable": "extremal-constant table with grid cross-checks",
+    "aktable": "extremal constants vs |K|/4",
     "omega": "greedy clustering of shifted coefficient windows",
     "eval": "ad-hoc evaluation of H / boundary values / Hilbert transform",
 }

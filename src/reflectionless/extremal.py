@@ -15,7 +15,7 @@ On K, |H| = |H_0| prod_j |d_j - t| / |d_j - g_j - t| is log-convex in g, so
 ln f is convex; its minimizer is interior, as d(ln f)/dg_j diverges at both
 faces g_j = 0 and |gap_j|.  `minimize_mass` finds it by damped Newton in
 the box, certified by the gradient norm (the KKT residual of an interior
-point); a grid evaluator is an independent check.  f cancels where the
+point, which by convexity is the global minimizer).  f cancels where the
 atoms carry nearly all of rho (s_0/(2f) reaches 1.8e6), so Newton allows for
 its rounding bounds, and the value returned is the quadrature of the band
 density, which has no cancellation.

@@ -23,7 +23,6 @@ __all__ = [
     "gap_modify",
     "flow_to_canonical",
     "flow_steps",
-    "is_canonical",
     "gap_jump_masses",
 ]
 
@@ -112,23 +111,10 @@ def flow_steps(xi: StepFunction, k_set: CompactSet) -> Iterator[tuple[str, StepF
 def flow_to_canonical(xi: StepFunction, k_set: CompactSet) -> StepFunction:
     """The end of the flow in one build: no step changes the mass of a gap,
     so the result is the canonical function with xi's gap masses (canonical
-    by construction, as `is_canonical` confirms)."""
+    by construction)."""
     _require_half_on_bands(xi, k_set)
     jumps = GapJumps(gap_jump_masses(xi, k_set))
     return canonical_krein_from_jumps(k_set, jumps, xi.bound)
-
-
-def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:
-    """True iff xi is 1 left of K, 0 right of K, 1/2 on the bands, and on
-    each gap either constant 0, constant 1, or a single 0 -> 1 up-jump."""
-    if not (-xi.bound <= k_set.min and k_set.max <= xi.bound):
-        return False
-    regions = [(-xi.bound, k_set.min, 1.0), (k_set.max, xi.bound, 0.0)]
-    regions += [(c, d, 0.5) for c, d in k_set.intervals]
-    if any(v != want for lo, hi, want in regions for v in xi.values_on(lo, hi)):
-        return False
-    return all(xi.values_on(gc, gd) in ((0.0,), (1.0,), (0.0, 1.0))
-               for gc, gd in k_set.gaps())
 
 
 def gap_jump_masses(xi: StepFunction, k_set: CompactSet) -> tuple[float, ...]:

@@ -34,8 +34,6 @@ from .sets import CompactSet
 __all__ = [
     "Tail",
     "JacobiCoefficients",
-    "shift",
-    "coefficient_metric",
     "green_diag",
     "reflectionless_residual",
 ]
@@ -188,28 +186,6 @@ class JacobiCoefficients:
         return cls(n_lo, n_hi, data["a"], data["b"], Tail.from_dict(data["tail"]))
 
 
-def shift(j: JacobiCoefficients, k: int) -> JacobiCoefficients:
-    """The shifted operator S^k J with coefficients a'_n = a_{n+k},
-    b'_n = b_{n+k}."""
-    return JacobiCoefficients(j.n_lo - k, j.n_hi - k, j.a_window, j.b_window, j.tail)
-
-
-def coefficient_metric(j1: JacobiCoefficients, j2: JacobiCoefficients) -> float:
-    """d(J, J') = sum_n 2^{-|n|} (|a_n - a'_n| + |b_n - b'_n|), in closed form.
-
-    Past both windows and site 0 the differences repeat with one common
-    period p = lcm(p1, p2), so the sum over each side beyond them is one
-    period of it times 1 / (1 - 2^-p).
-    """
-    p = math.lcm(j1.tail.period, j2.tail.period)
-    lo, hi = min(j1.n_lo, j2.n_lo, 0) - p, max(j1.n_hi, j2.n_hi, 0) + p
-    (a1, b1), (a2, b2) = j1.arrays(lo, hi), j2.arrays(lo, hi)
-    n = np.arange(lo, hi + 1)
-    weights = 2.0 ** -np.abs(n)
-    weights[(n < lo + p) | (n > hi - p)] /= 1.0 - 2.0 ** -p
-    return float(weights @ (np.abs(a1 - a2) + np.abs(b1 - b2)))
-
-
 # ---------------------------------------------------------------------------
 # Green functions
 # ---------------------------------------------------------------------------
@@ -224,9 +200,12 @@ def _tail_m(pairs, z):
     fixed point, as is m(z + i0) at real z in a gap of the tail.  On a band the two
     tie in modulus as a conjugate pair, and m(z + i0) is the one with Im m > 0 (m is
     Herglotz); a tie with none above the axis, as at a band edge, is refused.
-    m10 = -a_p^2 det(J' - z), J' the Jacobi block of the first p - 1 sites of the
-    period, has real roots only, so it is nonzero for Im z > 0.  Plain arithmetic,
-    builtin abs and ** 0.5 keep a scalar z in Python complex numbers.
+    With h = (m11 - m00)/2 and s = +-(h^2 + m01 m10)^(1/2), signed so that |h + s|
+    >= |s|, the fixed points are m01/(h + s) and -(h + s)/m10, with eigenvalues c + s
+    and c - s, c = (m00 + m11)/2.  m10 = -a_p^2 det(J' - z), J' the Jacobi block of the
+    first p - 1 sites of the period, vanishes only at real z, where the second fixed
+    point is at infinity and the first stays finite.  Plain arithmetic, builtin abs
+    and ** 0.5 keep a scalar z in Python complex numbers.
     """
     a, b = next(pairs)
     m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z     # the first pair's matrix
@@ -234,10 +213,12 @@ def _tail_m(pairs, z):
         # compose with [[0, 1], [-a^2, b - z]] on the right
         q, c = -a * a, b - z
         m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
-    disc = ((m11 - m00) ** 2 + 4.0 * m01 * m10) ** 0.5
-    r1 = ((m00 - m11) + disc) / (2.0 * m10)
-    r2 = ((m00 - m11) - disc) / (2.0 * m10)
-    d1, d2 = abs(m10 * r1 + m11), abs(m10 * r2 + m11)
+    h = 0.5 * (m11 - m00)
+    s = (h * h + m01 * m10) ** 0.5
+    s *= 1 - 2 * ((h.conjugate() * s).real < 0)     # Re(conj(h) s) >= 0
+    q, c = h + s, m11 - h
+    r1, r2 = m01 / q, -q / m10
+    d1, d2 = abs(c + s), abs(c - s)
     pick1, pick2 = d1 > d2, d1 <= d2        # max(d1, d2) = d1 * pick1 + d2 * pick2
     tie = abs(d1 - d2) <= 1e-13 * (d1 * pick1 + d2 * pick2)
     if tie is True or tie is not False and np.count_nonzero(tie):   # builtin bools skip numpy
@@ -245,7 +226,7 @@ def _tail_m(pairs, z):
         pick2 = r2.imag > 0 if tie is True else np.greater(r2.imag, 0.0, out=pick2, where=tie)
         if np.count_nonzero(tie > (pick1 | pick2)):      # a tie with no root above the axis
             raise NumericError("tail fixed points indistinguishable (z at a band edge of the tail)")
-    return r1 * pick1 + r2 * pick2
+    return np.where(pick1, r1, r2) if isinstance(pick1, np.ndarray) else r1 if pick1 else r2
 
 
 def _half_line_m(a, b, k0, k1, e, p, m_e, z):

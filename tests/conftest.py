@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from reflectionless import StepFunction, operators
+from reflectionless import CompactSet, StepFunction, operators
 
 
 @pytest.fixture
@@ -26,6 +26,32 @@ def random_step(rng, bound=None, max_pieces=6, value_grid=None, min_width=0.15):
     else:
         vals = rng.choice(value_grid, size=n)
     return StepFunction(r, tuple(edges.tolist()), tuple(float(v) for v in vals))
+
+
+def random_compact_set(rng: np.random.Generator, max_gaps: int = 3,
+                       min_band: float = 0.4, min_gap: float = 0.25) -> CompactSet:
+    n_bands = int(rng.integers(2, max_gaps + 2))
+    while True:
+        pts = np.sort(rng.uniform(-4.0, 4.0, 2 * n_bands))
+        bands = [(pts[2 * i], pts[2 * i + 1]) for i in range(n_bands)]
+        if any(d - c < min_band for c, d in bands):
+            continue
+        if any(bands[i + 1][0] - bands[i][1] < min_gap for i in range(n_bands - 1)):
+            continue
+        return CompactSet(tuple(bands))
+
+
+def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:
+    """True iff xi is 1 left of K, 0 right of K, 1/2 on the bands, and on
+    each gap either constant 0, constant 1, or a single 0 -> 1 up-jump."""
+    if not (-xi.bound <= k_set.min and k_set.max <= xi.bound):
+        return False
+    regions = [(-xi.bound, k_set.min, 1.0), (k_set.max, xi.bound, 0.0)]
+    regions += [(c, d, 0.5) for c, d in k_set.intervals]
+    if any(v != want for lo, hi, want in regions for v in xi.values_on(lo, hi)):
+        return False
+    return all(xi.values_on(gc, gd) in ((0.0,), (1.0,), (0.0, 1.0))
+               for gc, gd in k_set.gaps())
 
 
 def interior_points(step, rng, count, margin_frac=0.1):

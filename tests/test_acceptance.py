@@ -17,10 +17,9 @@ from reflectionless import (CompactSet, GapJumps, HerglotzRep,
                             operators, reconstruct_coefficients, reflectionless_residual,
                             stieltjes_invert, total_mass)
 from reflectionless.experiments import (_f_atom_input, _xi_mass_input,
-                                        random_admissible_krein,
-                                        random_compact_set, random_f_selector)
+                                        random_admissible_krein, random_f_selector)
 
-from conftest import interior_points, periodic_bands, random_step
+from conftest import interior_points, periodic_bands, random_compact_set, random_step
 
 BAND = CompactSet(((-2.0, 2.0),))
 

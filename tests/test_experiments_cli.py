@@ -45,7 +45,7 @@ def omega_limit_by_loop(j, horizon, window, threshold):
 
 
 def small_cfg(name, **kw):
-    base = dict(seed=7, samples=8, grid=21, n_coeffs=12, out_dir="unused")
+    base = dict(seed=7, samples=8, n_coeffs=12, out_dir="unused")
     base.update(kw)
     return ExperimentConfig(name=name, **base)
 
@@ -98,16 +98,15 @@ class TestRunners:
             run_forward_asymptotics(small_cfg("dr", extra={"atoms": [[1.0, 0.1]]}))
 
     def test_extremal_table_includes_closed_forms(self):
-        cfg = small_cfg("aktable", grid=31,
-                        extra={"sets": [[[-2.0, 2.0]], [[0.0, 4.0]],
-                                        [[-2.0, -0.5], [0.5, 2.0]]]})
+        cfg = small_cfg("aktable", extra={"sets": [[[-2.0, 2.0]], [[0.0, 4.0]],
+                                                   [[-2.0, -0.5], [0.5, 2.0]]]})
         rep = run_extremal_table(cfg)
         assert rep["passed"]
         assert rep["rows"][0]["A"] == pytest.approx(1.0, abs=1e-8)
         assert rep["rows"][1]["A"] == pytest.approx(1.0, abs=1e-8)
         assert rep["rows"][2]["A"] == pytest.approx(0.75, abs=1e-6)
         for row in rep["rows"]:
-            assert {"A", "argmin", "grid", "refinement_tolerance",
+            assert {"A", "argmin", "refinement_tolerance",
                     "kkt_residual", "iterations", "R_used"} <= set(row)
             assert row["kkt_residual"] <= row["refinement_tolerance"]
 
@@ -115,7 +114,7 @@ class TestRunners:
         # bands 1e-2 wide and 23 apart, where s_0/(2f) is 1.8e6: the gradient
         # residual stops at 4e-10, above KKT_TOL but within the solver's
         # tolerance, KKT_TOL plus the residual's rounding bound
-        cfg = small_cfg("aktable", grid=9, extra={"sets": [
+        cfg = small_cfg("aktable", extra={"sets": [
             [[0.0, 0.013333428764625703], [23.39727979849806, 23.408466016736373]]]})
         rep = run_extremal_table(cfg)
         assert rep["passed"]
@@ -222,7 +221,8 @@ class TestReportsAndCli:
         assert isinstance(rows, list) and rows
 
     def _cli(self, *args):
-        return subprocess.run([sys.executable, "-m", "reflectionless", *args],
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "reflectionless", *args],
                               capture_output=True, text=True)
 
     def test_cli_pass_exit_zero(self, tmp_path):
@@ -282,7 +282,7 @@ class TestReportsAndCli:
     def test_cli_aktable_beyond_four_gaps(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         bands = [[float(i), i + 0.4] for i in range(6)]
-        cfg.write_text(json.dumps({"grid": 9, "extra": {"sets": [bands]}}))
+        cfg.write_text(json.dumps({"extra": {"sets": [bands]}}))
         proc = self._cli("aktable", "--config", str(cfg), "--format", "json",
                          "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
@@ -298,18 +298,21 @@ class TestReportsAndCli:
         assert proc.returncode == 2, proc.stderr
         assert "unbounded interval" in proc.stderr and "Warning" not in proc.stderr
 
-    def test_cli_aktable_coarse_grid_exit_zero(self, tmp_path):
-        # grid 5 lies 5.5e-3 above the exact constant 0.6 on this set; a
-        # coarse grid must not fail a solver that meets its KKT tolerance
+    def test_cli_aktable_thirty_two_bands(self, tmp_path):
+        # five levels of removing the middle 20% of every band, from [-2, 2]
+        bands = [[-2.0, 2.0]]
+        for _ in range(5):
+            bands = [half for c, d in bands
+                     for half in ([c, c + 0.4 * (d - c)], [d - 0.4 * (d - c), d])]
         cfg = tmp_path / "cfg.json"
-        bands = [[float(i), i + 0.4] for i in range(6)]
-        cfg.write_text(json.dumps({"grid": 5, "extra": {"sets": [bands]}}))
+        cfg.write_text(json.dumps({"extra": {"sets": [bands]}}))
         proc = self._cli("aktable", "--config", str(cfg), "--format", "json",
                          "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
-        assert row["A"] == pytest.approx(0.6, abs=1e-10)
-        assert row["delta_vs_grid"] > 1e-3
+        assert len(json.loads(row["set"])) == 32
+        assert row["A"] == pytest.approx(sum(d - c for c, d in bands) / 4.0, rel=1e-12, abs=0)
+        assert row["kkt_residual"] <= row["refinement_tolerance"]
 
     def test_cli_eval_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -9,11 +9,12 @@ from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             abs_boundary, canonical_krein_from_jumps,
                             extremal, flow_steps, flow_to_canonical,
                             gap_jump_masses, grid_min_mass, half_line_measure,
-                            is_canonical, mass_objective, minimize_mass,
-                            stieltjes_invert, total_mass)
-from reflectionless.experiments import random_admissible_krein, random_compact_set
+                            mass_objective, minimize_mass, stieltjes_invert,
+                            total_mass)
+from reflectionless.experiments import random_admissible_krein
 
-from conftest import mp_mass_objective, mp_stationary_point
+from conftest import (is_canonical, mp_mass_objective, mp_stationary_point,
+                      random_compact_set)
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
 

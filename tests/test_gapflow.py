@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from reflectionless import (CompactSet, GapJumps, StepFunction,
                             flow_steps, flow_to_canonical, free_krein,
                             gap_jump_masses, gap_modify, hilbert_transform,
-                            is_canonical, mass_objective)
-from reflectionless.experiments import random_admissible_krein, random_compact_set
+                            mass_objective)
+from reflectionless.experiments import random_admissible_krein
+
+from conftest import is_canonical, random_compact_set
 
 
 def half_on(k_set, rng, bound=None):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectionless import (CompactSet, JacobiCoefficients, NumericError, Tail,
-                            coefficient_metric, green_diag, operators,
-                            reflectionless_residual, shift)
+                            green_diag, operators, reflectionless_residual)
 
 from conftest import banded_section_green, periodic_bands
 
@@ -120,84 +119,6 @@ class TestArrays:
             assert b.tolist() == [j.b(n) for n in range(lo2, hi2 + 1)]
 
 
-class TestShift:
-    def test_free_operator_invariant(self):
-        j = JacobiCoefficients.periodic([1.0], [0.0])
-        s = shift(j, 5)
-        assert all(s.a(n) == 1.0 and s.b(n) == 0.0 for n in range(-8, 8))
-
-    def test_single_entry_moves(self):
-        j = JacobiCoefficients(0, 0, (1.0,), (1.0,))
-        s = shift(j, 1)
-        assert s.b(-1) == 1.0
-        assert all(s.b(n) == 0.0 for n in range(-5, 5) if n != -1)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(-9, 9))
-    @settings(max_examples=30, deadline=None)
-    def test_opposite_shifts_compose_to_identity(self, seed, k):
-        j = random_operator(np.random.default_rng(seed))
-        assert shift(shift(j, k), -k) == j
-        assert all(shift(j, k).a(n) == j.a(n + k) and shift(j, k).b(n) == j.b(n + k)
-                   for n in range(-40, 41))
-
-    def test_periodic_tail_shifts_consistently(self):
-        j = JacobiCoefficients.periodic([1.0, 2.0], [0.5, -0.5])
-        s = shift(j, 3)
-        assert all(s.a(n) == j.a(n + 3) and s.b(n) == j.b(n + 3)
-                   for n in range(-9, 9))
-
-
-class TestMetric:
-    def test_identity_of_indiscernibles(self, rng):
-        for _ in range(10):
-            j = random_operator(rng)
-            assert coefficient_metric(j, j) == 0.0
-
-    def test_single_center_difference(self):
-        j = JacobiCoefficients.periodic([1.0], [0.0])
-        j2 = JacobiCoefficients(0, 0, (1.0,), (1.0,))
-        assert coefficient_metric(j, j2) == 1.0
-
-    def test_two_symmetric_differences(self):
-        j = JacobiCoefficients.periodic([1.0], [0.0])
-        j2 = JacobiCoefficients(-3, 3, (1.0,) * 7, (1.0,) + (0.0,) * 5 + (1.0,))
-        assert coefficient_metric(j, j2) == 0.25
-
-    def test_differing_tails_truncated_with_bound(self):
-        j = JacobiCoefficients.periodic([1.0], [0.0])
-        j2 = JacobiCoefficients.periodic([1.0], [0.25])
-        # exact value: sum 2^{-|n|} * 0.25 = 0.75
-        assert coefficient_metric(j, j2) == pytest.approx(0.75, abs=1e-11)
-        # periods 2 and 3 with windows off site 0, on one side of it and on
-        # both, against the explicit sum over |n| <= 200 (2^-200 is below
-        # one ulp)
-        j1 = JacobiCoefficients(3, 5, (0.7, 1.9, 1.2), (0.4, -0.3, 0.8),
-                                Tail.periodic((0.9, 1.6), (-0.5, 0.2)))
-        weights = 2.0 ** -np.abs(np.arange(-200, 201))
-        for n_lo in (7, -8):
-            j2 = JacobiCoefficients(n_lo, n_lo + 1, (1.1, 0.6), (0.1, 0.9),
-                                    Tail.periodic((1.3, 0.8, 1.7), (0.3, -0.6, 0.0)))
-            (a1, b1), (a2, b2) = j1.arrays(-200, 200), j2.arrays(-200, 200)
-            explicit = math.fsum(weights * (np.abs(a1 - a2) + np.abs(b1 - b2)))
-            assert coefficient_metric(j1, j2) == pytest.approx(explicit, rel=1e-15, abs=0)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_metric_axioms_on_random_triples(self, seed):
-        rng = np.random.default_rng(seed)
-        j1, j2, j3 = (random_operator(rng) for _ in range(3))
-        d12 = coefficient_metric(j1, j2)
-        d21 = coefficient_metric(j2, j1)
-        assert d12 == pytest.approx(d21, rel=1e-12, abs=1e-14)
-        d13 = coefficient_metric(j1, j3)
-        d23 = coefficient_metric(j2, j3)
-        assert d13 <= d12 + d23 + 1e-10
-        assert d12 >= 0.0
-        if d12 == 0.0:
-            assert all(j1.a(n) == j2.a(n) and j1.b(n) == j2.b(n)
-                       for n in range(-20, 21))
-
-
 class TestGreenDiag:
     @pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(0.0, math.nan),
                                    complex(math.inf, 1.0)])
@@ -252,7 +173,8 @@ class TestGreenDiag:
         k = int(rng.integers(-5, 6))
         n = int(rng.integers(-3, 4))
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
-        assert abs(green_diag(shift(j, k), n, z) - green_diag(j, n + k, z)) < 1e-10
+        shifted = JacobiCoefficients(j.n_lo - k, j.n_hi - k, j.a_window, j.b_window, j.tail)
+        assert abs(green_diag(shifted, n, z) - green_diag(j, n + k, z)) < 1e-10
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -366,11 +288,12 @@ def max_abs_green(j, m_set, grid, sites=range(-2, 3)):
 
 def tail_solve_size(tail, z):
     """Size, in units of the rounding unit, of the error of the tail's
-    m-function as `_tail_m` computes it at z, largest over the starting
-    phases and both directions: m is the root of m10 m^2 + (m11 - m00) m -
-    m01 = 0 for the one-period matrix M, taken as ((m00 - m11) +- disc) /
-    (2 m10).  Rounding the formula costs (|m00| + |m11| + |disc|) / |m10|,
-    which is large where the numerator cancels (m near 0); rounding M's p
+    m-function at z, largest over the starting phases and both directions:
+    m is the root of m10 m^2 + (m11 - m00) m - m01 = 0 for the one-period
+    matrix M, here taken as ((m00 - m11) +- disc) / (2 m10).  Rounding that
+    formula costs (|m00| + |m11| + |disc|) / |m10|, which is large where the
+    numerator cancels (m near 0); `_tail_m`'s forms avoid that cancellation,
+    so the term overestimates their rounding.  Rounding M's p
     products moves its entries by p |M| and the root by that times
     (1 + |m|)^2 / |disc|."""
     a_blk, b_blk, p = tail.a_block, tail.b_block, tail.period
@@ -491,6 +414,15 @@ class TestReflectionlessResidual:
         for tk, gk in zip(t, got):
             scalar = operators._tail_m(iter([(1.0, 0.0)]), complex(tk))
             assert type(scalar) is complex and scalar == pytest.approx(gk, rel=1e-15)
+
+    @pytest.mark.parametrize("sites", [range(0, 1), range(-2, 3, 2)])
+    def test_tail_m_at_a_dirichlet_point_of_the_period(self, sites):
+        # at t = 1/2 the right tail's m_1 = -3/4 solves m = 1/(-1 + 1/(4m)) and the
+        # left tail's m_{-1} = 0 solves m = m/(4 - m); one period's m10 vanishes there,
+        # putting the other fixed point at infinity.  So g_0 = g_{+-2} = 1/(3/4)
+        j = JacobiCoefficients.periodic([1.0, 0.5], [0.5, -0.5])
+        res = reflectionless_residual(j, CompactSet(((0.0, 1.0),)), grid=1, sites=sites)
+        assert res == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sites", [range(-4, 5, 2), range(3, -4, -3), range(0)],
                              ids=["step-2", "descending", "empty"])

@@ -1,7 +1,7 @@
 """The package as a fresh process sees it: what its modules import, what
 `import reflectionless` loads, every CLI subcommand and the truncated Green
-function without scipy, and the example scripts under scripts/ running to
-completion."""
+function without scipy, default CLI runs byte-identical across processes,
+and the example scripts under scripts/ running to completion."""
 
 import ast
 import importlib
@@ -20,11 +20,13 @@ SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py
 
 
 def run_python(args, cwd):
-    """Run the interpreter with the package under test importable from cwd."""
+    """Run the interpreter with the package under test importable from cwd,
+    with a RuntimeWarning raised as an error, as in the in-process tests."""
     src = str(Path(reflectionless.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_runtime_imports_only_the_standard_library_and_numpy():
@@ -83,6 +85,20 @@ def test_cli_runs_without_scipy(command, tmp_path):
             "from reflectionless.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = run_python(["-c", code, *args], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_default_runs_are_byte_identical_across_processes(tmp_path):
+    # each subcommand twice, as fresh processes, into two output directories
+    for command in ("thm11", "oracle", "dr", "aktable", "omega"):
+        first, second = (tmp_path / run / command for run in ("first", "second"))
+        for out in (first, second):
+            proc = run_python(["-m", "reflectionless", command, "--out", str(out)], tmp_path)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir()) and "report.json" in names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), \
+                f"{command}/{name} differs between two runs"
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
