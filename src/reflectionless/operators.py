@@ -8,12 +8,13 @@ functions computable two independent ways:
 * the resolvent entry of a finite section with Dirichlet ends, sized by a
   Combes-Thomas decay estimate, and
 * the Weyl m-function recursion m_k = 1/(b_k - z - a_k^2 m_{k+1}) closed at
-  the tails by the attracting fixed point of the one-period Moebius map.
+  both tails by the two fixed points of the right tail's one-period Moebius
+  map: the attracting one is the right tail's m, the other gives the left's.
 
 Both read their coefficients as arrays over a site range.  The recursion
 serves a run of sites from one walk per side over the effective window (end
-sites equal to the tail are not walked) and one tail solve per side, on one
-energy or elementwise over an ndarray of energies, real ones (t + i0) too.
+sites equal to the tail are not walked) and one tail solve, on one energy or
+over an ndarray of energies, real ones (t + i0) too.
 The section walks its explicit sites and takes each tail's whole periods as
 one power of the period's transfer matrix, in closed form, so its cost does
 not grow with its size; it solves no tail fixed point, and so checks that solve.
@@ -190,43 +191,43 @@ class JacobiCoefficients:
 # Green functions
 # ---------------------------------------------------------------------------
 
-def _tail_m(pairs, z):
-    """m at the first site of an infinite half line whose (a, b) repeat the
-    one-period pairs of the iterator toward the far end, elementwise when z
-    is an array: a fixed point of the one-period Moebius map
-    w -> (m00 w + m01)/(m10 w + m11).
-
-    For Im z > 0 that map contracts the upper half plane, and m is its attracting
-    fixed point, as is m(z + i0) at real z in a gap of the tail.  On a band the two
-    tie in modulus as a conjugate pair, and m(z + i0) is the one with Im m > 0 (m is
-    Herglotz); a tie with none above the axis, as at a band edge, is refused.
-    With h = (m11 - m00)/2 and s = +-(h^2 + m01 m10)^(1/2), signed so that |h + s|
-    >= |s|, the fixed points are m01/(h + s) and -(h + s)/m10, with eigenvalues c + s
-    and c - s, c = (m00 + m11)/2.  m10 = -a_p^2 det(J' - z), J' the Jacobi block of the
-    first p - 1 sites of the period, vanishes only at real z, where the second fixed
-    point is at infinity and the first stays finite.  Plain arithmetic, builtin abs
-    and ** 0.5 keep a scalar z in Python complex numbers.
-    """
-    a, b = next(pairs)
-    m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z     # the first pair's matrix
-    for a, b in pairs:
-        # compose with [[0, 1], [-a^2, b - z]] on the right
-        q, c = -a * a, b - z
+def _tail_m(a, b, d, z):
+    """(m_+(e), m_-(e - 1 + d)), 0 <= d < p, elementwise for an array z, for the periodic
+    operator whose one period from site e holds the lists a, b: from the fixed points of
+    the one-period Moebius map w -> (m00 w + m01)/(m10 w + m11) of m_k = 1/(b_k - z -
+    a_k^2 m_{k+1}), w_e = -psi_e/(a_{e-1} psi_{e-1}) of the two Floquet solutions psi
+    (Teschl, Jacobi Operators, ch. 7).  m_+(e) is the attracting one for Im z > 0 and in a
+    gap, and on a band, where they tie in modulus, the one with Im m > 0 (a tie with none
+    above the axis, a band edge, is refused); the other is 1/(a_{e-1}^2 m_-(e - 1)),
+    a_{e-1} = a_{e+p-1}.  With h = (m11 - m00)/2, s = +-(h^2 + m01 m10)^(1/2) signed so
+    that |h + s| >= |s|, and c = m11 - h, they are m01/(h + s) and -(h + s)/m10, of
+    eigenvalues c +- s.  m10 vanishes at a Dirichlet point of the period, so m_-(e - 1) is
+    -m10/(a_{e-1}^2 (h + s)) or (h + s)/(a_{e-1}^2 m01), then walked d sites on by m_-(k) =
+    1/(b_k - z - a_{k-1}^2 m_-(k - 1)).  A scalar z stays in Python complex arithmetic."""
+    m00, m01, m10, m11 = 0.0, 1.0, -a[0] * a[0], b[0] - z     # site e's matrix
+    for a_k, b_k in zip(a[1:], b[1:]):
+        # compose with [[0, 1], [-a_k^2, b_k - z]] on the right
+        q, c = -a_k * a_k, b_k - z
         m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
     h = 0.5 * (m11 - m00)
     s = (h * h + m01 * m10) ** 0.5
-    s *= 1 - 2 * ((h.conjugate() * s).real < 0)     # Re(conj(h) s) >= 0
-    q, c = h + s, m11 - h
-    r1, r2 = m01 / q, -q / m10
+    flip = (h.conjugate() * s).real < 0       # makes Re(conj(h) s) >= 0
+    s = np.negative(s, out=s, where=flip) if isinstance(s, np.ndarray) else -s if flip else s
+    q, c, a2 = h + s, m11 - h, a[-1] * a[-1]
+    r1, w1 = m01 / q, m10 / -a2 / q     # w1 = 1/(a2 r2)
     d1, d2 = abs(c + s), abs(c - s)
-    pick1, pick2 = d1 > d2, d1 <= d2        # max(d1, d2) = d1 * pick1 + d2 * pick2
-    tie = abs(d1 - d2) <= 1e-13 * (d1 * pick1 + d2 * pick2)
+    pick1, tie = d1 > d2, abs(d1 - d2) <= 1e-13 * d1
     if tie is True or tie is not False and np.count_nonzero(tie):   # builtin bools skip numpy
         pick1 = r1.imag > 0 if tie is True else np.greater(r1.imag, 0.0, out=pick1, where=tie)
-        pick2 = r2.imag > 0 if tie is True else np.greater(r2.imag, 0.0, out=pick2, where=tie)
-        if np.count_nonzero(tie > (pick1 | pick2)):      # a tie with no root above the axis
-            raise NumericError("tail fixed points indistinguishable (z at a band edge of the tail)")
-    return np.where(pick1, r1, r2) if isinstance(pick1, np.ndarray) else r1 if pick1 else r2
+    if isinstance(pick1, np.ndarray):
+        m, w = np.where(pick1, r1, q / -m10), np.where(pick1, w1, q / (a2 * m01))
+    else:
+        m, w = (r1, w1) if pick1 else (q / -m10, q / (a2 * m01))
+    if tie is not False and np.count_nonzero(tie > (m.imag > 0)):     # no root above the axis
+        raise NumericError("tail fixed points indistinguishable (z at a band edge of the tail)")
+    for k in range(d):
+        w = 1.0 / (b[k] - z - a[k - 1] * a[k - 1] * w)
+    return m, w
 
 
 def _half_line_m(a, b, k0, k1, e, p, m_e, z):
@@ -247,18 +248,17 @@ def _half_line_m(a, b, k0, k1, e, p, m_e, z):
     return ms
 
 
-def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z) -> list:
-    """[g_n(z) for n = n0..n1], z complex or an ndarray, from one `arrays` call
-    and one m-function sweep per side.  The left sweep is the right one on the
-    lists reflected about a site r >= n1, index i holding b_{r - i} and a_{r - i - 1}.
-    Each tail is solved once, next to the effective window w0..w1: the window
-    less its end sites equal to the in-phase tail, so at sites fixed by the
-    operator alone.  If all are, each tail starts at a multiple of p past
-    n0..n1 (every such start reads the same period) and no site is walked.
-    One solve serves both sides when their periods read alike, as at p = 1."""
+def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z):
+    """[g_n(z) for n = n0..n1], a list for a complex z and one sites x energies array
+    for an ndarray z, from one `arrays` call, one tail solve and one m-function sweep
+    per side.  The left sweep is the right one on the lists reflected about a site
+    r >= n1, index i holding b_{r - i} and a_{r - i - 1}.  The tails start next to the
+    effective window w0..w1, the window less its end sites equal to the in-phase tail;
+    if that is empty, at multiples of p past n0..n1, and no site is walked."""
     p = j.tail.period
     lo = min(n0, j.n_lo) - 1 - p        # the left tail repeats from lo + p down
-    a, b = j.arrays(lo, max(n1, j.n_hi) + p).tolist()     # site s at index s - lo
+    ab = j.arrays(lo, max(n1, j.n_hi) + p)
+    a, b = ab.tolist()      # site s at index s - lo
     c0, c1, w0, w1 = n0 - lo, n1 - lo, j.n_lo - lo, j.n_hi - lo
     while w1 >= w0 and a[w1] == a[w1 + p] and b[w1] == b[w1 + p]:
         w1 -= 1
@@ -266,13 +266,14 @@ def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z) -> list:
         w0, w1 = n1 + (-n1) % p - lo, n0 - (n0 + 1) % p - lo
     while w0 <= w1 and a[w0] == a[w0 - p] and b[w0] == b[w0 - p]:
         w0 += 1
-    r = max(c1, w0 - 1)         # the lists reflected about r, and w0 - 1 there
-    ra, rb, e, f = a[r - 1::-1], b[r::-1], w1 + 1, r + 1 - w0
-    right, left = (a[e:e + p], b[e:e + p]), (ra[f:f + p], rb[f:f + p])     # one period each
-    m_right = _tail_m(zip(*right), z)
-    m_left = m_right if left == right else _tail_m(zip(*left), z)
+    r, e = max(c1, w0 - 1), w1 + 1      # the lists reflected about r, and w0 - 1 there
+    m_right, m_left = _tail_m(a[e:e + p], b[e:e + p], (w0 - e) % p, z)
     mp = _half_line_m(a, b, c0 + 1, c1 + 1, e, p, m_right, z)
-    mm = _half_line_m(ra, rb, r - c1 + 1, r - c0 + 1, f, p, m_left, z)
+    mm = _half_line_m(a[r - 1::-1], b[r::-1], r - c1 + 1, r - c0 + 1, r + 1 - w0, p, m_left, z)
+    if isinstance(z, np.ndarray):
+        a2 = ab[0, c0 - 1:c1 + 1, None] ** 2       # a_n^2, n = n0 - 1..n1, as a column
+        return 1.0 / (ab[1, c0:c1 + 1, None] - z - a2[1:] * np.array(mp[::-1])
+                      - a2[:-1] * np.array(mm))
     return [1.0 / (b[c] - z - a[c] * a[c] * mp[c1 - c] - a[c - 1] * a[c - 1] * mm[c - c0])
             for c in range(c0, c1 + 1)]
 
@@ -350,10 +351,11 @@ def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
     Small residuals certify approximate membership in the reflectionless
     class on M; O(1) values certify violation.  A band edge of the tail, or
     a non-finite g (t an eigenvalue of a half line), raises `NumericError`."""
-    n0 = min(sites, default=0)
-    with np.errstate(all="ignore"):
-        g = _green_sites(j, n0, max(sites), m_set.interior_grid(grid) + 0j) if sites else []
-    g = np.array([g[n - n0] for n in sites])
+    if not sites:
+        return 0.0
+    t = m_set.interior_grid(grid).astype(complex)
+    with np.errstate(all="ignore"):     # rows min(sites)..max(sites), each step-th in order
+        g = np.asarray(_green_sites(j, min(sites), max(sites), t))[::sites.step]
     if not np.isfinite(g).all():
         raise NumericError("non-finite Green function in the reflectionless residual")
-    return float(np.abs(g.real).max(initial=0.0))
+    return float(np.abs(g.real).max())

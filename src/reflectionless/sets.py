@@ -51,14 +51,12 @@ class CompactSet:
 
     def interior_grid(self, points_per_interval: int) -> np.ndarray:
         """Deterministic sample points strictly inside each band (midpoint
-        offsets, endpoints excluded)."""
-        if points_per_interval < 1:
-            raise ValueError("points_per_interval must be >= 1")
-        out = []
-        for c, d in self.intervals:
-            k = np.arange(points_per_interval)
-            out.append(c + (k + 0.5) * (d - c) / points_per_interval)
-        return np.concatenate(out)
+        offsets, endpoints excluded), band by band."""
+        if type(points_per_interval) is not int or points_per_interval < 1:     # refuses bools
+            raise ValueError("points_per_interval must be an integer >= 1")
+        cd = np.array(self.intervals)       # one row (c, d) per band
+        c, k = cd[:, :1], np.arange(0.5, points_per_interval)      # k + 1/2, k = 0..points - 1
+        return (c + k * (cd[:, 1:] - c) / points_per_interval).ravel()
 
     def affine(self, alpha: float, beta: float) -> "CompactSet":
         """The image alpha*K + beta for alpha > 0."""

@@ -172,3 +172,38 @@ def periodic_bands(a_block, b_block, inset=0.0):
     edges.sort()
     return tuple((c + inset * (d - c), d - inset * (d - c))
                  for c, d in zip(edges[::2], edges[1::2]))
+
+
+def reflected_period_m(pairs, z):
+    """m at the first site of a half line whose (a, b) repeat the one-period
+    `pairs` toward its far end, in scalar arithmetic: the attracting fixed point
+    of the one-period Moebius map, or on a band of the tail the one with Im m > 0.
+    Solved on the left tail's own reflected period, it is a reference for the left
+    m that `operators._tail_m` takes from the right period's second fixed point."""
+    (a, b), *rest = pairs
+    m00, m01, m10, m11 = 0.0, 1.0, -a * a, b - z
+    for a, b in rest:
+        q, c = -a * a, b - z
+        m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
+    h = 0.5 * (m11 - m00)
+    s = (h * h + m01 * m10) ** 0.5
+    s *= 1 - 2 * ((h.conjugate() * s).real < 0)     # Re(conj(h) s) >= 0
+    q, c = h + s, m11 - h
+    r1 = m01 / q
+    d1, d2 = abs(c + s), abs(c - s)
+    tie = abs(d1 - d2) <= 1e-13 * max(d1, d2)     # on a band: the root above the axis
+    if r1.imag > 0 if tie else d1 > d2:
+        return r1
+    r2 = -q / m10
+    assert r2.imag > 0 or not tie, "band edge of the tail"
+    return r2
+
+
+def left_tail_m(a_block, b_block, d, z):
+    """The reference for the left m of `operators._tail_m`: m_-(e - 1 + d) of the
+    periodic operator whose one period from site e holds a_block, b_block, as
+    the attracting fixed point of its own reflected period.  The left recursion
+    m_-(k) = 1/(b_k - z - a_{k-1}^2 m_-(k - 1)) reads the pairs (a_{k-1-i}, b_{k-i})."""
+    p, k = len(a_block), d - 1      # site e - 1 + d at index d - 1 of the period
+    return reflected_period_m([(a_block[(k - 1 - i) % p], b_block[(k - i) % p])
+                               for i in range(p)], z)

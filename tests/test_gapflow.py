@@ -22,6 +22,23 @@ class TestCompactSet:
         with pytest.raises(ValueError, match="unbounded"):
             CompactSet(intervals)
 
+    @pytest.mark.parametrize("count", [2.5, True, 0, -1])
+    def test_interior_grid_refuses_non_integer_counts(self, count):
+        # a fractional count would put a point on the band end 1.0, and True would give one
+        with pytest.raises(ValueError, match="integer >= 1"):
+            CompactSet(((0.0, 1.0),)).interior_grid(count)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_interior_grid_is_the_per_band_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_bands, count = int(rng.integers(1, 7)), int(rng.integers(1, 101))
+        edges = np.cumsum(rng.uniform(0.01, 2.0, 2 * n_bands)) - 3.0
+        k_set = CompactSet(tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))
+        loop = np.concatenate([c + (np.arange(count) + 0.5) * (d - c) / count
+                               for c, d in k_set.intervals])
+        assert np.array_equal(k_set.interior_grid(count), loop)
+
 
 class TestGapModify:
     def test_half_mass_splits_the_gap(self):

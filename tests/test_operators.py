@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reflectionless import (CompactSet, JacobiCoefficients, NumericError, Tail,
                             green_diag, operators, reflectionless_residual)
 
-from conftest import banded_section_green, periodic_bands
+from conftest import banded_section_green, left_tail_m, periodic_bands
 
 # Frozen two-sided value for the alternating-diagonal operator
 # b = (..., +1, -1, +1, ...), a = 1 at site 0 and z = 3i, cross-checked
@@ -219,7 +219,7 @@ class TestGreenDiag:
 
     def test_scalar_kernels_return_python_complex(self):
         a, b, z = [1.0, 0.7, 1.2, 0.9, 1.1], [0.1, -0.2, 0.3, 0.0, -0.1], 0.3 + 0.2j
-        assert type(operators._tail_m(zip(a[:2], b[:2]), z)) is complex
+        assert all(type(m) is complex for m in operators._tail_m(a[:2], b[:2], 1, z))
         assert type(operators._section_m(a, b, 1, 2, 40, z)) is complex
         assert type(operators._section_m(a, b, 0, 1, 7, z)) is complex    # no walk
 
@@ -397,10 +397,16 @@ class TestReflectionlessResidual:
         with pytest.raises(NumericError, match="band edge"):
             reflectionless_residual(j, CompactSet(((1.5, 2.5),)), grid=1)
 
+    def test_non_integer_grid_refused(self):
+        # a ValueError for the argument, not a NumericError for the band end t = 2 that 2.5
+        # points per band would reach
+        with pytest.raises(ValueError, match="integer"):
+            reflectionless_residual(FREE, CompactSet(((-2.0, 2.0),)), grid=2.5)
+
     def test_tail_m_refuses_a_band_edge(self):
         for z in (2.0 + 0j, np.array([0.0, 2.0, 3.0]) + 0j):
             with pytest.raises(NumericError, match="band edge"):
-                operators._tail_m(iter([(1.0, 0.0)]), z)
+                operators._tail_m([1.0], [0.0], 0, z)
 
     def test_tail_m_on_the_real_axis(self):
         # free tail: m(t + i0) = (-t +- sqrt(t^2 - 4)) / 2, the root with |m| < 1 in a
@@ -408,11 +414,12 @@ class TestReflectionlessResidual:
         t = np.array([-3.0, -1.5, 0.0, 0.7, 1.99, 2.5])
         root = np.sqrt((t * t - 4.0).astype(complex))      # i sqrt(4 - t^2) on the band
         m = (-t + np.where(np.abs(t) > 2.0, np.sign(t), 1.0) * root) / 2.0
-        got = operators._tail_m(iter([(1.0, 0.0)]), t + 0j)
+        got, left = operators._tail_m([1.0], [0.0], 0, t + 0j)
+        assert np.all(np.abs(left - m) <= 1e-15 * np.abs(m))    # the free line is symmetric
         assert np.all(np.abs(got - m) <= 1e-15 * np.abs(m))
         assert np.all(got[1:5].imag > 0) and np.all(got[[0, 5]].imag == 0)
         for tk, gk in zip(t, got):
-            scalar = operators._tail_m(iter([(1.0, 0.0)]), complex(tk))
+            scalar = operators._tail_m([1.0], [0.0], 0, complex(tk))[0]
             assert type(scalar) is complex and scalar == pytest.approx(gk, rel=1e-15)
 
     @pytest.mark.parametrize("sites", [range(0, 1), range(-2, 3, 2)])
@@ -423,6 +430,50 @@ class TestReflectionlessResidual:
         j = JacobiCoefficients.periodic([1.0, 0.5], [0.5, -0.5])
         res = reflectionless_residual(j, CompactSet(((0.0, 1.0),)), grid=1, sites=sites)
         assert res == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0)
+        # the tail solve itself: m_+(0) = 4/3 and m_-(-1) = -m10/(a^2 (h + s)) = 0, on both
+        # paths (the array path also forms the unpicked root -(h + s)/m10, as the residual
+        # does under np.errstate)
+        for z in (0.5 + 0j, np.array([0.5 + 0j])):
+            with np.errstate(all="ignore"):
+                m_plus, m_minus = operators._tail_m([1.0, 0.5], [0.5, -0.5], 0, z)
+            assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15) and m_minus == 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.sampled_from(["complex", "band", "gap", "dirichlet"]))
+    @settings(max_examples=200, deadline=None)
+    def test_left_m_from_the_second_fixed_point(self, seed, p, where):
+        """The left tail's m from `_tail_m` against the reflected period's own solve
+        (`conftest.left_tail_m`), at random phases d: at Im z in 1e-6..3, at real t
+        inside a band or a gap (1-99% of its width), and at a Dirichlet point of the
+        period, an eigenvalue of the block of sites e..e+p-2, where m10 vanishes and
+        the second fixed point is at infinity.  There m_-(e - 1) itself vanishes or
+        the first fixed point is near infinity, so the two are compared by their
+        distance on the Riemann sphere, their relative difference where |m| is near
+        1.  Near a band edge both lose digits, so Dirichlet points within 1e-4 of
+        one are skipped, as are those where m_+(e) is exactly infinite (the scalar
+        path divides by m10 = 0 there)."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.5, 2.0, p).tolist(), rng.uniform(-1.0, 1.0, p).tolist()
+        bands = periodic_bands(a, b)
+        edges = [bands[0][0] - 2.0, *np.ravel(bands).tolist(), bands[-1][1] + 2.0]
+        d = int(rng.integers(0, p))
+        if where == "complex":
+            z = complex(rng.uniform(edges[0], edges[-1]), 10.0 ** rng.uniform(-6.0, math.log10(3.0)))
+        elif where == "dirichlet":
+            assume(p > 1)
+            block = np.diag(b[:-1]) + np.diag(a[:-2], 1) + np.diag(a[:-2], -1)
+            z, d = complex(rng.choice(np.linalg.eigvalsh(block))), 0
+            assume(min(abs(z.real - x) for x in edges[1:-1]) > 1e-4)
+        else:
+            spans = list(zip(edges[1::2], edges[2::2]) if where == "band" else zip(edges[::2], edges[1::2]))
+            c, w = spans[int(rng.integers(0, len(spans)))]
+            z = complex(c + (w - c) * rng.uniform(0.01, 0.99))
+        try:
+            got = operators._tail_m(a, b, d, z)[1]
+        except ZeroDivisionError:
+            assume(False)
+        ref = left_tail_m(a, b, d, z)
+        assert abs(got - ref) <= 1e-12 * math.sqrt((1.0 + abs(got) ** 2) * (1.0 + abs(ref) ** 2))
 
     @pytest.mark.parametrize("sites", [range(-4, 5, 2), range(3, -4, -3), range(0)],
                              ids=["step-2", "descending", "empty"])
@@ -434,29 +485,23 @@ class TestReflectionlessResidual:
         assert abs(res - ref) <= 1e-12 * max(1.0, ref)
         assert (res == 0.0) == (len(sites) == 0)
 
-    @staticmethod
-    def count_tail_solves(monkeypatch, j):
-        calls = []
-
-        def counted(pairs, z):
-            calls.append(z)
-            return tail_m(pairs, z)
-
-        tail_m = operators._tail_m
-        monkeypatch.setattr(operators, "_tail_m", counted)
-        reflectionless_residual(j, CompactSet(((-0.5, 0.5),)), grid=8)
-        return len(calls)
-
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_default_sites_solve_one_tail_per_side(self, monkeypatch, p):
+        """One tail solve per call serves both sides: one per site and side would be
+        10 here, one per phase and side 2p.  The mirror-symmetric period (b constant,
+        so the pairs read up from an even site equal those read down from the odd
+        site below it) gets the same one solve."""
+        calls = []
+        tail_m = operators._tail_m
+        monkeypatch.setattr(operators, "_tail_m", lambda *args: calls.append(args) or tail_m(*args))
         j = JacobiCoefficients.periodic([1.0, 0.6, 1.3][:p], [0.2, -0.4, 0.5][:p]).restrict(0, 7)
-        # one solve per site and side would be 10, one per phase and side 2p
-        assert self.count_tail_solves(monkeypatch, j) == (1 if p == 1 else 2)
-
-    def test_mirror_symmetric_period_shares_its_solve(self, monkeypatch):
-        # b constant: the pairs (a_s, b_s) up from an even s equal (a_{s-1}, b_s) down from s - 1
-        j = JacobiCoefficients.periodic([1.0, 0.6], [0.2, 0.2]).restrict(0, 5)
-        assert self.count_tail_solves(monkeypatch, j) == 1
+        mirror = JacobiCoefficients.periodic([1.0, 0.6], [0.2, 0.2]).restrict(0, 5)
+        for op in (j, mirror):
+            reflectionless_residual(op, CompactSet(((-0.5, 0.5),)), grid=8)
+        assert len(calls) == 2
+        for n in (-3, 0, 9):
+            green_diag(j, n, 0.2 + 1e-3j)
+        assert len(calls) == 5
 
     def test_no_per_site_accessor_on_the_green_paths(self, monkeypatch):
         def boom(self, n):
