@@ -193,39 +193,39 @@ class JacobiCoefficients:
 
 def _tail_m(a, b, d, z):
     """(m_+(e), m_-(e - 1 + d)), 0 <= d < p, elementwise for an array z, for the periodic
-    operator whose one period from site e holds the lists a, b: from the fixed points of
-    the one-period Moebius map w -> (m00 w + m01)/(m10 w + m11) of m_k = 1/(b_k - z -
-    a_k^2 m_{k+1}), w_e = -psi_e/(a_{e-1} psi_{e-1}) of the two Floquet solutions psi
-    (Teschl, Jacobi Operators, ch. 7).  m_+(e) is the attracting one for Im z > 0 and in a
-    gap, and on a band, where they tie in modulus, the one with Im m > 0 (a tie with none
-    above the axis, a band edge, is refused); the other is 1/(a_{e-1}^2 m_-(e - 1)),
-    a_{e-1} = a_{e+p-1}.  With h = (m11 - m00)/2, s = +-(h^2 + m01 m10)^(1/2) signed so
+    operator whose one period from site e holds the lists a, b, from the fixed points of the
+    one-period Moebius map w -> (m00 w + m01)/(m10 w + m11) of m_k = 1/(b_k - z - a_k^2
+    m_{k+1}): w_e = -psi_e/(a_{e-1} psi_{e-1}) of the two Floquet solutions psi (Teschl,
+    Jacobi Operators, ch. 7).  m_+(e) is the attracting one for Im z > 0 and in a gap, and on
+    a band, where they tie in modulus, the one with Im m > 0 (a tie with none above the axis,
+    a band edge, is refused).  With h = (m11 - m00)/2, s = +-(h^2 + m01 m10)^(1/2) signed so
     that |h + s| >= |s|, and c = m11 - h, they are m01/(h + s) and -(h + s)/m10, of
-    eigenvalues c +- s.  m10 vanishes at a Dirichlet point of the period, so m_-(e - 1) is
-    -m10/(a_{e-1}^2 (h + s)) or (h + s)/(a_{e-1}^2 m01), then walked d sites on by m_-(k) =
-    1/(b_k - z - a_{k-1}^2 m_-(k - 1)).  A scalar z stays in Python complex arithmetic."""
+    eigenvalues c +- s.  The other, x/y, is 1/(a_{e-1}^2 m_-(e - 1)), a_{e-1} = a_{e+p-1}.
+    For d >= 1, m_-(e) = x/((b_e - z) x - y) is walked d - 1 sites on by m_-(k) = 1/(b_k - z -
+    a_{k-1}^2 m_-(k - 1)); no step divides by m10 or m01, which vanish at eigenvalues of the
+    blocks e..e+p-2 and e+1..e+p-1 (m_-(e - 1) may be infinite there, m_-(e) is not)."""
     m00, m01, m10, m11 = 0.0, 1.0, -a[0] * a[0], b[0] - z     # site e's matrix
     for a_k, b_k in zip(a[1:], b[1:]):
-        # compose with [[0, 1], [-a_k^2, b_k - z]] on the right
-        q, c = -a_k * a_k, b_k - z
+        q, c = -a_k * a_k, b_k - z      # compose with [[0, 1], [q, c]] on the right
         m00, m01, m10, m11 = m01 * q, m00 + m01 * c, m11 * q, m10 + m11 * c
-    h = 0.5 * (m11 - m00)
+    h, array = 0.5 * (m11 - m00), isinstance(z, np.ndarray)
     s = (h * h + m01 * m10) ** 0.5
     flip = (h.conjugate() * s).real < 0       # makes Re(conj(h) s) >= 0
-    s = np.negative(s, out=s, where=flip) if isinstance(s, np.ndarray) else -s if flip else s
-    q, c, a2 = h + s, m11 - h, a[-1] * a[-1]
-    r1, w1 = m01 / q, m10 / -a2 / q     # w1 = 1/(a2 r2)
-    d1, d2 = abs(c + s), abs(c - s)
+    s = np.negative(s, out=s, where=flip) if array else -s if flip else s
+    q, c = h + s, m11 - h
+    r1, d1, d2 = m01 / q, abs(c + s), abs(c - s)
     pick1, tie = d1 > d2, abs(d1 - d2) <= 1e-13 * d1
     if tie is True or tie is not False and np.count_nonzero(tie):   # builtin bools skip numpy
         pick1 = r1.imag > 0 if tie is True else np.greater(r1.imag, 0.0, out=pick1, where=tie)
-    if isinstance(pick1, np.ndarray):
-        m, w = np.where(pick1, r1, q / -m10), np.where(pick1, w1, q / (a2 * m01))
-    else:
-        m, w = (r1, w1) if pick1 else (q / -m10, q / (a2 * m01))
+    m = np.where(pick1, r1, q / -m10) if array else r1 if pick1 else q / -m10
     if tie is not False and np.count_nonzero(tie > (m.imag > 0)):     # no root above the axis
         raise NumericError("tail fixed points indistinguishable (z at a band edge of the tail)")
-    for k in range(d):
+    if len(a) == 1:     # a one-site period is its own mirror image: m_-(e - 1) = m_+(e)
+        return m, m
+    x, y = ((np.where(pick1, -q, m01), np.where(pick1, m10, q)) if array
+            else (-q, m10) if pick1 else (m01, q))      # the other root is x/y
+    w = y / (a[-1] * a[-1] * x) if d == 0 else x / ((b[0] - z) * x - y)  # m_-(e - 1 + min(d, 1))
+    for k in range(1, d):
         w = 1.0 / (b[k] - z - a[k - 1] * a[k - 1] * w)
     return m, w
 
@@ -345,17 +345,18 @@ def green_diag(j: JacobiCoefficients, n: int, z: complex,
 
 def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
                             grid: int = 100, sites: range = range(-2, 3)) -> float:
-    """max over interior grid points t of M and the given sites of
-    |Re g_n(t + i0)|, read on the real axis: exact tail m-functions at t + i0
-    (`_tail_m`), then one walk per side at real t over every site and point.
-    Small residuals certify approximate membership in the reflectionless
-    class on M; O(1) values certify violation.  A band edge of the tail, or
-    a non-finite g (t an eigenvalue of a half line), raises `NumericError`."""
+    """max over interior grid points t of M and the given sites (a range or any sequence
+    of ints) of |Re g_n(t + i0)|, read on the real axis: exact tail m-functions at t + i0
+    (`_tail_m`), then one walk per side at real t over every site and point.  Small
+    residuals certify approximate membership in the reflectionless class on M; O(1) values
+    certify violation.  A band edge of the tail, or a non-finite g (t an eigenvalue of a
+    half line), raises `NumericError`."""
     if not sites:
         return 0.0
-    t = m_set.interior_grid(grid).astype(complex)
-    with np.errstate(all="ignore"):     # rows min(sites)..max(sites), each step-th in order
-        g = np.asarray(_green_sites(j, min(sites), max(sites), t))[::sites.step]
+    n0, t = min(sites), m_set.interior_grid(grid).astype(complex)
+    rows = slice(None, None, sites.step) if type(sites) is range else [n - n0 for n in sites]
+    with np.errstate(all="ignore"):     # rows n0..max(sites), then those of the sites
+        g = np.asarray(_green_sites(j, n0, max(sites), t))[rows]
     if not np.isfinite(g).all():
         raise NumericError("non-finite Green function in the reflectionless residual")
     return float(np.abs(g.real).max())

@@ -54,9 +54,8 @@ class CompactSet:
         offsets, endpoints excluded), band by band."""
         if type(points_per_interval) is not int or points_per_interval < 1:     # refuses bools
             raise ValueError("points_per_interval must be an integer >= 1")
-        cd = np.array(self.intervals)       # one row (c, d) per band
-        c, k = cd[:, :1], np.arange(0.5, points_per_interval)      # k + 1/2, k = 0..points - 1
-        return (c + k * (cd[:, 1:] - c) / points_per_interval).ravel()
+        c, d = np.array(self.intervals).T[..., None]      # band ends as columns
+        return (c + np.arange(0.5, points_per_interval) * (d - c) / points_per_interval).ravel()
 
     def affine(self, alpha: float, beta: float) -> "CompactSet":
         """The image alpha*K + beta for alpha > 0."""

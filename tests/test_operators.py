@@ -430,28 +430,44 @@ class TestReflectionlessResidual:
         j = JacobiCoefficients.periodic([1.0, 0.5], [0.5, -0.5])
         res = reflectionless_residual(j, CompactSet(((0.0, 1.0),)), grid=1, sites=sites)
         assert res == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0)
-        # the tail solve itself: m_+(0) = 4/3 and m_-(-1) = -m10/(a^2 (h + s)) = 0, on both
-        # paths (the array path also forms the unpicked root -(h + s)/m10, as the residual
-        # does under np.errstate)
+        # the tail solve itself: m_+(0) = 4/3 and m_-(-1) = m10/(a^2 (-(h + s))) = 0, on
+        # both paths (the array path also forms the unpicked root -(h + s)/m10, as the
+        # residual does under np.errstate)
         for z in (0.5 + 0j, np.array([0.5 + 0j])):
             with np.errstate(all="ignore"):
                 m_plus, m_minus = operators._tail_m([1.0, 0.5], [0.5, -0.5], 0, z)
             assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15) and m_minus == 0.0
 
+    @pytest.mark.parametrize("sites, value", [(range(0, 1), 20 / 11), ([2, -2], 16 / 11),
+                                              ((1,), 3 / 11), ([1, 0, 2, -2], 20 / 11)])
+    def test_residual_where_the_left_m_at_the_tail_period_start_is_infinite(self, sites, value):
+        # the right period from e = 1 reads a = (0.5, 1), b = (-0.5, 0.5); at t = 1/2 its m01
+        # vanishes (t = b_2), m_+(1) = -3/4, and the other fixed point is 0: m_-(0) of the
+        # periodic operator is infinite and m_-(1) = 0, which is the left tail's m_-(-1)
+        # here.  So g_0 = 1/(0.3 - 1/2 + 3/4) = 20/11, g_1 = 3/11 and g_{+-2} = 16/11
+        j = JacobiCoefficients(0, 0, [1.0], [0.3], Tail.periodic((1.0, 0.5), (0.5, -0.5)))
+        res = reflectionless_residual(j, CompactSet(((0.0, 1.0),)), grid=1, sites=sites)
+        assert res == pytest.approx(value, rel=1e-12, abs=0)
+        for z in (0.5 + 0j, np.array([0.5 + 0j])):
+            with np.errstate(all="ignore"):
+                m_plus, m_minus = operators._tail_m([0.5, 1.0], [-0.5, 0.5], 1, z)
+            assert m_plus == pytest.approx(-0.75, rel=1e-15) and m_minus == 0.0
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
-           st.sampled_from(["complex", "band", "gap", "dirichlet"]))
-    @settings(max_examples=200, deadline=None)
+           st.sampled_from(["complex", "band", "gap", "m10 = 0", "m01 = 0"]))
+    @settings(max_examples=250, deadline=None)
     def test_left_m_from_the_second_fixed_point(self, seed, p, where):
-        """The left tail's m from `_tail_m` against the reflected period's own solve
-        (`conftest.left_tail_m`), at random phases d: at Im z in 1e-6..3, at real t
-        inside a band or a gap (1-99% of its width), and at a Dirichlet point of the
-        period, an eigenvalue of the block of sites e..e+p-2, where m10 vanishes and
-        the second fixed point is at infinity.  There m_-(e - 1) itself vanishes or
-        the first fixed point is near infinity, so the two are compared by their
-        distance on the Riemann sphere, their relative difference where |m| is near
-        1.  Near a band edge both lose digits, so Dirichlet points within 1e-4 of
-        one are skipped, as are those where m_+(e) is exactly infinite (the scalar
-        path divides by m10 = 0 there)."""
+        """The left tail's m from `_tail_m`, on the scalar and the array path, against the
+        reflected period's own solve (`conftest.left_tail_m`), at random phases d: at Im z
+        in 1e-6..3, at real t inside a band or a gap (1-99% of its width), and at a
+        Dirichlet point of the period, where one fixed point is at 0 or infinity: an
+        eigenvalue of the block of sites e..e+p-2, where m10 vanishes, with d <= p - 2, or
+        of the block e+1..e+p-1, where m01 does, with d >= 1 (the left m at the one phase
+        left out, e + p - 2 or e - 1, is infinite).
+        Values near 0 or infinity are compared by their distance on the Riemann sphere,
+        their relative difference where |m| is near 1.  Near a band edge both lose digits,
+        so Dirichlet points within 1e-4 of one are skipped, as are draws where m_+(e) or the
+        left m is exactly infinite (a scalar path divides by 0 there)."""
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(0.5, 2.0, p).tolist(), rng.uniform(-1.0, 1.0, p).tolist()
         bands = periodic_bands(a, b)
@@ -459,21 +475,25 @@ class TestReflectionlessResidual:
         d = int(rng.integers(0, p))
         if where == "complex":
             z = complex(rng.uniform(edges[0], edges[-1]), 10.0 ** rng.uniform(-6.0, math.log10(3.0)))
-        elif where == "dirichlet":
+        elif where in ("m10 = 0", "m01 = 0"):
             assume(p > 1)
-            block = np.diag(b[:-1]) + np.diag(a[:-2], 1) + np.diag(a[:-2], -1)
-            z, d = complex(rng.choice(np.linalg.eigvalsh(block))), 0
+            k = int(where == "m01 = 0")     # the block of sites e + k..e + k + p - 2
+            off = a[k:k + p - 2]
+            block = np.diag(b[k:k + p - 1]) + np.diag(off, 1) + np.diag(off, -1)
+            z, d = complex(rng.choice(np.linalg.eigvalsh(block))), int(rng.integers(k, p - 1 + k))
             assume(min(abs(z.real - x) for x in edges[1:-1]) > 1e-4)
         else:
             spans = list(zip(edges[1::2], edges[2::2]) if where == "band" else zip(edges[::2], edges[1::2]))
             c, w = spans[int(rng.integers(0, len(spans)))]
             z = complex(c + (w - c) * rng.uniform(0.01, 0.99))
         try:
-            got = operators._tail_m(a, b, d, z)[1]
-        except ZeroDivisionError:
+            got, ref = operators._tail_m(a, b, d, z)[1], left_tail_m(a, b, d, z)
+        except ZeroDivisionError:       # m_+(e) or the left m exactly infinite
             assume(False)
-        ref = left_tail_m(a, b, d, z)
-        assert abs(got - ref) <= 1e-12 * math.sqrt((1.0 + abs(got) ** 2) * (1.0 + abs(ref) ** 2))
+        with np.errstate(all="ignore"):     # the array path forms the unpicked root too
+            got_array = operators._tail_m(a, b, d, np.array([z]))[1][0]
+        for x in (got, got_array):
+            assert abs(x - ref) <= 1e-12 * math.sqrt((1.0 + abs(x) ** 2) * (1.0 + abs(ref) ** 2))
 
     @pytest.mark.parametrize("sites", [range(-4, 5, 2), range(3, -4, -3), range(0)],
                              ids=["step-2", "descending", "empty"])
