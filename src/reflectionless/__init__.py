@@ -12,8 +12,8 @@ from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
                     boundary_value, abs_boundary, hilbert_transform)
 from .operators import (Tail, JacobiCoefficients, green_diag,
                         reflectionless_residual)
-from .gapflow import (GapJumps, default_bound, canonical_krein_from_jumps,
-                      gap_modify, flow_to_canonical, flow_steps, gap_jump_masses)
+from .gapflow import (GapJumps, canonical_krein_from_jumps, flow_to_canonical,
+                      gap_jump_masses)
 from .measures import (AcPiece, SpectralMeasure, FSelector, stieltjes_invert,
                        half_line_measure, total_mass)
 from .inverse import (reconstruct_coefficients, coefficient_deviation,
@@ -31,8 +31,8 @@ __all__ = [
     "StepFunction", "HerglotzRep", "free_krein",
     "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
     "Tail", "JacobiCoefficients", "green_diag", "reflectionless_residual",
-    "GapJumps", "default_bound", "canonical_krein_from_jumps",
-    "gap_modify", "flow_to_canonical", "flow_steps", "gap_jump_masses",
+    "GapJumps", "canonical_krein_from_jumps", "flow_to_canonical",
+    "gap_jump_masses",
     "AcPiece", "SpectralMeasure", "FSelector", "stieltjes_invert",
     "half_line_measure", "total_mass",
     "reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",

@@ -280,9 +280,12 @@ def run_perturbation_sweep(cfg: ExperimentConfig) -> dict:
     k_set = CompactSet(((-2.0, 2.0),))
     xi_widths = _extra(cfg, "xi_widths", [0.4, 0.04, 0.004], lambda v: list(map(float, v)))
     f_masses = _extra(cfg, "f_masses", [0.3, 0.03, 0.003], lambda v: list(map(float, v)))
-    for key, sizes in (("xi_widths", xi_widths), ("f_masses", f_masses)):
+    # on R = 4: the xi piece is (2, 2 + w) and the f-atom piece (3, 3 + m / sqrt(5))
+    for key, sizes, top in (("xi_widths", xi_widths, 2.0), ("f_masses", f_masses, math.sqrt(5.0))):
         if not sizes or not all(0.0 < x < math.inf for x in sizes):    # 0 runs the free input
             raise ConfigError(f"{key} needs one or more finite positive sizes")
+        if max(sizes) > top:
+            raise ConfigError(f"{key} must be at most {top!r}, or its piece leaves [-4, 4]")
     n_rec = max(cfg.n_coeffs, 12)
     rows, assertions = [], []
 

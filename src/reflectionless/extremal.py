@@ -50,11 +50,10 @@ _ARMIJO = 1e-4
 _GRID_POINTS_CAP = 10**7
 
 
-def mass_objective(k_set: CompactSet, jumps: GapJumps,
-                   bound: float | None = None) -> float:
+def mass_objective(k_set: CompactSet, jumps: GapJumps) -> float:
     """a_0^2 of the canonical operator with the given jumps:
     (1/(2 pi)) integral_K |H|, by the adaptive edge-substituted quadrature."""
-    xi = canonical_krein_from_jumps(k_set, jumps, bound)
+    xi = canonical_krein_from_jumps(k_set, jumps)
     rho = stieltjes_invert(HerglotzRep(xi))
     # the ac pieces of a canonical function lie on the bands; drop the atoms
     return 0.5 * total_mass(type(rho)(rho.rep, rho.ac_pieces, ()))
@@ -227,8 +226,16 @@ def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     gaps) stops once the gradient residual in jumps scaled by the gap
     widths is at most `kkt_tolerance`, `KKT_TOL` plus its rounding bound;
     a minimizer on a face would make it raise `NumericError` after
-    `_MAX_ITER` steps.  The value is `mass_objective` at the minimizer.
+    `_MAX_ITER` steps.  The value is `mass_objective` at the minimizer.  A K
+    whose scale takes f out of float64's normal range raises `ValueError`.
     """
+    # f is (|K|/4)^2 at the minimizer, and the atom masses' partial products reach span^p;
+    # with 2^lo <= |K|/4 and span < 2^hi both stay normal if p lo >= minexp and p hi < maxexp
+    p, span, fin = max(2, len(k_set.intervals)), k_set.max - k_set.min, np.finfo(float)
+    lo, hi = math.frexp(0.25 * k_set.total_length)[1] - 1, math.frexp(span)[1]
+    if p * lo < fin.minexp or p * hi >= fin.maxexp:
+        raise ValueError(f"K's scale (|K| = {k_set.total_length:.3g}, hull {span:.3g}) takes the mass "
+                         f"objective out of float64's normal range [{fin.tiny:.3g}, {fin.max:.3g}]")
     g, resid, tol, iterations = _interior_newton(_FastObjective(k_set))
     jumps = GapJumps(tuple(float(x) for x in g))
     val = mass_objective(k_set, jumps)

@@ -11,18 +11,14 @@ transform (hence |H|) on K, and the result lies in the canonical class:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .krein import StepFunction
 from .sets import CompactSet
 
 __all__ = [
     "GapJumps",
-    "default_bound",
     "canonical_krein_from_jumps",
-    "gap_modify",
     "flow_to_canonical",
-    "flow_steps",
     "gap_jump_masses",
 ]
 
@@ -50,15 +46,6 @@ def default_bound(k_set: CompactSet) -> float:
     return max(abs(k_set.min), abs(k_set.max)) + 1.0
 
 
-def _right_packed(c: float, d: float, g: float) -> tuple[tuple[float, float, float], ...]:
-    """Pieces of the right-packed indicator of mass g on the gap (c, d)."""
-    if g <= 0.0:
-        return ((c, d, 0.0),)
-    if g >= d - c:
-        return ((c, d, 1.0),)
-    return ((c, d - g, 0.0), (d - g, d, 1.0))
-
-
 def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
                                bound: float | None = None) -> StepFunction:
     """The canonical step function: 1 left of K, 1/2 on bands, 0 right of K,
@@ -69,7 +56,9 @@ def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
     pieces = [(-r, k_set.min, 1.0), (k_set.max, r, 0.0)]
     pieces += [(c, d, 0.5) for c, d in k_set.intervals]
     for g, (gc, gd) in zip(jumps.masses, k_set.gaps()):
-        pieces += _right_packed(gc, gd, g)
+        # the jump point d - g, exactly a face at g = 0 or the whole width (no rounding sliver)
+        x = gd if g <= 0.0 else gc if g >= gd - gc else gd - g
+        pieces += [(gc, x, 0.0), (x, gd, 1.0)]
     return StepFunction.from_pieces(r, pieces)
 
 
@@ -79,33 +68,6 @@ def _require_half_on_bands(xi: StepFunction, k_set: CompactSet):
     for c, d in k_set.intervals:
         if any(v != 0.5 for v in xi.values_on(c, d)):
             raise ValueError(f"xi must equal 1/2 on the band [{c}, {d}]")
-
-
-def gap_modify(xi: StepFunction, gap: tuple[float, float]) -> StepFunction:
-    """Replace xi on the gap (c, d) by the right-packed indicator carrying
-    the same mass g = integral of xi over (c, d); xi is unchanged elsewhere."""
-    c, d = float(gap[0]), float(gap[1])
-    if not (-xi.bound <= c < d <= xi.bound):
-        raise ValueError("gap must be a nonempty interval inside the domain")
-    for lo, hi, v in _right_packed(c, d, xi.integral(c, d)):
-        xi = xi.with_value(lo, hi, v)
-    return xi
-
-
-def flow_steps(xi: StepFunction, k_set: CompactSet) -> Iterator[tuple[str, StepFunction]]:
-    """The flow one modification at a time: tails first, then each gap left
-    to right.  Yields (label, xi_after_step)."""
-    _require_half_on_bands(xi, k_set)
-    cur = xi
-    if k_set.min > -xi.bound:
-        cur = cur.with_value(-xi.bound, k_set.min, 1.0)
-        yield "left-tail", cur
-    if k_set.max < xi.bound:
-        cur = cur.with_value(k_set.max, xi.bound, 0.0)
-        yield "right-tail", cur
-    for gap in k_set.gaps():
-        cur = gap_modify(cur, gap)
-        yield f"gap({gap[0]},{gap[1]})", cur
 
 
 def flow_to_canonical(xi: StepFunction, k_set: CompactSet) -> StepFunction:

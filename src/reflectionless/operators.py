@@ -349,8 +349,10 @@ def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
     of ints) of |Re g_n(t + i0)|, read on the real axis: exact tail m-functions at t + i0
     (`_tail_m`), then one walk per side at real t over every site and point.  Small
     residuals certify approximate membership in the reflectionless class on M; O(1) values
-    certify violation.  A band edge of the tail, or a non-finite g (t an eigenvalue of a
-    half line), raises `NumericError`."""
+    certify violation.  It raises `NumericError` at a band edge of the tail and wherever a
+    computed g_n(t) is not finite: at a pole of g_n (t an eigenvalue of J), and also where
+    t is an eigenvalue of a half line cut at a walked site, whose infinite m the walk turns
+    into NaN though g_n may be finite (at a Dirichlet point of a periodic tail, g_n = 0)."""
     if not sites:
         return 0.0
     n0, t = min(sites), m_set.interior_grid(grid).astype(complex)

@@ -1,8 +1,11 @@
+from typing import Iterator
+
 import mpmath
 import numpy as np
 import pytest
 
 from reflectionless import CompactSet, StepFunction, operators
+from reflectionless.gapflow import _require_half_on_bands
 
 
 @pytest.fixture
@@ -52,6 +55,43 @@ def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:
         return False
     return all(xi.values_on(gc, gd) in ((0.0,), (1.0,), (0.0, 1.0))
                for gc, gd in k_set.gaps())
+
+
+def _right_packed(c: float, d: float, g: float) -> tuple[tuple[float, float, float], ...]:
+    """Pieces of the right-packed indicator of mass g on the gap (c, d)."""
+    if g <= 0.0:
+        return ((c, d, 0.0),)
+    if g >= d - c:
+        return ((c, d, 1.0),)
+    return ((c, d - g, 0.0), (d - g, d, 1.0))
+
+
+def gap_modify(xi: StepFunction, gap: tuple[float, float]) -> StepFunction:
+    """Replace xi on the gap (c, d) by the right-packed indicator carrying
+    the same mass g = integral of xi over (c, d); xi is unchanged elsewhere."""
+    c, d = float(gap[0]), float(gap[1])
+    if not (-xi.bound <= c < d <= xi.bound):
+        raise ValueError("gap must be a nonempty interval inside the domain")
+    for lo, hi, v in _right_packed(c, d, xi.integral(c, d)):
+        xi = xi.with_value(lo, hi, v)
+    return xi
+
+
+def flow_steps(xi: StepFunction, k_set: CompactSet) -> Iterator[tuple[str, StepFunction]]:
+    """The paper's gap-modification flow one step at a time, the oracle for
+    `flow_to_canonical` (which builds only its end point): tails first, then
+    each gap left to right.  Yields (label, xi_after_step)."""
+    _require_half_on_bands(xi, k_set)
+    cur = xi
+    if k_set.min > -xi.bound:
+        cur = cur.with_value(-xi.bound, k_set.min, 1.0)
+        yield "left-tail", cur
+    if k_set.max < xi.bound:
+        cur = cur.with_value(k_set.max, xi.bound, 0.0)
+        yield "right-tail", cur
+    for gap in k_set.gaps():
+        cur = gap_modify(cur, gap)
+        yield f"gap({gap[0]},{gap[1]})", cur
 
 
 def interior_points(step, rng, count, margin_frac=0.1):

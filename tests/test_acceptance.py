@@ -12,14 +12,15 @@ from scipy.linalg import eigh_tridiagonal
 from reflectionless import (CompactSet, GapJumps, HerglotzRep,
                             JacobiCoefficients, SpectralMeasure, StepFunction,
                             abs_boundary, coefficient_deviation, free_krein,
-                            flow_steps, grid_min_mass, half_line_measure,
+                            grid_min_mass, half_line_measure,
                             herglotz_eval, hilbert_transform, minimize_mass,
                             operators, reconstruct_coefficients, reflectionless_residual,
                             stieltjes_invert, total_mass)
 from reflectionless.experiments import (_f_atom_input, _xi_mass_input,
                                         random_admissible_krein, random_f_selector)
 
-from conftest import interior_points, periodic_bands, random_compact_set, random_step
+from conftest import (flow_steps, interior_points, periodic_bands, random_compact_set,
+                      random_step)
 
 BAND = CompactSet(((-2.0, 2.0),))
 

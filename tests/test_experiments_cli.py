@@ -79,6 +79,15 @@ class TestRunners:
         rep = run_perturbation_sweep(cfg)
         assert not rep["passed"]
 
+    @pytest.mark.parametrize("key, size, bound", [("xi_widths", 3.0, "2.0"),
+                                                  ("f_masses", 2.3, "2.23606797749979")])
+    def test_perturbation_sweep_refuses_sizes_past_the_domain(self, key, size, bound):
+        # on R = 4 the xi piece is (2, 2 + w) and the f-atom piece (3, 3 + m / sqrt(5))
+        with pytest.raises(ConfigError, match=rf"{key} must be at most {bound}"):
+            run_perturbation_sweep(small_cfg("oracle", extra={key: [size]}))
+        rep = run_perturbation_sweep(small_cfg("oracle", extra={key: [float(bound)]}))
+        assert len(rep["rows"]) == 6   # one size and the free input, beside the default family
+
     def test_forward_asymptotics_passes(self):
         rep = run_forward_asymptotics(small_cfg("dr", n_coeffs=30))
         assert rep["passed"]
@@ -297,6 +306,14 @@ class TestReportsAndCli:
         proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "unbounded interval" in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("width", [1e-160, 1e-300, 1e200])
+    def test_cli_aktable_scale_outside_the_normal_range_exit_two(self, tmp_path, width):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sets": [[[0.0, width]]]}))
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "float64's normal range" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_cli_aktable_thirty_two_bands(self, tmp_path):
         # five levels of removing the middle 20% of every band, from [-2, 2]

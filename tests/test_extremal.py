@@ -7,14 +7,14 @@ from scipy.integrate import quad
 
 from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             abs_boundary, canonical_krein_from_jumps,
-                            extremal, flow_steps, flow_to_canonical,
+                            extremal, flow_to_canonical,
                             gap_jump_masses, grid_min_mass, half_line_measure,
                             mass_objective, minimize_mass, stieltjes_invert,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein
 
-from conftest import (is_canonical, mp_mass_objective, mp_stationary_point,
-                      random_compact_set)
+from conftest import (flow_steps, is_canonical, mp_mass_objective,
+                      mp_stationary_point, random_compact_set)
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
 
@@ -28,7 +28,7 @@ SYMMETRIC_CONSTANT = 0.75
 class TestObjective:
     def test_bandwidth_four_interval_gives_one(self):
         k = CompactSet(((-2.0, 2.0),))
-        assert mass_objective(k, GapJumps(()), bound=2.0) == \
+        assert mass_objective(k, GapJumps(())) == \
             pytest.approx(1.0, abs=1e-11)
 
     def test_interval_value_is_quarter_width_squared(self):
@@ -54,9 +54,16 @@ class TestObjective:
             pytest.approx(total_mass(nu), rel=1e-11)
 
     def test_bound_independence(self):
+        def band_mass(jumps, bound):
+            # half the band mass of the canonical measure on [-R, R], as in mass_objective
+            xi = canonical_krein_from_jumps(SYMMETRIC_TWO_BAND, jumps, bound)
+            assert xi.bound == bound
+            rho = stieltjes_invert(HerglotzRep(xi))
+            return 0.5 * total_mass(type(rho)(rho.rep, rho.ac_pieces, ()))
+
         for jumps in (GapJumps((0.0,)), GapJumps((0.37,)), GapJumps((1.0,))):
-            v1 = mass_objective(SYMMETRIC_TWO_BAND, jumps, bound=2.5)
-            v2 = mass_objective(SYMMETRIC_TWO_BAND, jumps, bound=4.0)
+            v1 = band_mass(jumps, 2.5)
+            v2 = band_mass(jumps, 4.0)
             assert abs(v1 - v2) < 1e-9
 
     def test_jump_bounds_validated(self):
@@ -128,6 +135,24 @@ class TestMinimize:
         for _ in range(5):
             k = random_compact_set(rng)
             assert minimize_mass(k).constant > 0.0
+
+    @pytest.mark.parametrize("bands", [
+        ((0.0, 1e-160),), ((0.0, 1e-300),), ((0.0, 1e200),),
+        ((0.0, 1e100), (2e100, 3e100), (4e100, 5e100), (6e100, 7e100)),
+    ], ids=["subnormal-f", "underflow-f", "overflow-f", "overflow-atom-products"])
+    def test_scale_outside_the_normal_range_refused(self, bands):
+        # f = (|K|/4)^2 is subnormal or 0 at the first two and overflows at the
+        # third; the atom masses' partial products reach 1e400 at the fourth
+        with pytest.raises(ValueError, match="float64's normal range"):
+            minimize_mass(CompactSet(bands))
+
+    def test_scales_inside_the_normal_range_solve(self):
+        four = ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0))
+        for bands in (((0.0, 1e-153),), ((0.0, 1e153),),
+                      tuple((1e70 * c, 1e70 * d) for c, d in four),
+                      tuple((1e-70 * c, 1e-70 * d) for c, d in four)):
+            k = CompactSet(bands)
+            assert minimize_mass(k).constant == pytest.approx(k.total_length / 4.0, rel=1e-12)
 
     def test_scaling_covariance(self, rng):
         for _ in range(3):
@@ -286,7 +311,7 @@ class TestLowerBoundProperty:
             canon = flow_to_canonical(xi, k)
             assert is_canonical(canon, k)
             jumps = GapJumps(gap_jump_masses(canon, k))
-            flowed = mass_objective(k, jumps, bound=xi.bound)
+            flowed = mass_objective(k, jumps)
             assert flowed <= unflowed + 1e-7
 
     def test_canonical_krein_matches_flow_output(self, rng):

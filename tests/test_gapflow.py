@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectionless import (CompactSet, GapJumps, StepFunction,
-                            flow_steps, flow_to_canonical, free_krein,
-                            gap_jump_masses, gap_modify, hilbert_transform,
-                            mass_objective)
+                            flow_to_canonical, free_krein, gap_jump_masses,
+                            hilbert_transform, mass_objective)
 from reflectionless.experiments import random_admissible_krein
 
-from conftest import is_canonical, random_compact_set
+from conftest import flow_steps, gap_modify, is_canonical, random_compact_set
 
 
 def half_on(k_set, rng, bound=None):
