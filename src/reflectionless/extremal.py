@@ -50,9 +50,27 @@ _ARMIJO = 1e-4
 _GRID_POINTS_CAP = 10**7
 
 
+def _require_normal_scale(k_set: CompactSet):
+    """Refuse a K whose scale takes the mass objective out of float64's normal range.
+
+    f is (|K|/4)^2 at the minimizer, and the atom masses' partial products reach hull^p;
+    with 2^lo <= |K|/4 and hull < 2^hi both stay normal if p lo >= minexp and p hi < maxexp,
+    p = max(2, bands).  That covers every jump vector g of the box: f(g) lies between its
+    minimum (|K|/4)^2 and s_0/2 <= hull^2/4, and at any g the atom masses are products of
+    the same powers of distances at most the hull (x + R, the one larger factor, also
+    divides)."""
+    p, span, fin = max(2, len(k_set.intervals)), k_set.max - k_set.min, np.finfo(float)
+    lo, hi = math.frexp(0.25 * k_set.total_length)[1] - 1, math.frexp(span)[1]
+    if p * lo < fin.minexp or p * hi >= fin.maxexp:
+        raise ValueError(f"K's scale (|K| = {k_set.total_length:.3g}, hull {span:.3g}) takes the mass "
+                         f"objective out of float64's normal range [{fin.tiny:.3g}, {fin.max:.3g}]")
+
+
 def mass_objective(k_set: CompactSet, jumps: GapJumps) -> float:
     """a_0^2 of the canonical operator with the given jumps:
-    (1/(2 pi)) integral_K |H|, by the adaptive edge-substituted quadrature."""
+    (1/(2 pi)) integral_K |H|, by the adaptive edge-substituted quadrature.  A K
+    that `minimize_mass` refuses for its scale raises the same `ValueError`."""
+    _require_normal_scale(k_set)
     xi = canonical_krein_from_jumps(k_set, jumps)
     rho = stieltjes_invert(HerglotzRep(xi))
     # the ac pieces of a canonical function lie on the bands; drop the atoms
@@ -147,7 +165,7 @@ class _FastObjective:
         return math.log(f), grad, hess, phi_err, grad_err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalResult:
     constant: float
     jumps: GapJumps
@@ -229,13 +247,7 @@ def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     `_MAX_ITER` steps.  The value is `mass_objective` at the minimizer.  A K
     whose scale takes f out of float64's normal range raises `ValueError`.
     """
-    # f is (|K|/4)^2 at the minimizer, and the atom masses' partial products reach span^p;
-    # with 2^lo <= |K|/4 and span < 2^hi both stay normal if p lo >= minexp and p hi < maxexp
-    p, span, fin = max(2, len(k_set.intervals)), k_set.max - k_set.min, np.finfo(float)
-    lo, hi = math.frexp(0.25 * k_set.total_length)[1] - 1, math.frexp(span)[1]
-    if p * lo < fin.minexp or p * hi >= fin.maxexp:
-        raise ValueError(f"K's scale (|K| = {k_set.total_length:.3g}, hull {span:.3g}) takes the mass "
-                         f"objective out of float64's normal range [{fin.tiny:.3g}, {fin.max:.3g}]")
+    _require_normal_scale(k_set)
     g, resid, tol, iterations = _interior_newton(_FastObjective(k_set))
     jumps = GapJumps(tuple(float(x) for x in g))
     val = mass_objective(k_set, jumps)

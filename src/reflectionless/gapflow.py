@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapJumps:
     """One jump mass per gap of K, g_j in [0, |gap_j|]."""
 

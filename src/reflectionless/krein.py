@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class StepFunction:
     """A piecewise-constant function on [-R, R] with values in [0, 1].
 
@@ -170,7 +169,7 @@ class StepFunction:
     def l1_distance(self, other: "StepFunction") -> float:
         return sum(w * abs(u - v) for w, u, v in self._merged_cells(other))
 
-    @cached_property
+    @property
     def log_coefficients(self) -> np.ndarray:
         """Coefficients c_k with sum_i v_i [ln(z-x_i) - ln(z-x_{i-1})]
         == sum_k c_k ln(z - x_k); c_0 = -v_1, c_k = v_k - v_{k+1}, c_m = v_m."""
@@ -181,7 +180,7 @@ class StepFunction:
         c[-1] = v[-1]
         return c
 
-    @cached_property
+    @property
     def abs_log_coefficients(self) -> np.ndarray:
         """Coefficients with ln|H(x)| = sum_k d_k ln|x - x_k|: the log
         coefficients plus 1 at -R for the (x + R) prefactor."""
@@ -198,7 +197,7 @@ class StepFunction:
         return cls(float(data["R"]), tuple(data["breakpoints"]), tuple(data["values"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HerglotzRep:
     """The function H determined by a Krein step function via the
     exponential representation; all evaluation is closed form."""

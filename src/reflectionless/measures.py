@@ -63,7 +63,7 @@ def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x * (np.pi / 2.0), w * (np.pi / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcPiece:
     """Absolutely continuous piece on (lo, hi): density
     multiplier * |H(t)| * sin(pi * xi(t)) / pi for the owning measure's rep."""
@@ -150,7 +150,7 @@ class SpectralMeasure:
             ts, rows = self._rule(np.array(list(todo))[:, None], *_fejer_rule(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FSelector:
     """The free part of the half-line correspondence: piecewise-constant
     values f in [0, 1] on intervals off K, plus per-atom weights in [0, 1].

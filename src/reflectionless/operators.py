@@ -42,7 +42,7 @@ __all__ = [
 _TRUNCATION_TOL = 1e-10  # resolvent-entry error that sizes the truncated section
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tail:
     """Coefficient values outside the explicit window: one period of (a, b).
 
@@ -55,6 +55,7 @@ class Tail:
 
     a_block: tuple[float, ...] = (1.0,)
     b_block: tuple[float, ...] = (0.0,)
+    _block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = tuple(map(float, self.a_block)), tuple(map(float, self.b_block))
@@ -66,6 +67,9 @@ class Tail:
         block.flags.writeable = False
         for name, value in (("a_block", a), ("b_block", b), ("_block", block)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):       # rebuilt from the blocks, so a copy's _block is read-only too
+        return type(self), (self.a_block, self.b_block)
 
     @classmethod
     @cache
@@ -103,30 +107,39 @@ class Tail:
         raise ValueError(f"unknown tail kind {kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class JacobiCoefficients:
     """Bounded two-sided coefficient sequences (a_n > 0, b_n real): explicit
-    values on the window [n_lo, n_hi], held as read-only numpy arrays, and a
-    tail descriptor outside."""
+    values on the window [n_lo, n_hi], held as one read-only (2, w) array whose
+    rows are `a_window` and `b_window`, and a tail descriptor outside."""
 
     n_lo: int
     n_hi: int
-    a_window: np.ndarray
-    b_window: np.ndarray
-    tail: Tail = field(default_factory=Tail.free)
-    _window: np.ndarray = field(init=False, repr=False)   # rows a_window, b_window
+    tail: Tail
+    _window: np.ndarray     # rows a_n, b_n on n_lo..n_hi
 
-    def __post_init__(self):
-        if self.n_lo > self.n_hi:
+    def __init__(self, n_lo: int, n_hi: int, a_window, b_window, tail: Tail = Tail.free()):
+        if n_lo > n_hi:
             raise ValueError("window indices require n_lo <= n_hi")
-        ab = np.array([self.a_window, self.b_window], dtype=float)
-        if ab.shape != (2, self.n_hi - self.n_lo + 1):
+        ab = np.array([a_window, b_window], dtype=float)
+        if ab.shape != (2, n_hi - n_lo + 1):
             raise ValueError("window arrays must match window size")
         if not (ab[0].min() > 0 and ab.max() < math.inf and ab[1].min() > -math.inf):
             raise ValueError("all a_n must be positive and all a_n, b_n finite")
         ab.flags.writeable = False
-        for name, value in (("_window", ab), ("a_window", ab[0]), ("b_window", ab[1])):
+        for name, value in (("n_lo", n_lo), ("n_hi", n_hi), ("tail", tail), ("_window", ab)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.n_lo, self.n_hi, *self._window, self.tail)
+
+    @property
+    def a_window(self) -> np.ndarray:
+        return self._window[0]
+
+    @property
+    def b_window(self) -> np.ndarray:
+        return self._window[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JacobiCoefficients):
@@ -149,12 +162,12 @@ class JacobiCoefficients:
     # -- accessors ----------------------------------------------------------
     def a(self, n: int) -> float:
         if self.n_lo <= n <= self.n_hi:
-            return self.a_window.item(n - self.n_lo)
+            return self._window.item(0, n - self.n_lo)
         return self.tail._block.item(0, (n - self.n_lo) % self.tail.period)
 
     def b(self, n: int) -> float:
         if self.n_lo <= n <= self.n_hi:
-            return self.b_window.item(n - self.n_lo)
+            return self._window.item(1, n - self.n_lo)
         return self.tail._block.item(1, (n - self.n_lo) % self.tail.period)
 
     def arrays(self, lo: int, hi: int) -> np.ndarray:
@@ -175,9 +188,8 @@ class JacobiCoefficients:
         return JacobiCoefficients(lo, hi, *self.arrays(lo, hi), tail)
 
     def to_dict(self) -> dict:
-        return {"n_lo": self.n_lo, "n_hi": self.n_hi,
-                "a": self.a_window.tolist(), "b": self.b_window.tolist(),
-                "tail": self.tail.to_dict()}
+        a, b = self._window.tolist()
+        return {"n_lo": self.n_lo, "n_hi": self.n_hi, "a": a, "b": b, "tail": self.tail.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "JacobiCoefficients":
@@ -203,7 +215,8 @@ def _tail_m(a, b, d, z):
     eigenvalues c +- s.  The other, x/y, is 1/(a_{e-1}^2 m_-(e - 1)), a_{e-1} = a_{e+p-1}.
     For d >= 1, m_-(e) = x/((b_e - z) x - y) is walked d - 1 sites on by m_-(k) = 1/(b_k - z -
     a_{k-1}^2 m_-(k - 1)); no step divides by m10 or m01, which vanish at eigenvalues of the
-    blocks e..e+p-2 and e+1..e+p-1 (m_-(e - 1) may be infinite there, m_-(e) is not)."""
+    blocks e..e+p-2 and e+1..e+p-1.  At a real z, m_-(e - 1) is infinite where m01 vanishes
+    and m_-(e) where m10 does; a walk that meets an infinite m is redone by `_green_sites`."""
     m00, m01, m10, m11 = 0.0, 1.0, -a[0] * a[0], b[0] - z     # site e's matrix
     for a_k, b_k in zip(a[1:], b[1:]):
         q, c = -a_k * a_k, b_k - z      # compose with [[0, 1], [q, c]] on the right
@@ -250,11 +263,32 @@ def _half_line_m(a, b, k0, k1, e, p, m_e, z):
 
 def _green_sites(j: JacobiCoefficients, n0: int, n1: int, z):
     """[g_n(z) for n = n0..n1], a list for a complex z and one sites x energies array
-    for an ndarray z, from one `arrays` call, one tail solve and one m-function sweep
-    per side.  The left sweep is the right one on the lists reflected about a site
-    r >= n1, index i holding b_{r - i} and a_{r - i - 1}.  The tails start next to the
-    effective window w0..w1, the window less its end sites equal to the in-phase tail;
-    if that is empty, at multiples of p past n0..n1, and no site is walked."""
+    for an ndarray z (`_walk_sites`).  At a real z where a walked m is infinite (z an
+    eigenvalue of the half line cut there), complex arithmetic raises ZeroDivisionError
+    or makes NaN of the next m, which is exactly 0.  Such a z lies in a gap of each
+    walked half line, where every m is real, so its points are walked again in real
+    arithmetic: there 1/0 = inf and 1/(c - a^2 inf) = 0."""
+    if not isinstance(z, np.ndarray):
+        try:
+            return _walk_sites(j, n0, n1, z)
+        except ZeroDivisionError:
+            return _green_sites(j, n0, n1, np.array([z]))[:, 0].tolist()
+    with np.errstate(all="ignore"):
+        g = _walk_sites(j, n0, n1, z)
+        if not cmath.isfinite(g.sum()):     # one reduction where every g_n is finite
+            redo = (z.imag == 0.0) & ~np.isfinite(g).all(axis=0)
+            if redo.any():
+                g[:, redo] = _walk_sites(j, n0, n1, z.real[redo])
+    return g
+
+
+def _walk_sites(j: JacobiCoefficients, n0: int, n1: int, z):
+    """`_green_sites` in the arithmetic of z, from one `arrays` call, one tail solve
+    and one m-function sweep per side.  The left sweep is the right one on the lists
+    reflected about a site r >= n1, index i holding b_{r - i} and a_{r - i - 1}.  The
+    tails start next to the effective window w0..w1, the window less its end sites
+    equal to the in-phase tail; if that is empty, at multiples of p past n0..n1, and
+    no site is walked."""
     p = j.tail.period
     lo = min(n0, j.n_lo) - 1 - p        # the left tail repeats from lo + p down
     ab = j.arrays(lo, max(n1, j.n_hi) + p)
@@ -283,7 +317,7 @@ def _truncation_size(j: JacobiCoefficients, z: complex) -> int:
     `_TRUNCATION_TOL`, from the Combes-Thomas bound
     |G(m, n)| <= (2/eta) e^{-gamma |m-n|} with gamma = log(1 + eta/(4 sup a))."""
     eta = z.imag
-    amax = max(float(j.a_window.max()), *j.tail.a_block)     # sup a_n
+    amax = max(float(j._window[0].max()), *j.tail.a_block)     # sup a_n
     gamma = math.log1p(eta / (4.0 * amax))
     c = 8.0 * amax / (eta * eta)
     return math.ceil(math.log(max(c / _TRUNCATION_TOL, 2.0)) / gamma) + 5
@@ -349,16 +383,16 @@ def reflectionless_residual(j: JacobiCoefficients, m_set: CompactSet,
     of ints) of |Re g_n(t + i0)|, read on the real axis: exact tail m-functions at t + i0
     (`_tail_m`), then one walk per side at real t over every site and point.  Small
     residuals certify approximate membership in the reflectionless class on M; O(1) values
-    certify violation.  It raises `NumericError` at a band edge of the tail and wherever a
-    computed g_n(t) is not finite: at a pole of g_n (t an eigenvalue of J), and also where
-    t is an eigenvalue of a half line cut at a walked site, whose infinite m the walk turns
-    into NaN though g_n may be finite (at a Dirichlet point of a periodic tail, g_n = 0)."""
+    certify violation.  An infinite m of a half line cut at a walked site (t one of its
+    eigenvalues) makes the next m 0 (`_green_sites`).  It raises `NumericError` at a band
+    edge of the tail and wherever a computed g_n(t) is not finite: at a pole of g_n (t an
+    eigenvalue of J)."""
     if not sites:
         return 0.0
     n0, t = min(sites), m_set.interior_grid(grid).astype(complex)
     rows = slice(None, None, sites.step) if type(sites) is range else [n - n0 for n in sites]
-    with np.errstate(all="ignore"):     # rows n0..max(sites), then those of the sites
-        g = np.asarray(_green_sites(j, n0, max(sites), t))[rows]
+    # rows n0..max(sites), then those of the sites
+    g = np.asarray(_green_sites(j, n0, max(sites), t))[rows]
     if not np.isfinite(g).all():
         raise NumericError("non-finite Green function in the reflectionless residual")
     return float(np.abs(g.real).max())

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompactSet:
     """A finite union of disjoint closed intervals [c_j, d_j], sorted left to
     right, with nonempty gaps between consecutive bands.

@@ -25,6 +25,18 @@ SYMMETRIC_OBJECTIVE_AT_HALF = 0.5625
 SYMMETRIC_CONSTANT = 0.75
 
 
+# sets whose scale takes the mass objective out of float64's normal range, and sets at
+# the edge of that range inside it
+OUT_OF_RANGE = {
+    "subnormal-f": ((0.0, 1e-160),), "underflow-f": ((0.0, 1e-300),),
+    "overflow-f": ((0.0, 1e200),),
+    "overflow-atom-products": ((0.0, 1e100), (2e100, 3e100), (4e100, 5e100), (6e100, 7e100)),
+}
+FOUR_BANDS = ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0))
+IN_RANGE = (((0.0, 1e-153),), ((0.0, 1e153),), tuple((1e70 * c, 1e70 * d) for c, d in FOUR_BANDS),
+            tuple((1e-70 * c, 1e-70 * d) for c, d in FOUR_BANDS))
+
+
 class TestObjective:
     def test_bandwidth_four_interval_gives_one(self):
         k = CompactSet(((-2.0, 2.0),))
@@ -65,6 +77,28 @@ class TestObjective:
             v1 = band_mass(jumps, 2.5)
             v2 = band_mass(jumps, 4.0)
             assert abs(v1 - v2) < 1e-9
+
+    @pytest.mark.parametrize("bands", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+    def test_scale_outside_the_normal_range_refused_as_the_minimizer_refuses(self, bands):
+        # at [0, 1e-160] the quadrature sums subnormal terms to 2% below (|K|/4)^2, and at
+        # [0, 1e200] f overflows
+        k = CompactSet(bands)
+        with pytest.raises(ValueError) as refused:
+            minimize_mass(k)
+        with pytest.raises(ValueError) as err:
+            mass_objective(k, GapJumps(tuple(0.5 * (d - c) for c, d in k.gaps())))
+        assert str(err.value) == str(refused.value) and "float64's normal range" in str(err.value)
+
+    @pytest.mark.parametrize("bands", IN_RANGE, ids=["1e-153", "1e153", "4-bands-1e70",
+                                                     "4-bands-1e-70"])
+    def test_scales_inside_the_normal_range_evaluate_at_any_jumps(self, bands):
+        # the box's faces, its centre and a corner, against the closed form
+        k = CompactSet(bands)
+        widths = np.array([d - c for c, d in k.gaps()])
+        for y in ([0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5] * 3, [1e-3, 0.999, 1.0]):
+            g = tuple(np.array(y[:len(widths)]) * widths)
+            ref = extremal._FastObjective(k).value(g)
+            assert mass_objective(k, GapJumps(g)) == pytest.approx(ref, rel=1e-11)
 
     def test_jump_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -136,10 +170,7 @@ class TestMinimize:
             k = random_compact_set(rng)
             assert minimize_mass(k).constant > 0.0
 
-    @pytest.mark.parametrize("bands", [
-        ((0.0, 1e-160),), ((0.0, 1e-300),), ((0.0, 1e200),),
-        ((0.0, 1e100), (2e100, 3e100), (4e100, 5e100), (6e100, 7e100)),
-    ], ids=["subnormal-f", "underflow-f", "overflow-f", "overflow-atom-products"])
+    @pytest.mark.parametrize("bands", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
     def test_scale_outside_the_normal_range_refused(self, bands):
         # f = (|K|/4)^2 is subnormal or 0 at the first two and overflows at the
         # third; the atom masses' partial products reach 1e400 at the fourth
@@ -147,10 +178,7 @@ class TestMinimize:
             minimize_mass(CompactSet(bands))
 
     def test_scales_inside_the_normal_range_solve(self):
-        four = ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0))
-        for bands in (((0.0, 1e-153),), ((0.0, 1e153),),
-                      tuple((1e70 * c, 1e70 * d) for c, d in four),
-                      tuple((1e-70 * c, 1e-70 * d) for c, d in four)):
+        for bands in IN_RANGE:
             k = CompactSet(bands)
             assert minimize_mass(k).constant == pytest.approx(k.total_length / 4.0, rel=1e-12)
 

@@ -381,10 +381,21 @@ class TestReflectionlessResidual:
             reflectionless_residual(JacobiCoefficients.periodic([1.0], [0.0]),
                                     CompactSet(((-2.0, 2.0),)), grid=10)
 
-    def test_half_line_eigenvalue_raises_without_a_warning(self):
+    def test_half_line_eigenvalue_reads_finite_without_a_warning(self):
         # b_0 = 2 on the free line: u_n = 2^-n solves J u = 2.5 u on sites >= 0, so the
-        # right walk for g_{-1} divides by exactly zero at t = 2.5
+        # right walk for g_{-1} divides by exactly zero at t = 2.5: m_+(0) = m_-(0) is
+        # infinite, m_+(-1) = m_-(1) = 0, and with the free m = -1/2,
+        # g_0 = 1/(2 - 5/2 + 1) = 2, g_{+-1} = 0 and g_{+-2} = 1/(-5/2 + 1/2)
         j = JacobiCoefficients(0, 0, [1.0], [2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reflectionless_residual(j, CompactSet(((2.0, 3.0),)), grid=1) == 2.0
+            g = operators._green_sites(j, -2, 2, np.array([2.5 + 0j]))[:, 0]
+        assert g.tolist() == [-0.5, 0.0, 2.0, 0.0, -0.5]
+
+    def test_eigenvalue_raises_without_a_warning(self):
+        # b_0 = 3/2 on the free line: u_n = 2^-|n| solves J u = 2.5 u, a pole of every g_n
+        j = JacobiCoefficients(0, 0, [1.0], [1.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="non-finite"):
@@ -437,6 +448,21 @@ class TestReflectionlessResidual:
             with np.errstate(all="ignore"):
                 m_plus, m_minus = operators._tail_m([1.0, 0.5], [0.5, -0.5], 0, z)
             assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15) and m_minus == 0.0
+
+    @pytest.mark.parametrize("sites", [range(0, 2), range(1, 2), range(-3, 4)])
+    def test_residual_through_an_infinite_left_m_at_a_dirichlet_point(self, sites):
+        # at t = 1/2, m_-(-1) = 0 (above) and b_0 = t, so m_-(0) is infinite, m_-(1) = 0 and
+        # g_1 = 1/(b_1 - t - a_1^2 m_+(2) - a_0^2 m_-(0)) = 0; odd sites read 0, even 4/3
+        j = JacobiCoefficients.periodic([1.0, 0.5], [0.5, -0.5])
+        res = reflectionless_residual(j, CompactSet(((0.0, 1.0),)), grid=1, sites=sites)
+        assert res == (0.0 if sites == range(1, 2) else pytest.approx(4.0 / 3.0, rel=1e-12, abs=0))
+        for z in (0.5 + 0j, np.array([0.5 + 0j])):
+            g = np.ravel(operators._green_sites(j, 0, 1, z))
+            assert g[0] == pytest.approx(4.0 / 3.0, rel=1e-12) and g[1] == 0.0
+        # the tail solve from site 1 (d = 1) in real arithmetic: m_-(0) is infinite
+        with np.errstate(all="ignore"):
+            m_plus, m_minus = operators._tail_m([1.0, 0.5], [0.5, -0.5], 1, np.array([0.5]))
+        assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15) and m_minus == np.inf
 
     @pytest.mark.parametrize("sites, value", [(range(0, 1), 20 / 11), ([2, -2], 16 / 11),
                                               ((1,), 3 / 11), ([1, 0, 2, -2], 20 / 11)])

@@ -4,7 +4,10 @@ function without scipy, default CLI runs byte-identical across processes,
 and the example scripts under scripts/ running to completion."""
 
 import ast
+import dataclasses
+import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -42,6 +45,28 @@ def test_runtime_imports_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_value_types_are_slotted():
+    # a frozen dataclass holds its fields in slots, with no per-instance __dict__, unless
+    # it memoizes with cached_property, which needs one
+    slotted, memoized, missing = set(), set(), []
+    for info in pkgutil.iter_modules(reflectionless.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"reflectionless.{info.name}")
+        for name, cls in inspect.getmembers(mod, inspect.isclass):
+            if cls.__module__ != mod.__name__ or not dataclasses.is_dataclass(cls) \
+                    or not cls.__dataclass_params__.frozen:
+                continue
+            if any(isinstance(v, functools.cached_property) for v in vars(cls).values()):
+                memoized.add(name)
+            elif "__slots__" in vars(cls):
+                slotted.add(name)
+            else:
+                missing.append(f"{mod.__name__}.{name}")
+    assert not missing, f"frozen dataclasses without __slots__: {missing}"
+    assert memoized == {"SpectralMeasure"} and {"StepFunction", "JacobiCoefficients"} <= slotted
 
 
 @pytest.mark.parametrize("module", ["reflectionless"] + [
