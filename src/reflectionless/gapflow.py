@@ -51,15 +51,16 @@ def canonical_krein_from_jumps(k_set: CompactSet, jumps: GapJumps,
     """The canonical step function: 1 left of K, 1/2 on bands, 0 right of K,
     and chi_{(d-g, d)} on each gap."""
     jumps.validate(k_set)
-    r = default_bound(k_set) if bound is None else bound
-    # a tail piece has zero width, and is dropped, when K reaches -R or R
-    pieces = [(-r, k_set.min, 1.0), (k_set.max, r, 0.0)]
-    pieces += [(c, d, 0.5) for c, d in k_set.intervals]
-    for g, (gc, gd) in zip(jumps.masses, k_set.gaps()):
+    r = float(default_bound(k_set) if bound is None else bound)
+    # breakpoints left to right; the constructor drops the zero-width pieces
+    # (a tail when K reaches -R or R, a gap side at g = 0 or the full width)
+    bk, vals = [-r, *k_set.intervals[0]], [1.0, 0.5]
+    for g, (gc, gd), (_, d) in zip(jumps.masses, k_set.gaps(), k_set.intervals[1:]):
         # the jump point d - g, exactly a face at g = 0 or the whole width (no rounding sliver)
         x = gd if g <= 0.0 else gc if g >= gd - gc else gd - g
-        pieces += [(gc, x, 0.0), (x, gd, 1.0)]
-    return StepFunction.from_pieces(r, pieces)
+        bk += [x, gd, d]
+        vals += [0.0, 1.0, 0.5]
+    return StepFunction(r, (*bk, r), (*vals, 0.0))
 
 
 def _require_half_on_bands(xi: StepFunction, k_set: CompactSet):

@@ -160,7 +160,7 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     if not nu.ac_pieces:
         return _jacobi(nu, None, None, n_coeffs), [], 0.0
     step = max(32, -(-n_coeffs // 4))
-    kinds = [_root_edges(nu, p) for p in nu.ac_pieces]
+    kinds = _root_edges(nu)
     sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
     if max(sizes) + step > _MAX_NODES:
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
@@ -224,9 +224,10 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
         except NumericError:
             pass
     alphas, betas = shallow or _certified(nu, n_coeffs)[0]
-    a = np.concatenate(([math.sqrt(mass)], betas))
-    b = np.concatenate(([0.0], alphas))
-    return JacobiCoefficients(0, n_coeffs, a, b, Tail.free())
+    window = np.empty((2, n_coeffs + 1))
+    window[0, 0], window[1, 0] = math.sqrt(mass), 0.0
+    window[0, 1:], window[1, 1:] = betas, alphas
+    return JacobiCoefficients(0, n_coeffs, window[0], window[1], Tail.free())
 
 
 def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float,

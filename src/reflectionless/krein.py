@@ -131,8 +131,10 @@ class StepFunction:
         domain)."""
         lo = -self.bound if lo is None else float(lo)
         hi = self.bound if hi is None else float(hi)
-        total = 0.0
-        for x0, x1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
+        # only pieces i..k-1 can overlap (lo, hi), as in `values_on`
+        bk, total = self.breakpoints, 0.0
+        i, k = max(bisect_right(bk, lo) - 1, 0), bisect_left(bk, hi)
+        for x0, x1, v in zip(bk[i:k], bk[i + 1:k + 1], self.values[i:k]):
             a, b = max(x0, lo), min(x1, hi)
             if b > a:
                 total += v * (b - a)
@@ -173,18 +175,14 @@ class StepFunction:
     def log_coefficients(self) -> np.ndarray:
         """Coefficients c_k with sum_i v_i [ln(z-x_i) - ln(z-x_{i-1})]
         == sum_k c_k ln(z - x_k); c_0 = -v_1, c_k = v_k - v_{k+1}, c_m = v_m."""
-        v = np.asarray(self.values)
-        c = np.empty(len(v) + 1)
-        c[0] = -v[0]
-        c[1:-1] = v[:-1] - v[1:]
-        c[-1] = v[-1]
-        return c
+        v = self.values
+        return np.array([-v[0], *map(float.__sub__, v, v[1:]), v[-1]])
 
     @property
     def abs_log_coefficients(self) -> np.ndarray:
         """Coefficients with ln|H(x)| = sum_k d_k ln|x - x_k|: the log
         coefficients plus 1 at -R for the (x + R) prefactor."""
-        d = self.log_coefficients.copy()
+        d = self.log_coefficients
         d[0] += 1.0
         return d
 
@@ -275,22 +273,44 @@ def log_abs_on_arc(rep: HerglotzRep, lo, hi, theta):
     trigonometrically (half*(1+sin) = 2*half*cos^2(pi/4 - theta/2) and its
     mirror), which keeps full relative precision arbitrarily close to the
     edges where |H| has square-root behavior; naive t - lo cancels
-    catastrophically there.  The (breakpoint, point) distances form one
-    array; the edge distances are placed into it where a breakpoint equals
-    lo or hi, one log takes them all, and one reduction adds the terms in
-    breakpoint order: numpy adds along the leading axis row by row, except
-    when a single point leaves that axis innermost, where it sums pairwise
-    and the rows are added in Python instead.
+    catastrophically there.  The sum runs in `_arc_log_abs`, the one kernel
+    that `SpectralMeasure` also evaluates its densities with, on the
+    breakpoint columns that each measure builds once into its table.
     """
-    xi, half = rep.xi, 0.5 * (hi - lo)
+    half = 0.5 * (hi - lo)
     t = 0.5 * (lo + hi) + half * np.sin(theta)
+    return _arc_log_abs(_breakpoint_columns(rep.xi), lo, hi, 2.0 * half, t, _edge_factors(theta))
+
+
+def _breakpoint_columns(xi: StepFunction) -> np.ndarray:
+    """Rows x_k and d_k over the breakpoints with d_k != 0, so that
+    ln|H(x)| = sum_k d_k ln|x - x_k|."""
     d = xi.abs_log_coefficients
-    xk, dk = np.array((xi.breakpoints, d))[:, d != 0.0].reshape((2, -1) + (1,) * t.ndim)
-    phase, width = 0.25 * np.pi - 0.5 * theta, 2.0 * half
+    return np.array((xi.breakpoints, d))[:, d != 0.0]
+
+
+def _edge_factors(theta):
+    """cos^2 and sin^2 of pi/4 - theta/2: t - lo and hi - t at the point
+    t = mid + half*sin(theta) of the piece (lo, hi), over its width 2*half."""
+    phase = 0.25 * np.pi - 0.5 * theta
+    return np.cos(phase) ** 2, np.sin(phase) ** 2
+
+
+def _arc_log_abs(columns: np.ndarray, lo, hi, width, t, edge_factors):
+    """sum_k d_k ln|t - x_k| over the breakpoint columns (x_k, d_k) at the
+    points t = mid + half*sin(theta) of the pieces (lo, hi) of width
+    2*half, the edge distances taken as width times `_edge_factors(theta)`.
+    The (breakpoint, point) distances form one array; the edge distances
+    are placed into it where a breakpoint equals lo or hi, one log takes
+    them all, and one reduction adds the terms in breakpoint order: numpy
+    adds along the leading axis row by row, except when a single point
+    leaves that axis innermost, where it sums pairwise and the rows are
+    added in Python instead."""
+    xk, dk = columns.reshape((2, -1) + (1,) * t.ndim)
     terms = t - xk
     np.abs(terms, out=terms)
-    np.copyto(terms, width * np.cos(phase) ** 2, where=xk == lo)
-    np.copyto(terms, width * np.sin(phase) ** 2, where=xk == hi)
+    np.copyto(terms, width * edge_factors[0], where=xk == lo)
+    np.copyto(terms, width * edge_factors[1], where=xk == hi)
     np.log(terms, out=terms)
     terms *= dk
     return terms.sum(axis=0) if t.size > 1 else sum(terms)

@@ -16,12 +16,19 @@ measure comes from `SpectralMeasure._rule`: nodes and weighted densities
 from one density evaluation, elementwise over an array of piece indices
 broadcast against the thetas, so one call serves the same rule on all
 pieces (a column of indices) or a different rule on each (a flat index).
-The mass rules take one call at 64 and 128 nodes and one per later doubling
-of the unconverged pieces; the rule each piece's mass converged at is
-memoized and reused by shallow reconstructions.  Where xi jumps by +-1/2 at
-both edges (every band of a reflectionless half-line measure), the
-integrand in theta is even, 2pi-periodic and analytic, so deep
-reconstructions use the midpoint rule in theta there, exact below degree 2n.
+Each measure builds one read-only table, on its first density evaluation:
+the rows of its pieces (lo, hi, multiplier, sin(pi xi), mid, half, width)
+and the breakpoint columns (x_k, d_k != 0) of ln|H| = sum_k d_k ln|t - x_k|.
+An evaluation gathers its pieces' rows and sums ln|H| on the columns with
+`krein._arc_log_abs`, the kernel that `log_abs_on_arc` runs too.
+The mass rules take one call at 64 and 128 nodes, whose sines and edge
+factors in theta the densities read as computed once per process, and one
+per later doubling of the unconverged pieces; the rule each piece's mass
+converged at is memoized and reused by shallow reconstructions.  Where xi
+jumps by +-1/2 at both edges (every band of a reflectionless half-line
+measure), the integrand in theta is even, 2pi-periodic and analytic, so
+deep reconstructions use the midpoint rule in theta there, exact below
+degree 2n.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .errors import NumericError
 from .gapflow import _require_half_on_bands
-from .krein import HerglotzRep, StepFunction, log_abs_on_arc
+from .krein import HerglotzRep, StepFunction, _arc_log_abs, _breakpoint_columns, _edge_factors
 from .sets import CompactSet
 
 __all__ = [
@@ -50,6 +57,13 @@ __all__ = [
 _ATOM_TOL = 1e-9  # an f atom weight applies to atoms within this distance
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: a cache or memo shares them with every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Fejer's first n-point rule, exact to degree n - 1, scaled to (-pi/2,
@@ -60,7 +74,17 @@ def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
     w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real
     x = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n))
-    return x * (np.pi / 2.0), w * (np.pi / 2.0)
+    return _read_only(x * (np.pi / 2.0), w * (np.pi / 2.0))
+
+
+@lru_cache(maxsize=1)
+def _start_rule() -> tuple[np.ndarray, ...]:
+    """The rule that every measure's mass rules start with, the 64 and 128
+    node Fejer rules side by side, with the sines and edge factors of its
+    thetas that the densities take, computed once: (theta, w, sin theta,
+    *edge factors), read-only."""
+    theta, w = map(np.concatenate, zip(_fejer_rule(64), _fejer_rule(128)))
+    return _read_only(theta, w, np.sin(theta), *_edge_factors(theta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,24 +126,38 @@ class SpectralMeasure:
         object.__setattr__(self, "atoms", tuple((float(x), float(m)) for x, m in self.atoms))
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """Rows lo, hi, multiplier, sin(pi xi), mid and half over the ac pieces."""
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, columns), built once: rows lo, hi, multiplier,
+        sin(pi xi), mid, half and width 2*half over the ac pieces, with each
+        piece's xi value taken by the index of the xi piece that holds it
+        (no point evaluation, so a piece one ulp wide is read exactly), and
+        the breakpoint columns (x_k, d_k) of ln|H| = sum_k d_k ln|t - x_k|."""
         xi = self.rep.xi
-        return np.array([(p.lo, p.hi, p.multiplier,
-                          math.sin(math.pi * xi.value_at(0.5 * (p.lo + p.hi))),
-                          0.5 * (p.lo + p.hi), 0.5 * (p.hi - p.lo)) for p in self.ac_pieces]).T
+        bk, vals, rows = xi.breakpoints, xi.values, []
+        for p in self.ac_pieces:
+            i = bisect_right(bk, p.lo) - 1
+            if not 0 <= i < len(vals) or p.hi > bk[i + 1]:
+                raise ValueError(f"ac piece ({p.lo}, {p.hi}) is not inside one piece of xi")
+            half = 0.5 * (p.hi - p.lo)
+            rows.append((p.lo, p.hi, p.multiplier, math.sin(math.pi * vals[i]),
+                         0.5 * (p.lo + p.hi), half, 2.0 * half))
+        return _read_only(np.array(rows).T, _breakpoint_columns(xi))
 
     def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:
         """Density at t = mid + half*sin(theta) on ac piece `index`,
         elementwise over the broadcast shape of index and theta, stable up to
         the piece edges (where it behaves like a power of the distance)."""
-        lo, hi, m, sin_v = self._rows[:4, index]
-        return m * np.exp(log_abs_on_arc(self.rep, lo, hi, theta)) * sin_v / math.pi
+        rows, columns = self._table
+        lo, hi, m, sin_v, mid, half, width = rows[:, index]
+        start = _start_rule()
+        sin, edges = (start[2], start[3:]) if theta is start[0] else (np.sin(theta), _edge_factors(theta))
+        t = mid + half * sin
+        return m * np.exp(_arc_log_abs(columns, lo, hi, width, t, edges)) * sin_v / math.pi
 
     def _rule(self, index, theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodes t = mid + half*sin(theta) and weight x jacobian x density of
         the rule (theta, w) in theta, node i on ac piece index[i]."""
-        mid, half = self._rows[4:, index]
+        mid, half = self._table[0][4:6, index]
         t = mid + half * np.sin(theta)
         return t, w * (half * np.cos(theta)) * self.density_on_arc(index, theta)
 
@@ -131,8 +169,7 @@ class SpectralMeasure:
         of all pieces.  No field, so == and hash ignore it."""
         if not self.ac_pieces:
             return ()
-        th, w = (np.concatenate(pair) for pair in zip(_fejer_rule(64), _fejer_rule(128)))
-        ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], th, w)
+        ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], *_start_rule()[:2])
         todo, rules, n = dict(enumerate(wd[:, :64].sum(1).tolist())), {}, 128
         ts, rows = ts[:, 64:], wd[:, 64:]
         while True:
@@ -184,12 +221,6 @@ class FSelector:
             out.extend((a, b))
         return out
 
-    def value_at(self, x: float) -> float:
-        for a, b, v in self.intervals:
-            if a < x < b:
-                return v
-        return 0.0
-
     def atom_weight(self, x: float) -> float:
         for pos, w in self.atom_weights:
             if abs(pos - x) <= _ATOM_TOL:
@@ -204,16 +235,16 @@ class FSelector:
 def atom_positions_and_masses(xi: StepFunction) -> list[tuple[float, float]]:
     """Poles of H on (-R, R): breakpoints where xi jumps 0 -> 1, with the
     residue mass in closed form."""
-    c = xi.log_coefficients
-    bk = np.asarray(xi.breakpoints)
-    out = []
     vals = xi.values
-    for j in range(1, len(bk) - 1):
-        if vals[j - 1] == 0.0 and vals[j] == 1.0:
-            mask = np.ones(len(bk), dtype=bool)
-            mask[j] = False
-            mass = (bk[j] + xi.bound) * np.prod(np.abs(bk[j] - bk[mask]) ** c[mask])
-            out.append((float(bk[j]), float(mass)))
+    jumps = [j for j in range(1, len(vals)) if vals[j - 1] == 0.0 and vals[j] == 1.0]
+    if not jumps:
+        return []
+    c, bk, out = xi.log_coefficients, np.asarray(xi.breakpoints), []
+    for j in jumps:
+        mask = np.ones(len(bk), dtype=bool)
+        mask[j] = False
+        mass = (bk[j] + xi.bound) * np.prod(np.abs(bk[j] - bk[mask]) ** c[mask])
+        out.append((float(bk[j]), float(mass)))
     return out
 
 
@@ -247,13 +278,19 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
             if min(b, d) > max(a, c):
                 raise ValueError("f may not be specified on the interior of K")
     band_edges = [e for c, d in k_set.intervals for e in (c, d)]
-    cuts = sorted(set(band_edges) | set(f.breakpoints()))
+    f_edges = f.breakpoints()
+    cuts = sorted(set(band_edges) | set(f_edges))
     out_pieces = []
     for piece in rho.ac_pieces:
         grid = [piece.lo, *cuts[bisect_right(cuts, piece.lo):bisect_left(cuts, piece.hi)], piece.hi]
         for lo, hi in zip(grid, grid[1:]):
-            mid = 0.5 * (lo + hi)
-            scale = 0.5 if k_set.contains_interior(mid) else f.value_at(mid)
+            # no cut lies inside (lo, hi), so its left end places it: an odd
+            # count of edges at or left of lo puts it in a band or f interval
+            if bisect_right(band_edges, lo) % 2:
+                scale = 0.5
+            else:
+                i = bisect_right(f_edges, lo)
+                scale = f.intervals[i // 2][2] if i % 2 else 0.0
             if scale > 0.0:
                 out_pieces.append(AcPiece(lo, hi, piece.multiplier * scale))
     out_atoms = []
@@ -275,10 +312,10 @@ def total_mass(measure: SpectralMeasure) -> float:
     return float(ac + sum(m for _, m in measure.atoms))
 
 
-def _root_edges(measure: SpectralMeasure, piece: AcPiece) -> bool:
-    """Whether the density is |t - e|^(+-1/2) times an analytic factor at
-    both edges e: the coefficient of ln|t - e| in ln|H| is +-1/2 there."""
-    xi = measure.rep.xi
-    exponent = dict(zip(xi.breakpoints, xi.abs_log_coefficients.tolist()))
-    return all(abs(exponent.get(e, 0.0)) == 0.5 for e in (piece.lo, piece.hi))
-
+def _root_edges(measure: SpectralMeasure) -> list[bool]:
+    """Per ac piece, whether the density is |t - e|^(+-1/2) times an
+    analytic factor at both edges e: the coefficient of ln|t - e| in ln|H|
+    is +-1/2 there."""
+    exponent = dict(zip(*measure._table[1].tolist()))
+    return [all(abs(exponent.get(e, 0.0)) == 0.5 for e in (p.lo, p.hi))
+            for p in measure.ac_pieces]

@@ -360,6 +360,20 @@ class TestReportsAndCli:
             rows = json.loads((tmp_path / what / "rows.json").read_text())
             assert key in rows[0]
 
+    def test_cli_eval_measure_with_a_one_ulp_piece(self, tmp_path):
+        # the ac piece (-1, nextafter(-1, 0)) has its midpoint on its left
+        # edge; its xi value is read by index, so the valid config runs
+        lo, hi = -1.0, math.nextafter(-1.0, 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"extra": {"what": "measure", "xi": {
+            "R": 2.0, "breakpoints": [-2.0, lo, hi, 2.0], "values": [1.0, 0.5, 0.0]}}}))
+        proc = self._cli("eval", "--config", str(cfg), "--format", "json",
+                         "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
+        assert row["n_ac_pieces"] == 1
+        assert row["total_mass"] == pytest.approx((hi - lo) ** 2 / 8.0, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("command, config", [
         ("eval", {"extra": {"what": "hilbert", "points": [0.5],
                             "xi": {"R": 2.0, "breakpoints": [-2.0, 0.0, 2.0],

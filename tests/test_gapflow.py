@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectionless import (CompactSet, GapJumps, StepFunction,
-                            flow_to_canonical, free_krein, gap_jump_masses,
+                            canonical_krein_from_jumps, flow_to_canonical, free_krein, gap_jump_masses,
                             hilbert_transform, mass_objective)
 from reflectionless.experiments import random_admissible_krein
 
@@ -187,7 +187,25 @@ class TestCanonicalShape:
         k_set = CompactSet(((-2.0, 2.0),))
         assert not is_canonical(StepFunction.from_pieces(3.0, [(-3.0, 3.0, 0.5)]), k_set)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_canonical_build_is_the_piece_build(self, seed):
+        # the breakpoints written in order give the function that
+        # `from_pieces` sorts and fills: with empty and full gaps, a jump
+        # inside, and K reaching -R or R
+        rng = np.random.default_rng(seed)
+        k_set = random_compact_set(rng)
+        masses = [float(rng.choice([0.0, d - c, rng.uniform(0.0, d - c)])) for c, d in k_set.gaps()]
+        r = float(rng.choice([max(abs(k_set.min), abs(k_set.max)), 5.0]))
+        pieces = [(-r, k_set.min, 1.0), (k_set.max, r, 0.0)]
+        pieces += [(c, d, 0.5) for c, d in k_set.intervals]
+        for g, (gc, gd) in zip(masses, k_set.gaps()):
+            x = gd if g <= 0.0 else gc if g >= gd - gc else gd - g
+            pieces += [(gc, x, 0.0), (x, gd, 1.0)]
+        assert (canonical_krein_from_jumps(k_set, GapJumps(masses), r)
+                == StepFunction.from_pieces(r, pieces))
+
     def test_jump_mass_extraction(self):
         k_set = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
         xi = free_krein(3.0).with_value(-0.5, 0.5, 0.5)
         assert gap_jump_masses(xi, k_set) == pytest.approx((0.5,), abs=0)
+

@@ -133,6 +133,22 @@ class TestStepFunction:
         assert s.integral() == pytest.approx(1.0 + 2.0, abs=0)
         assert s.integral(-2.0, 2.0) == 2.0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integral_is_the_sweep_over_all_pieces(self, seed):
+        # only the pieces that overlap (lo, hi) are visited; they add up
+        # bitwise as a sweep over every piece does, also for ends on
+        # breakpoints, past the domain, or with hi <= lo
+        rng = np.random.default_rng(seed)
+        s = random_step(rng, bound=3.0, max_pieces=10, min_width=0.1)
+        ends = [*s.breakpoints, *rng.uniform(-4.0, 4.0, 6).tolist()]
+        for _ in range(20):
+            lo, hi = (float(x) for x in rng.choice(ends, size=2))
+            sweep = 0.0
+            for x0, x1, v in s.pieces():
+                if min(x1, hi) > max(x0, lo):
+                    sweep += v * (min(x1, hi) - max(x0, lo))
+            assert s.integral(lo, hi) == sweep
+
     def test_json_roundtrip(self):
         s = free_krein(2.5)
         assert StepFunction.from_dict(s.to_dict()) == s

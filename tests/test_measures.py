@@ -1,5 +1,6 @@
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -240,6 +241,47 @@ class TestHalfLineMeasure:
         assert np.max(np.abs(dens - h * reference)) < 1e-10
 
 
+ONE_ULP_PIECES = [(-1.0, math.nextafter(-1.0, 0.0)),
+                  (1.0 + 2.0**-52, 1.0 + 2.0**-51)]
+
+
+class TestOneUlpPieces:
+    """Pieces one ulp wide, whose midpoints round onto an edge (the left
+    one, and by ties-to-even the right one): a piece's xi value is read by
+    index and a half-line sub-piece is placed by its endpoints, so none of
+    them is refused or dropped."""
+
+    @staticmethod
+    def xi(lo, hi):
+        # xi = 1/2 on (lo, hi) between the values 1 and 0: |H(t)| is
+        # sqrt((t - lo)(hi - t)) there, so the mass is (hi - lo)^2 / 8
+        return StepFunction(2.0, (-2.0, lo, hi, 2.0), (1.0, 0.5, 0.0))
+
+    def test_midpoints_round_onto_an_edge(self):
+        (lo0, hi0), (lo1, hi1) = ONE_ULP_PIECES
+        assert 0.5 * (lo0 + hi0) == lo0 and 0.5 * (lo1 + hi1) == hi1
+
+    @pytest.mark.parametrize("lo, hi", ONE_ULP_PIECES, ids=["left", "right"])
+    def test_full_line_mass(self, lo, hi):
+        rho = stieltjes_invert(HerglotzRep(self.xi(lo, hi)))
+        assert rho.ac_pieces == (AcPiece(lo, hi, 1.0),)
+        assert total_mass(rho) == pytest.approx((hi - lo) ** 2 / 8.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("lo, hi", ONE_ULP_PIECES, ids=["left", "right"])
+    def test_one_ulp_band_keeps_its_piece(self, lo, hi):
+        rho = stieltjes_invert(HerglotzRep(self.xi(lo, hi)))
+        nu = half_line_measure(rho, CompactSet(((lo, hi),)))
+        assert nu.ac_pieces == (AcPiece(lo, hi, 0.5),)
+        assert total_mass(nu) == 0.5 * total_mass(rho)
+
+    @pytest.mark.parametrize("lo, hi", ONE_ULP_PIECES, ids=["left", "right"])
+    def test_one_ulp_selector_interval_keeps_its_piece(self, lo, hi):
+        # off K = [-2, lo] the selector is 0.6 on the first ulp only
+        nu = half_line_measure(semicircle_rho(), CompactSet(((-2.0, lo),)),
+                               FSelector(intervals=((lo, hi, 0.6),)))
+        assert nu.ac_pieces == (AcPiece(-2.0, lo, 0.5), AcPiece(lo, hi, 0.6))
+
+
 class TestMassAndMoments:
     def test_semicircle_mass_one(self):
         assert total_mass(half_line_measure(semicircle_rho(), BAND)) == \
@@ -330,11 +372,29 @@ class TestLockstepMassRules:
         assert [rule[0] for rule in nu._mass_rules] == [128, 512, 128]
         self.assert_per_piece(nu)
 
+    def test_breakpoint_columns_built_once_per_measure(self, monkeypatch):
+        # the measure of `test_pieces_converging_at_different_sizes`: three
+        # density calls (the 64 and 128 rules, 256, 512) read the
+        # coefficients of ln|H| from the table that the first one builds
+        xi = StepFunction.from_pieces(
+            3.0, [(-3.0, -2.0, 1.0), (-2.0, -1.0, 0.5), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.5),
+                  (1.0, 1.00001, 0.0), (1.00001, 1.5, 1.0), (1.5, 2.5, 0.5), (2.5, 3.0, 0.0)])
+        k_set = CompactSet(((-2.0, -1.0), (0.0, 1.0), (1.5, 2.5)))
+        nu = half_line_measure(stieltjes_invert(HerglotzRep(xi)), k_set)
+        reads = []
+        prop = StepFunction.abs_log_coefficients
+        monkeypatch.setattr(StepFunction, "abs_log_coefficients",
+                            property(lambda xi: reads.append(xi) or prop.fget(xi)))
+        assert [rule[0] for rule in nu._mass_rules] == [128, 512, 128]
+        assert reads == [nu.rep.xi]
+
     def test_no_convergence_within_8192_nodes_raises(self, monkeypatch):
         # weights that grow with n keep successive masses 1e-9 apart
         fejer = measures._fejer_rule
         monkeypatch.setattr(measures, "_fejer_rule",
                             lambda n: (fejer(n)[0], fejer(n)[1] * (1.0 + 1e-9 * n)))
+        # and the 64 + 128 start rule from those, in a cache of the test's own
+        monkeypatch.setattr(measures, "_start_rule", lru_cache(measures._start_rule.__wrapped__))
         nu = random_half_line(np.random.default_rng(3), 3)
         with pytest.raises(NumericError) as oracle:
             per_piece_rule(nu, nu.ac_pieces[0])
@@ -419,6 +479,40 @@ class TestValidation:
     def test_non_finite_measure_data_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 1.5), (2.5, 3.5)],
+                             ids=["across-a-breakpoint", "past-the-domain"])
+    def test_ac_piece_outside_one_piece_of_xi_refused(self, lo, hi):
+        # xi jumps at 0.7 and 1.0 and ends at R = 3
+        nu = SpectralMeasure(HerglotzRep(XI_WITH_ATOM), (AcPiece(lo, hi, 1.0),))
+        with pytest.raises(ValueError, match="not inside one piece of xi"):
+            total_mass(nu)
+
+
+class TestReadOnlyMemos:
+    """Arrays that a cache or a memo hands to every caller refuse in-place
+    writes, so no caller can corrupt the next one's rule."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_fejer_rule(self, n):
+        for a in _fejer_rule(n):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_start_rule(self):
+        # theta, w, sin theta and the two edge factors
+        rule = measures._start_rule()
+        assert len(rule) == 5 and all(a.shape == (192,) for a in rule)
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_measure_table(self):
+        nu = half_line_measure(semicircle_rho(), BAND)
+        for a in nu._table:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
 
 
 class TestSerialization:
