@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 
 
@@ -58,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.from_json(
             name, args.config, seed=args.seed,
-            out_dir=args.out or f"out/{name}", fmt=args.format)
+            out_dir=args.out or f"out/{name}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -76,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 3
     try:
-        paths = write_report(report, cfg.out_dir, cfg.fmt)
+        paths = write_report(report, cfg.out_dir)
     except OSError as exc:
         print(f"config error: cannot write to {cfg.out_dir}: {exc}", file=sys.stderr)
         return 2

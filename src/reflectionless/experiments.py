@@ -57,7 +57,6 @@ class ExperimentConfig:
     horizon: int = 40
     cluster_threshold: float = 1e-6
     out_dir: str = "out"
-    fmt: str = "csv"
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a positive integer")
         if not self.cluster_threshold > 0:          # refuses NaN too
             raise ConfigError("cluster_threshold must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
 
     def k_set(self) -> CompactSet:
         try:
@@ -465,8 +462,7 @@ def run_eval(cfg: ExperimentConfig) -> dict:
 def _report(cfg: ExperimentConfig, rows: list, assertions: list,
             plots: dict, meta: dict | None = None) -> dict:
     echo = asdict(cfg)
-    echo.pop("out_dir", None)  # identical config+seed => identical bytes
-    echo.pop("fmt", None)      # regardless of where the report lands
+    echo.pop("out_dir", None)  # identical config+seed => identical bytes wherever they land
     return {
         "experiment": cfg.name,
         "config": echo,
@@ -478,13 +474,11 @@ def _report(cfg: ExperimentConfig, rows: list, assertions: list,
     }
 
 
-def _csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(_fmt(r.get(c)) for c in cols))
+def _csv_text(rows: list[dict], cols=None) -> str:
+    """A header line, then one line per row; the header of `cols` (default:
+    the first row's keys) alone when there are no rows."""
+    cols = cols or (list(rows[0]) if rows else [])
+    lines = [",".join(cols)] + [",".join(_fmt(r.get(c)) for c in cols) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -496,34 +490,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_report(report: dict, out_dir: str, fmt: str = "csv") -> list[str]:
-    """Write report.json, the row table, and one two-column CSV per plot;
-    returns the paths written."""
+def write_report(report: dict, out_dir: str) -> list[str]:
+    """Write report.json (the report without its plots), rows.csv, and one
+    x,y CSV per plot; returns the paths written."""
+    files = {"report.json": json.dumps({k: v for k, v in report.items() if k != "plots"},
+                                       indent=2, sort_keys=True, default=float) + "\n",
+             "rows.csv": _csv_text(report["rows"])}
+    for name, pairs in report["plots"].items():
+        files[f"plot_{name}.csv"] = _csv_text(
+            [{"x": float(x), "y": float(y)} for x, y in pairs], ("x", "y"))
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    plots = report.pop("plots", {})
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    written.append(path)
-    rows = report.get("rows", [])
-    if fmt == "csv":
-        path = os.path.join(out_dir, "rows.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(rows))
-    else:
-        path = os.path.join(out_dir, "rows.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, default=float)
-            fh.write("\n")
-    written.append(path)
-    for name, pairs in plots.items():
-        path = os.path.join(out_dir, f"plot_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,y\n")
-            for x, y in pairs:
-                fh.write(f"{_fmt(float(x))},{_fmt(float(y))}\n")
-        written.append(path)
-    report["plots"] = plots
+    for name, text in files.items():
+        written.append(os.path.join(out_dir, name))
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
     return written

@@ -162,6 +162,8 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     step = max(32, -(-n_coeffs // 4))
     kinds = _root_edges(nu)
     sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
+    if kinds == [False]:
+        sizes = [math.ceil(math.pi * n_coeffs + n_coeffs ** (1 / 3)) + nu._mass_rules[0][0]]
     if max(sizes) + step > _MAX_NODES:
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
     prev, tol, best = None, 1e-12 * _scale(nu), math.inf
@@ -202,8 +204,9 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     the semicircle is off by 3e-11; no measure tried failed before n/4.1).
     Deeper, or on a failure there, a piece gets the midpoint rule in theta
     with N + n nodes if both its edges are square-root edges (exact for
-    degree below about 2(N + n)), else Fejer with 2N + n (stepped up to
-    about 3.4N on a lone regular-edge piece).  A rule max(32, ceil(N/4))
+    degree below about 2(N + n)), else Fejer with 2N + n, or with
+    ceil(pi N + N^(1/3)) + n if it is the measure's only piece, which must
+    then resolve that frequency pi N alone.  A rule max(32, ceil(N/4))
     nodes larger per piece certifies it: all N pairs must agree to 1e-12 *
     max(1, largest |t|), else both rules step up by that many nodes.  Raises
     `ValueError` up front for an N whose rule pair exceeds `_MAX_NODES`

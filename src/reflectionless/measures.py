@@ -34,6 +34,7 @@ degree 2n.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -131,7 +132,9 @@ class SpectralMeasure:
         sin(pi xi), mid, half and width 2*half over the ac pieces, with each
         piece's xi value taken by the index of the xi piece that holds it
         (no point evaluation, so a piece one ulp wide is read exactly), and
-        the breakpoint columns (x_k, d_k) of ln|H| = sum_k d_k ln|t - x_k|."""
+        the breakpoint columns (x_k, d_k) of ln|H| = sum_k d_k ln|t - x_k|.
+        Raises `ValueError` for a measure whose scale takes its mass out of
+        float64's normal range."""
         xi = self.rep.xi
         bk, vals, rows = xi.breakpoints, xi.values, []
         for p in self.ac_pieces:
@@ -141,6 +144,13 @@ class SpectralMeasure:
             half = 0.5 * (p.hi - p.lo)
             rows.append((p.lo, p.hi, p.multiplier, math.sin(math.pi * vals[i]),
                          0.5 * (p.lo + p.hi), half, 2.0 * half))
+        # the mass scales as the square of the measure's size: refuse one whose
+        # narrowest piece or farthest edge, squared, leaves the normal range
+        narrow, far, fin = min(r[6] for r in rows), max(-rows[0][0], rows[-1][1]), sys.float_info
+        if narrow * narrow < fin.min or far * far > fin.max:
+            raise ValueError(f"the measure's scale (narrowest ac piece {narrow:.3g} wide, farthest "
+                             f"edge at |t| = {far:.3g}) takes its mass out of float64's normal "
+                             f"range [{fin.min:.3g}, {fin.max:.3g}]")
         return _read_only(np.array(rows).T, _breakpoint_columns(xi))
 
     def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -217,17 +218,45 @@ class TestReportsAndCli:
 
     def test_write_report_layout(self, tmp_path):
         rep = run_forward_asymptotics(small_cfg("dr", n_coeffs=30))
-        paths = write_report(rep, str(tmp_path), "csv")
+        paths = write_report(rep, str(tmp_path))
         names = {p.split("/")[-1] for p in paths}
         assert {"report.json", "rows.csv", "plot_a_n.csv", "plot_b_n.csv"} <= names
         header = (tmp_path / "plot_a_n.csv").read_text().splitlines()[0]
         assert header == "x,y"
 
-    def test_write_report_json_rows(self, tmp_path):
-        rep = run_shift_clusters(small_cfg("omega", horizon=10, window=3))
-        write_report(rep, str(tmp_path), "json")
-        rows = json.loads((tmp_path / "rows.json").read_text())
-        assert isinstance(rows, list) and rows
+    @pytest.mark.parametrize("runner, cfg", [
+        (run_lower_bound_suite, small_cfg("thm11")),
+        (run_perturbation_sweep, small_cfg("oracle")),
+        (run_forward_asymptotics, small_cfg("dr", n_coeffs=30)),
+        (run_extremal_table, small_cfg("aktable", extra={"sets": [
+            [[-2.0, 2.0]], [[-2.0, -0.5], [0.5, 2.0]]]})),
+        (run_shift_clusters, small_cfg("omega", horizon=10, window=3)),
+    ], ids=["thm11", "oracle", "dr", "aktable", "omega"])
+    def test_rows_csv_equals_the_report_rows(self, tmp_path, runner, cfg):
+        # floats are written in repr form, so the values, and their types,
+        # come back exactly; the JSON text of a set or window comes back quoted
+        def parse(cell):
+            for kind in (int, float):
+                try:
+                    return kind(cell)
+                except ValueError:
+                    pass
+            return cell
+
+        def typed(rows):
+            return [{k: (type(v), v) for k, v in row.items()} for row in rows]
+
+        write_report(runner(cfg), str(tmp_path))
+        with open(tmp_path / "rows.csv", newline="", encoding="utf-8") as fh:
+            parsed = [{k: parse(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert rows and typed(parsed) == typed(rows)
+
+    def test_cli_has_no_format_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dr", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
     def _cli(self, *args):
         return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
@@ -292,10 +321,9 @@ class TestReportsAndCli:
         cfg = tmp_path / "cfg.json"
         bands = [[float(i), i + 0.4] for i in range(6)]
         cfg.write_text(json.dumps({"extra": {"sets": [bands]}}))
-        proc = self._cli("aktable", "--config", str(cfg), "--format", "json",
-                         "--out", str(tmp_path / "out"))
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
+        row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
         assert row["A"] == pytest.approx(0.6, abs=1e-10)
         assert row["kkt_residual"] <= row["refinement_tolerance"]
         assert row["iterations"] > 0
@@ -315,6 +343,17 @@ class TestReportsAndCli:
         assert proc.returncode == 2, proc.stderr
         assert "float64's normal range" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("interval, scale", [([-1e300, 1e300], "|t| = 1e+300"),
+                                                 ([0.0, 1e-300], "1e-300 wide")],
+                             ids=["overflow", "underflow"])
+    def test_cli_thm11_scale_outside_the_normal_range_exit_two(self, tmp_path, interval, scale):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_intervals": [interval], "samples": 2}))
+        proc = self._cli("thm11", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "float64's normal range" in proc.stderr and scale in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
     def test_cli_aktable_thirty_two_bands(self, tmp_path):
         # five levels of removing the middle 20% of every band, from [-2, 2]
         bands = [[-2.0, 2.0]]
@@ -323,10 +362,9 @@ class TestReportsAndCli:
                      for half in ([c, c + 0.4 * (d - c)], [d - 0.4 * (d - c), d])]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"extra": {"sets": [bands]}}))
-        proc = self._cli("aktable", "--config", str(cfg), "--format", "json",
-                         "--out", str(tmp_path / "out"))
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
+        row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
         assert len(json.loads(row["set"])) == 32
         assert row["A"] == pytest.approx(sum(d - c for c, d in bands) / 4.0, rel=1e-12, abs=0)
         assert row["kkt_residual"] <= row["refinement_tolerance"]
@@ -338,10 +376,9 @@ class TestReportsAndCli:
                       "xi": {"R": 2.0, "breakpoints": [-2.0, 2.0],
                              "values": [0.5]},
                       "points": [[0.0, 2.0], [3.0, 0.5]]}}))
-        proc = self._cli("eval", "--config", str(cfg),
-                         "--out", str(tmp_path / "out"), "--format", "json")
+        proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        rows = json.loads((tmp_path / "out" / "rows.json").read_text())
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
         assert rows[0]["im_H"] == pytest.approx(2.0 * 2.0**0.5, abs=1e-12)
 
     def test_cli_eval_other_kinds(self, tmp_path):
@@ -354,10 +391,9 @@ class TestReportsAndCli:
             cfg = tmp_path / f"{what}.json"
             cfg.write_text(json.dumps({"extra": {"what": what, "xi": xi,
                                                  "points": points}}))
-            proc = self._cli("eval", "--config", str(cfg), "--format", "json",
-                             "--out", str(tmp_path / what))
+            proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / what))
             assert proc.returncode == 0, proc.stderr
-            rows = json.loads((tmp_path / what / "rows.json").read_text())
+            rows = json.loads((tmp_path / what / "report.json").read_text())["rows"]
             assert key in rows[0]
 
     def test_cli_eval_measure_with_a_one_ulp_piece(self, tmp_path):
@@ -367,10 +403,9 @@ class TestReportsAndCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"extra": {"what": "measure", "xi": {
             "R": 2.0, "breakpoints": [-2.0, lo, hi, 2.0], "values": [1.0, 0.5, 0.0]}}}))
-        proc = self._cli("eval", "--config", str(cfg), "--format", "json",
-                         "--out", str(tmp_path / "out"))
+        proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        row = json.loads((tmp_path / "out" / "rows.json").read_text())[0]
+        row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
         assert row["n_ac_pieces"] == 1
         assert row["total_mass"] == pytest.approx((hi - lo) ** 2 / 8.0, rel=1e-12, abs=0)
 

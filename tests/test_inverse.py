@@ -440,6 +440,28 @@ class TestMassRuleReuse:
         assert np.array_equal(rec.a_window[1:], betas)
         assert np.array_equal(rec.b_window[1:], alphas)
 
+    @pytest.mark.parametrize("depth", [100, 300, 1000])
+    def test_lone_regular_edge_piece_certifies_on_the_first_pair(self, monkeypatch, depth):
+        # degree 2N + 1 in t is frequency about pi N in theta: the measure's
+        # only Fejer piece starts at ceil(pi N + N^(1/3)) + 128 nodes, where
+        # it used to step up from 2N + 128 through 3, 6 and 7 passes
+        from reflectionless import inverse
+
+        kernel, sizes = inverse.lanczos_tridiag, []
+
+        def counted(t, w, n_steps):
+            sizes.append(t.size)
+            return kernel(t, w, n_steps)
+
+        monkeypatch.setattr(inverse, "lanczos_tridiag", counted)
+        nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-1.0, 1.0, 1.0),))
+        rec = reconstruct_coefficients(nu, depth)
+        start = math.ceil(math.pi * depth + depth ** (1 / 3)) + 128
+        assert sizes == [start, start + max(32, -(-depth // 4))]
+        alphas, betas = kernel(*nu._rule(0, *_fejer_rule(2 * start)), depth)
+        assert np.max(np.abs(rec.a_window[1:] - betas)) <= 1e-12
+        assert np.max(np.abs(rec.b_window[1:] - alphas)) <= 1e-12
+
     def test_uncertified_depth_raises(self, monkeypatch):
         from reflectionless import inverse
 
