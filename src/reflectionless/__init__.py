@@ -20,8 +20,8 @@ from .inverse import (reconstruct_coefficients, coefficient_deviation,
                       lanczos_tridiag, reconstruction_report)
 from .extremal import (ExtremalResult, mass_objective, minimize_mass,
                        grid_min_mass)
-from .experiments import (ExperimentConfig, approximate_omega_limit,
-                          random_admissible_krein, random_f_selector)
+from .experiments import (approximate_omega_limit, random_admissible_krein,
+                          random_f_selector)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
     "reconstruction_report",
     "ExtremalResult", "mass_objective", "minimize_mass", "grid_min_mass",
-    "ExperimentConfig", "approximate_omega_limit",
+    "approximate_omega_limit",
     "random_admissible_krein", "random_f_selector",
 ]

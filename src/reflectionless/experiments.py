@@ -1,10 +1,12 @@
 """Reproducible experiment runners behind the CLI.
 
-Each runner consumes an ExperimentConfig, produces a report dict (config
-echo, per-row data, named assertions), and never depends on anything but
-the seed, so identical configs give byte-identical outputs.  Samples are
-generated from per-index child seeds; a failing assertion names the sample
-index so a run can be replayed.
+Each runner declares its parameters as keyword arguments, whose defaults
+are its default run, and returns a report dict (per-row data, named
+assertions, plots).  It depends on nothing but its arguments, so identical
+arguments give byte-identical outputs.  `_resolve_config` turns a JSON
+config into those arguments and refuses any key the runner does not
+declare.  Samples are generated from per-index child seeds; a failing
+assertion names the sample index so a run can be replayed.
 
 All underlying operations are pure functions of immutable values, so
 samples could evaluate in parallel; the runners here evaluate them
@@ -13,10 +15,10 @@ sequentially in index order to keep reduction order fixed.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .operators import JacobiCoefficients
 from .sets import CompactSet
 
 __all__ = [
-    "ExperimentConfig",
     "random_admissible_krein",
     "random_f_selector",
     "approximate_omega_limit",
@@ -44,58 +45,6 @@ __all__ = [
     "run_eval",
     "write_report",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    name: str
-    k_intervals: list = field(default_factory=lambda: [[-2.0, 2.0]])
-    seed: int = 7
-    samples: int = 100
-    n_coeffs: int = 30
-    window: int = 5
-    horizon: int = 40
-    cluster_threshold: float = 1e-6
-    out_dir: str = "out"
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if type(self.seed) is not int:      # refuses floats and bools
-            raise ConfigError("seed must be an integer")
-        for name in ("samples", "n_coeffs", "window", "horizon"):
-            value = getattr(self, name)
-            if type(value) is not int or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer")
-        if not self.cluster_threshold > 0:          # refuses NaN too
-            raise ConfigError("cluster_threshold must be positive")
-
-    def k_set(self) -> CompactSet:
-        try:
-            return CompactSet(tuple((c, d) for c, d in self.k_intervals))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad K intervals: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, name: str, path: str | None, **overrides) -> "ExperimentConfig":
-        data = {}
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict) or not isinstance(data.get("extra", {}), dict):
-            raise ConfigError("a config and its extra must be JSON objects")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f for f in cls.__dataclass_fields__}
-        extra = data.pop("extra", {})
-        unknown = {k: v for k, v in data.items() if k not in known}
-        extra.update(unknown)
-        kwargs = {k: v for k, v in data.items() if k in known and k != "name"}
-        try:
-            return cls(name=name, extra=extra, **kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +145,24 @@ def _check(assertions: list, name: str, passed: bool, detail: str):
     assertions.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
-def _extra(cfg: ExperimentConfig, key: str, default, parse):
-    """parse(cfg.extra.get(key, default)); a wrong shape is a ConfigError."""
-    try:
-        return parse(cfg.extra.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad extra {key!r}: {exc}") from exc
-
-
 def _sample_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def run_lower_bound_suite(cfg: ExperimentConfig) -> dict:
+def run_lower_bound_suite(k_intervals=((-2.0, 2.0),), seed=7, samples=100,
+                          n_coeffs=6, window=5) -> dict:
     """Random admissible (xi, f) over a single interval K = [B-2A, B+2A]:
-    every reconstructed a_0 must stay above A (up to 1e-6)."""
-    k_set = cfg.k_set()
+    every a_0 reconstructed to depth n_coeffs must stay above A (up to 1e-6)."""
+    k_set = CompactSet(k_intervals)
     if len(k_set.intervals) != 1:
         raise ConfigError("the lower-bound suite needs a single-interval K")
+    if n_coeffs < window:
+        raise ConfigError(f"n_coeffs must be at least {window}: "
+                          "the deviation reads sites 1..window")
     c, d = k_set.intervals[0]
     a_const, b_const = (d - c) / 4.0, (c + d) / 2.0
     rows, assertions = [], []
-    n_rec = min(cfg.n_coeffs, 6)
-    rngs = _sample_rngs(cfg.seed, cfg.samples)
+    rngs = _sample_rngs(seed, samples)
     worst = math.inf
     for i, rng in enumerate(rngs):
         if i == 0:
@@ -232,11 +176,11 @@ def run_lower_bound_suite(cfg: ExperimentConfig) -> dict:
             if f is None:
                 f = random_f_selector(rng, rho, k_set)
             nu = half_line_measure(rho, k_set, f)
-            rec = reconstruct_coefficients(nu, n_rec)
+            rec = reconstruct_coefficients(nu, n_coeffs)
             a0 = rec.a(0)
             dev = max(abs(rec.a(0) - a_const),
-                      coefficient_deviation(rec.restrict(1, n_rec), a_const,
-                                            b_const, cfg.window))
+                      coefficient_deviation(rec.restrict(1, n_coeffs), a_const,
+                                            b_const, window))
             xi_dist = xi.l1_distance(flow_to_canonical(xi, k_set))
         except NumericError as exc:
             raise NumericError(
@@ -252,8 +196,7 @@ def run_lower_bound_suite(cfg: ExperimentConfig) -> dict:
            abs(rows[0]["a0"] - a_const) < 1e-8 and rows[0]["deviation"] < 1e-7,
            f"a0-A={rows[0]['a0'] - a_const:.3e} dev={rows[0]['deviation']:.3e}")
     plots = {"a0_margin": [(r["sample"], r["margin"]) for r in rows]}
-    return _report(cfg, rows, assertions, plots,
-                   meta={"A": a_const, "B": b_const})
+    return _report(rows, assertions, plots, meta={"A": a_const, "B": b_const})
 
 
 def _xi_mass_input(width: float) -> SpectralMeasure:
@@ -271,28 +214,28 @@ def _f_atom_input(mass: float) -> tuple[SpectralMeasure, FSelector]:
     return stieltjes_invert(HerglotzRep(xi)), FSelector(atom_weights=((3.0, 1.0),))
 
 
-def run_perturbation_sweep(cfg: ExperimentConfig) -> dict:
+def run_perturbation_sweep(xi_widths=(0.4, 0.04, 0.004), f_masses=(0.3, 0.03, 0.003),
+                           n_coeffs=30) -> dict:
     """One-parameter families shrinking toward the free input: deviations
     from the constant coefficients must decrease with the perturbation."""
     k_set = CompactSet(((-2.0, 2.0),))
-    xi_widths = _extra(cfg, "xi_widths", [0.4, 0.04, 0.004], lambda v: list(map(float, v)))
-    f_masses = _extra(cfg, "f_masses", [0.3, 0.03, 0.003], lambda v: list(map(float, v)))
+    if n_coeffs < 12:
+        raise ConfigError("n_coeffs must be at least 12: the sweep reads deviation_L10")
     # on R = 4: the xi piece is (2, 2 + w) and the f-atom piece (3, 3 + m / sqrt(5))
     for key, sizes, top in (("xi_widths", xi_widths, 2.0), ("f_masses", f_masses, math.sqrt(5.0))):
         if not sizes or not all(0.0 < x < math.inf for x in sizes):    # 0 runs the free input
             raise ConfigError(f"{key} needs one or more finite positive sizes")
         if max(sizes) > top:
             raise ConfigError(f"{key} must be at most {top!r}, or its piece leaves [-4, 4]")
-    n_rec = max(cfg.n_coeffs, 12)
     rows, assertions = [], []
 
     def measure_family(label, eps_list, builder):
         out = []
-        for eps in eps_list + [0.0]:
+        for eps in (*eps_list, 0.0):
             nu_f = builder(eps)
             rho, f = nu_f if isinstance(nu_f, tuple) else (nu_f, FSelector())
             nu = half_line_measure(rho, k_set, f)
-            rec = reconstruct_coefficients(nu, n_rec)
+            rec = reconstruct_coefficients(nu, n_coeffs)
             row = {"family": label, "epsilon": eps, "a0": rec.a(0)}
             for el in (2, 5, 10):
                 row[f"deviation_L{el}"] = coefficient_deviation(rec, 1.0, 0.0, el)
@@ -316,28 +259,27 @@ def run_perturbation_sweep(cfg: ExperimentConfig) -> dict:
                base < 1e-8, f"deviation {base:.3e}")
     plots = {"xi_mass_deviation": [(r["epsilon"], r["deviation_L5"]) for r in fam_xi],
              "f_atom_deviation": [(r["epsilon"], r["deviation_L5"]) for r in fam_f]}
-    return _report(cfg, rows, assertions, plots)
+    return _report(rows, assertions, plots)
 
 
-def run_forward_asymptotics(cfg: ExperimentConfig) -> dict:
+def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
+                            semicircle_scale=1.0, n_coeffs=30) -> dict:
     """Semicircle plus finitely many off-band atoms: reconstructed
     coefficients must trend to the free values along the half line."""
-    atoms = _extra(cfg, "atoms", [[2.5, 0.3], [3.0, 0.3], [-2.7, 0.3]],
-                   lambda v: tuple((float(p), float(m)) for p, m in v))
-    scale = _extra(cfg, "semicircle_scale", 1.0, float)
     for pos, _ in atoms:
         if -2.0 <= pos <= 2.0:
             raise ConfigError(f"atom at {pos} is not off the band [-2, 2]")
+    if n_coeffs < 30:
+        raise ConfigError("n_coeffs must be at least 30: the tail checks read site 30")
     rep = HerglotzRep(free_krein(2.0))
-    nu = SpectralMeasure(rep, (AcPiece(-2.0, 2.0, 0.5 * scale),), atoms)
-    n = max(cfg.n_coeffs, 30)
-    rec = reconstruct_coefficients(nu, n)
-    rows = [{"n": k, "a": rec.a(k), "b": rec.b(k)} for k in range(n + 1)]
+    nu = SpectralMeasure(rep, (AcPiece(-2.0, 2.0, 0.5 * semicircle_scale),), tuple(atoms))
+    rec = reconstruct_coefficients(nu, n_coeffs)
+    rows = [{"n": k, "a": rec.a(k), "b": rec.b(k)} for k in range(n_coeffs + 1)]
     dev = {k: abs(rec.a(k) - 1.0) + abs(rec.b(k)) for k in (5, 30)}
     assertions = []
     _check(assertions, "tail deviation drops: dev(30) < dev(5)",
            dev[30] < dev[5] + 1e-12, f"dev5={dev[5]:.3e} dev30={dev[30]:.3e}")
-    min_a = min(rec.a(k) for k in range(10, n + 1))
+    min_a = min(rec.a(k) for k in range(10, n_coeffs + 1))
     _check(assertions, "min a_n over n >= 10 stays above 0.95",
            min_a >= 0.95, f"min a_n = {min_a:.6f}")
     _check(assertions, "dev(30) below the calibrated 0.05 threshold",
@@ -346,24 +288,21 @@ def run_forward_asymptotics(cfg: ExperimentConfig) -> dict:
              "b_n": [(r["n"], r["b"]) for r in rows]}
     meta = reconstruction_report(nu, rec)
     meta["atoms"] = [list(t) for t in atoms]
-    return _report(cfg, rows, assertions, plots, meta=meta)
+    return _report(rows, assertions, plots, meta=meta)
 
 
-def run_extremal_table(cfg: ExperimentConfig) -> dict:
+def run_extremal_table(sets=(((-2.0, 2.0),), ((0.0, 4.0),), ((-2.0, -0.5), (0.5, 2.0)),
+                             ((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)),
+                             tuple((float(i), i + 0.4) for i in range(6)))) -> dict:
     """Extremal constants for a list of sets, each with the KKT residual that
     certifies it and the observed closed form |K|/4."""
-    sets = _extra(cfg, "sets", None,
-                  lambda v: [[[float(c), float(d)] for c, d in s] for s in v or ()]) or [
-        [[-2.0, 2.0]], [[0.0, 4.0]],
-        [[-2.0, -0.5], [0.5, 2.0]],
-        [[-3.0, -1.5], [-0.5, 1.0], [2.0, 3.0]],
-        [[float(i), i + 0.4] for i in range(6)],
-    ]
+    if not sets:
+        raise ConfigError("sets needs one or more sets")
     rows, assertions = [], []
     for i, intervals in enumerate(sets):
-        k_set = CompactSet(tuple((c, d) for c, d in intervals))
+        k_set = CompactSet(intervals)
         res = minimize_mass(k_set)
-        row = {"set": json.dumps(intervals), "A": res.constant,
+        row = {"set": json.dumps(k_set.intervals), "A": res.constant,
                "argmin": json.dumps(list(res.jumps.masses)),
                "refinement_tolerance": res.kkt_tolerance,
                "kkt_residual": res.kkt_residual, "iterations": res.iterations,
@@ -378,24 +317,24 @@ def run_extremal_table(cfg: ExperimentConfig) -> dict:
                f"A={res.constant!r}")
         rows.append(row)
     plots = {"A_by_set": [(i, r["A"]) for i, r in enumerate(rows)]}
-    return _report(cfg, rows, assertions, plots)
+    return _report(rows, assertions, plots)
 
 
-def run_shift_clusters(cfg: ExperimentConfig) -> dict:
-    """Cluster the shifted coefficient windows of a half-line operator
-    (finite-horizon approximation of the forward limit set)."""
-    op = cfg.extra.get("operator")
-    if op is None:
+def run_shift_clusters(operator=None, horizon=40, window=5,
+                       cluster_threshold=1e-6) -> dict:
+    """Cluster the shifted coefficient windows of a half-line operator, by
+    default the period-2 one with a = 1 and b = 1, -1 (finite-horizon
+    approximation of the forward limit set)."""
+    if operator is None:
         j = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0]) \
-            .restrict(0, cfg.horizon + cfg.window)
+            .restrict(0, horizon + window)
     else:
         try:
-            j = JacobiCoefficients.from_dict(op)
+            j = JacobiCoefficients.from_dict(operator)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad operator: {exc}") from exc
     try:
-        clusters = approximate_omega_limit(j, cfg.horizon, cfg.window,
-                                           cfg.cluster_threshold)
+        clusters = approximate_omega_limit(j, horizon, window, cluster_threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [{"cluster": i, "representative": cl["representative"],
@@ -405,46 +344,48 @@ def run_shift_clusters(cfg: ExperimentConfig) -> dict:
             for i, cl in enumerate(clusters)]
     assertions = []
     _check(assertions, "clustering covers every shift",
-           sum(r["size"] for r in rows) == cfg.horizon + 1,
-           f"{sum(r['size'] for r in rows)} of {cfg.horizon + 1}")
+           sum(r["size"] for r in rows) == horizon + 1,
+           f"{sum(r['size'] for r in rows)} of {horizon + 1}")
     plots = {"cluster_sizes": [(r["cluster"], r["size"]) for r in rows]}
-    return _report(cfg, rows, assertions, plots,
+    return _report(rows, assertions, plots,
                    meta={"note": "finite-horizon approximation of the shift limit set",
                          "clusters": clusters})
 
 
-def run_eval(cfg: ExperimentConfig) -> dict:
-    """Ad-hoc evaluation of H, xi, T xi, or measure data from a config."""
-    what = cfg.extra.get("what", "herglotz")
-    xi_data = cfg.extra.get("xi")
-    if xi_data is None:
+def run_eval(xi=None, what="herglotz", points=()) -> dict:
+    """Ad-hoc evaluation of H, xi, T xi, or measure data: `xi` is a step
+    function in its dict form, `what` the kind, `points` where to evaluate."""
+    if xi is None:
         raise ConfigError("eval needs an 'xi' step function in the config")
     try:
-        xi = StepFunction.from_dict(xi_data)
+        step = StepFunction.from_dict(xi)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad xi: {exc}") from exc
-    rep = HerglotzRep(xi)
+    rep = HerglotzRep(step)
 
-    def points(parse) -> list:
-        return _extra(cfg, "points", [], lambda v: [parse(p) for p in v])
+    def parsed(parse) -> list:
+        try:
+            return [parse(p) for p in points]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad 'points': {exc}") from exc
 
     rows = []
     from . import krein
     if what == "herglotz":
-        for z in points(lambda p: complex(*p) if isinstance(p, list) else complex(p)):
+        for z in parsed(lambda p: complex(*p) if isinstance(p, list) else complex(p)):
             h = krein.herglotz_eval(rep, z)
             rows.append({"re_z": z.real, "im_z": z.imag, "re_H": h.real, "im_H": h.imag})
     elif what == "boundary":
-        for x in points(float):
+        for x in parsed(float):
             h = krein.boundary_value(rep, x)
             rows.append({"x": x, "re_H": h.real, "im_H": h.imag,
                          "abs_H": abs(h)})
     elif what == "hilbert":
-        for x in points(float):
-            rows.append({"x": x, "T_xi": krein.hilbert_transform(xi, x)})
+        for x in parsed(float):
+            rows.append({"x": x, "T_xi": krein.hilbert_transform(step, x)})
     elif what == "xi":
-        for x in points(float):
-            rows.append({"x": x, "xi": xi.value_at(x)})
+        for x in parsed(float):
+            rows.append({"x": x, "xi": step.value_at(x)})
     elif what == "measure":
         rho = stieltjes_invert(rep)
         rows.append({"total_mass": total_mass(rho),
@@ -452,20 +393,72 @@ def run_eval(cfg: ExperimentConfig) -> dict:
                      "atoms": json.dumps([list(t) for t in rho.atoms])})
     else:
         raise ConfigError(f"unknown eval kind {what!r}")
-    return _report(cfg, rows, [], {})
+    return _report(rows, [], {})
+
+
+def _checked(test, message: str):
+    def parse(v):
+        if not test(v):
+            raise ValueError(message)
+        return v
+    return parse
+
+
+def _pairs(v) -> tuple:
+    return tuple((float(c), float(d)) for c, d in v)
+
+
+_COUNT = _checked(lambda v: type(v) is int and v > 0, "must be a positive integer")
+# the parser of a runner parameter, by name; one not named here is passed
+# as read and checked by the runner.  The type tests refuse bools, and
+# `v > 0` refuses NaN.
+_PARSE = {
+    "seed": _checked(lambda v: type(v) is int, "must be an integer"),
+    "samples": _COUNT, "n_coeffs": _COUNT, "window": _COUNT, "horizon": _COUNT,
+    "cluster_threshold": _checked(lambda v: type(v) in (int, float) and v > 0,
+                                  "must be positive"),
+    "k_intervals": _pairs, "atoms": _pairs, "sets": lambda v: tuple(map(_pairs, v)),
+    "xi_widths": lambda v: tuple(map(float, v)),
+    "f_masses": lambda v: tuple(map(float, v)),
+    "semicircle_scale": float,
+}
+
+
+def _resolve_config(runner, path: str | None, **overrides) -> dict:
+    """The keyword arguments of `runner`, defaults included, from the JSON
+    object at `path` (if any) and the `overrides` that are not None.  A key
+    that `runner` does not declare, or a value of the wrong shape, is a
+    ConfigError."""
+    data = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("a config must be a JSON object")
+    data.update({k: v for k, v in overrides.items() if v is not None})
+    signature = inspect.signature(runner)
+    unknown = [k for k in data if k not in signature.parameters]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))}; "
+                          f"this run takes {', '.join(signature.parameters)}")
+    params = {}
+    for key, value in data.items():
+        try:
+            params[key] = _PARSE.get(key, lambda v: v)(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key!r}: {exc}") from exc
+    return {key: params.get(key, p.default) for key, p in signature.parameters.items()}
 
 
 # ---------------------------------------------------------------------------
 # report assembly and output
 # ---------------------------------------------------------------------------
 
-def _report(cfg: ExperimentConfig, rows: list, assertions: list,
-            plots: dict, meta: dict | None = None) -> dict:
-    echo = asdict(cfg)
-    echo.pop("out_dir", None)  # identical config+seed => identical bytes wherever they land
+def _report(rows: list, assertions: list, plots: dict, meta: dict | None = None) -> dict:
     return {
-        "experiment": cfg.name,
-        "config": echo,
         "meta": meta or {},
         "rows": rows,
         "assertions": assertions,

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from reflectionless import ConfigError, JacobiCoefficients, NumericError, Tail, cli
-from reflectionless.experiments import (ExperimentConfig,
-                                        approximate_omega_limit,
+from reflectionless import experiments
+from reflectionless.experiments import (approximate_omega_limit,
                                         run_extremal_table,
                                         run_forward_asymptotics,
                                         run_lower_bound_suite,
@@ -45,39 +46,31 @@ def omega_limit_by_loop(j, horizon, window, threshold):
     return clusters
 
 
-def small_cfg(name, **kw):
-    base = dict(seed=7, samples=8, n_coeffs=12, out_dir="unused")
-    base.update(kw)
-    return ExperimentConfig(name=name, **base)
-
-
 class TestRunners:
     def test_lower_bound_suite_passes_and_reports(self):
-        rep = run_lower_bound_suite(small_cfg("thm11"))
+        rep = run_lower_bound_suite(samples=8)
         assert rep["passed"]
         assert len(rep["rows"]) == 8
         assert rep["rows"][0]["deviation"] < 1e-7  # the designated free sample
 
     def test_lower_bound_affine_interval(self):
-        rep = run_lower_bound_suite(small_cfg("thm11", k_intervals=[[2.0, 6.0]]))
+        rep = run_lower_bound_suite(k_intervals=[[2.0, 6.0]], samples=8)
         assert rep["passed"]
         assert rep["meta"]["A"] == 1.0 and rep["meta"]["B"] == 4.0
 
     def test_lower_bound_requires_single_interval(self):
         with pytest.raises(ConfigError):
-            run_lower_bound_suite(small_cfg(
-                "thm11", k_intervals=[[-2.0, 0.0], [1.0, 2.0]]))
+            run_lower_bound_suite(k_intervals=[[-2.0, 0.0], [1.0, 2.0]], samples=8)
 
     def test_perturbation_sweep_passes(self):
-        rep = run_perturbation_sweep(small_cfg("oracle"))
+        rep = run_perturbation_sweep(n_coeffs=12)
         assert rep["passed"]
         fams = {r["family"] for r in rep["rows"]}
         assert fams == {"xi-mass", "f-atom"}
 
     def test_perturbation_sweep_detects_broken_ordering(self):
         # reversed family: the strict-decrease assertion must fail
-        cfg = small_cfg("oracle", extra={"xi_widths": [0.004, 0.04, 0.4]})
-        rep = run_perturbation_sweep(cfg)
+        rep = run_perturbation_sweep(xi_widths=[0.004, 0.04, 0.4], n_coeffs=12)
         assert not rep["passed"]
 
     @pytest.mark.parametrize("key, size, bound", [("xi_widths", 3.0, "2.0"),
@@ -85,19 +78,17 @@ class TestRunners:
     def test_perturbation_sweep_refuses_sizes_past_the_domain(self, key, size, bound):
         # on R = 4 the xi piece is (2, 2 + w) and the f-atom piece (3, 3 + m / sqrt(5))
         with pytest.raises(ConfigError, match=rf"{key} must be at most {bound}"):
-            run_perturbation_sweep(small_cfg("oracle", extra={key: [size]}))
-        rep = run_perturbation_sweep(small_cfg("oracle", extra={key: [float(bound)]}))
+            run_perturbation_sweep(n_coeffs=12, **{key: [size]})
+        rep = run_perturbation_sweep(n_coeffs=12, **{key: [float(bound)]})
         assert len(rep["rows"]) == 6   # one size and the free input, beside the default family
 
     def test_forward_asymptotics_passes(self):
-        rep = run_forward_asymptotics(small_cfg("dr", n_coeffs=30))
+        rep = run_forward_asymptotics(n_coeffs=30)
         assert rep["passed"]
         assert len(rep["rows"]) == 31
 
     def test_forward_asymptotics_scaled_semicircle(self):
-        cfg = small_cfg("dr", n_coeffs=30,
-                        extra={"atoms": [], "semicircle_scale": 1.44})
-        rep = run_forward_asymptotics(cfg)
+        rep = run_forward_asymptotics(atoms=[], semicircle_scale=1.44, n_coeffs=30)
         assert rep["passed"]
         assert rep["meta"]["a0"] == pytest.approx(1.2, rel=1e-10)
         deep = [r for r in rep["rows"] if r["n"] >= 1]
@@ -105,12 +96,11 @@ class TestRunners:
 
     def test_forward_asymptotics_rejects_atoms_on_band(self):
         with pytest.raises(ConfigError):
-            run_forward_asymptotics(small_cfg("dr", extra={"atoms": [[1.0, 0.1]]}))
+            run_forward_asymptotics(atoms=[[1.0, 0.1]])
 
     def test_extremal_table_includes_closed_forms(self):
-        cfg = small_cfg("aktable", extra={"sets": [[[-2.0, 2.0]], [[0.0, 4.0]],
-                                                   [[-2.0, -0.5], [0.5, 2.0]]]})
-        rep = run_extremal_table(cfg)
+        rep = run_extremal_table(sets=[[[-2.0, 2.0]], [[0.0, 4.0]],
+                                       [[-2.0, -0.5], [0.5, 2.0]]])
         assert rep["passed"]
         assert rep["rows"][0]["A"] == pytest.approx(1.0, abs=1e-8)
         assert rep["rows"][1]["A"] == pytest.approx(1.0, abs=1e-8)
@@ -124,9 +114,8 @@ class TestRunners:
         # bands 1e-2 wide and 23 apart, where s_0/(2f) is 1.8e6: the gradient
         # residual stops at 4e-10, above KKT_TOL but within the solver's
         # tolerance, KKT_TOL plus the residual's rounding bound
-        cfg = small_cfg("aktable", extra={"sets": [
-            [[0.0, 0.013333428764625703], [23.39727979849806, 23.408466016736373]]]})
-        rep = run_extremal_table(cfg)
+        rep = run_extremal_table(sets=[
+            [[0.0, 0.013333428764625703], [23.39727979849806, 23.408466016736373]]])
         assert rep["passed"]
         row = rep["rows"][0]
         assert row["kkt_residual"] <= row["refinement_tolerance"]
@@ -163,7 +152,7 @@ class TestOmegaLimit:
         full = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0])
         # horizon 41 restricts the default operator to an odd-length window
         for horizon, window in ((12, 4), (41, 5)):
-            rep = run_shift_clusters(small_cfg("omega", horizon=horizon, window=window))
+            rep = run_shift_clusters(horizon=horizon, window=window)
             assert rep["passed"]
             assert sum(r["size"] for r in rep["rows"]) == horizon + 1
             for cl in rep["meta"]["clusters"]:
@@ -211,28 +200,27 @@ class TestOmegaLimit:
 
 class TestReportsAndCli:
     def test_reports_are_deterministic(self):
-        r1 = run_lower_bound_suite(small_cfg("thm11"))
-        r2 = run_lower_bound_suite(small_cfg("thm11", out_dir="elsewhere"))
+        r1 = run_lower_bound_suite(samples=8)
+        r2 = run_lower_bound_suite(samples=8)
         assert json.dumps(r1, sort_keys=True, default=float) == \
             json.dumps(r2, sort_keys=True, default=float)
 
     def test_write_report_layout(self, tmp_path):
-        rep = run_forward_asymptotics(small_cfg("dr", n_coeffs=30))
+        rep = run_forward_asymptotics(n_coeffs=30)
         paths = write_report(rep, str(tmp_path))
         names = {p.split("/")[-1] for p in paths}
         assert {"report.json", "rows.csv", "plot_a_n.csv", "plot_b_n.csv"} <= names
         header = (tmp_path / "plot_a_n.csv").read_text().splitlines()[0]
         assert header == "x,y"
 
-    @pytest.mark.parametrize("runner, cfg", [
-        (run_lower_bound_suite, small_cfg("thm11")),
-        (run_perturbation_sweep, small_cfg("oracle")),
-        (run_forward_asymptotics, small_cfg("dr", n_coeffs=30)),
-        (run_extremal_table, small_cfg("aktable", extra={"sets": [
-            [[-2.0, 2.0]], [[-2.0, -0.5], [0.5, 2.0]]]})),
-        (run_shift_clusters, small_cfg("omega", horizon=10, window=3)),
+    @pytest.mark.parametrize("runner, kwargs", [
+        (run_lower_bound_suite, {"samples": 8}),
+        (run_perturbation_sweep, {"n_coeffs": 12}),
+        (run_forward_asymptotics, {"n_coeffs": 30}),
+        (run_extremal_table, {"sets": [[[-2.0, 2.0]], [[-2.0, -0.5], [0.5, 2.0]]]}),
+        (run_shift_clusters, {"horizon": 10, "window": 3}),
     ], ids=["thm11", "oracle", "dr", "aktable", "omega"])
-    def test_rows_csv_equals_the_report_rows(self, tmp_path, runner, cfg):
+    def test_rows_csv_equals_the_report_rows(self, tmp_path, runner, kwargs):
         # floats are written in repr form, so the values, and their types,
         # come back exactly; the JSON text of a set or window comes back quoted
         def parse(cell):
@@ -246,7 +234,7 @@ class TestReportsAndCli:
         def typed(rows):
             return [{k: (type(v), v) for k, v in row.items()} for row in rows]
 
-        write_report(runner(cfg), str(tmp_path))
+        write_report(runner(**kwargs), str(tmp_path))
         with open(tmp_path / "rows.csv", newline="", encoding="utf-8") as fh:
             parsed = [{k: parse(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         rows = json.loads((tmp_path / "report.json").read_text())["rows"]
@@ -283,15 +271,14 @@ class TestReportsAndCli:
 
     def test_cli_assertion_failure_exit_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"extra": {"xi_widths": [0.004, 0.04, 0.4]},
-                                   "n_coeffs": 12}))
+        cfg.write_text(json.dumps({"xi_widths": [0.004, 0.04, 0.4], "n_coeffs": 12}))
         proc = self._cli("oracle", "--config", str(cfg),
                          "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
-        assert "seed" in proc.stderr
+        assert "xi_widths" in proc.stderr
 
     def test_cli_numeric_failure_exit_three(self, monkeypatch, capsys):
-        def failing(cfg):
+        def failing():
             raise NumericError("quadrature budget exceeded")
 
         monkeypatch.setitem(cli._RUNNERS, "dr", failing)
@@ -300,7 +287,7 @@ class TestReportsAndCli:
 
     def test_cli_unclassified_error_exit_three_with_traceback(self, monkeypatch, capsys):
         # the catch-all is the last resort for an error no other branch names
-        def failing(cfg):
+        def failing():
             raise RuntimeError("unclassified")
 
         monkeypatch.setitem(cli._RUNNERS, "dr", failing)
@@ -320,7 +307,7 @@ class TestReportsAndCli:
     def test_cli_aktable_beyond_four_gaps(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         bands = [[float(i), i + 0.4] for i in range(6)]
-        cfg.write_text(json.dumps({"extra": {"sets": [bands]}}))
+        cfg.write_text(json.dumps({"sets": [bands]}))
         proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
@@ -361,7 +348,7 @@ class TestReportsAndCli:
             bands = [half for c, d in bands
                      for half in ([c, c + 0.4 * (d - c)], [d - 0.4 * (d - c), d])]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"extra": {"sets": [bands]}}))
+        cfg.write_text(json.dumps({"sets": [bands]}))
         proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
@@ -372,10 +359,9 @@ class TestReportsAndCli:
     def test_cli_eval_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "extra": {"what": "herglotz",
-                      "xi": {"R": 2.0, "breakpoints": [-2.0, 2.0],
-                             "values": [0.5]},
-                      "points": [[0.0, 2.0], [3.0, 0.5]]}}))
+            "what": "herglotz",
+            "xi": {"R": 2.0, "breakpoints": [-2.0, 2.0], "values": [0.5]},
+            "points": [[0.0, 2.0], [3.0, 0.5]]}))
         proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
@@ -389,8 +375,7 @@ class TestReportsAndCli:
                                   ("boundary", [0.5], "abs_H"),
                                   ("measure", [], "total_mass")):
             cfg = tmp_path / f"{what}.json"
-            cfg.write_text(json.dumps({"extra": {"what": what, "xi": xi,
-                                                 "points": points}}))
+            cfg.write_text(json.dumps({"what": what, "xi": xi, "points": points}))
             proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / what))
             assert proc.returncode == 0, proc.stderr
             rows = json.loads((tmp_path / what / "report.json").read_text())["rows"]
@@ -401,8 +386,8 @@ class TestReportsAndCli:
         # edge; its xi value is read by index, so the valid config runs
         lo, hi = -1.0, math.nextafter(-1.0, 0.0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"extra": {"what": "measure", "xi": {
-            "R": 2.0, "breakpoints": [-2.0, lo, hi, 2.0], "values": [1.0, 0.5, 0.0]}}}))
+        cfg.write_text(json.dumps({"what": "measure", "xi": {
+            "R": 2.0, "breakpoints": [-2.0, lo, hi, 2.0], "values": [1.0, 0.5, 0.0]}}))
         proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
@@ -410,13 +395,12 @@ class TestReportsAndCli:
         assert row["total_mass"] == pytest.approx((hi - lo) ** 2 / 8.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("command, config", [
-        ("eval", {"extra": {"what": "hilbert", "points": [0.5],
-                            "xi": {"R": 2.0, "breakpoints": [-2.0, 0.0, 2.0],
-                                   "values": [0.5, float("nan")]}}}),
+        ("eval", {"what": "hilbert", "points": [0.5],
+                  "xi": {"R": 2.0, "breakpoints": [-2.0, 0.0, 2.0],
+                         "values": [0.5, float("nan")]}}),
         ("omega", {"horizon": 1, "window": 1,
-                   "extra": {"operator": {"n_lo": 0, "n_hi": 1, "a": [1.0, 1.0],
-                                          "b": [0.0, float("nan")],
-                                          "tail": {"kind": "free"}}}}),
+                   "operator": {"n_lo": 0, "n_hi": 1, "a": [1.0, 1.0],
+                                "b": [0.0, float("nan")], "tail": {"kind": "free"}}}),
     ], ids=["eval-nan-value", "omega-nan-coefficient"])
     def test_cli_non_finite_input_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
@@ -430,14 +414,96 @@ class TestReportsAndCli:
                                               ("herglotz", [[float("nan"), 1.0]])])
     def test_cli_eval_non_finite_point_exit_two(self, tmp_path, what, points):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"extra": {"what": what, "points": points, "xi": {
-            "R": 2.0, "breakpoints": [-2.0, 0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.0]}}}))
+        cfg.write_text(json.dumps({"what": what, "points": points, "xi": {
+            "R": 2.0, "breakpoints": [-2.0, 0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.0]}}))
         proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_config_unknown_keys_go_to_extra(self, tmp_path):
+
+DEFAULT_RUNS = ["thm11", "oracle", "dr", "aktable", "omega"]
+
+
+class TestConfigContract:
+    def _run(self, tmp_path, command, config, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"atoms": [[2.5, 0.1]], "n_coeffs": 30, "eta": 1e-6}))
-        parsed = ExperimentConfig.from_json("dr", str(cfg))
-        assert parsed.extra == {"atoms": [[2.5, 0.1]], "eta": 1e-6}
+        cfg.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, "thm11", {"sampels": 3}, capsys)
+        assert code == 2
+        assert "unknown key 'sampels'; this run takes k_intervals, seed, samples, " \
+            "n_coeffs, window" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("aktable", {"extra": {"sets": [[[-2.0, 2.0]]]}}),
+        ("dr", {"fmt": "json"}),
+        ("dr", {"out_dir": "x"}),
+        ("thm11", {"name": "thm11"}),
+        ("oracle", {"seed": 7}),
+    ], ids=["extra-nest", "fmt", "out_dir", "name", "undeclared-seed"])
+    def test_keys_the_runner_does_not_declare_exit_two(self, tmp_path, capsys, command, config):
+        code, err = self._run(tmp_path, command, config, capsys)
+        assert code == 2
+        assert f"unknown key {next(iter(config))!r}" in err
+
+    def test_seed_flag_only_where_a_seed_is_declared(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--seed", "3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        with_seed = []
+        for name, runner in cli._RUNNERS.items():
+            try:
+                cli.build_parser().parse_args([name, "--seed", "3"])
+                with_seed.append(name)
+            except SystemExit:
+                assert "seed" not in inspect.signature(runner).parameters
+        assert with_seed == ["thm11"]
+
+    @pytest.mark.parametrize("command, config, least", [
+        ("oracle", {"n_coeffs": 11}, 12), ("dr", {"n_coeffs": 29}, 30),
+        ("thm11", {"n_coeffs": 4}, 5), ("thm11", {"n_coeffs": 6, "window": 7}, 7)])
+    def test_depth_below_what_the_checks_read_exits_two(self, tmp_path, capsys,
+                                                         command, config, least):
+        code, err = self._run(tmp_path, command, config, capsys)
+        assert code == 2
+        assert f"n_coeffs must be at least {least}" in err
+
+    def test_empty_set_list_is_refused(self):
+        with pytest.raises(ConfigError, match="one or more sets"):
+            run_extremal_table(sets=[])
+
+    def test_thm11_reconstructs_at_the_depth_set(self, tmp_path, capsys, monkeypatch):
+        depths = []
+
+        def recording(nu, n):
+            depths.append(n)
+            return reconstruct(nu, n)
+
+        reconstruct = experiments.reconstruct_coefficients
+        monkeypatch.setattr(experiments, "reconstruct_coefficients", recording)
+        code, _ = self._run(tmp_path, "thm11", {"n_coeffs": 8, "samples": 4}, capsys)
+        assert code == 0
+        assert depths == [8] * 4
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["n_coeffs"] == 8 and len(report["rows"]) == 4
+
+    @pytest.mark.parametrize("command", DEFAULT_RUNS)
+    def test_echoed_config_is_what_ran(self, tmp_path, capsys, command):
+        # the default run echoes every declared parameter; the echo fed
+        # back as a config gives the same files, byte for byte
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main([command, "--out", str(first)]) == 0
+        config = json.loads((first / "report.json").read_text())["config"]
+        assert list(config) == sorted(inspect.signature(cli._RUNNERS[command]).parameters)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg), "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -511,10 +511,8 @@ class TestReports:
 
     def test_coefficients_csv(self, tmp_path):
         # the n,a,b CSV of a reconstructed window is dr's rows.csv
-        from reflectionless.experiments import (ExperimentConfig, run_forward_asymptotics,
-                                                write_report)
-        cfg = ExperimentConfig(name="dr", seed=7, n_coeffs=30, out_dir=str(tmp_path))
-        write_report(run_forward_asymptotics(cfg), str(tmp_path))
+        from reflectionless.experiments import run_forward_asymptotics, write_report
+        write_report(run_forward_asymptotics(n_coeffs=30), str(tmp_path))
         nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-2.0, 2.0, 0.5),),
                              ((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)))
         rec = reconstruct_coefficients(nu, 30)

@@ -101,10 +101,10 @@ def test_cli_runs_without_scipy(command, tmp_path):
     args = [command, "--out", str(tmp_path / "out")]
     if command == "eval":
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"extra": {
+        cfg.write_text(json.dumps({
             "what": "measure",
             "xi": {"R": 3.0, "breakpoints": [-3.0, -2.0, 0.5, 0.8, 2.0, 3.0],
-                   "values": [1.0, 0.5, 0.0, 1.0, 0.5]}}}))
+                   "values": [1.0, 0.5, 0.0, 1.0, 0.5]}}))
         args += ["--config", str(cfg)]
     code = ("import sys; sys.modules['scipy'] = None; "
             "from reflectionless.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -145,7 +145,7 @@ def omega_operator(**changes):
     ("thm11", {"samples": 2.5}),
     ("thm11", {"seed": "abc"}),
     ("thm11", {"extra": [1, 2]}),
-    # runner extras of the wrong shape, each read where its runner uses it
+    # runner parameters of the wrong shape, each read where its runner uses it
     ("oracle", {"xi_widths": "abc"}),
     ("oracle", {"f_masses": [0.3, "x"]}),
     ("oracle", {"f_masses": [-1.0]}),
