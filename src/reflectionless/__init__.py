@@ -9,7 +9,7 @@ extremal constant of a finite-gap compact set.
 from .errors import ConfigError, NumericError
 from .sets import CompactSet
 from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
-                    boundary_value, abs_boundary, hilbert_transform)
+                    abs_boundary, hilbert_transform)
 from .operators import (Tail, JacobiCoefficients, green_diag,
                         reflectionless_residual)
 from .gapflow import (GapJumps, canonical_krein_from_jumps, flow_to_canonical,
@@ -29,7 +29,7 @@ __all__ = [
     "ConfigError", "NumericError",
     "CompactSet",
     "StepFunction", "HerglotzRep", "free_krein",
-    "herglotz_eval", "boundary_value", "abs_boundary", "hilbert_transform",
+    "herglotz_eval", "abs_boundary", "hilbert_transform",
     "Tail", "JacobiCoefficients", "green_diag", "reflectionless_residual",
     "GapJumps", "canonical_krein_from_jumps", "flow_to_canonical",
     "gap_jump_masses",

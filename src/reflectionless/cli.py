@@ -1,13 +1,12 @@
 """Command-line surface: batch experiment runners with static outputs.
 
 Subcommands: thm11 (lower-bound suite on an interval), oracle (perturbation
-sweep), dr (forward asymptotics), aktable (extremal constants), omega
-(shift-window clustering), eval (ad-hoc evaluation).  A JSON config may
-set the keyword parameters of the subcommand's runner and nothing else; a
-`--seed` flag exists where the runner declares a seed.  Exit codes: 0 pass,
-1 assertion failure, 2 config or input error (any ValueError, an unknown
-config key, or an output directory that cannot be written), 3 numeric
-failure.
+sweep), dr (forward asymptotics), aktable (extremal constants) and omega
+(shift-window clustering).  A JSON config may set the keyword parameters of
+the subcommand's runner and nothing else; a `--seed` flag exists where the
+runner declares a seed.  Exit codes: 0 pass, 1 assertion failure, 2 config
+or input error (any ValueError, an unknown config key, or an output
+directory that cannot be written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import sys
 import traceback
 
 from .errors import ConfigError, NumericError
-from .experiments import (_resolve_config, run_extremal_table, run_eval,
+from .experiments import (_resolve_config, run_extremal_table,
                           run_forward_asymptotics, run_lower_bound_suite,
                           run_perturbation_sweep, run_shift_clusters,
                           write_report)
@@ -30,7 +29,6 @@ _RUNNERS = {
     "dr": run_forward_asymptotics,
     "aktable": run_extremal_table,
     "omega": run_shift_clusters,
-    "eval": run_eval,
 }
 
 _HELP = {
@@ -39,7 +37,6 @@ _HELP = {
     "dr": "semicircle plus off-band atoms; checks the coefficient tail trend",
     "aktable": "extremal constants vs |K|/4",
     "omega": "greedy clustering of shifted coefficient windows",
-    "eval": "ad-hoc evaluation of H / boundary values / Hilbert transform",
 }
 
 
@@ -48,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reflectionless",
         description="batch experiments for reflectionless Jacobi spectral theory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _HELP.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, runner in _RUNNERS.items():
+        p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", default=None, help="JSON config file")
-        if "seed" in inspect.signature(_RUNNERS[name]).parameters:
+        if "seed" in inspect.signature(runner).parameters:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
     return parser

@@ -29,7 +29,7 @@ from .inverse import (coefficient_deviation, reconstruct_coefficients,
                       reconstruction_report)
 from .krein import HerglotzRep, StepFunction, free_krein
 from .measures import FSelector, SpectralMeasure, AcPiece, half_line_measure, \
-    stieltjes_invert, total_mass
+    stieltjes_invert
 from .operators import JacobiCoefficients
 from .sets import CompactSet
 
@@ -42,7 +42,6 @@ __all__ = [
     "run_forward_asymptotics",
     "run_extremal_table",
     "run_shift_clusters",
-    "run_eval",
     "write_report",
 ]
 
@@ -199,11 +198,11 @@ def run_lower_bound_suite(k_intervals=((-2.0, 2.0),), seed=7, samples=100,
     return _report(rows, assertions, plots, meta={"A": a_const, "B": b_const})
 
 
-def _xi_mass_input(width: float) -> SpectralMeasure:
+def _xi_mass_input(width: float) -> tuple[SpectralMeasure, FSelector]:
     xi = free_krein(4.0)
     if width > 0:
         xi = xi.with_value(2.0, 2.0 + width, 0.5)
-    return stieltjes_invert(HerglotzRep(xi))
+    return stieltjes_invert(HerglotzRep(xi)), FSelector()
 
 
 def _f_atom_input(mass: float) -> tuple[SpectralMeasure, FSelector]:
@@ -232,8 +231,7 @@ def run_perturbation_sweep(xi_widths=(0.4, 0.04, 0.004), f_masses=(0.3, 0.03, 0.
     def measure_family(label, eps_list, builder):
         out = []
         for eps in (*eps_list, 0.0):
-            nu_f = builder(eps)
-            rho, f = nu_f if isinstance(nu_f, tuple) else (nu_f, FSelector())
+            rho, f = builder(eps)
             nu = half_line_measure(rho, k_set, f)
             rec = reconstruct_coefficients(nu, n_coeffs)
             row = {"family": label, "epsilon": eps, "a0": rec.a(0)}
@@ -352,50 +350,6 @@ def run_shift_clusters(operator=None, horizon=40, window=5,
                          "clusters": clusters})
 
 
-def run_eval(xi=None, what="herglotz", points=()) -> dict:
-    """Ad-hoc evaluation of H, xi, T xi, or measure data: `xi` is a step
-    function in its dict form, `what` the kind, `points` where to evaluate."""
-    if xi is None:
-        raise ConfigError("eval needs an 'xi' step function in the config")
-    try:
-        step = StepFunction.from_dict(xi)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad xi: {exc}") from exc
-    rep = HerglotzRep(step)
-
-    def parsed(parse) -> list:
-        try:
-            return [parse(p) for p in points]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad 'points': {exc}") from exc
-
-    rows = []
-    from . import krein
-    if what == "herglotz":
-        for z in parsed(lambda p: complex(*p) if isinstance(p, list) else complex(p)):
-            h = krein.herglotz_eval(rep, z)
-            rows.append({"re_z": z.real, "im_z": z.imag, "re_H": h.real, "im_H": h.imag})
-    elif what == "boundary":
-        for x in parsed(float):
-            h = krein.boundary_value(rep, x)
-            rows.append({"x": x, "re_H": h.real, "im_H": h.imag,
-                         "abs_H": abs(h)})
-    elif what == "hilbert":
-        for x in parsed(float):
-            rows.append({"x": x, "T_xi": krein.hilbert_transform(step, x)})
-    elif what == "xi":
-        for x in parsed(float):
-            rows.append({"x": x, "xi": step.value_at(x)})
-    elif what == "measure":
-        rho = stieltjes_invert(rep)
-        rows.append({"total_mass": total_mass(rho),
-                     "n_ac_pieces": len(rho.ac_pieces),
-                     "atoms": json.dumps([list(t) for t in rho.atoms])})
-    else:
-        raise ConfigError(f"unknown eval kind {what!r}")
-    return _report(rows, [], {})
-
-
 def _checked(test, message: str):
     def parse(v):
         if not test(v):
@@ -418,8 +372,7 @@ _PARSE = {
     "cluster_threshold": _checked(lambda v: type(v) in (int, float) and v > 0,
                                   "must be positive"),
     "k_intervals": _pairs, "atoms": _pairs, "sets": lambda v: tuple(map(_pairs, v)),
-    "xi_widths": lambda v: tuple(map(float, v)),
-    "f_masses": lambda v: tuple(map(float, v)),
+    **dict.fromkeys(("xi_widths", "f_masses"), lambda v: tuple(map(float, v))),
     "semicircle_scale": float,
 }
 

@@ -6,12 +6,12 @@ A step function xi on [-R, R] with values in [0, 1] determines
     H(z) = (z + R) * exp( integral_{-R}^{R} xi(t) / (t - z) dt ),
 
 which maps the upper half plane to itself.  Because xi is piecewise
-constant the integral is a finite sum of logarithms, so H, its boundary
-values H(x + i0) = |H(x)| e^{i pi xi(x)} and the log-modulus
+constant the integral is a finite sum of logarithms, so H and the modulus
+of its boundary values H(x + i0) = |H(x)| e^{i pi xi(x)},
 
     |H(x)| = (x + R) e^{(T xi)(x)},   (T xi)(x) = p.v. integral xi(t)/(t-x) dt,
 
-are all evaluated in closed form; no quadrature enters this module.
+are evaluated in closed form; no quadrature enters this module.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "HerglotzRep",
     "free_krein",
     "herglotz_eval",
-    "boundary_value",
     "abs_boundary",
     "log_abs_on_arc",
     "hilbert_transform",
@@ -190,10 +189,6 @@ class StepFunction:
         return {"R": self.bound, "breakpoints": list(self.breakpoints),
                 "values": list(self.values)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepFunction":
-        return cls(float(data["R"]), tuple(data["breakpoints"]), tuple(data["values"]))
-
 
 @dataclass(frozen=True, slots=True)
 class HerglotzRep:
@@ -231,7 +226,7 @@ def herglotz_eval(rep: HerglotzRep, z):
         raise ValueError("herglotz_eval needs finite points z")
     on_cut = (zc.imag == 0.0) & (np.abs(zc.real) <= xi.bound)
     if np.any(on_cut):
-        raise ValueError("z on [-R, R]; use boundary_value for boundary limits")
+        raise ValueError("z on [-R, R]; abs_boundary gives the boundary modulus")
     c = xi.log_coefficients
     s = np.zeros_like(zc)
     for ck, xk in zip(c, xi.breakpoints):
@@ -315,9 +310,3 @@ def _arc_log_abs(columns: np.ndarray, lo, hi, width, t, edge_factors):
     terms *= dk
     return terms.sum(axis=0) if t.size > 1 else sum(terms)
 
-
-def boundary_value(rep: HerglotzRep, x: float) -> complex:
-    """H(x + i0) = |H(x)| e^{i pi xi(x)} for x strictly inside a piece."""
-    v = rep.xi.value_at(x)  # raises at breakpoints / outside
-    mod = float(abs_boundary(rep, x))
-    return mod * complex(math.cos(math.pi * v), math.sin(math.pi * v))

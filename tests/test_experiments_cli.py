@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -251,6 +252,12 @@ class TestReportsAndCli:
                                "-m", "reflectionless", *args],
                               capture_output=True, text=True)
 
+    def test_cli_eval_is_no_subcommand(self, tmp_path):
+        proc = self._cli("eval", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "invalid choice: 'eval'" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_cli_pass_exit_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"samples": 5, "n_coeffs": 8}))
@@ -356,52 +363,11 @@ class TestReportsAndCli:
         assert row["A"] == pytest.approx(sum(d - c for c, d in bands) / 4.0, rel=1e-12, abs=0)
         assert row["kkt_residual"] <= row["refinement_tolerance"]
 
-    def test_cli_eval_subcommand(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "what": "herglotz",
-            "xi": {"R": 2.0, "breakpoints": [-2.0, 2.0], "values": [0.5]},
-            "points": [[0.0, 2.0], [3.0, 0.5]]}))
-        proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
-        assert proc.returncode == 0, proc.stderr
-        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
-        assert rows[0]["im_H"] == pytest.approx(2.0 * 2.0**0.5, abs=1e-12)
-
-    def test_cli_eval_other_kinds(self, tmp_path):
-        xi = {"R": 2.0, "breakpoints": [-2.0, 0.0, 1.0, 2.0],
-              "values": [0.0, 1.0, 0.0]}
-        for what, points, key in (("hilbert", [0.5], "T_xi"),
-                                  ("xi", [0.5], "xi"),
-                                  ("boundary", [0.5], "abs_H"),
-                                  ("measure", [], "total_mass")):
-            cfg = tmp_path / f"{what}.json"
-            cfg.write_text(json.dumps({"what": what, "xi": xi, "points": points}))
-            proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / what))
-            assert proc.returncode == 0, proc.stderr
-            rows = json.loads((tmp_path / what / "report.json").read_text())["rows"]
-            assert key in rows[0]
-
-    def test_cli_eval_measure_with_a_one_ulp_piece(self, tmp_path):
-        # the ac piece (-1, nextafter(-1, 0)) has its midpoint on its left
-        # edge; its xi value is read by index, so the valid config runs
-        lo, hi = -1.0, math.nextafter(-1.0, 0.0)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"what": "measure", "xi": {
-            "R": 2.0, "breakpoints": [-2.0, lo, hi, 2.0], "values": [1.0, 0.5, 0.0]}}))
-        proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
-        assert proc.returncode == 0, proc.stderr
-        row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
-        assert row["n_ac_pieces"] == 1
-        assert row["total_mass"] == pytest.approx((hi - lo) ** 2 / 8.0, rel=1e-12, abs=0)
-
     @pytest.mark.parametrize("command, config", [
-        ("eval", {"what": "hilbert", "points": [0.5],
-                  "xi": {"R": 2.0, "breakpoints": [-2.0, 0.0, 2.0],
-                         "values": [0.5, float("nan")]}}),
         ("omega", {"horizon": 1, "window": 1,
                    "operator": {"n_lo": 0, "n_hi": 1, "a": [1.0, 1.0],
                                 "b": [0.0, float("nan")], "tail": {"kind": "free"}}}),
-    ], ids=["eval-nan-value", "omega-nan-coefficient"])
+    ], ids=["omega-nan-coefficient"])
     def test_cli_non_finite_input_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -410,18 +376,8 @@ class TestReportsAndCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("what, points", [("hilbert", [float("nan"), 0.5]),
-                                              ("herglotz", [[float("nan"), 1.0]])])
-    def test_cli_eval_non_finite_point_exit_two(self, tmp_path, what, points):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"what": what, "points": points, "xi": {
-            "R": 2.0, "breakpoints": [-2.0, 0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.0]}}))
-        proc = self._cli("eval", "--config", str(cfg), "--out", str(tmp_path / "out"))
-        assert proc.returncode == 2, proc.stderr
-        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
-
-DEFAULT_RUNS = ["thm11", "oracle", "dr", "aktable", "omega"]
+DEFAULT_RUNS = list(cli._RUNNERS)
 
 
 class TestConfigContract:
@@ -463,6 +419,16 @@ class TestConfigContract:
             except SystemExit:
                 assert "seed" not in inspect.signature(runner).parameters
         assert with_seed == ["thm11"]
+
+    def test_parser_offers_exactly_the_runners(self, monkeypatch):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._RUNNERS) == \
+            ["thm11", "oracle", "dr", "aktable", "omega"]
+        # a runner added without its help text fails to build, not silently
+        monkeypatch.setitem(cli._RUNNERS, "unlisted", run_shift_clusters)
+        with pytest.raises(KeyError, match="unlisted"):
+            cli.build_parser()
 
     @pytest.mark.parametrize("command, config, least", [
         ("oracle", {"n_coeffs": 11}, 12), ("dr", {"n_coeffs": 29}, 30),

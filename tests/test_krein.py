@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectionless import (HerglotzRep, StepFunction, abs_boundary,
-                            boundary_value, free_krein,
-                            herglotz_eval, hilbert_transform)
+                            free_krein, herglotz_eval, hilbert_transform)
 from reflectionless.krein import log_abs_on_arc
 
 from conftest import interior_points, per_piece_log_abs, random_step
@@ -149,9 +148,10 @@ class TestStepFunction:
                     sweep += v * (min(x1, hi) - max(x0, lo))
             assert s.integral(lo, hi) == sweep
 
-    def test_json_roundtrip(self):
-        s = free_krein(2.5)
-        assert StepFunction.from_dict(s.to_dict()) == s
+    def test_dict_form_is_the_documented_format(self):
+        # the form a failing thm11 sample prints its xi in (README, "File formats")
+        assert free_krein(2.0).to_dict() == \
+            {"R": 2.0, "breakpoints": [-2.0, 2.0], "values": [0.5]}
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -228,19 +228,6 @@ class TestHerglotzEval:
 
 
 class TestBoundaryValues:
-    def test_free_center(self):
-        assert boundary_value(free_rep(), 0.0) == pytest.approx(2j, abs=1e-12)
-
-    def test_free_inside_band(self):
-        assert boundary_value(free_rep(), 1.0) == pytest.approx(math.sqrt(3.0) * 1j, abs=1e-12)
-
-    def test_zero_piece_gives_positive_real(self):
-        assert boundary_value(free_rep(3.0), 2.5) == pytest.approx(1.5, abs=1e-12)
-
-    def test_breakpoint_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_value(free_rep(3.0), 2.0)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_modulus_identity_against_vertical_limit(self, seed):
@@ -257,25 +244,6 @@ class TestBoundaryValues:
         v3 = np.abs(herglotz_eval(rep, xs + 0.25j * eta))
         extrap = (8.0 * v3 - 6.0 * v2 + v1) / 3.0
         assert np.max(np.abs(extrap - closed) / np.maximum(1.0, closed)) < 1e-6
-
-    def test_modulus_shares_the_log_formula(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            xi = random_step(rng, max_pieces=5)
-            rep = HerglotzRep(xi)
-            for x in interior_points(xi, rng, 10):
-                assert abs(boundary_value(rep, x)) == pytest.approx(
-                    float(abs_boundary(rep, x)), rel=1e-10)
-
-    def test_phase_matches_vertical_limit(self):
-        rng = np.random.default_rng(11)
-        xi = random_step(rng, max_pieces=4, min_width=0.3)
-        rep = HerglotzRep(xi)
-        for x in interior_points(xi, rng, 10):
-            bv = boundary_value(rep, x)
-            h1 = herglotz_eval(rep, x + 1e-5j)
-            h2 = herglotz_eval(rep, x + 5e-6j)
-            assert abs(2.0 * h2 - h1 - bv) < 1e-6 * max(1.0, abs(bv))
 
 
 class TestHilbertTransform:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import reflectionless
+from reflectionless.cli import _RUNNERS
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
@@ -94,18 +95,11 @@ def test_import_does_not_load_scipy_linalg(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["thm11", "oracle", "dr", "aktable", "omega", "eval"])
+@pytest.mark.parametrize("command", list(_RUNNERS))
 def test_cli_runs_without_scipy(command, tmp_path):
     # scipy is needed only by the tests; an import of it anywhere on an
     # experiment's path fails here
     args = [command, "--out", str(tmp_path / "out")]
-    if command == "eval":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "what": "measure",
-            "xi": {"R": 3.0, "breakpoints": [-3.0, -2.0, 0.5, 0.8, 2.0, 3.0],
-                   "values": [1.0, 0.5, 0.0, 1.0, 0.5]}}))
-        args += ["--config", str(cfg)]
     code = ("import sys; sys.modules['scipy'] = None; "
             "from reflectionless.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = run_python(["-c", code, *args], tmp_path)
@@ -114,7 +108,7 @@ def test_cli_runs_without_scipy(command, tmp_path):
 
 def test_default_runs_are_byte_identical_across_processes(tmp_path):
     # each subcommand twice, as fresh processes, into two output directories
-    for command in ("thm11", "oracle", "dr", "aktable", "omega"):
+    for command in _RUNNERS:
         first, second = (tmp_path / run / command for run in ("first", "second"))
         for out in (first, second):
             proc = run_python(["-m", "reflectionless", command, "--out", str(out)], tmp_path)
@@ -130,9 +124,6 @@ def test_default_runs_are_byte_identical_across_processes(tmp_path):
 def test_script_runs(script, tmp_path):
     proc = run_python([str(script)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-XI = {"R": 3.0, "breakpoints": [-3.0, -2.0, 2.0, 3.0], "values": [1.0, 0.5, 0.0]}
 
 
 def omega_operator(**changes):
@@ -151,7 +142,6 @@ def omega_operator(**changes):
     ("oracle", {"f_masses": [-1.0]}),
     ("oracle", {"xi_widths": [float("nan")]}),
     ("oracle", {"xi_widths": []}),
-    ("eval", {"xi": XI, "points": [{}]}),
     ("dr", {"atoms": [1, 2]}),
     ("aktable", {"sets": [1]}),
     ("omega", {"cluster_threshold": float("nan")}),
@@ -159,7 +149,7 @@ def omega_operator(**changes):
     ("omega", omega_operator(n_lo=0.7, n_hi=5.9)),
     ("omega", omega_operator(n_lo=False)),
 ], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
-        "negative-mass", "nan-width", "empty-widths", "dict-point", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
+        "negative-mass", "nan-width", "empty-widths", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
         "float-window-index", "bool-window-index"])
 def test_bad_config_value_exits_two(command, config, tmp_path):
     cfg = tmp_path / "cfg.json"
