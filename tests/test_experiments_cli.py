@@ -364,10 +364,15 @@ class TestReportsAndCli:
         assert row["kkt_residual"] <= row["refinement_tolerance"]
 
     @pytest.mark.parametrize("command, config", [
+        ("thm11", {"k_intervals": [[-2.0, float("nan")]]}),
+        ("oracle", {"f_masses": [float("nan")]}),
+        ("dr", {"atoms": [[float("nan"), 0.1]]}),
+        ("aktable", {"sets": [[[-2.0, float("nan")]]]}),
         ("omega", {"horizon": 1, "window": 1,
                    "operator": {"n_lo": 0, "n_hi": 1, "a": [1.0, 1.0],
                                 "b": [0.0, float("nan")], "tail": {"kind": "free"}}}),
-    ], ids=["omega-nan-coefficient"])
+    ], ids=["thm11-nan-edge", "oracle-nan-mass", "dr-nan-atom", "aktable-nan-edge",
+            "omega-nan-coefficient"])
     def test_cli_non_finite_input_exit_two(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -419,6 +424,10 @@ class TestConfigContract:
             except SystemExit:
                 assert "seed" not in inspect.signature(runner).parameters
         assert with_seed == ["thm11"]
+
+    def test_every_help_text_names_a_runner(self):
+        # build_parser reads _HELP only for the runners, so a stale entry would sit unseen
+        assert list(cli._HELP) == list(cli._RUNNERS)
 
     def test_parser_offers_exactly_the_runners(self, monkeypatch):
         sub = next(a for a in cli.build_parser()._actions

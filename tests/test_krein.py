@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -155,6 +156,14 @@ class TestStepFunction:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
+    def test_dict_form_rebuilds_the_step(self, seed):
+        # a printed xi is enough to rerun the failing sample by hand
+        s = random_step(np.random.default_rng(seed))
+        d = json.loads(json.dumps(s.to_dict()))
+        assert StepFunction(d["R"], tuple(d["breakpoints"]), tuple(d["values"])) == s
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
     def test_distances_vanish_only_on_equal(self, seed):
         rng = np.random.default_rng(seed)
         s = random_step(rng)
@@ -201,7 +210,7 @@ class TestHerglotzEval:
         assert np.max(np.abs(h - ref) / np.abs(ref)) < 1e-12
 
     def test_rejects_points_on_the_cut(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="abs_boundary"):
             herglotz_eval(free_rep(), 1.0)
 
     @pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(0.5, math.inf),
@@ -227,7 +236,51 @@ class TestHerglotzEval:
         assert ratios[-1] < 1e-5
 
 
+def vertical_limit(rep, x, eta=1e-5):
+    """H(x + i0) by Richardson extrapolation of H(x + i eta) and H(x + i eta/2)."""
+    return 2.0 * herglotz_eval(rep, x + 0.5j * eta) - herglotz_eval(rep, x + 1j * eta)
+
+
 class TestBoundaryValues:
+    # H(x + i0) = |H(x)| e^{i pi xi(x)} on (-R, R) off the jumps: the modulus
+    # is abs_boundary's, the phase is pi times the Krein function's value
+
+    def test_free_center(self):
+        assert abs_boundary(free_rep(), 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert vertical_limit(free_rep(), 0.0) == pytest.approx(2j, abs=1e-9)
+
+    def test_free_inside_band(self):
+        assert abs_boundary(free_rep(), 1.0) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert vertical_limit(free_rep(), 1.0) == pytest.approx(math.sqrt(3.0) * 1j, abs=1e-9)
+
+    def test_zero_piece_gives_positive_real(self):
+        assert abs_boundary(free_rep(3.0), 2.5) == pytest.approx(1.5, abs=1e-12)
+        assert vertical_limit(free_rep(3.0), 2.5) == pytest.approx(1.5, abs=1e-9)
+
+    def test_breakpoint_rejected(self):
+        with pytest.raises(ValueError, match="jump"):
+            abs_boundary(free_rep(3.0), 2.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.5, math.nan])])
+    def test_non_finite_points_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            abs_boundary(free_rep(), x)
+
+    def test_array_points_match_scalar_points(self):
+        rng = np.random.default_rng(19)
+        xi = random_step(rng, max_pieces=5)
+        rep = HerglotzRep(xi)
+        xs = interior_points(xi, rng, 12)
+        assert abs_boundary(rep, xs).tolist() == [float(abs_boundary(rep, x)) for x in xs]
+
+    def test_phase_matches_vertical_limit(self):
+        rng = np.random.default_rng(11)
+        xi = random_step(rng, max_pieces=4, min_width=0.3)
+        rep = HerglotzRep(xi)
+        for x in interior_points(xi, rng, 10):
+            bv = abs_boundary(rep, x) * np.exp(1j * math.pi * xi.value_at(x))
+            assert abs(vertical_limit(rep, x) - bv) < 1e-6 * max(1.0, abs(bv))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_modulus_identity_against_vertical_limit(self, seed):
