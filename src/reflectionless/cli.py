@@ -17,7 +17,7 @@ import json
 import sys
 import traceback
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .experiments import (_resolve_config, run_extremal_table,
                           run_forward_asymptotics, run_lower_bound_suite,
                           run_perturbation_sweep, run_shift_clusters,
@@ -60,10 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     runner = _RUNNERS[name]
     try:
         params = _resolve_config(runner, args.config, seed=getattr(args, "seed", None))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = {"experiment": name, "config": params, **runner(**params)}
     except ValueError as exc:
         # ConfigError and the library's own input checks (a request larger

@@ -15,7 +15,9 @@ sequentially in index order to keep reduction order fixed.
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -387,7 +389,7 @@ def _resolve_config(runner, path: str | None, **overrides) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("a config must be a JSON object")
@@ -423,17 +425,11 @@ def _report(rows: list, assertions: list, plots: dict, meta: dict | None = None)
 def _csv_text(rows: list[dict], cols=None) -> str:
     """A header line, then one line per row; the header of `cols` (default:
     the first row's keys) alone when there are no rows."""
-    cols = cols or (list(rows[0]) if rows else [])
-    lines = [",".join(cols)] + [",".join(_fmt(r.get(c)) for c in cols) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, str) and ("," in v or '"' in v):
-        return '"' + v.replace('"', '""') + '"'
-    return str(v)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, cols or (list(rows[0]) if rows else []), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_report(report: dict, out_dir: str) -> list[str]:

@@ -81,30 +81,20 @@ class StepFunction:
     def from_pieces(cls, bound: float,
                     pieces: Iterable[tuple[float, float, float]]) -> "StepFunction":
         """Build from (lo, hi, value) pieces; unspecified parts of [-R, R]
-        take the value 0.  Pieces must be disjoint, each with lo <= hi; one
-        with lo == hi is dropped."""
+        take the value 0.  Pieces must be disjoint, each with lo <= hi and a
+        value in [0, 1]; one with lo == hi is dropped."""
         r = float(bound)
-        ps = sorted((float(a), float(b), float(v)) for a, b, v in pieces)
         bk, vals = [-r], []
-        cur = -r
-        for a, b, v in ps:
+        for a, b, v in sorted((float(a), float(b), float(v)) for a, b, v in pieces):
             if b < a:
                 raise ValueError("piece with hi < lo")
             if a < -r or b > r:
                 raise ValueError("piece outside [-R, R]")
-            if a < cur:
+            if a < bk[-1]:
                 raise ValueError("pieces overlap")
-            if a > cur:
-                bk.append(a)
-                vals.append(0.0)
-            if b > a:
-                bk.append(b)
-                vals.append(v)
-            cur = max(cur, b)
-        if cur < r:
-            bk.append(r)
-            vals.append(0.0)
-        return cls(r, tuple(bk), tuple(vals))
+            bk += (a, b)
+            vals += (0.0, v)
+        return cls(r, (*bk, r), (*vals, 0.0))
 
     def pieces(self) -> Iterator[tuple[float, float, float]]:
         for x0, x1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):

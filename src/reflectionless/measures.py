@@ -175,17 +175,19 @@ class SpectralMeasure:
     def _mass_rules(self) -> tuple:
         """Per ac piece, (n, nodes t, Fejer weight x jacobian x density, mass)
         at the first n = 64, 128, ... where two successive masses agree to
-        1e-12 * max(1, mass); one density call builds the 64 and 128 rules
-        of all pieces.  No field, so == and hash ignore it."""
+        1e-12 * min(max(1, mass), total), with total the measure's mass by
+        the 128-node rules plus its atoms; one density call builds the 64
+        and 128 rules of all pieces.  No field, so == and hash ignore it."""
         if not self.ac_pieces:
             return ()
         ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], *_start_rule()[:2])
         todo, rules, n = dict(enumerate(wd[:, :64].sum(1).tolist())), {}, 128
         ts, rows = ts[:, 64:], wd[:, 64:]
+        total = rows.sum().item() + sum(m for _, m in self.atoms)
         while True:
             for (i, prev), t, row, cur in zip([*todo.items()], ts, rows, rows.sum(1).tolist()):
                 todo[i] = cur
-                if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+                if abs(cur - prev) <= 1e-12 * min(max(1.0, abs(cur)), total):
                     rules[i] = (n, t, row, todo.pop(i))
             if not todo:
                 return tuple(rules[i] for i in range(len(wd)))
@@ -317,7 +319,8 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
 
 def total_mass(measure: SpectralMeasure) -> float:
     """Atoms summed exactly; ac mass by the adaptive edge-substituted
-    quadrature (estimated error below 1e-12 * max(1, mass)), memoized."""
+    quadrature (estimated error per piece below 1e-12 * min(max(1, piece
+    mass), total mass)), memoized."""
     ac = sum(rule[3] for rule in measure._mass_rules)
     return float(ac + sum(m for _, m in measure.atoms))
 

@@ -8,6 +8,17 @@ from reflectionless import CompactSet, StepFunction, operators
 from reflectionless.gapflow import _require_half_on_bands
 
 
+# six bands near t = -25 and t = 9, with gaps of 1.5e-7 and 3.2e-7 and
+# |K| = 0.4047 < 1: minimize_mass finds A within 1e-12 relative of |K|/4 only
+# if the mass rules stop relative to the measure's total mass
+SIX_BANDS = ((-25.91301735284452, -25.91260434515358),
+             (-24.533215296617545, -24.532055697467076),
+             (-24.53205554684381, -24.13285322063143),
+             (-24.13285289919927, -24.129617401013345),
+             (8.206627956001448, 8.207021110100698),
+             (9.301863579096072, 9.30213521114804))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -18,6 +18,8 @@ from reflectionless.experiments import (approximate_omega_limit,
                                         run_perturbation_sweep,
                                         run_shift_clusters, write_report)
 
+from conftest import SIX_BANDS
+
 
 def window_distance(j, n1, n2, window):
     """The clustering metric between the windows of S^n1 J and S^n2 J, as a
@@ -241,6 +243,12 @@ class TestReportsAndCli:
         rows = json.loads((tmp_path / "report.json").read_text())["rows"]
         assert rows and typed(parsed) == typed(rows)
 
+    def test_rows_csv_round_trips_delimiters_quotes_and_newlines(self, tmp_path):
+        row = {"label": 'a, "b"\nc', "note": "line\nbreak", "x": "0.1"}
+        write_report({"rows": [row], "assertions": [], "plots": {}}, str(tmp_path))
+        with open(tmp_path / "rows.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.DictReader(fh)) == [row]
+
     def test_cli_has_no_format_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["dr", "--format", "json"])
@@ -269,6 +277,23 @@ class TestReportsAndCli:
     def test_cli_config_error_exit_two(self):
         proc = self._cli("thm11", "--config", "/no/such/file.json")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-utf8", "deep-nesting"])
+    def test_cli_unreadable_config_exit_two(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "cannot read config" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_cli_value_error_while_resolving_the_config_exit_two(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise ValueError("unreadable")
+
+        monkeypatch.setattr(cli, "_resolve_config", failing)
+        assert cli.main(["dr", "--out", "unused"]) == 2
+        assert "config error: unreadable" in capsys.readouterr().err
 
     def test_cli_bad_config_value_exit_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -321,6 +346,13 @@ class TestReportsAndCli:
         assert row["A"] == pytest.approx(0.6, abs=1e-10)
         assert row["kkt_residual"] <= row["refinement_tolerance"]
         assert row["iterations"] > 0
+
+    def test_cli_aktable_six_bands_with_narrow_gaps_far_from_the_origin(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sets": [SIX_BANDS]}))
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "[PASS] set 0: closed form |K|/4" in proc.stdout
 
     def test_cli_aktable_unbounded_set_exit_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein
 
-from conftest import (flow_steps, is_canonical, mp_mass_objective,
+from conftest import (SIX_BANDS, flow_steps, is_canonical, mp_mass_objective,
                       mp_stationary_point, random_compact_set)
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
@@ -189,6 +189,14 @@ class TestMinimize:
             a1 = minimize_mass(k.affine(alpha, beta)).constant
             a0 = minimize_mass(k).constant
             assert a1 == pytest.approx(alpha * a0, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -3, 1.0, 2.0 ** 5])
+    def test_power_of_two_scalings_keep_the_relative_accuracy(self, scale):
+        # the scaling is exact in float64, so A's relative error may not
+        # depend on it; pytest.approx would add an absolute 1e-12 here
+        k = CompactSet(SIX_BANDS).affine(scale, 0.0)
+        assert abs(minimize_mass(k).constant - k.total_length / 4.0) <= \
+            1e-12 * k.total_length / 4.0
 
 
 def extreme_sets(seed, count):

@@ -109,6 +109,10 @@ class TestStepFunction:
         s = StepFunction.from_pieces(2.0, [(0.5, 0.5, 1.0), (0.0, 0.25, 0.5)])
         assert s == StepFunction.from_pieces(2.0, [(0.0, 0.25, 0.5)])
 
+    def test_empty_piece_with_a_value_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+            StepFunction.from_pieces(2.0, [(0.5, 0.5, 1.5), (0.0, 0.25, 0.5)])
+
     def test_with_value_splices(self):
         s = free_krein(3.0).with_value(2.0, 2.5, 0.5)
         assert s.value_at(2.2) == 0.5
