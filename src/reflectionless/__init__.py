@@ -6,7 +6,7 @@ Stieltjes inversion, half-line coefficient reconstruction, and the
 extremal constant of a finite-gap compact set.
 """
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .sets import CompactSet
 from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
                     abs_boundary, hilbert_transform)
@@ -26,7 +26,7 @@ from .experiments import (approximate_omega_limit, random_admissible_krein,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "NumericError",
+    "NumericError",
     "CompactSet",
     "StepFunction", "HerglotzRep", "free_krein",
     "herglotz_eval", "abs_boundary", "hilbert_transform",

@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_config(runner, args.config, seed=getattr(args, "seed", None))
         report = {"experiment": name, "config": params, **runner(**params)}
     except ValueError as exc:
-        # ConfigError and the library's own input checks (a request larger
+        # a refused config and the library's own input checks (a request larger
         # than the data supports, a jump outside its gap) are both input faults
         print(f"config error: {exc}", file=sys.stderr)
         return 2

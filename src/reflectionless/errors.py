@@ -5,7 +5,3 @@ class NumericError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target
     (quadrature budget exceeded, fixed-point closure degenerate, Lanczos
     breakdown)."""
-
-
-class ConfigError(ValueError):
-    """An experiment or CLI configuration is invalid."""

@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .extremal import minimize_mass
 from .gapflow import GapJumps, canonical_krein_from_jumps, flow_to_canonical
 from .inverse import (coefficient_deviation, reconstruct_coefficients,
@@ -156,10 +156,10 @@ def run_lower_bound_suite(k_intervals=((-2.0, 2.0),), seed=7, samples=100,
     every a_0 reconstructed to depth n_coeffs must stay above A (up to 1e-6)."""
     k_set = CompactSet(k_intervals)
     if len(k_set.intervals) != 1:
-        raise ConfigError("the lower-bound suite needs a single-interval K")
+        raise ValueError("the lower-bound suite needs a single-interval K")
     if n_coeffs < window:
-        raise ConfigError(f"n_coeffs must be at least {window}: "
-                          "the deviation reads sites 1..window")
+        raise ValueError(f"n_coeffs must be at least {window}: "
+                         "the deviation reads sites 1..window")
     c, d = k_set.intervals[0]
     a_const, b_const = (d - c) / 4.0, (c + d) / 2.0
     rows, assertions = [], []
@@ -221,13 +221,13 @@ def run_perturbation_sweep(xi_widths=(0.4, 0.04, 0.004), f_masses=(0.3, 0.03, 0.
     from the constant coefficients must decrease with the perturbation."""
     k_set = CompactSet(((-2.0, 2.0),))
     if n_coeffs < 12:
-        raise ConfigError("n_coeffs must be at least 12: the sweep reads deviation_L10")
+        raise ValueError("n_coeffs must be at least 12: the sweep reads deviation_L10")
     # on R = 4: the xi piece is (2, 2 + w) and the f-atom piece (3, 3 + m / sqrt(5))
     for key, sizes, top in (("xi_widths", xi_widths, 2.0), ("f_masses", f_masses, math.sqrt(5.0))):
         if not sizes or not all(0.0 < x < math.inf for x in sizes):    # 0 runs the free input
-            raise ConfigError(f"{key} needs one or more finite positive sizes")
+            raise ValueError(f"{key} needs one or more finite positive sizes")
         if max(sizes) > top:
-            raise ConfigError(f"{key} must be at most {top!r}, or its piece leaves [-4, 4]")
+            raise ValueError(f"{key} must be at most {top!r}, or its piece leaves [-4, 4]")
     rows, assertions = [], []
 
     def measure_family(label, eps_list, builder):
@@ -268,9 +268,9 @@ def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
     coefficients must trend to the free values along the half line."""
     for pos, _ in atoms:
         if -2.0 <= pos <= 2.0:
-            raise ConfigError(f"atom at {pos} is not off the band [-2, 2]")
+            raise ValueError(f"atom at {pos} is not off the band [-2, 2]")
     if n_coeffs < 30:
-        raise ConfigError("n_coeffs must be at least 30: the tail checks read site 30")
+        raise ValueError("n_coeffs must be at least 30: the tail checks read site 30")
     rep = HerglotzRep(free_krein(2.0))
     nu = SpectralMeasure(rep, (AcPiece(-2.0, 2.0, 0.5 * semicircle_scale),), tuple(atoms))
     rec = reconstruct_coefficients(nu, n_coeffs)
@@ -297,7 +297,7 @@ def run_extremal_table(sets=(((-2.0, 2.0),), ((0.0, 4.0),), ((-2.0, -0.5), (0.5,
     """Extremal constants for a list of sets, each with the KKT residual that
     certifies it and the observed closed form |K|/4."""
     if not sets:
-        raise ConfigError("sets needs one or more sets")
+        raise ValueError("sets needs one or more sets")
     rows, assertions = [], []
     for i, intervals in enumerate(sets):
         k_set = CompactSet(intervals)
@@ -332,11 +332,8 @@ def run_shift_clusters(operator=None, horizon=40, window=5,
         try:
             j = JacobiCoefficients.from_dict(operator)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad operator: {exc}") from exc
-    try:
-        clusters = approximate_omega_limit(j, horizon, window, cluster_threshold)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ValueError(f"bad operator: {exc}") from exc
+    clusters = approximate_omega_limit(j, horizon, window, cluster_threshold)
     rows = [{"cluster": i, "representative": cl["representative"],
              "size": len(cl["members"]),
              "window_a": json.dumps(cl["window_a"]),
@@ -383,28 +380,28 @@ def _resolve_config(runner, path: str | None, **overrides) -> dict:
     """The keyword arguments of `runner`, defaults included, from the JSON
     object at `path` (if any) and the `overrides` that are not None.  A key
     that `runner` does not declare, or a value of the wrong shape, is a
-    ConfigError."""
+    ValueError."""
     data = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("a config must be a JSON object")
+        raise ValueError("a config must be a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
     signature = inspect.signature(runner)
     unknown = [k for k in data if k not in signature.parameters]
     if unknown:
-        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))}; "
-                          f"this run takes {', '.join(signature.parameters)}")
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}; "
+                         f"this run takes {', '.join(signature.parameters)}")
     params = {}
     for key, value in data.items():
         try:
             params[key] = _PARSE.get(key, lambda v: v)(value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {key!r}: {exc}") from exc
+            raise ValueError(f"bad {key!r}: {exc}") from exc
     return {key: params.get(key, p.default) for key, p in signature.parameters.items()}
 
 

@@ -37,7 +37,7 @@ class GapJumps:
         if len(self.masses) != len(gaps):
             raise ValueError("need one jump mass per gap")
         for g, (gc, gd) in zip(self.masses, gaps):
-            if not 0.0 <= g <= (gd - gc) + 1e-15:
+            if not 0.0 <= g <= gd - gc:
                 raise ValueError(f"jump mass {g} outside [0, {gd - gc}]")
 
 

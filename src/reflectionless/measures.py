@@ -55,8 +55,6 @@ __all__ = [
     "total_mass",
 ]
 
-_ATOM_TOL = 1e-9  # an f atom weight applies to atoms within this distance
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, marked read-only: a cache or memo shares them with every caller."""
@@ -223,21 +221,11 @@ class FSelector:
         for x, w in self.atom_weights:
             if not (math.isfinite(x) and 0.0 <= w <= 1.0):
                 raise ValueError("atoms need a finite position and a weight in [0, 1]")
+        atoms = tuple((float(x), float(w)) for x, w in self.atom_weights)
+        if len({x for x, _ in atoms}) < len(atoms):
+            raise ValueError("each atom position may carry one weight")
         object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "atom_weights",
-                           tuple((float(x), float(w)) for x, w in self.atom_weights))
-
-    def breakpoints(self) -> list[float]:
-        out = []
-        for a, b, _ in self.intervals:
-            out.extend((a, b))
-        return out
-
-    def atom_weight(self, x: float) -> float:
-        for pos, w in self.atom_weights:
-            if abs(pos - x) <= _ATOM_TOL:
-                return w
-        return 0.0
+        object.__setattr__(self, "atom_weights", atoms)
 
     def to_dict(self) -> dict:
         return {"intervals": [[a, b, v] for a, b, v in self.intervals],
@@ -277,9 +265,10 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
     """nu_+ = (1/2) chi_K rho_ac + f * (rho off K).
 
     ac pieces on K are halved; off-K pieces are scaled by the local f value
-    (dropped where f = 0); atoms get their f weight.  Requires K inside
-    rho's domain [-R, R], rho's xi equal to 1/2 on K, f supported off the
-    interior of K, and no atom at a band edge.
+    (dropped where f = 0); each atom gets the f weight at exactly its
+    position.  Requires K inside rho's domain [-R, R], rho's xi equal to 1/2
+    on K, f supported off the interior of K, every f weight at an atom of
+    rho, and no atom at a band edge.
     """
     f = f or FSelector()
     if rho.rep is None:
@@ -290,7 +279,7 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
             if min(b, d) > max(a, c):
                 raise ValueError("f may not be specified on the interior of K")
     band_edges = [e for c, d in k_set.intervals for e in (c, d)]
-    f_edges = f.breakpoints()
+    f_edges = [e for a, b, _ in f.intervals for e in (a, b)]
     cuts = sorted(set(band_edges) | set(f_edges))
     out_pieces = []
     for piece in rho.ac_pieces:
@@ -305,13 +294,17 @@ def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,
                 scale = f.intervals[i // 2][2] if i % 2 else 0.0
             if scale > 0.0:
                 out_pieces.append(AcPiece(lo, hi, piece.multiplier * scale))
+    weights = dict(f.atom_weights)
+    stray = set(weights).difference(pos for pos, _ in rho.atoms)
+    if stray:
+        raise ValueError(f"f has a weight at {sorted(stray)}, where rho has no atom")
     out_atoms = []
     for pos, mass in rho.atoms:
         if any(pos == c or pos == d for c, d in k_set.intervals):
             raise ValueError(f"atom at the band edge {pos} is degenerate")
         if k_set.contains_interior(pos):
             raise ValueError(f"atom at {pos} inside K cannot occur for xi = 1/2 on K")
-        w = f.atom_weight(pos)
+        w = weights.get(pos, 0.0)
         if w > 0.0:
             out_atoms.append((pos, w * mass))
     return SpectralMeasure(rho.rep, tuple(out_pieces), tuple(out_atoms))

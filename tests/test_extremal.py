@@ -47,7 +47,7 @@ class TestObjective:
         for a_ref, b_ref in ((0.5, 3.0), (2.0, -1.0)):
             k = CompactSet(((b_ref - 2 * a_ref, b_ref + 2 * a_ref),))
             assert mass_objective(k, GapJumps(())) == \
-                pytest.approx(a_ref**2, rel=1e-11)
+                pytest.approx(a_ref**2, rel=1e-11, abs=0)
 
     def test_symmetric_two_band_centered_jump(self):
         val = mass_objective(SYMMETRIC_TWO_BAND, GapJumps((0.5,)))
@@ -63,7 +63,7 @@ class TestObjective:
         xi = canonical_krein_from_jumps(SYMMETRIC_TWO_BAND, jumps)
         nu = half_line_measure(stieltjes_invert(HerglotzRep(xi)), SYMMETRIC_TWO_BAND)
         assert mass_objective(SYMMETRIC_TWO_BAND, jumps) == \
-            pytest.approx(total_mass(nu), rel=1e-11)
+            pytest.approx(total_mass(nu), rel=1e-11, abs=0)
 
     def test_bound_independence(self):
         def band_mass(jumps, bound):
@@ -98,7 +98,7 @@ class TestObjective:
         for y in ([0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5] * 3, [1e-3, 0.999, 1.0]):
             g = tuple(np.array(y[:len(widths)]) * widths)
             ref = extremal._FastObjective(k).value(g)
-            assert mass_objective(k, GapJumps(g)) == pytest.approx(ref, rel=1e-11)
+            assert mass_objective(k, GapJumps(g)) == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_jump_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestMinimize:
         sets += [random_compact_set(rng, max_gaps=4) for _ in range(6)]
         for k in sets:
             assert minimize_mass(k).constant == \
-                pytest.approx(k.total_length / 4.0, rel=1e-12)
+                pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(extremal, "_MAX_ITER", 1)
@@ -180,7 +180,8 @@ class TestMinimize:
     def test_scales_inside_the_normal_range_solve(self):
         for bands in IN_RANGE:
             k = CompactSet(bands)
-            assert minimize_mass(k).constant == pytest.approx(k.total_length / 4.0, rel=1e-12)
+            assert minimize_mass(k).constant == pytest.approx(k.total_length / 4.0,
+                                                              rel=1e-12, abs=0)
 
     def test_scaling_covariance(self, rng):
         for _ in range(3):
@@ -258,7 +259,7 @@ class TestDerivatives:
         assert phi == pytest.approx(math.log(fast.value(g)), abs=1e-13)
         # the grid oracle runs the same kernel on a block of product points
         oracle = fast.grid_values([np.array([x]) for x in g]).item()
-        assert fast.value(g) == pytest.approx(oracle, rel=1e-13)
+        assert fast.value(g) == pytest.approx(oracle, rel=1e-13, abs=0)
 
         def log_f(x):
             return math.log(fast.value(x))

@@ -105,8 +105,8 @@ class TestFlow:
 
     def test_gap_mass_rounding_past_the_width(self):
         # xi is just below 1 on part of a wide gap, and its integral rounds
-        # above the width by more than GapJumps allows; xi <= 1, so the
-        # excess is rounding and the gap mass is the width
+        # above the width, which GapJumps refuses; xi <= 1, so the excess is
+        # rounding and the gap mass is the width
         c, m, d = -8.893267542630808, 8.768654544025708, 10.452013204212161
         k_set = CompactSet(((c - 1.0, c), (d, d + 1.0)))
         xi = StepFunction(12.0, (-12.0, c - 1.0, c, m, d, d + 1.0, 12.0),
@@ -123,6 +123,13 @@ class TestFlow:
         # a mass clearly over the width is still refused
         with pytest.raises(ValueError):
             GapJumps((d - c + 1e-12,)).validate(k_set)
+
+    def test_jump_mass_bound_is_the_exact_width(self):
+        # a gap of width 1e-30: the bound is the width itself at any scale
+        k_set = CompactSet(((0.0, 1e-30), (2e-30, 3e-30)))
+        GapJumps((1e-30,)).validate(k_set)
+        with pytest.raises(ValueError, match="outside"):
+            GapJumps((1e-16,)).validate(k_set)
 
     def test_idempotent_up_to_rounding(self, rng):
         for _ in range(10):

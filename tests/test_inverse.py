@@ -225,7 +225,7 @@ class TestLanczosKernel:
         assert number.sub("", got) == number.sub("", ref)
         if number.search(ref):
             assert float(number.search(got)[1]) == pytest.approx(float(number.search(ref)[1]),
-                                                                 rel=1e-13)
+                                                                 rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("nu, nodes, depth", [
         (semicircle_with_atoms(((2.61, 0.3),)), 400, 200),
@@ -286,7 +286,7 @@ class TestReconstruction:
                           for k in range(2 * n)])
         scale = np.maximum(1.0, np.abs(exact))
         assert np.max(np.abs(sect - exact) / scale) < 1e-8
-        assert total_mass(nu) == pytest.approx(rec.a(0) ** 2, rel=1e-12)
+        assert total_mass(nu) == pytest.approx(rec.a(0) ** 2, rel=1e-12, abs=0)
 
     def test_mass_lower_bound_on_random_admissible_inputs(self, rng):
         for _ in range(20):
@@ -545,7 +545,7 @@ class TestDeviation:
         for eps in eps_list:
             nu = SpectralMeasure(nu0.rep, nu0.ac_pieces, ((2.5, eps),))
             rec = reconstruct_coefficients(nu, 15)
-            assert rec.a(0) ** 2 == pytest.approx(1.0 + eps, rel=1e-9)
+            assert rec.a(0) ** 2 == pytest.approx(1.0 + eps, rel=1e-9, abs=0)
             for el in devs:
                 devs[el].append(coefficient_deviation(rec, 1.0, 0.0, el))
         for el, seq in devs.items():

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRep,
                             NumericError, SpectralMeasure, StepFunction, abs_boundary,
                             canonical_krein_from_jumps, free_krein,
-                            half_line_measure, herglotz_eval, stieltjes_invert,
-                            total_mass)
+                            half_line_measure, herglotz_eval, reconstruct_coefficients,
+                            stieltjes_invert, total_mass)
 from reflectionless import inverse, measures
 from reflectionless.experiments import random_admissible_krein, random_f_selector
 from reflectionless.measures import _fejer_rule
@@ -204,6 +204,37 @@ class TestHalfLineMeasure:
         f = FSelector(atom_weights=((0.7, 0.5),))
         nu = half_line_measure(rho, k_set, f)
         assert nu.atoms == ((0.7, pytest.approx(ATOM_MASS_07 / 2.0, abs=1e-15)),)
+
+    @staticmethod
+    def _scaled(lam):
+        """nu at scale lam: xi = 1 left of K = [-2 lam, 2 lam], atoms of rho at
+        2.5 lam and 3.0 lam, and an f weight at 3.0 lam only."""
+        xi = StepFunction.from_pieces(4.0 * lam, [
+            (-4.0 * lam, -2.0 * lam, 1.0), (-2.0 * lam, 2.0 * lam, 0.5),
+            (2.0 * lam, 2.5 * lam, 0.0), (2.5 * lam, 2.6 * lam, 1.0), (2.6 * lam, 3.0 * lam, 0.0),
+            (3.0 * lam, 3.1 * lam, 1.0), (3.1 * lam, 4.0 * lam, 0.0)])
+        return half_line_measure(stieltjes_invert(HerglotzRep(xi)),
+                                 CompactSet(((-2.0 * lam, 2.0 * lam),)),
+                                 FSelector(atom_weights=((3.0 * lam, 1.0),)))
+
+    def test_atom_weights_match_at_any_scale(self):
+        # at lam = 2^-32 the atoms at 2.5 lam and 3.0 lam are 1.2e-10 apart;
+        # the weight at 3.0 lam must still reach that atom only, so nu is the
+        # image of nu at lam = 1 (positions times lam, masses times lam^2)
+        # and a_n / lam matches to the documented 1e-12
+        lam = 2.0 ** -32
+        nu1, nu = self._scaled(1.0), self._scaled(lam)
+        assert [x for x, _ in nu1.atoms] == [3.0]
+        assert [x / lam for x, _ in nu.atoms] == [3.0]
+        assert nu.atoms[0][1] / lam**2 == pytest.approx(nu1.atoms[0][1], rel=1e-12, abs=0)
+        rec1, rec = reconstruct_coefficients(nu1, 6), reconstruct_coefficients(nu, 6)
+        for n in range(7):
+            assert rec.a(n) / lam == pytest.approx(rec1.a(n), rel=1e-12, abs=0), n
+
+    def test_weight_where_rho_has_no_atom_rejected(self):
+        rho = stieltjes_invert(HerglotzRep(free_krein(4.0)))
+        with pytest.raises(ValueError, match=r"weight at \[3\.0\], where rho has no atom"):
+            half_line_measure(rho, BAND, FSelector(atom_weights=((3.0, 1.0),)))
 
     def test_set_past_the_domain_rejected(self):
         # xi = 1/2 on [-2, 3] with R = 3: K = [-2, 4] reaches past R, as
@@ -521,3 +552,5 @@ class TestSerialization:
             FSelector(intervals=((0.0, 1.0, 1.5),))
         with pytest.raises(ValueError):
             FSelector(atom_weights=((0.0, -0.1),))
+        with pytest.raises(ValueError, match="each atom position may carry one weight"):
+            FSelector(atom_weights=((0.7, 0.5), (0.7, 0.25)))

@@ -431,7 +431,7 @@ class TestReflectionlessResidual:
         assert np.all(got[1:5].imag > 0) and np.all(got[[0, 5]].imag == 0)
         for tk, gk in zip(t, got):
             scalar = operators._tail_m([1.0], [0.0], 0, complex(tk))[0]
-            assert type(scalar) is complex and scalar == pytest.approx(gk, rel=1e-15)
+            assert type(scalar) is complex and scalar == pytest.approx(gk, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("sites", [range(0, 1), range(-2, 3, 2)])
     def test_tail_m_at_a_dirichlet_point_of_the_period(self, sites):
@@ -447,7 +447,7 @@ class TestReflectionlessResidual:
         for z in (0.5 + 0j, np.array([0.5 + 0j])):
             with np.errstate(all="ignore"):
                 m_plus, m_minus = operators._tail_m([1.0, 0.5], [0.5, -0.5], 0, z)
-            assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15) and m_minus == 0.0
+            assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15, abs=0) and m_minus == 0.0
 
     @pytest.mark.parametrize("sites", [range(0, 2), range(1, 2), range(-3, 4)])
     def test_residual_through_an_infinite_left_m_at_a_dirichlet_point(self, sites):
@@ -458,11 +458,11 @@ class TestReflectionlessResidual:
         assert res == (0.0 if sites == range(1, 2) else pytest.approx(4.0 / 3.0, rel=1e-12, abs=0))
         for z in (0.5 + 0j, np.array([0.5 + 0j])):
             g = np.ravel(operators._green_sites(j, 0, 1, z))
-            assert g[0] == pytest.approx(4.0 / 3.0, rel=1e-12) and g[1] == 0.0
+            assert g[0] == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0) and g[1] == 0.0
         # the tail solve from site 1 (d = 1) in real arithmetic: m_-(0) is infinite
         with np.errstate(all="ignore"):
             m_plus, m_minus = operators._tail_m([1.0, 0.5], [0.5, -0.5], 1, np.array([0.5]))
-        assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15) and m_minus == np.inf
+        assert m_plus == pytest.approx(4.0 / 3.0, rel=1e-15, abs=0) and m_minus == np.inf
 
     @pytest.mark.parametrize("sites, value", [(range(0, 1), 20 / 11), ([2, -2], 16 / 11),
                                               ((1,), 3 / 11), ([1, 0, 2, -2], 20 / 11)])
@@ -477,7 +477,7 @@ class TestReflectionlessResidual:
         for z in (0.5 + 0j, np.array([0.5 + 0j])):
             with np.errstate(all="ignore"):
                 m_plus, m_minus = operators._tail_m([0.5, 1.0], [-0.5, 0.5], 1, z)
-            assert m_plus == pytest.approx(-0.75, rel=1e-15) and m_minus == 0.0
+            assert m_plus == pytest.approx(-0.75, rel=1e-15, abs=0) and m_minus == 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
            st.sampled_from(["complex", "band", "gap", "m10 = 0", "m01 = 0"]))
