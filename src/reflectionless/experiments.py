@@ -223,11 +223,14 @@ def run_perturbation_sweep(xi_widths=(0.4, 0.04, 0.004), f_masses=(0.3, 0.03, 0.
     if n_coeffs < 12:
         raise ValueError("n_coeffs must be at least 12: the sweep reads deviation_L10")
     # on R = 4: the xi piece is (2, 2 + w) and the f-atom piece (3, 3 + m / sqrt(5))
-    for key, sizes, top in (("xi_widths", xi_widths, 2.0), ("f_masses", f_masses, math.sqrt(5.0))):
+    for key, sizes, lo, per in (("xi_widths", xi_widths, 2.0, 1.0),
+                                ("f_masses", f_masses, 3.0, math.sqrt(5.0))):
         if not sizes or not all(0.0 < x < math.inf for x in sizes):    # 0 runs the free input
             raise ValueError(f"{key} needs one or more finite positive sizes")
-        if max(sizes) > top:
-            raise ValueError(f"{key} must be at most {top!r}, or its piece leaves [-4, 4]")
+        if max(sizes) > (4 - lo) * per:
+            raise ValueError(f"{key} must be at most {(4 - lo) * per!r}, or its piece leaves [-4, 4]")
+        if lo + min(sizes) / per == lo:
+            raise ValueError(f"{key} holds {min(sizes)!r}, whose piece at {lo} is empty in float64")
     rows, assertions = [], []
 
     def measure_family(label, eps_list, builder):
@@ -273,7 +276,7 @@ def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
         raise ValueError("n_coeffs must be at least 30: the tail checks read site 30")
     rep = HerglotzRep(free_krein(2.0))
     nu = SpectralMeasure(rep, (AcPiece(-2.0, 2.0, 0.5 * semicircle_scale),), tuple(atoms))
-    rec = reconstruct_coefficients(nu, n_coeffs)
+    rec, meta = reconstruction_report(nu, n_coeffs)
     rows = [{"n": k, "a": rec.a(k), "b": rec.b(k)} for k in range(n_coeffs + 1)]
     dev = {k: abs(rec.a(k) - 1.0) + abs(rec.b(k)) for k in (5, 30)}
     assertions = []
@@ -286,8 +289,6 @@ def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
            dev[30] < 0.05, f"dev30={dev[30]:.3e}")
     plots = {"a_n": [(r["n"], r["a"]) for r in rows],
              "b_n": [(r["n"], r["b"]) for r in rows]}
-    meta = reconstruction_report(nu, rec)
-    meta["atoms"] = [list(t) for t in atoms]
     return _report(rows, assertions, plots, meta=meta)
 
 

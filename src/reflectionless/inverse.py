@@ -40,8 +40,8 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients (alpha_1..alpha_n, beta_1..beta_n) of the
     probability measure sum w_i delta_{t_i}, by the three-term recurrence on
-    two vectors.  Raises on breakdown (support too small or clustered for
-    the requested depth) and on lost orthogonality.
+    two vectors.  Raises on breakdown (an off-diagonal at most 1e-12 x the
+    largest |t|: support too small or clustered) and on lost orthogonality.
 
     Without reorthogonalization the basis stays orthogonal until a Ritz
     value converges onto a support point (Paige, 1976), at a node of large
@@ -64,7 +64,7 @@ def lanczos_tridiag(support: np.ndarray, weights: np.ndarray,
         raise ValueError("support and weights must be finite")
     if w_lo < 0:
         raise ValueError("weights must be nonnegative")
-    tiny = 1e-12 * max(1.0, -lo, hi)       # the breakdown threshold
+    tiny = 1e-12 * max(-lo, hi)       # the breakdown threshold, relative
     q = np.sqrt(w)
     nrm = math.sqrt(q.dot(q))
     if nrm == 0:
@@ -120,7 +120,7 @@ def _fold_atom(a: list, d: list, x: float, mass: float) -> None:
 
 
 def _scale(nu: SpectralMeasure) -> float:
-    return max([1.0] + [abs(x) for x, _ in nu.atoms]
+    return max([abs(x) for x, _ in nu.atoms]
                + [abs(e) for p in nu.ac_pieces for e in (p.lo, p.hi)])
 
 
@@ -190,6 +190,29 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
                        f"{reached}, target {tol:.2g} (1e-12 x scale)")
 
 
+def _reconstruct(nu: SpectralMeasure, n_coeffs: int, gated: bool):
+    """(window [0, N], rules, certificate): if `gated` and 5N <= n, of the
+    mass rules (rules and certificate None), else of one `_certified` run."""
+    if n_coeffs < 0:
+        raise ValueError("n_coeffs must be >= 0")
+    mass = total_mass(nu)
+    if mass <= 0:
+        raise ValueError("measure must have positive mass")
+    pairs, mass_rules = None, nu._mass_rules
+    if gated and mass_rules and all(5 * n_coeffs <= rule[0] for rule in mass_rules):
+        t, w = mass_rules[0][1:3] if len(mass_rules) == 1 else (
+            np.concatenate(part) for part in zip(*(rule[1:3] for rule in mass_rules)))
+        try:
+            pairs = _jacobi(nu, t, w, n_coeffs)
+        except NumericError:
+            pass
+    (alphas, betas), rules, cert = (pairs, None, None) if pairs else _certified(nu, n_coeffs)
+    window = np.empty((2, n_coeffs + 1))
+    window[0, 0], window[1, 0] = math.sqrt(mass), 0.0
+    window[0, 1:], window[1, 1:] = betas, alphas
+    return JacobiCoefficients(0, n_coeffs, window[0], window[1], Tail.free()), rules, cert
+
+
 def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoefficients:
     """Recover (a_0; a_1, b_1; ...; a_N, b_N) from the half-line measure.
 
@@ -207,30 +230,13 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     degree below about 2(N + n)), else Fejer with 2N + n, or with
     ceil(pi N + N^(1/3)) + n if it is the measure's only piece, which must
     then resolve that frequency pi N alone.  A rule max(32, ceil(N/4))
-    nodes larger per piece certifies it: all N pairs must agree to 1e-12 *
-    max(1, largest |t|), else both rules step up by that many nodes.  Raises
+    nodes larger per piece certifies it: all N pairs must agree to 1e-12 x
+    scale (the largest |t|), else both rules step up by that many nodes.  Raises
     `ValueError` up front for an N whose rule pair exceeds `_MAX_NODES`
     nodes per piece and `NumericError` if no pair within it agrees;
     positivity is never silently clamped.
     """
-    if n_coeffs < 0:
-        raise ValueError("n_coeffs must be >= 0")
-    mass = total_mass(nu)
-    if mass <= 0:
-        raise ValueError("measure must have positive mass")
-    shallow, rules = None, nu._mass_rules
-    if rules and all(5 * n_coeffs <= rule[0] for rule in rules):
-        t, w = rules[0][1:3] if len(rules) == 1 else (
-            np.concatenate(part) for part in zip(*(rule[1:3] for rule in rules)))
-        try:
-            shallow = _jacobi(nu, t, w, n_coeffs)
-        except NumericError:
-            pass
-    alphas, betas = shallow or _certified(nu, n_coeffs)[0]
-    window = np.empty((2, n_coeffs + 1))
-    window[0, 0], window[1, 0] = math.sqrt(mass), 0.0
-    window[0, 1:], window[1, 1:] = betas, alphas
-    return JacobiCoefficients(0, n_coeffs, window[0], window[1], Tail.free())
+    return _reconstruct(nu, n_coeffs, True)[0]
 
 
 def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float,
@@ -245,16 +251,11 @@ def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float
     return float(np.max(np.abs(a - a_ref) + np.abs(b - b_ref)))
 
 
-def reconstruction_report(nu: SpectralMeasure, coeffs: JacobiCoefficients) -> dict:
-    """{a0, mass, rules, certificate, max_coefficient_error, min_offdiagonal}
-    of a certified reconstruction of nu to depth N = coeffs.n_hi: per ac piece
-    its interval, rule, nodes and certifying nodes; the largest difference of
-    the two rules' coefficients; that of coeffs from them, n <= N; and their
-    smallest a_n over the breakdown test's scale (None at N = 0)."""
-    n = coeffs.n_hi
-    (alphas, betas), rules, cert = _certified(nu, n)
-    off, diag = coeffs.arrays(1, n)
-    err = float(np.max(np.abs(np.subtract((diag, off), (alphas, betas))), initial=0.0))
-    return {"a0": coeffs.a(0), "mass": total_mass(nu), "rules": rules,
-            "certificate": cert, "max_coefficient_error": err,
-            "min_offdiagonal": float(betas.min()) / _scale(nu) if n else None}
+def reconstruction_report(nu: SpectralMeasure, n_coeffs: int) -> tuple[JacobiCoefficients, dict]:
+    """nu's certified reconstruction to depth N (never the shallow path) and
+    {rules, certificate, min_offdiagonal} of that one run: per ac piece its
+    interval, rule, nodes and certifying nodes; the rules' largest difference
+    (<= 1e-12 x scale); and min a_n, n >= 1, over the scale (None at N = 0)."""
+    rec, rules, cert = _reconstruct(nu, n_coeffs, False)
+    return rec, {"rules": rules, "certificate": cert, "min_offdiagonal":
+                 float(rec.a_window[1:].min()) / _scale(nu) if n_coeffs else None}

@@ -71,8 +71,6 @@ class StepFunction:
             else:
                 cbk.append(x1)
                 cvals.append(v)
-        if not cvals:
-            raise ValueError("step function has empty domain")
         object.__setattr__(self, "bound", r)
         object.__setattr__(self, "breakpoints", tuple(cbk))
         object.__setattr__(self, "values", tuple(cvals))

@@ -3,13 +3,15 @@ import csv
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from reflectionless import JacobiCoefficients, NumericError, Tail, cli
+from reflectionless import (FSelector, JacobiCoefficients, NumericError, StepFunction,
+                            Tail, cli)
 from reflectionless import experiments
 from reflectionless.experiments import (approximate_omega_limit,
                                         run_extremal_table,
@@ -93,9 +95,21 @@ class TestRunners:
     def test_forward_asymptotics_scaled_semicircle(self):
         rep = run_forward_asymptotics(atoms=[], semicircle_scale=1.44, n_coeffs=30)
         assert rep["passed"]
-        assert rep["meta"]["a0"] == pytest.approx(1.2, rel=1e-10, abs=0)
+        assert rep["rows"][0]["a"] == pytest.approx(1.2, rel=1e-10, abs=0)
         deep = [r for r in rep["rows"] if r["n"] >= 1]
         assert max(abs(r["a"] - 1.0) + abs(r["b"]) for r in deep) < 1e-9
+
+    def test_forward_asymptotics_certifies_once(self, monkeypatch):
+        # the report's rules and certificate are those of the run that made
+        # the coefficients, not of a second certification
+        from reflectionless import inverse
+        calls, certified = [], inverse._certified
+        monkeypatch.setattr(inverse, "_certified",
+                            lambda nu, n: calls.append(n) or certified(nu, n))
+        rep = run_forward_asymptotics()
+        assert calls == [30]
+        assert set(rep["meta"]) == {"rules", "certificate", "min_offdiagonal"}
+        assert rep["meta"]["certificate"] <= 1e-12 * 3.0   # scale: the atom at 3.0
 
     def test_forward_asymptotics_rejects_atoms_on_band(self):
         with pytest.raises(ValueError, match=r"atom at 1\.0 is not off the band \[-2, 2\]"):
@@ -301,6 +315,17 @@ class TestReportsAndCli:
         proc = self._cli("thm11", "--config", str(cfg))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("key", ["xi_widths", "f_masses"])
+    def test_cli_oracle_size_whose_piece_is_empty_exit_two(self, tmp_path, key):
+        # 2 + 1e-300 == 2 and 3 + 1e-300 / sqrt(5) == 3: the row labelled
+        # 1e-300 would run the free input, or blame a weight on f
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: [0.4, 1e-300]}))
+        proc = self._cli("oracle", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"{key} holds 1e-300, whose piece at" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_cli_assertion_failure_exit_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"xi_widths": [0.004, 0.04, 0.4], "n_coeffs": 12}))
@@ -308,6 +333,33 @@ class TestReportsAndCli:
                          "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "xi_widths" in proc.stderr
+
+    def test_thm11_failure_names_the_sample_and_its_inputs(self, monkeypatch):
+        # a sample that fails is reported with the xi and f that rerun it
+        inputs, half_line = [], experiments.half_line_measure
+        reconstruct = experiments.reconstruct_coefficients
+
+        def recording(rho, k_set, f):
+            inputs.append((rho.rep.xi, f))
+            return half_line(rho, k_set, f)
+
+        def failing(nu, n):
+            if len(inputs) == 4:
+                raise NumericError("forced")
+            return reconstruct(nu, n)
+
+        monkeypatch.setattr(experiments, "half_line_measure", recording)
+        monkeypatch.setattr(experiments, "reconstruct_coefficients", failing)
+        with pytest.raises(NumericError) as err:
+            run_lower_bound_suite(samples=6)
+        text = re.fullmatch(r"sample 3 failed: forced; xi=(\{.*\}) f=(\{.*\})", str(err.value))
+        assert text
+        xi, f = inputs[3]
+        assert f.intervals or f.atom_weights    # not the default selector
+        d = json.loads(text.group(1))
+        assert StepFunction(d["R"], tuple(d["breakpoints"]), tuple(d["values"])) == xi
+        d = json.loads(text.group(2))
+        assert FSelector(tuple(map(tuple, d["intervals"])), tuple(map(tuple, d["atoms"]))) == f
 
     def test_cli_numeric_failure_exit_three(self, monkeypatch, capsys):
         def failing():
@@ -429,6 +481,12 @@ class TestConfigContract:
         assert code == 2
         assert "unknown key 'sampels'; this run takes k_intervals, seed, samples, " \
             "n_coeffs, window" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_a_list_exits_two(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, "dr", [{"n_coeffs": 30}], capsys)
+        assert code == 2
+        assert "config error: a config must be a JSON object" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config", [

@@ -1,14 +1,20 @@
 """Every refusal of `lanczos_tridiag` and `JacobiCoefficients`, one row per bad
 input, with the exact error type and message.  The input checks of both are
 written for speed; this table pins what they refuse and in which order the
-checks run (a row with two faults names the fault that is checked first)."""
+checks run (a row with two faults names the fault that is checked first).
+A last table holds the input checks of the other layers that no other test
+reaches."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from reflectionless import JacobiCoefficients, lanczos_tridiag
+from reflectionless import (AcPiece, CompactSet, FSelector, HerglotzRep, JacobiCoefficients,
+                            SpectralMeasure, StepFunction, Tail, free_krein, green_diag,
+                            grid_min_mass, half_line_measure, lanczos_tridiag,
+                            reconstruct_coefficients, reconstruction_report)
 
 NAN, INF = math.nan, math.inf
 FINITE = "support and weights must be finite"
@@ -83,3 +89,69 @@ def test_ragged_window_refused_as_numpy_refuses_it():
     with pytest.raises(ValueError) as err:
         JacobiCoefficients(0, 1, a, b)
     assert type(err.value) is ValueError and str(err.value) == str(ref.value)
+
+
+BAND = CompactSet(((-2.0, 2.0),))
+REP = HerglotzRep(free_krein(4.0))    # xi = 1/2 on BAND
+INPUT_CHECKS = [
+    ("step-lengths", lambda: StepFunction(1.0, (-1.0, 1.0), (0.5, 0.5)),
+     "need len(breakpoints) == len(values) + 1 >= 2"),
+    ("step-no-values", lambda: StepFunction(1.0, (-1.0,), ()),
+     "need len(breakpoints) == len(values) + 1 >= 2"),
+    ("step-ends", lambda: StepFunction(1.0, (-1.0, 0.5), (0.5,)),
+     "breakpoints must start at -R and end at R"),
+    ("pieces-overlap",
+     lambda: StepFunction.from_pieces(1.0, [(-0.5, 0.2, 0.5), (0.1, 0.6, 1.0)]),
+     "pieces overlap"),
+    ("with-value-past-domain", lambda: free_krein(2.0).with_value(1.0, 3.0, 0.5),
+     "(lo, hi) outside the domain"),
+    ("distance-across-domains", lambda: free_krein(2.0).l1_distance(free_krein(3.0)),
+     "step functions live on different domains"),
+    ("ac-without-rep", lambda: SpectralMeasure(None, (AcPiece(-1.0, 1.0, 1.0),)),
+     "ac pieces need a Herglotz representation"),
+    ("ac-overlap",
+     lambda: SpectralMeasure(REP, (AcPiece(-1.0, 0.5, 1.0), AcPiece(0.0, 1.0, 1.0))),
+     "ac pieces must be disjoint"),
+    ("f-empty-interval", lambda: FSelector(intervals=((3.0, 3.0, 0.5),)),
+     "f interval must have positive length"),
+    ("f-overlap", lambda: FSelector(intervals=((2.5, 3.0, 0.5), (2.8, 3.5, 0.5))),
+     "f intervals must be disjoint"),
+    ("half-line-without-rep",
+     lambda: half_line_measure(SpectralMeasure(None, (), ((3.0, 1.0),)), BAND),
+     "half_line_measure needs a measure with a representation"),
+    ("atom-at-band-edge",
+     lambda: half_line_measure(SpectralMeasure(REP, (), ((2.0, 1.0),)), BAND),
+     "atom at the band edge 2.0 is degenerate"),
+    ("atom-inside-band",
+     lambda: half_line_measure(SpectralMeasure(REP, (), ((0.5, 1.0),)), BAND),
+     "atom at 0.5 inside K cannot occur for xi = 1/2 on K"),
+    ("tail-lengths", lambda: Tail((1.0,), ()), "tail needs equal-length nonempty blocks"),
+    ("tail-empty", lambda: Tail((), ()), "tail needs equal-length nonempty blocks"),
+    ("green-method",
+     lambda: green_diag(JacobiCoefficients.periodic([1.0], [0.0]), 0, 1j, method="dense"),
+     "unknown method 'dense'"),
+    ("set-empty", lambda: CompactSet(()), "CompactSet needs at least one interval"),
+    ("set-touching", lambda: CompactSet(((0.0, 1.0), (1.0, 2.0))),
+     "intervals must be sorted with nonempty gaps"),
+    ("set-unsorted", lambda: CompactSet(((2.0, 3.0), (0.0, 1.0))),
+     "intervals must be sorted with nonempty gaps"),
+    ("affine-alpha", lambda: BAND.affine(0.0, 1.0), "alpha must be positive"),
+    ("negative-depth",
+     lambda: reconstruct_coefficients(SpectralMeasure(None, (), ((0.0, 1.0),)), -1),
+     "n_coeffs must be >= 0"),
+    ("report-negative-depth",
+     lambda: reconstruction_report(SpectralMeasure(None, (), ((0.0, 1.0),)), -1),
+     "n_coeffs must be >= 0"),
+    ("no-mass", lambda: reconstruct_coefficients(SpectralMeasure(None), 0),
+     "measure must have positive mass"),
+    ("report-no-mass", lambda: reconstruction_report(SpectralMeasure(None), 0),
+     "measure must have positive mass"),
+    ("grid-size", lambda: grid_min_mass(BAND, grid=1), "grid must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in INPUT_CHECKS],
+                         ids=[row[0] for row in INPUT_CHECKS])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
