@@ -8,8 +8,7 @@ extremal constant of a finite-gap compact set.
 
 from .errors import NumericError
 from .sets import CompactSet
-from .krein import (StepFunction, HerglotzRep, free_krein, herglotz_eval,
-                    abs_boundary, hilbert_transform)
+from .krein import StepFunction, HerglotzRep, free_krein, herglotz_eval
 from .operators import (Tail, JacobiCoefficients, green_diag,
                         reflectionless_residual)
 from .gapflow import (GapJumps, canonical_krein_from_jumps, flow_to_canonical,
@@ -28,8 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NumericError",
     "CompactSet",
-    "StepFunction", "HerglotzRep", "free_krein",
-    "herglotz_eval", "abs_boundary", "hilbert_transform",
+    "StepFunction", "HerglotzRep", "free_krein", "herglotz_eval",
     "Tail", "JacobiCoefficients", "green_diag", "reflectionless_residual",
     "GapJumps", "canonical_krein_from_jumps", "flow_to_canonical",
     "gap_jump_masses",

@@ -28,9 +28,6 @@ __all__ = [
     "HerglotzRep",
     "free_krein",
     "herglotz_eval",
-    "abs_boundary",
-    "log_abs_on_arc",
-    "hilbert_transform",
 ]
 
 
@@ -103,15 +100,6 @@ class StepFunction:
         positive length, left to right; () if none does."""
         bk = self.breakpoints
         return self.values[max(bisect_right(bk, lo) - 1, 0):bisect_left(bk, hi)] if hi > lo else ()
-
-    def value_at(self, x: float) -> float:
-        """Value on the piece whose interior contains x; breakpoints are
-        excluded points."""
-        x, bk = float(x), self.breakpoints
-        i = bisect_left(bk, x)
-        if 0 < i < len(bk) and bk[i] != x:
-            return self.values[i - 1]
-        raise ValueError(f"x={x} is a breakpoint or outside (-R, R)")
 
     def integral(self, lo: float | None = None, hi: float | None = None) -> float:
         """Exact integral of the step function over (lo, hi) (defaults: whole
@@ -214,7 +202,7 @@ def herglotz_eval(rep: HerglotzRep, z):
         raise ValueError("herglotz_eval needs finite points z")
     on_cut = (zc.imag == 0.0) & (np.abs(zc.real) <= xi.bound)
     if np.any(on_cut):
-        raise ValueError("z on [-R, R]; abs_boundary gives the boundary modulus")
+        raise ValueError("z on the cut [-R, R], where H has boundary values only")
     c = xi.log_coefficients
     s = np.zeros_like(zc)
     for ck, xk in zip(c, xi.breakpoints):
@@ -222,47 +210,6 @@ def herglotz_eval(rep: HerglotzRep, z):
             s = s + ck * np.log(zc - xk)
     out = (zc + xi.bound) * np.exp(s)
     return out if out.ndim else complex(out)
-
-
-def hilbert_transform(f: StepFunction, x):
-    """(Tf)(x) = p.v. integral f(t)/(t-x) dt = sum_k c_k ln|x - x_k|,
-    exact for step functions.  x may be scalar or array of finite points,
-    anywhere off the breakpoints that carry a jump."""
-    xa = np.asarray(x, dtype=float)
-    if not np.isfinite(xa).all():
-        raise ValueError("hilbert_transform needs finite points x")
-    c = f.log_coefficients
-    s = np.zeros_like(xa)
-    for ck, xk in zip(c, f.breakpoints):
-        if ck == 0.0:
-            continue
-        d = np.abs(xa - xk)
-        if np.any(d == 0.0):
-            raise ValueError(f"x hits the jump point {xk} (log singularity)")
-        s = s + ck * np.log(d)
-    return s if s.ndim else float(s)
-
-
-def abs_boundary(rep: HerglotzRep, x):
-    """|H(x + i0)| = (x + R) e^{(T xi)(x)} for x in (-R, R) off the jumps."""
-    return (np.asarray(x, dtype=float) + rep.bound) * np.exp(hilbert_transform(rep.xi, x))
-
-
-def log_abs_on_arc(rep: HerglotzRep, lo, hi, theta):
-    """ln|H| at t = mid + half*sin(theta) on the piece (lo, hi), elementwise
-    over the broadcast shape of lo, hi and theta.
-
-    Distances to breakpoints equal to lo or hi are computed
-    trigonometrically (half*(1+sin) = 2*half*cos^2(pi/4 - theta/2) and its
-    mirror), which keeps full relative precision arbitrarily close to the
-    edges where |H| has square-root behavior; naive t - lo cancels
-    catastrophically there.  The sum runs in `_arc_log_abs`, the one kernel
-    that `SpectralMeasure` also evaluates its densities with, on the
-    breakpoint columns that each measure builds once into its table.
-    """
-    half = 0.5 * (hi - lo)
-    t = 0.5 * (lo + hi) + half * np.sin(theta)
-    return _arc_log_abs(_breakpoint_columns(rep.xi), lo, hi, 2.0 * half, t, _edge_factors(theta))
 
 
 def _breakpoint_columns(xi: StepFunction) -> np.ndarray:
@@ -274,7 +221,9 @@ def _breakpoint_columns(xi: StepFunction) -> np.ndarray:
 
 def _edge_factors(theta):
     """cos^2 and sin^2 of pi/4 - theta/2: t - lo and hi - t at the point
-    t = mid + half*sin(theta) of the piece (lo, hi), over its width 2*half."""
+    t = mid + half*sin(theta) of the piece (lo, hi), over its width 2*half.
+    They keep full relative precision up to the edges, where |H| behaves
+    like a power of the distance and t - lo would cancel."""
     phase = 0.25 * np.pi - 0.5 * theta
     return np.cos(phase) ** 2, np.sin(phase) ** 2
 

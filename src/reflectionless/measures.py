@@ -20,7 +20,7 @@ Each measure builds one read-only table, on its first density evaluation:
 the rows of its pieces (lo, hi, multiplier, sin(pi xi), mid, half, width)
 and the breakpoint columns (x_k, d_k != 0) of ln|H| = sum_k d_k ln|t - x_k|.
 An evaluation gathers its pieces' rows and sums ln|H| on the columns with
-`krein._arc_log_abs`, the kernel that `log_abs_on_arc` runs too.
+`krein._arc_log_abs`.
 The mass rules take one call at 64 and 128 nodes, whose sines and edge
 factors in theta the densities read as computed once per process, and one
 per later doubling of the unconverged pieces; the rule each piece's mass
@@ -131,9 +131,9 @@ class SpectralMeasure:
         piece's xi value taken by the index of the xi piece that holds it
         (no point evaluation, so a piece one ulp wide is read exactly), and
         the breakpoint columns (x_k, d_k) of ln|H| = sum_k d_k ln|t - x_k|.
-        Raises `ValueError` for a measure whose scale takes its mass out of
-        float64's normal range."""
-        xi = self.rep.xi
+        Raises `ValueError` for a measure whose scale, its pieces' multipliers
+        included, takes its mass out of float64's normal range."""
+        xi, fin = self.rep.xi, sys.float_info
         bk, vals, rows = xi.breakpoints, xi.values, []
         for p in self.ac_pieces:
             i = bisect_right(bk, p.lo) - 1
@@ -142,13 +142,17 @@ class SpectralMeasure:
             half = 0.5 * (p.hi - p.lo)
             rows.append((p.lo, p.hi, p.multiplier, math.sin(math.pi * vals[i]),
                          0.5 * (p.lo + p.hi), half, 2.0 * half))
-        # the mass scales as the square of the measure's size: refuse one whose
-        # narrowest piece or farthest edge, squared, leaves the normal range
-        narrow, far, fin = min(r[6] for r in rows), max(-rows[0][0], rows[-1][1]), sys.float_info
-        if narrow * narrow < fin.min or far * far > fin.max:
+        # the mass scales as the square of the measure's size and as a piece's
+        # multiplier: refuse a measure whose narrowest piece or farthest edge,
+        # squared, or whose least multiplier x width^2 leaves the normal range
+        narrow, far, (lo, hi, m, *_, width) = (
+            min(r[6] for r in rows), max(-rows[0][0], rows[-1][1]),
+            min(rows, key=lambda r: r[2] * r[6] * r[6]))
+        if narrow * narrow < fin.min or far * far > fin.max or m * width * width < fin.min:
             raise ValueError(f"the measure's scale (narrowest ac piece {narrow:.3g} wide, farthest "
-                             f"edge at |t| = {far:.3g}) takes its mass out of float64's normal "
-                             f"range [{fin.min:.3g}, {fin.max:.3g}]")
+                             f"edge at |t| = {far:.3g}, multiplier {m:.3g} on ({lo}, {hi})) "
+                             f"takes its mass out of float64's normal range "
+                             f"[{fin.min:.3g}, {fin.max:.3g}]")
         return _read_only(np.array(rows).T, _breakpoint_columns(xi))
 
     def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:

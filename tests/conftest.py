@@ -1,11 +1,13 @@
+from bisect import bisect_left
 from typing import Iterator
 
 import mpmath
 import numpy as np
 import pytest
 
-from reflectionless import CompactSet, StepFunction, operators
+from reflectionless import CompactSet, HerglotzRep, StepFunction, operators
 from reflectionless.gapflow import _require_half_on_bands
+from reflectionless.krein import _arc_log_abs, _breakpoint_columns, _edge_factors
 
 
 # six bands near t = -25 and t = 9, with gaps of 1.5e-7 and 3.2e-7 and
@@ -115,6 +117,50 @@ def interior_points(step, rng, count, margin_frac=0.1):
         m = margin_frac * (hi - lo)
         pts.append(float(rng.uniform(lo + m, hi - m)))
     return np.array(pts)
+
+
+def value_at(step: StepFunction, x: float) -> float:
+    """Value of the step function on the piece whose interior contains x;
+    breakpoints are excluded points."""
+    x, bk = float(x), step.breakpoints
+    i = bisect_left(bk, x)
+    if 0 < i < len(bk) and bk[i] != x:
+        return step.values[i - 1]
+    raise ValueError(f"x={x} is a breakpoint or outside (-R, R)")
+
+
+def hilbert_transform(f: StepFunction, x):
+    """(Tf)(x) = p.v. integral f(t)/(t-x) dt = sum_k c_k ln|x - x_k|,
+    exact for step functions.  x may be scalar or array of finite points,
+    anywhere off the breakpoints that carry a jump."""
+    xa = np.asarray(x, dtype=float)
+    if not np.isfinite(xa).all():
+        raise ValueError("hilbert_transform needs finite points x")
+    c = f.log_coefficients
+    s = np.zeros_like(xa)
+    for ck, xk in zip(c, f.breakpoints):
+        if ck == 0.0:
+            continue
+        d = np.abs(xa - xk)
+        if np.any(d == 0.0):
+            raise ValueError(f"x hits the jump point {xk} (log singularity)")
+        s = s + ck * np.log(d)
+    return s if s.ndim else float(s)
+
+
+def abs_boundary(rep: HerglotzRep, x):
+    """|H(x + i0)| = (x + R) e^{(T xi)(x)} for x in (-R, R) off the jumps."""
+    return (np.asarray(x, dtype=float) + rep.bound) * np.exp(hilbert_transform(rep.xi, x))
+
+
+def log_abs_on_arc(rep: HerglotzRep, lo, hi, theta):
+    """ln|H| at t = mid + half*sin(theta) on the piece (lo, hi), elementwise
+    over the broadcast shape of lo, hi and theta, by the library's arc kernel
+    on the columns and edge factors that `SpectralMeasure.density_on_arc`
+    gives it."""
+    half = 0.5 * (hi - lo)
+    t = 0.5 * (lo + hi) + half * np.sin(theta)
+    return _arc_log_abs(_breakpoint_columns(rep.xi), lo, hi, 2.0 * half, t, _edge_factors(theta))
 
 
 def per_piece_log_abs(xi, lo, hi, theta):

@@ -11,16 +11,16 @@ from scipy.linalg import eigh_tridiagonal
 
 from reflectionless import (CompactSet, GapJumps, HerglotzRep,
                             JacobiCoefficients, SpectralMeasure, StepFunction,
-                            abs_boundary, coefficient_deviation, free_krein,
+                            coefficient_deviation, free_krein,
                             grid_min_mass, half_line_measure,
-                            herglotz_eval, hilbert_transform, minimize_mass,
+                            herglotz_eval, minimize_mass,
                             operators, reconstruct_coefficients, reflectionless_residual,
                             stieltjes_invert, total_mass)
 from reflectionless.experiments import (_f_atom_input, _xi_mass_input,
                                         random_admissible_krein, random_f_selector)
 
-from conftest import (flow_steps, interior_points, periodic_bands, random_compact_set,
-                      random_step)
+from conftest import (abs_boundary, flow_steps, hilbert_transform, interior_points,
+                      periodic_bands, random_compact_set, random_step)
 
 BAND = CompactSet(((-2.0, 2.0),))
 

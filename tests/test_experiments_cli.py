@@ -388,6 +388,16 @@ class TestReportsAndCli:
         assert "too small for N=5000" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_cli_dr_subnormal_semicircle_exit_two(self, tmp_path):
+        # the semicircle's multiplier 0.5 x 1e-320 is subnormal: refused as
+        # input, where no rule pair completed before (exit 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"semicircle_scale": 1e-320}))
+        proc = self._cli("dr", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "multiplier 5e-321" in proc.stderr and "float64's normal range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_cli_aktable_beyond_four_gaps(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         bands = [[float(i), i + 0.4] for i in range(6)]

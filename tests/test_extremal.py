@@ -6,14 +6,14 @@ import pytest
 from scipy.integrate import quad
 
 from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
-                            abs_boundary, canonical_krein_from_jumps,
+                            canonical_krein_from_jumps,
                             extremal, flow_to_canonical,
                             gap_jump_masses, grid_min_mass, half_line_measure,
                             mass_objective, minimize_mass, stieltjes_invert,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein
 
-from conftest import (SIX_BANDS, flow_steps, is_canonical, mp_mass_objective,
+from conftest import (SIX_BANDS, abs_boundary, flow_steps, is_canonical, mp_mass_objective,
                       mp_stationary_point, random_compact_set)
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))

@@ -537,6 +537,26 @@ class TestReports:
         cut = reconstruction_report(cut_semicircle_with_atom(), 8)[1]
         assert [r["rule"] for r in cut["rules"]] == ["fejer"] * 2
 
+    def test_report_certified_after_a_step_up(self):
+        # a band with one regular edge and an f piece off K, both Fejer from
+        # 128-node mass rules: at N = 200 the pair (2N + 128, + 50) disagrees,
+        # and the pair one step of 50 up certifies
+        from reflectionless import reconstruction_report
+        r = 3.9093288296726296
+        xi = StepFunction.from_pieces(r, [(-2.0, r, 0.5)])
+        lo, hi = 2.7326671786013867, 3.4792485170395295
+        nu = half_line_measure(stieltjes_invert(HerglotzRep(xi)), BAND,
+                               FSelector(((lo, hi, 0.3175815674764976),)))
+        assert [rule[0] for rule in nu._mass_rules] == [128, 128]
+        rec, rep = reconstruction_report(nu, 200)
+        assert [(p["rule"], p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] \
+            == [("fejer", 2 * 200 + 128 + 50, 2 * 200 + 128 + 100)] * 2
+        tol = 1e-12 * hi    # the scale: the f piece's right end
+        assert rep["certificate"] <= tol
+        shallow, _ = reconstruction_report(nu, 100)
+        for mine, ref in ((rec.a_window, shallow.a_window), (rec.b_window, shallow.b_window)):
+            assert np.max(np.abs(mine[:101] - ref)) <= tol
+
     def test_coefficients_csv(self, tmp_path):
         # the n,a,b CSV of a reconstructed window is dr's rows.csv
         from reflectionless.experiments import run_forward_asymptotics, write_report

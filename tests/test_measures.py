@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRep,
-                            NumericError, SpectralMeasure, StepFunction, abs_boundary,
+                            NumericError, SpectralMeasure, StepFunction,
                             canonical_krein_from_jumps, free_krein,
                             half_line_measure, herglotz_eval, reconstruct_coefficients,
                             stieltjes_invert, total_mass)
@@ -15,7 +15,7 @@ from reflectionless import inverse, measures
 from reflectionless.experiments import random_admissible_krein, random_f_selector
 from reflectionless.measures import _fejer_rule
 
-from conftest import per_piece_log_abs
+from conftest import abs_boundary, per_piece_log_abs, value_at
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -46,7 +46,7 @@ def quad_moments(measure, k_max):
     nothing with the library's rules."""
     out = np.array([sum(m * x**k for x, m in measure.atoms) for k in range(k_max + 1)])
     for p in measure.ac_pieces:
-        v = measure.rep.xi.value_at(0.5 * (p.lo + p.hi))
+        v = value_at(measure.rep.xi, 0.5 * (p.lo + p.hi))
         scale = p.multiplier * math.sin(math.pi * v) / math.pi
         out += [quad(lambda t: t**k * scale * abs_boundary(measure.rep, t), p.lo, p.hi,
                      limit=200, epsabs=1e-13, epsrel=1e-13)[0] for k in range(k_max + 1)]
@@ -64,7 +64,7 @@ def per_piece_rule(measure, piece):
     summed one breakpoint at a time.  The reference for the lockstep
     `_mass_rules`."""
     half = 0.5 * (piece.hi - piece.lo)
-    v = measure.rep.xi.value_at(0.5 * (piece.lo + piece.hi))
+    v = value_at(measure.rep.xi, 0.5 * (piece.lo + piece.hi))
     prev, n = None, 64
     while True:
         th, w = measures._fejer_rule(n)
@@ -519,6 +519,19 @@ class TestValidation:
         nu = SpectralMeasure(HerglotzRep(XI_WITH_ATOM), (AcPiece(lo, hi, 1.0),))
         with pytest.raises(ValueError, match="not inside one piece of xi"):
             total_mass(nu)
+
+    @pytest.mark.parametrize("multiplier", [0.5e-321, 1e-310])
+    def test_multiplier_below_the_normal_range_refused(self, multiplier):
+        # multiplier x width^2 below 2.2e-308: the densities were subnormal,
+        # and at 0.5e-321 the semicircle read a_1 = 0.964 and a_5 = 0.929
+        nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-2.0, 2.0, multiplier),))
+        with pytest.raises(ValueError, match=rf"multiplier {multiplier:.3g} on \(-2.0, 2.0\)\) .*normal range"):
+            reconstruct_coefficients(nu, 5)
+
+    def test_small_multiplier_inside_the_normal_range_reconstructs(self):
+        nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-2.0, 2.0, 1e-300),))
+        rec = reconstruct_coefficients(nu, 5)
+        assert np.max(np.abs(rec.a_window[1:] - 1.0)) <= 1e-12
 
 
 class TestReadOnlyMemos:
