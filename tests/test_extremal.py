@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,6 +18,12 @@ from conftest import (SIX_BANDS, abs_boundary, flow_steps, is_canonical, mp_mass
                       mp_stationary_point, random_compact_set)
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
+# gaps 1.2e-6, 6.0e-5 and 0.74 wide between bands 7.5e-3 to 1.3 wide: the deep
+# reconstruction path refuses its canonical measure (ROADMAP item 24)
+NARROW_GAP_BANDS = ((-1.0, 0.26105064861082283),
+                    (0.2610518697885442, 0.2685957069459264),
+                    (0.268655887810473, 0.5121868779402663),
+                    (1.2496210642986805, 2.0852518717194757))
 
 # centered jump on the symmetric two-band set: |H(x)| =
 # sqrt((4-x^2)(x^2-1/4))/|x| on the bands, giving mass 9/16 and the
@@ -152,12 +159,13 @@ class TestMinimize:
                 pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
 
     def test_non_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(extremal, "_MAX_ITER", 1)
-        with pytest.raises(NumericError):
+        # a root finder that stops short of the roots: the box centre
+        monkeypatch.setattr(extremal, "_jump_roots", lambda fast: (0.5 * fast.gap_widths, 1))
+        with pytest.raises(NumericError, match="KKT residual .* above its tolerance"):
             minimize_mass(CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0))))
 
     def test_iterations_and_residual_reported(self):
-        # the box centre solves the symmetric set exactly: no Newton step
+        # the box centre solves the symmetric set exactly: no root-finder step
         assert minimize_mass(SYMMETRIC_TWO_BAND).iterations == 0
         res = minimize_mass(CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0))))
         assert 0 < res.iterations < 20
@@ -227,18 +235,56 @@ class TestInteriorMinimizer:
 
     def test_jumps_match_the_60_digit_stationary_point(self):
         # mpmath Newton on the closed form (conftest) from each returned
-        # jump vector finds the stationary point to 60 digits
+        # jump vector finds the stationary point to 60 digits; the roots of
+        # P_L - P_R are within 7.8e-15 of the gap width of it
         for k in extreme_sets(17, 40):
             res = minimize_mass(k)
             exact = mp_stationary_point(k, res.jumps.masses)
             for g, x, (gc, gd) in zip(res.jumps.masses, exact, k.gaps()):
-                assert abs(g - x) <= 1e-6 * (gd - gc)
+                assert abs(g - x) <= 1e-13 * (gd - gc)
+
+    def test_one_gap_jump_splits_the_gap_in_the_ratio_of_the_bands(self):
+        # bands [c_0, d_0] and [c_1, d_1]: P_L - P_R = |K| z + c_0 c_1 - d_0 d_1 has
+        # the root x = (d_0 d_1 - c_0 c_1)/|K|, and g = c_1 - x = |gap| (d_1 - c_1)/|K|,
+        # here in exact rational arithmetic
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            w0, w1 = 10.0 ** rng.uniform(-3.0, 1.0, 2)
+            c0 = rng.uniform(-50.0, 50.0)
+            c1 = c0 + w0 + 10.0 ** rng.uniform(-6.0, 0.0)
+            k = CompactSet(((c0, c0 + w0), (c1, c1 + w1)))
+            (c0, d0), (c1, d1) = [(Fraction(c), Fraction(d)) for c, d in k.intervals]
+            exact = c1 - (d0 * d1 - c0 * c1) / ((d0 - c0) + (d1 - c1))
+            assert abs(minimize_mass(k).jumps.masses[0] - exact) <= 1e-13 * (c1 - d0)
+
+    @pytest.mark.parametrize("bands", [
+        ((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)),
+        ((-1.0, 0.25), (0.5, 1.75), (3.0, 3.125)),
+        ((0.0, 0.3), (0.5, 1.7), (2.0, 2.2), (3.0, 4.5)),
+        NARROW_GAP_BANDS,
+    ])
+    def test_stationary_point_is_the_root_of_p_l_minus_p_r(self, bands):
+        # P_L and P_R are the products of z - e over the left and the right band
+        # ends; in each gap the 60-digit stationary point's jump point is the root
+        # of P_L - P_R, found by a bracketing solver on the gap
+        k = CompactSet(bands)
+        exact = mp_stationary_point(k, minimize_mass(k).jumps.masses)
+        with mpmath.workdps(60):
+            lefts, rights = zip(*[(mpmath.mpf(c), mpmath.mpf(d)) for c, d in bands])
+
+            def p_l_minus_p_r(x):
+                return mpmath.fprod(x - c for c in lefts) - mpmath.fprod(x - d for d in rights)
+
+            for g, (gc, gd) in zip(exact, k.gaps()):
+                root = mpmath.findroot(p_l_minus_p_r, (mpmath.mpf(gc), mpmath.mpf(gd)),
+                                       solver="anderson")
+                assert abs((gd - g) - root) <= mpmath.mpf(10) ** -40 * (gd - gc)
 
     def test_residual_is_the_scaled_gradient(self):
         k = CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)))
         res = minimize_mass(k)
         fast = extremal._FastObjective(k)
-        _, grad, *_ = fast.log_derivatives(np.array(res.jumps.masses))
+        grad, _ = fast.log_derivatives(np.array(res.jumps.masses))
         assert res.kkt_residual == float(np.max(np.abs(grad * fast.gap_widths)))
 
 
@@ -255,8 +301,7 @@ class TestDerivatives:
         fast = extremal._FastObjective(k)
         widths = fast.gap_widths
         g = rng.uniform(0.2, 0.8, len(widths)) * widths
-        phi, grad, hess, *_ = fast.log_derivatives(g)
-        assert phi == pytest.approx(math.log(fast.value(g)), abs=1e-13)
+        grad, _ = fast.log_derivatives(g)
         # the grid oracle runs the same kernel on a block of product points
         oracle = fast.grid_values([np.array([x]) for x in g]).item()
         assert fast.value(g) == pytest.approx(oracle, rel=1e-13, abs=0)
@@ -277,9 +322,8 @@ class TestDerivatives:
                 fd_hess[i, j] = (log_f(g + e + d) - log_f(g + e - d)
                                  - log_f(g - e + d) + log_f(g - e - d)) / (4 * h[i] * h[j])
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-7, atol=1e-7)
-        np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-4)
-        assert np.all(np.linalg.eigvalsh(hess) > 0.0)  # ln f is convex
-
+        # ln f is convex, so the certified stationary point is the global minimizer
+        assert np.all(np.linalg.eigvalsh(fd_hess) > 0.0)
 
     def test_gradient_errors_within_their_rounding_bound_near_a_left_face(self):
         # one jump 10^U(-8, -1) of its gap's width right of the face c_j, the
@@ -293,7 +337,7 @@ class TestDerivatives:
                 y = rng.uniform(0.05, 0.95, len(fast.gap_widths))
                 y[int(rng.integers(0, y.size))] = 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
                 g = y * fast.gap_widths
-                _, grad, _, _, grad_err = fast.log_derivatives(g)
+                grad, grad_err = fast.log_derivatives(g)
                 with mpmath.workdps(50):
                     f, df = mp_mass_objective(k, g.tolist())
                     exact = np.array([float(d / f) for d in df])
