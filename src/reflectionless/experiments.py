@@ -332,7 +332,7 @@ def run_shift_clusters(operator=None, horizon=40, window=5,
     else:
         try:
             j = JacobiCoefficients.from_dict(operator)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad operator: {exc}") from exc
     clusters = approximate_omega_limit(j, horizon, window, cluster_threshold)
     rows = [{"cluster": i, "representative": cl["representative"],
@@ -358,22 +358,32 @@ def _checked(test, message: str):
     return parse
 
 
+def _number(v) -> float:
+    """A JSON number as a float; a bool, a string or an integer beyond
+    float64 is refused."""
+    if type(v) in (int, float):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise ValueError("must be a float64 number")
+
+
 def _pairs(v) -> tuple:
-    return tuple((float(c), float(d)) for c, d in v)
+    return tuple((_number(c), _number(d)) for c, d in v)
 
 
 _COUNT = _checked(lambda v: type(v) is int and v > 0, "must be a positive integer")
 # the parser of a runner parameter, by name; one not named here is passed
-# as read and checked by the runner.  The type tests refuse bools, and
-# `v > 0` refuses NaN.
+# as read and checked by the runner, which checks every value's range.  The
+# type tests refuse bools and strings.
 _PARSE = {
     "seed": _checked(lambda v: type(v) is int, "must be an integer"),
     "samples": _COUNT, "n_coeffs": _COUNT, "window": _COUNT, "horizon": _COUNT,
-    "cluster_threshold": _checked(lambda v: type(v) in (int, float) and v > 0,
-                                  "must be positive"),
+    "cluster_threshold": _number,
     "k_intervals": _pairs, "atoms": _pairs, "sets": lambda v: tuple(map(_pairs, v)),
-    **dict.fromkeys(("xi_widths", "f_masses"), lambda v: tuple(map(float, v))),
-    "semicircle_scale": float,
+    **dict.fromkeys(("xi_widths", "f_masses"), lambda v: tuple(map(_number, v))),
+    "semicircle_scale": _number,
 }
 
 

@@ -160,12 +160,11 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     if not nu.ac_pieces:
         return _jacobi(nu, None, None, n_coeffs), [], 0.0
     step = max(32, -(-n_coeffs // 4))
-    kinds = _root_edges(nu)
-    sizes = [(1 if mid else 2) * n_coeffs + rule[0] for mid, rule in zip(kinds, nu._mass_rules)]
-    if kinds == [False]:
-        sizes = [math.ceil(math.pi * n_coeffs + n_coeffs ** (1 / 3)) + nu._mass_rules[0][0]]
-    if max(sizes) + step > _MAX_NODES:
+    if n_coeffs + 2 > _MAX_NODES - step:
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
+    kinds, fejer = _root_edges(nu), math.ceil(math.pi * n_coeffs + n_coeffs ** (1 / 3))
+    sizes = [min((n_coeffs if mid else fejer) + rule[0], _MAX_NODES - step)
+             for mid, rule in zip(kinds, nu._mass_rules)]
     prev, tol, best = None, 1e-12 * _scale(nu), math.inf
     for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
         counts = [n + extra for n in sizes]
@@ -227,14 +226,15 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     the semicircle is off by 3e-11; no measure tried failed before n/4.1).
     Deeper, or on a failure there, a piece gets the midpoint rule in theta
     with N + n nodes if both its edges are square-root edges (exact for
-    degree below about 2(N + n)), else Fejer with 2N + n, or with
-    ceil(pi N + N^(1/3)) + n if it is the measure's only piece, which must
-    then resolve that frequency pi N alone.  A rule max(32, ceil(N/4))
-    nodes larger per piece certifies it: all N pairs must agree to 1e-12 x
-    scale (the largest |t|), else both rules step up by that many nodes.  Raises
-    `ValueError` up front for an N whose rule pair exceeds `_MAX_NODES`
-    nodes per piece and `NumericError` if no pair within it agrees;
-    positivity is never silently clamped.
+    degree below about 2(N + n)), else Fejer with ceil(pi N + N^(1/3)) + n,
+    which resolves that frequency pi N; each start is capped at
+    `_MAX_NODES` minus the step.  A rule step = max(32, ceil(N/4)) nodes
+    larger per piece certifies it: all N pairs must agree to 1e-12 x scale
+    (the largest |t|), else both rules step up by that many nodes.  Raises
+    `ValueError` up front for an N whose N + 2 nodes exceed that cap, and
+    `NumericError`, naming the best agreement reached, if no pair within
+    `_MAX_NODES` nodes per piece agrees; positivity is never silently
+    clamped.
     """
     return _reconstruct(nu, n_coeffs, True)[0]
 

@@ -461,21 +461,23 @@ class TestMassRuleReuse:
         monkeypatch.setattr(inverse, "lanczos_tridiag", breaks_first)
         nu = two_band_cut_measure()
         rec = reconstruct_coefficients(nu, 6)
-        # Fejer with 2N + 128 nodes on the two pieces with a regular
-        # edge, the midpoint rule with N + 128 on [1, 2]; certified at 32 more
-        assert sizes == [3 * 128, 2 * 140 + 134, 2 * 172 + 166]
+        # Fejer with ceil(pi N + N^(1/3)) + 128 = 149 nodes on the two pieces
+        # with a regular edge, the midpoint rule with N + 128 on [1, 2];
+        # certified at 32 more
+        assert sizes == [3 * 128, 2 * 149 + 134, 2 * 181 + 166]
         rules = [nu._rule(i, *inverse._theta_rule(n, mid)) for i, n, mid in
-                 zip(range(3), (140, 140, 134), (False, False, True))]
+                 zip(range(3), (149, 149, 134), (False, False, True))]
         t, w = (np.concatenate(part) for part in zip(*rules))
         alphas, betas = kernel(t, w, 6)
         assert np.array_equal(rec.a_window[1:], betas)
         assert np.array_equal(rec.b_window[1:], alphas)
 
-    @pytest.mark.parametrize("depth", [100, 300, 1000])
+    @pytest.mark.parametrize("depth", [100, 300, 1000, 1150])
     def test_lone_regular_edge_piece_certifies_on_the_first_pair(self, monkeypatch, depth):
-        # degree 2N + 1 in t is frequency about pi N in theta: the measure's
-        # only Fejer piece starts at ceil(pi N + N^(1/3)) + 128 nodes, where
-        # it used to step up from 2N + 128 through 3, 6 and 7 passes
+        # degree 2N + 1 in t is frequency about pi N in theta: a Fejer piece
+        # starts at ceil(pi N + N^(1/3)) + 128 nodes, and the first pair
+        # certifies.  At N = 1150 the start (3752) is capped at 4000 - 288,
+        # so that the certifying rule fits
         from reflectionless import inverse
 
         kernel, sizes = inverse.lanczos_tridiag, []
@@ -487,8 +489,9 @@ class TestMassRuleReuse:
         monkeypatch.setattr(inverse, "lanczos_tridiag", counted)
         nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-1.0, 1.0, 1.0),))
         rec = reconstruct_coefficients(nu, depth)
-        start = math.ceil(math.pi * depth + depth ** (1 / 3)) + 128
-        assert sizes == [start, start + max(32, -(-depth // 4))]
+        step = max(32, -(-depth // 4))
+        start = min(math.ceil(math.pi * depth + depth ** (1 / 3)) + 128, 4000 - step)
+        assert sizes == [start, start + step]
         alphas, betas = kernel(*nu._rule(0, *_fejer_rule(2 * start)), depth)
         assert np.max(np.abs(rec.a_window[1:] - betas)) <= 1e-12
         assert np.max(np.abs(rec.b_window[1:] - alphas)) <= 1e-12
@@ -538,9 +541,27 @@ class TestReports:
         assert [r["rule"] for r in cut["rules"]] == ["fejer"] * 2
 
     def test_report_certified_after_a_step_up(self):
+        # two midpoint pieces, from mass rules of 256 and 128 nodes: the jump
+        # point 5e-4 right of the gap's left end keeps the pairs from
+        # (N + 256, N + 128) through two steps of 32 apart, and the third
+        # step certifies
+        from reflectionless import reconstruction_report
+        nu = canonical_half_line(((-2.0, 0.0), (0.5, 2.0)), (0.4995,))
+        total_mass(nu)
+        assert [rule[0] for rule in nu._mass_rules] == [256, 128]
+        rec, rep = reconstruction_report(nu, 50)
+        assert [(p["rule"], p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] \
+            == [("midpoint", 50 + n + 96, 50 + n + 128) for n in (256, 128)]
+        tol = 1e-12 * 2.0    # the scale: the band's ends at -2 and 2
+        assert rep["certificate"] <= tol
+        shallow, _ = reconstruction_report(nu, 25)
+        for mine, ref in ((rec.a_window, shallow.a_window), (rec.b_window, shallow.b_window)):
+            assert np.max(np.abs(mine[:26] - ref)) <= tol
+
+    def test_two_fejer_pieces_certify_on_the_first_pair(self):
         # a band with one regular edge and an f piece off K, both Fejer from
-        # 128-node mass rules: at N = 200 the pair (2N + 128, + 50) disagrees,
-        # and the pair one step of 50 up certifies
+        # 128-node mass rules: each starts at ceil(pi N + N^(1/3)) + 128, as
+        # a lone Fejer piece does, and the first pair certifies
         from reflectionless import reconstruction_report
         r = 3.9093288296726296
         xi = StepFunction.from_pieces(r, [(-2.0, r, 0.5)])
@@ -549,8 +570,9 @@ class TestReports:
                                FSelector(((lo, hi, 0.3175815674764976),)))
         assert [rule[0] for rule in nu._mass_rules] == [128, 128]
         rec, rep = reconstruction_report(nu, 200)
+        start = math.ceil(math.pi * 200 + 200 ** (1 / 3)) + 128
         assert [(p["rule"], p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] \
-            == [("fejer", 2 * 200 + 128 + 50, 2 * 200 + 128 + 100)] * 2
+            == [("fejer", start, start + 50)] * 2
         tol = 1e-12 * hi    # the scale: the f piece's right end
         assert rep["certificate"] <= tol
         shallow, _ = reconstruction_report(nu, 100)

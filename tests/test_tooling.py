@@ -148,9 +148,27 @@ def omega_operator(**changes):
     ("omega", omega_operator(tail={"kind": "bogus", "a": [2.0], "b": [0.5]})),
     ("omega", omega_operator(n_lo=0.7, n_hi=5.9)),
     ("omega", omega_operator(n_lo=False)),
+    # numbers must be JSON numbers: no bool or string stands in for one
+    ("dr", {"semicircle_scale": True}),
+    ("dr", {"semicircle_scale": "2"}),
+    ("oracle", {"xi_widths": ["0.04"]}),
+    ("aktable", {"sets": [[["0", "4"]]]}),
+    ("thm11", {"k_intervals": [[False, 4]]}),
+    # a JSON integer beyond float64
+    ("dr", {"semicircle_scale": 10 ** 400}),
+    ("oracle", {"xi_widths": [10 ** 400]}),
+    ("thm11", {"k_intervals": [[-2, 10 ** 400]]}),
+    ("aktable", {"sets": [[[0, 10 ** 400]]]}),
+    ("dr", {"atoms": [[10 ** 400, 0.3]]}),
+    ("omega", {"cluster_threshold": 10 ** 400}),
+    ("omega", omega_operator(a=[10 ** 400] + [1.0] * 5)),
+    ("oracle", {"n_coeffs": 10 ** 400}),
 ], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
         "negative-mass", "nan-width", "empty-widths", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
-        "float-window-index", "bool-window-index"])
+        "float-window-index", "bool-window-index",
+        "bool-scale", "string-scale", "string-width", "string-set", "bool-interval",
+        "huge-scale", "huge-width", "huge-interval", "huge-set", "huge-atom", "huge-threshold",
+        "huge-operator", "huge-depth"])
 def test_bad_config_value_exits_two(command, config, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
