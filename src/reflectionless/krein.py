@@ -228,22 +228,28 @@ def _edge_factors(theta):
     return np.cos(phase) ** 2, np.sin(phase) ** 2
 
 
-def _arc_log_abs(columns: np.ndarray, lo, hi, width, t, edge_factors):
+def _arc_log_abs(columns: np.ndarray, lo, hi, width, edge_factors):
     """sum_k d_k ln|t - x_k| over the breakpoint columns (x_k, d_k) at the
     points t = mid + half*sin(theta) of the pieces (lo, hi) of width
-    2*half, the edge distances taken as width times `_edge_factors(theta)`.
-    The (breakpoint, point) distances form one array; the edge distances
-    are placed into it where a breakpoint equals lo or hi, one log takes
-    them all, and one reduction adds the terms in breakpoint order: numpy
-    adds along the leading axis row by row, except when a single point
-    leaves that axis innermost, where it sums pairwise and the rows are
-    added in Python instead."""
-    xk, dk = columns.reshape((2, -1) + (1,) * t.ndim)
-    terms = t - xk
-    np.abs(terms, out=terms)
-    np.copyto(terms, width * edge_factors[0], where=xk == lo)
-    np.copyto(terms, width * edge_factors[1], where=xk == hi)
+    2*half, with (e_0, e_1) = `_edge_factors(theta)`; t itself is never
+    formed.  Every distance is measured from the piece's own edges,
+
+        |t - x_k| = max((lo - x_k) + width*e_0, (x_k - hi) + width*e_1),
+
+    since t - lo = width*e_0 and hi - t = width*e_1.  A measure's ac piece
+    lies inside one piece of xi, so every breakpoint lies at or beyond lo
+    or hi: one candidate is then the distance as a sum of two terms of one
+    sign, as accurate relative as the edge factor to a few ulp, wherever the
+    piece sits, and the other is <= 0.  At x_k == lo or hi it is width*e_0 or width*e_1 exactly.
+    (For a breakpoint inside the piece the max is still |t - x_k|, with the
+    cancellation of a difference.)  One log takes the (breakpoint, point)
+    array, and one reduction adds the terms in breakpoint order: numpy adds
+    along the leading axis row by row, except when a single point leaves
+    that axis innermost, where it sums pairwise and the rows are added in
+    Python instead."""
+    near, far = width * edge_factors[0], width * edge_factors[1]
+    xk, dk = columns.reshape((2, -1) + (1,) * near.ndim)
+    terms = np.maximum((lo - xk) + near, (xk - hi) + far)
     np.log(terms, out=terms)
     terms *= dk
-    return terms.sum(axis=0) if t.size > 1 else sum(terms)
-
+    return terms.sum(axis=0) if near.size > 1 else sum(terms)

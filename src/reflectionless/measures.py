@@ -20,9 +20,11 @@ Each measure builds one read-only table, on its first density evaluation:
 the rows of its pieces (lo, hi, multiplier, sin(pi xi), mid, half, width)
 and the breakpoint columns (x_k, d_k != 0) of ln|H| = sum_k d_k ln|t - x_k|.
 An evaluation gathers its pieces' rows and sums ln|H| on the columns with
-`krein._arc_log_abs`.
-The mass rules take one call at 64 and 128 nodes, whose sines and edge
-factors in theta the densities read as computed once per process, and one
+`krein._arc_log_abs`, which measures each distance |t - x_k| from the
+piece's own edge and never forms the point t, so a density is as accurate
+far from the origin as near it.
+The mass rules take one call at 64 and 128 nodes, whose edge factors in
+theta the densities read as computed once per process, and one
 per later doubling of the unconverged pieces; the rule each piece's mass
 converged at is memoized and reused by shallow reconstructions.  Where xi
 jumps by +-1/2 at both edges (every band of a reflectionless half-line
@@ -79,11 +81,10 @@ def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=1)
 def _start_rule() -> tuple[np.ndarray, ...]:
     """The rule that every measure's mass rules start with, the 64 and 128
-    node Fejer rules side by side, with the sines and edge factors of its
-    thetas that the densities take, computed once: (theta, w, sin theta,
-    *edge factors), read-only."""
+    node Fejer rules side by side, with the edge factors of its thetas that
+    the densities take, computed once: (theta, w, e_0, e_1), read-only."""
     theta, w = map(np.concatenate, zip(_fejer_rule(64), _fejer_rule(128)))
-    return _read_only(theta, w, np.sin(theta), *_edge_factors(theta))
+    return _read_only(theta, w, *_edge_factors(theta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,13 +159,14 @@ class SpectralMeasure:
     def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:
         """Density at t = mid + half*sin(theta) on ac piece `index`,
         elementwise over the broadcast shape of index and theta, stable up to
-        the piece edges (where it behaves like a power of the distance)."""
+        the piece edges (where it behaves like a power of the distance) and
+        wherever the piece sits: the kernel measures the distances from the
+        piece's edges, so t is not formed."""
         rows, columns = self._table
-        lo, hi, m, sin_v, mid, half, width = rows[:, index]
+        lo, hi, m, sin_v, _, _, width = rows[:, index]
         start = _start_rule()
-        sin, edges = (start[2], start[3:]) if theta is start[0] else (np.sin(theta), _edge_factors(theta))
-        t = mid + half * sin
-        return m * np.exp(_arc_log_abs(columns, lo, hi, width, t, edges)) * sin_v / math.pi
+        edges = start[2:] if theta is start[0] else _edge_factors(theta)
+        return m * np.exp(_arc_log_abs(columns, lo, hi, width, edges)) * sin_v / math.pi
 
     def _rule(self, index, theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodes t = mid + half*sin(theta) and weight x jacobian x density of

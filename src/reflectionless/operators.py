@@ -42,6 +42,15 @@ __all__ = [
 _TRUNCATION_TOL = 1e-10  # resolvent-entry error that sizes the truncated section
 
 
+def _json_numbers(*values) -> tuple:
+    """The values, each a number or a list of numbers as read from JSON, for
+    the parsers: a bool or a string in one, which float() would take as 1.0
+    or parse, is a ValueError (the constructors take library arrays as given)."""
+    if any(type(x) not in (int, float) for v in values for x in (v if type(v) is list else [v])):
+        raise ValueError("operator entries a and b must be JSON numbers, not bools or strings")
+    return values
+
+
 @dataclass(frozen=True, slots=True)
 class Tail:
     """Coefficient values outside the explicit window: one period of (a, b).
@@ -100,11 +109,10 @@ class Tail:
         kind = data["kind"]
         if kind == "free":
             return cls.free()
-        if kind == "constant":
-            return cls.constant(data["a"], data["b"])
-        if kind == "periodic":
-            return cls.periodic(data["a"], data["b"])
-        raise ValueError(f"unknown tail kind {kind!r}")
+        if kind not in ("constant", "periodic"):
+            raise ValueError(f"unknown tail kind {kind!r}")
+        a, b = _json_numbers(data["a"], data["b"])
+        return cls.constant(a, b) if kind == "constant" else cls.periodic(a, b)
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
@@ -196,7 +204,7 @@ class JacobiCoefficients:
         n_lo, n_hi = data["n_lo"], data["n_hi"]
         if type(n_lo) is not int or type(n_hi) is not int:     # refuses floats and bools
             raise ValueError("window indices n_lo and n_hi must be integers")
-        return cls(n_lo, n_hi, data["a"], data["b"], Tail.from_dict(data["tail"]))
+        return cls(n_lo, n_hi, *_json_numbers(data["a"], data["b"]), Tail.from_dict(data["tail"]))
 
 
 # ---------------------------------------------------------------------------

@@ -158,26 +158,27 @@ def log_abs_on_arc(rep: HerglotzRep, lo, hi, theta):
     over the broadcast shape of lo, hi and theta, by the library's arc kernel
     on the columns and edge factors that `SpectralMeasure.density_on_arc`
     gives it."""
-    half = 0.5 * (hi - lo)
-    t = 0.5 * (lo + hi) + half * np.sin(theta)
-    return _arc_log_abs(_breakpoint_columns(rep.xi), lo, hi, 2.0 * half, t, _edge_factors(theta))
+    return _arc_log_abs(_breakpoint_columns(rep.xi), lo, hi, 2.0 * (0.5 * (hi - lo)),
+                        _edge_factors(theta))
 
 
 def per_piece_log_abs(xi, lo, hi, theta):
     """ln|H| on the arc of one piece (lo, hi), summed one breakpoint at a
-    time, with the trigonometric distances to the piece's own edges: the
-    reference for the (piece, breakpoint) array form of `log_abs_on_arc`."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t, out = mid + half * np.sin(theta), np.zeros_like(theta)
+    time, with the trigonometric distances to the piece's own edges, from
+    which every other distance is measured too: the reference for the
+    (piece, breakpoint) array form of `log_abs_on_arc`."""
+    half, out = 0.5 * (hi - lo), np.zeros_like(theta)
+    to_lo = 2.0 * half * np.cos(0.25 * np.pi - 0.5 * theta) ** 2      # t - lo
+    to_hi = 2.0 * half * np.sin(0.25 * np.pi - 0.5 * theta) ** 2      # hi - t
     for dk, xk in zip(xi.abs_log_coefficients, xi.breakpoints):
         if dk == 0.0:
             continue
         if xk == lo:
-            dist = 2.0 * half * np.cos(0.25 * np.pi - 0.5 * theta) ** 2
+            dist = to_lo
         elif xk == hi:
-            dist = 2.0 * half * np.sin(0.25 * np.pi - 0.5 * theta) ** 2
+            dist = to_hi
         else:
-            dist = np.abs(t - xk)
+            dist = np.maximum((lo - xk) + to_lo, (xk - hi) + to_hi)
         out = out + dk * np.log(dist)
     return out
 

@@ -63,6 +63,14 @@ class TestRunners:
         assert rep["passed"]
         assert rep["meta"]["A"] == 1.0 and rep["meta"]["B"] == 4.0
 
+    @pytest.mark.parametrize("k", [((1e6, 1000004.0),), ((-1e6, 1e6),)])
+    def test_lower_bound_far_from_the_origin(self, k):
+        # a band of width 4 at 1e6 and a band reaching 1e6: the densities on
+        # pieces near 1e6 keep their accuracy, so every quadrature converges
+        rep = run_lower_bound_suite(k_intervals=k)
+        assert rep["passed"]
+        assert len(rep["rows"]) == 100
+
     def test_lower_bound_requires_single_interval(self):
         with pytest.raises(ValueError, match="the lower-bound suite needs a single-interval K"):
             run_lower_bound_suite(k_intervals=[[-2.0, 0.0], [1.0, 2.0]], samples=8)

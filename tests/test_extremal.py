@@ -191,6 +191,13 @@ class TestMinimize:
             assert minimize_mass(k).constant == pytest.approx(k.total_length / 4.0,
                                                               rel=1e-12, abs=0)
 
+    def test_shifted_sets_keep_the_relative_accuracy(self):
+        # a translation leaves A(K) = |K|/4 alone, so its relative error may
+        # not grow with the distance of K from the origin
+        for k in shifted_sets(300, 1e4):
+            assert abs(minimize_mass(k).constant - k.total_length / 4.0) <= \
+                1e-12 * k.total_length / 4.0
+
     def test_scaling_covariance(self, rng):
         for _ in range(3):
             k = random_compact_set(rng, max_gaps=2)
@@ -206,6 +213,22 @@ class TestMinimize:
         k = CompactSet(SIX_BANDS).affine(scale, 0.0)
         assert abs(minimize_mass(k).constant - k.total_length / 4.0) <= \
             1e-12 * k.total_length / 4.0
+
+
+def shifted_sets(count, shift_scale):
+    """Sets with 1-7 gaps, band widths 10^U(-4, 1) and gap widths 10^U(-7, 2),
+    laid left to right, centred on their hull and moved by U(-1, 1) x
+    shift_scale."""
+    rng = np.random.default_rng(3)
+    sets = []
+    for _ in range(count):
+        g = int(rng.integers(1, 8))
+        bands, gaps = 10.0 ** rng.uniform(-4, 1, g + 1), 10.0 ** rng.uniform(-7, 2, g)
+        starts = np.concatenate(([0.0], np.cumsum(bands[:-1] + gaps)))
+        ends = starts + bands
+        shift = 0.5 * ends[-1] - rng.uniform(-1, 1) * shift_scale
+        sets.append(CompactSet(tuple(zip((starts - shift).tolist(), (ends - shift).tolist()))))
+    return sets
 
 
 def extreme_sets(seed, count):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -386,21 +387,22 @@ class TestHilbertTransform:
 
 def log_abs_on_arc_by_masks(rep, lo, hi, theta):
     """The kernel as it was before its fixed cost was cut: full-size masks
-    place the edge distances, and one add per breakpoint sums the terms.
-    The bitwise reference for `log_abs_on_arc`."""
+    place the edge distances over the distances measured from the piece's
+    edges, and one add per breakpoint sums the terms.  The bitwise reference
+    for `log_abs_on_arc`."""
     xi = rep.xi
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = mid + half * np.sin(theta)
+    half = 0.5 * (hi - lo)
     d = xi.abs_log_coefficients
-    xk = np.asarray(xi.breakpoints)[d != 0.0].reshape((-1,) + (1,) * t.ndim)
     phase = 0.25 * np.pi - 0.5 * theta
-    terms = t - xk
-    np.abs(terms, out=terms)
-    np.copyto(terms, 2.0 * half * np.cos(phase) ** 2, where=xk == lo)
-    np.copyto(terms, 2.0 * half * np.sin(phase) ** 2, where=xk == hi)
+    to_lo, to_hi = 2.0 * half * np.cos(phase) ** 2, 2.0 * half * np.sin(phase) ** 2
+    shape = np.broadcast_shapes(np.shape(half), np.shape(theta))
+    xk = np.asarray(xi.breakpoints)[d != 0.0].reshape((-1,) + (1,) * len(shape))
+    terms = np.maximum((lo - xk) + to_lo, (xk - hi) + to_hi)
+    np.copyto(terms, to_lo, where=xk == lo)
+    np.copyto(terms, to_hi, where=xk == hi)
     np.log(terms, out=terms)
     terms *= d[d != 0.0].reshape(xk.shape)
-    out = np.zeros_like(t)
+    out = np.zeros(shape)
     for term in terms:
         out += term
     return out
@@ -459,6 +461,66 @@ class TestArcKernelOracle:
                 got, ref = log_abs_on_arc(rep, *args), log_abs_on_arc_by_masks(rep, *args)
                 assert np.shape(got) == np.shape(ref)
                 assert np.array_equal(got, ref, equal_nan=True)
+
+
+class TestArcKernelFarFromTheOrigin:
+    """The arc kernel against ln|H| at 60 digits from the same float inputs,
+    on pieces (c - 0.37, c + 0.41) whose nearest breakpoints lie 1e-6 outside
+    each edge, wherever the piece sits.  The reference measures each side
+    from its own edge: (lo - x_k) + (hi - lo) cos^2(phi) for x_k <= lo and
+    (x_k - hi) + (hi - lo) sin^2(phi) for x_k >= hi, phi = pi/4 - theta/2
+    exactly.
+
+    The bound is derived, per point, with u = 2^-53 and elementary functions
+    within 1 ulp (2u relative).  phi is computed as fl(fl(pi)/4 - theta/2):
+    off by |pi - fl(pi)|/4 plus u |phi|.  That moves cos(phi) by |tan phi|
+    times as much relative, and sin(phi) by |cot phi| times; squaring doubles
+    it, so an edge factor is within 2 kappa dphi + 5u relative, kappa =
+    |tan phi| on the lo side and |cot phi| on the hi side.  The width
+    fl(hi - lo), its product and the sum of two nonnegative terms add 3u: a
+    distance is within r_k = 2 kappa dphi + 8u relative, and so is its log
+    absolutely.  The log's own rounding, the product with d_k and the sum of
+    K terms add at most (K + 2) u |ln dist_k| per term.  So
+    |error| <= sum_k |d_k| (r_k + (K + 2) u |ln dist_k|).  Thetas keep 1e-3
+    from +-pi/2, where kappa <= cot(5e-4) ~ 2000; the bound is about 1e-15
+    at most points.  A distance taken as |t - x_k| from the rounded node t
+    carries ulp(|t|) absolutely instead and is off by up to 2e-12 at c = 0
+    and 2.6e-3 at c = 1e12."""
+
+    @staticmethod
+    def case(c):
+        lo, hi = c - 0.37, c + 0.41
+        r = 2.0 * abs(c) + 4.0
+        cuts = (lo - 0.6, lo - 0.01, lo - 1e-6, hi + 1e-6, hi + 0.02, hi + 0.7)
+        xi = StepFunction(r, (-r, *cuts, r), (1.0, 0.25, 0.75, 0.5, 0.0, 0.25, 0.0))
+        return xi, lo, hi
+
+    @pytest.mark.parametrize("c", [0.0, 1e4, 1e8, 1e12])
+    def test_within_the_derived_bound(self, c):
+        u = 2.0 ** -53
+        xi, lo, hi = self.case(c)
+        theta = np.random.default_rng(0).uniform(-0.5 * np.pi + 1e-3, 0.5 * np.pi - 1e-3, 200)
+        got = log_abs_on_arc(HerglotzRep(xi), lo, hi, theta)
+        columns = [(x, d) for x, d in zip(xi.breakpoints, xi.abs_log_coefficients) if d != 0.0]
+        with mpmath.workdps(60):
+            width = mpmath.mpf(hi) - mpmath.mpf(lo)
+            for th, value in zip(theta.tolist(), got.tolist()):
+                phi = mpmath.pi / 4 - mpmath.mpf(th) / 2
+                phase = 0.25 * math.pi - 0.5 * th
+                dphi = 0.25 * abs(float(mpmath.pi - math.pi)) + u * phase
+                ref, bound = mpmath.mpf(0), 0.0
+                for x, d in columns:
+                    if x <= lo:
+                        dist = mpmath.mpf(lo) - x + width * mpmath.cos(phi) ** 2
+                        kappa = math.tan(phase)
+                    else:
+                        dist = mpmath.mpf(x) - hi + width * mpmath.sin(phi) ** 2
+                        kappa = 1.0 / math.tan(phase)
+                    ln = mpmath.log(dist)
+                    ref += d * ln
+                    bound += abs(d) * (2 * kappa * dphi + 8 * u
+                                       + (len(columns) + 2) * u * abs(float(ln)))
+                assert abs(float(value - ref)) <= bound, (th, value, float(ref), bound)
 
 
 class TestCorrectionFactor:

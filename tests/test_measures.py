@@ -545,9 +545,9 @@ class TestReadOnlyMemos:
                 a[0] = 0.0
 
     def test_start_rule(self):
-        # theta, w, sin theta and the two edge factors
+        # theta, w and the two edge factors
         rule = measures._start_rule()
-        assert len(rule) == 5 and all(a.shape == (192,) for a in rule)
+        assert len(rule) == 4 and all(a.shape == (192,) for a in rule)
         for a in rule:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0

@@ -154,6 +154,10 @@ def omega_operator(**changes):
     ("oracle", {"xi_widths": ["0.04"]}),
     ("aktable", {"sets": [[["0", "4"]]]}),
     ("thm11", {"k_intervals": [[False, 4]]}),
+    ("omega", omega_operator(a=["2.0"] + [1.0] * 5)),
+    ("omega", omega_operator(b=[True] + [0.0] * 5)),
+    ("omega", omega_operator(tail={"kind": "constant", "a": "1.5", "b": 0.0})),
+    ("omega", omega_operator(tail={"kind": "periodic", "a": [True, 1.0], "b": [0.0, 0.0]})),
     # a JSON integer beyond float64
     ("dr", {"semicircle_scale": 10 ** 400}),
     ("oracle", {"xi_widths": [10 ** 400]}),
@@ -167,6 +171,7 @@ def omega_operator(**changes):
         "negative-mass", "nan-width", "empty-widths", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
         "float-window-index", "bool-window-index",
         "bool-scale", "string-scale", "string-width", "string-set", "bool-interval",
+        "string-operator", "bool-operator", "string-tail", "bool-tail",
         "huge-scale", "huge-width", "huge-interval", "huge-set", "huge-atom", "huge-threshold",
         "huge-operator", "huge-depth"])
 def test_bad_config_value_exits_two(command, config, tmp_path):
