@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["NumericError"]
+
 
 class NumericError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import NumericError
 from .gapflow import GapJumps, canonical_krein_from_jumps, default_bound
 from .krein import HerglotzRep
-from .measures import stieltjes_invert, total_mass
+from .measures import SpectralMeasure, ac_pieces, total_mass
 from .sets import CompactSet
 
 __all__ = [
@@ -78,9 +78,8 @@ def mass_objective(k_set: CompactSet, jumps: GapJumps) -> float:
     that `minimize_mass` refuses for its scale raises the same `ValueError`."""
     _require_normal_scale(k_set)
     xi = canonical_krein_from_jumps(k_set, jumps)
-    rho = stieltjes_invert(HerglotzRep(xi))
-    # the ac pieces of a canonical function lie on the bands; drop the atoms
-    return 0.5 * total_mass(type(rho)(rho.rep, rho.ac_pieces, ()))
+    # rho_ac of a canonical function lies on the bands; its atoms are not formed
+    return 0.5 * total_mass(SpectralMeasure(HerglotzRep(xi), ac_pieces(xi)))
 
 
 class _FastObjective:

@@ -254,6 +254,11 @@ def atom_positions_and_masses(xi: StepFunction) -> list[tuple[float, float]]:
     return out
 
 
+def ac_pieces(xi: StepFunction) -> tuple[AcPiece, ...]:
+    """The ac pieces of xi's measure, one per piece of xi with 0 < xi < 1."""
+    return tuple(AcPiece(lo, hi, 1.0) for lo, hi, v in xi.pieces() if 0.0 < v < 1.0)
+
+
 def stieltjes_invert(rep: HerglotzRep) -> SpectralMeasure:
     """The measure of H: density |H(t)| sin(pi xi)/pi wherever 0 < xi < 1,
     atoms at the full 0 -> 1 up-jumps.
@@ -262,8 +267,7 @@ def stieltjes_invert(rep: HerglotzRep) -> SpectralMeasure:
     v_right, where one value is the piece's own in (0, 1) and the other is
     in [0, 1], so it is always > -1.
     """
-    pieces = tuple(AcPiece(lo, hi, 1.0) for lo, hi, v in rep.xi.pieces() if 0.0 < v < 1.0)
-    return SpectralMeasure(rep, pieces, tuple(atom_positions_and_masses(rep.xi)))
+    return SpectralMeasure(rep, ac_pieces(rep.xi), tuple(atom_positions_and_masses(rep.xi)))
 
 
 def half_line_measure(rho: SpectralMeasure, k_set: CompactSet,

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["CompactSet"]
+
 
 @dataclass(frozen=True, slots=True)
 class CompactSet:

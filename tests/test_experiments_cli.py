@@ -450,6 +450,18 @@ class TestReportsAndCli:
         assert "float64's normal range" in proc.stderr and scale in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("half_width", [1e12, 1e20])
+    def test_cli_thm11_checks_relative_to_the_scale(self, tmp_path, half_width):
+        # the free sample is right to about 3e-16 of the scale, which the old absolute
+        # limits 1e-8 and 1e-7 refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_intervals": [[-half_width, half_width]]}))
+        proc = self._cli("thm11", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [a["name"] for a in report["assertions"]] == [
+            "a0 >= A - 1e-12 x scale for every sample", "free sample recovers a0 = A, deviation 0"]
+
     def test_cli_aktable_thirty_two_bands(self, tmp_path):
         # five levels of removing the middle 20% of every band, from [-2, 2]
         bands = [[-2.0, 2.0]]

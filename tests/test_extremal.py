@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             canonical_krein_from_jumps,
-                            extremal, flow_to_canonical,
+                            extremal, flow_to_canonical, measures,
                             gap_jump_masses, grid_min_mass, half_line_measure,
                             mass_objective, minimize_mass, stieltjes_invert,
                             total_mass)
@@ -84,6 +84,24 @@ class TestObjective:
             v1 = band_mass(jumps, 2.5)
             v2 = band_mass(jumps, 4.0)
             assert abs(v1 - v2) < 1e-9
+
+    def test_integrates_the_band_measure_without_forming_the_atoms(self, monkeypatch):
+        # the same value, bitwise, as the band part of the full Stieltjes inversion
+        for k, g in ((SYMMETRIC_TWO_BAND, (0.3,)), (SYMMETRIC_TWO_BAND, (0.7,)),
+                     (CompactSet(FOUR_BANDS), (0.1, 0.0, 0.25))):
+            rho = stieltjes_invert(HerglotzRep(canonical_krein_from_jumps(k, GapJumps(g))))
+            assert rho.atoms
+            assert mass_objective(k, GapJumps(g)) == \
+                0.5 * total_mass(type(rho)(rho.rep, rho.ac_pieces, ()))
+
+        def no_atoms(xi):
+            raise AssertionError("the objective formed the atoms")
+
+        monkeypatch.setattr(measures, "atom_positions_and_masses", no_atoms)
+        assert mass_objective(SYMMETRIC_TWO_BAND, GapJumps((0.5,))) == \
+            pytest.approx(SYMMETRIC_OBJECTIVE_AT_HALF, abs=1e-11)
+        assert minimize_mass(CompactSet(FOUR_BANDS)).constant == \
+            pytest.approx(CompactSet(FOUR_BANDS).total_length / 4.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bands", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
     def test_scale_outside_the_normal_range_refused_as_the_minimizer_refuses(self, bands):

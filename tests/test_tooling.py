@@ -80,6 +80,23 @@ def test_exported_names_resolve(module):
     assert not missing, f"{module}.__all__ names what it does not define: {missing}"
 
 
+LAYERS = ("errors", "sets", "krein", "operators", "gapflow", "measures", "inverse", "extremal")
+
+
+def test_package_exports_are_the_layers_exports_in_order():
+    layers = [importlib.import_module(f"reflectionless.{name}") for name in LAYERS]
+    assert all("__all__" in vars(mod) for mod in layers)
+    assert reflectionless.__all__ == [name for mod in layers for name in mod.__all__]
+    assert len(set(reflectionless.__all__)) == len(reflectionless.__all__)
+
+
+def test_import_does_not_load_the_cli_runners(tmp_path):
+    proc = run_python(["-c", "import reflectionless, sys; loaded = {'reflectionless.experiments', "
+                             "'reflectionless.cli', 'csv', 'json'} & set(sys.modules); "
+                             "assert not loaded, loaded"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_truncation_runs_without_scipy(tmp_path):
     code = ("import sys; sys.modules['scipy'] = None; import reflectionless as rf; "
             "j = rf.JacobiCoefficients.periodic([1.0], [0.0]); "
