@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from .errors import NumericError
-from .extremal import minimize_mass
+from .extremal import mass_objective, minimize_mass
 from .gapflow import GapJumps, canonical_krein_from_jumps, flow_to_canonical
 from .inverse import (coefficient_deviation, reconstruct_coefficients,
                       reconstruction_report)
@@ -299,8 +299,9 @@ def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
 def run_extremal_table(sets=(((-2.0, 2.0),), ((0.0, 4.0),), ((-2.0, -0.5), (0.5, 2.0)),
                              ((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)),
                              tuple((float(i), i + 0.4) for i in range(6)))) -> dict:
-    """Extremal constants for a list of sets, each with the KKT residual that
-    certifies it and the observed closed form |K|/4."""
+    """Extremal constants A = |K|/4 for a list of sets, each with the KKT residual
+    that certifies its jumps and `quadrature_A`, the root of the band quadrature
+    `mass_objective` at those jumps, checked against |K|/4."""
     if not sets:
         raise ValueError("sets needs one or more sets")
     rows, assertions = [], []
@@ -311,11 +312,12 @@ def run_extremal_table(sets=(((-2.0, 2.0),), ((0.0, 4.0),), ((-2.0, -0.5), (0.5,
                "argmin": json.dumps(list(res.jumps.masses)),
                "refinement_tolerance": res.kkt_tolerance,
                "kkt_residual": res.kkt_residual, "iterations": res.iterations,
-               "R_used": res.bound_used, "closed_form": k_set.total_length / 4.0}
-        # checked at the 1e-12 relative accuracy of the returned quadrature value
+               "R_used": res.bound_used, "closed_form": k_set.total_length / 4.0,
+               "quadrature_A": math.sqrt(mass_objective(k_set, res.jumps))}
+        # the quadrature at the certified jumps must reach the derived |K|/4 to 1e-12
         _check(assertions, f"set {i}: closed form |K|/4",
-               abs(res.constant - row["closed_form"]) <= 1e-12 * row["closed_form"],
-               f"A={res.constant!r}, observed identity |K|/4={row['closed_form']!r}")
+               abs(row["quadrature_A"] - row["closed_form"]) <= 1e-12 * row["closed_form"],
+               f"quadrature A={row['quadrature_A']!r}, |K|/4={row['closed_form']!r}")
         _check(assertions, f"set {i}: KKT residual within tolerance",
                res.kkt_residual <= res.kkt_tolerance, f"residual={res.kkt_residual:.3e}")
         _check(assertions, f"set {i}: A positive", res.constant > 0,

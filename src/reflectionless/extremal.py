@@ -15,17 +15,22 @@ On K, |H| = |H_0| prod_j |d_j - t| / |d_j - g_j - t| is log-convex in g, so
 ln f is convex; its minimizer is interior, as d(ln f)/dg_j diverges at both
 faces g_j = 0 and |gap_j|.
 
-The minimizer has a closed form, observed and not derived: with P_L and P_R
-the products of z - e over the left and the right band ends, x_j is the root
-of P_L - P_R in gap j, and the minimizing H is |K| sqrt(P_L P_R)/(P_L - P_R).
-At 60 digits it matches the stationary point of f to 1e-40 of the gap width
-on the tests' sets; with one gap, x_0 splits the gap in the ratio of the two
-bands.  `minimize_mass` finds the roots and certifies them by the gradient
-norm (the KKT residual of an interior point, which by convexity is the
-global minimizer), so no answer rests on the identity.  f cancels where the
-atoms carry nearly all of rho (s_0/(2f) reaches 1.8e6), so the certificate
-allows for its rounding bound, and the value returned is the quadrature of
-the band density, which has no cancellation.
+The minimizer and its value are derived.  With P_L and P_R the products of
+z - e over the left and the right band ends, Delta = 2 (P_L + P_R)/(P_L - P_R)
+is -2 at each left end and +2 at each right end, grows as 4z/|K| and has one
+simple pole per gap, at the root x_j of P_L - P_R.  Of degree g + 1, it pulls
+[-2, 2] back to K: each w in (-2, 2) has one preimage x_b(w) per band b, where
+Delta' > 0.  With the jumps there, H = sqrt(P_L P_R)/prod_j (z - x_j) (Teschl,
+Jacobi Operators, ch. 8) is A sqrt(Delta^2 - 4), A = |K|/4.  The residues of
+1/(Delta - w) give sum_b 1/Delta'(x_b(w)) = |K|/4 (infinity's alone), so
+rho_ac(K) = (A/pi) integral sqrt(4 - w^2) |K|/4 dw = 2 A^2 and f = A^2.  And
+d rho_ac(K)/dx_j = (1/pi) integral_K Im H/(t - x_j) pulls back to the sums
+sum_b 1/((x_b - x_j) Delta'(x_b)), all 0: 1/((z - x_j)(Delta - w)) has no
+residue at x_j or at infinity.  By convexity, min f = (|K|/4)^2.
+`minimize_mass` finds the roots and certifies them by the gradient norm (the
+KKT residual of an interior point), allowing for the rounding bound of f,
+which cancels where the atoms carry nearly all of rho (s_0/(2f) reaches
+1.8e6), and returns A = |K|/4.
 """
 
 from __future__ import annotations
@@ -41,12 +46,7 @@ from .krein import HerglotzRep
 from .measures import SpectralMeasure, ac_pieces, total_mass
 from .sets import CompactSet
 
-__all__ = [
-    "mass_objective",
-    "minimize_mass",
-    "grid_min_mass",
-    "ExtremalResult",
-]
+__all__ = ["mass_objective", "minimize_mass", "grid_min_mass", "ExtremalResult"]
 
 # the minimizer is certified once max_j |d(ln f)/dy_j|, y = g / |gap|, is at
 # most KKT_TOL plus its rounding bound
@@ -225,9 +225,9 @@ def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     The jumps are the roots of P_L - P_R (`_jump_roots`; no step without
     gaps), certified by the gradient residual in jumps scaled by the gap
     widths: a residual above `kkt_tolerance`, `KKT_TOL` plus its rounding
-    bound, raises `NumericError`.  The value is `mass_objective` at the
-    minimizer.  A K whose scale takes f out of float64's normal range raises
-    `ValueError`.
+    bound, raises `NumericError`.  The value is the derived minimum A = |K|/4
+    (module docstring), with no quadrature.  A K whose scale takes f out of
+    float64's normal range raises `ValueError`.
     """
     _require_normal_scale(k_set)
     fast = _FastObjective(k_set)
@@ -239,6 +239,6 @@ def minimize_mass(k_set: CompactSet) -> ExtremalResult:
         raise NumericError(f"extremal jumps not certified: KKT residual {resid:.3e} "
                            f"above its tolerance {tol:.3e}")
     jumps = GapJumps(tuple(float(x) for x in g))
-    val = mass_objective(k_set, jumps)
-    return ExtremalResult(math.sqrt(val), jumps, val, default_bound(k_set),
+    a = 0.25 * k_set.total_length
+    return ExtremalResult(a, jumps, a * a, default_bound(k_set),
                           kkt_residual=resid, kkt_tolerance=tol, iterations=iterations)

@@ -240,6 +240,53 @@ def mp_stationary_point(k_set, masses):
         raise AssertionError("mpmath Newton did not converge")
 
 
+def mp_delta(bands):
+    """The numerator and the denominator of Delta = 2 (P_L + P_R)/(P_L - P_R) as
+    coefficient lists, highest degree first, at the working precision: P_L and P_R
+    are the products of z - c and of z - d over the bands (c, d), and P_L - P_R
+    loses their common leading term."""
+    p_l, p_r = [mpmath.mpf(1)], [mpmath.mpf(1)]
+    for c, d in bands:
+        p_l = [u - c * v for u, v in zip(p_l + [0], [0] + p_l)]
+        p_r = [u - d * v for u, v in zip(p_r + [0], [0] + p_r)]
+    return [2 * (u + v) for u, v in zip(p_l, p_r)], [u - v for u, v in zip(p_l, p_r)][1:]
+
+
+def mp_roots(coeffs):
+    """Every root of a polynomial at the working precision, sorted by real part:
+    numpy's float64 roots, each polished by Newton until its step is at most 1e-50
+    of it.  A root within that of the real axis is returned as an mpf."""
+    tol, roots = mpmath.mpf(10) ** -50, []
+    for z in np.roots([complex(u) for u in coeffs]):
+        z = mpmath.mpc(z)
+        for _ in range(40):
+            value, slope = mpmath.polyval(coeffs, z, derivative=True)
+            step = value / slope
+            z -= step
+            if abs(step) <= tol * abs(z):
+                break
+        else:
+            raise AssertionError(f"Newton did not polish the root {z}")
+        roots.append(z.real if abs(z.imag) <= tol * abs(z) else z)
+    return sorted(roots, key=lambda x: mpmath.re(x))
+
+
+def mp_band_preimages(bands, w):
+    """The points x_b where Delta = w, with Delta'(x_b), one per band b: the roots of
+    P(z) - w Q(z), Delta = P/Q, which number as many as the bands, each checked to be
+    real and inside its own band."""
+    num, den = mp_delta(bands)
+    roots = mp_roots([u - w * v for u, v in zip(num, [0] + den)])
+    assert len(roots) == len(bands), (bands, w)
+    for x, (c, d) in zip(roots, bands):
+        assert isinstance(x, mpmath.mpf) and c < x < d, (bands, w, x)
+    out = []
+    for x in roots:
+        (n, dn), (q, dq) = (mpmath.polyval(p, x, derivative=True) for p in (num, den))
+        out.append((x, (dn * q - n * dq) / (q * q)))
+    return out
+
+
 def banded_section_green(j, n, z):
     """The reference for green_diag(method="truncation"): the (n, n) entry of
     the inverse of J - z on the same Combes-Thomas section n - h..n + h with

@@ -132,8 +132,19 @@ class TestRunners:
         assert rep["rows"][2]["A"] == pytest.approx(0.75, abs=1e-6)
         for row in rep["rows"]:
             assert {"A", "argmin", "refinement_tolerance",
-                    "kkt_residual", "iterations", "R_used"} <= set(row)
+                    "kkt_residual", "iterations", "R_used", "quadrature_A"} <= set(row)
             assert row["kkt_residual"] <= row["refinement_tolerance"]
+
+    def test_extremal_table_checks_the_quadrature_at_the_certified_jumps(self, monkeypatch):
+        # A is |K|/4 by derivation; the check is on the band quadrature, so a
+        # quadrature off by 3e-12 relative fails it
+        quadrature = experiments.mass_objective
+        monkeypatch.setattr(experiments, "mass_objective",
+                            lambda k, jumps: (1.0 + 6e-12) * quadrature(k, jumps))
+        rep = run_extremal_table(sets=[[[-2.0, -0.5], [0.5, 2.0]]])
+        assert rep["rows"][0]["A"] == 0.75
+        assert [a["name"] for a in rep["assertions"] if not a["passed"]] == \
+            ["set 0: closed form |K|/4"]
 
     def test_extremal_table_certifies_against_the_solver_tolerance(self):
         # bands 1e-2 wide and 23 apart, where s_0/(2f) is 1.8e6: the gradient
@@ -144,7 +155,7 @@ class TestRunners:
         assert rep["passed"]
         row = rep["rows"][0]
         assert row["kkt_residual"] <= row["refinement_tolerance"]
-        assert row["A"] == pytest.approx(row["closed_form"], rel=1e-12, abs=0)
+        assert row["quadrature_A"] == pytest.approx(row["closed_form"], rel=1e-12, abs=0)
 
 
 class TestOmegaLimit:
@@ -474,7 +485,8 @@ class TestReportsAndCli:
         assert proc.returncode == 0, proc.stderr
         row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
         assert len(json.loads(row["set"])) == 32
-        assert row["A"] == pytest.approx(sum(d - c for c, d in bands) / 4.0, rel=1e-12, abs=0)
+        assert row["quadrature_A"] == pytest.approx(sum(d - c for c, d in bands) / 4.0,
+                                                    rel=1e-12, abs=0)
         assert row["kkt_residual"] <= row["refinement_tolerance"]
 
     @pytest.mark.parametrize("command, config", [

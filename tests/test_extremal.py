@@ -14,8 +14,9 @@ from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein
 
-from conftest import (SIX_BANDS, abs_boundary, flow_steps, is_canonical, mp_mass_objective,
-                      mp_stationary_point, random_compact_set)
+from conftest import (SIX_BANDS, abs_boundary, flow_steps, is_canonical, mp_band_preimages,
+                      mp_delta, mp_mass_objective, mp_roots, mp_stationary_point,
+                      random_compact_set)
 
 SYMMETRIC_TWO_BAND = CompactSet(((-2.0, -0.5), (0.5, 2.0)))
 # gaps 1.2e-6, 6.0e-5 and 0.74 wide between bands 7.5e-3 to 1.3 wide: the deep
@@ -100,8 +101,8 @@ class TestObjective:
         monkeypatch.setattr(measures, "atom_positions_and_masses", no_atoms)
         assert mass_objective(SYMMETRIC_TWO_BAND, GapJumps((0.5,))) == \
             pytest.approx(SYMMETRIC_OBJECTIVE_AT_HALF, abs=1e-11)
-        assert minimize_mass(CompactSet(FOUR_BANDS)).constant == \
-            pytest.approx(CompactSet(FOUR_BANDS).total_length / 4.0, rel=1e-12, abs=0)
+        k = CompactSet(FOUR_BANDS)
+        assert quadrature_constant(k) == pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bands", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
     def test_scale_outside_the_normal_range_refused_as_the_minimizer_refuses(self, bands):
@@ -166,18 +167,33 @@ class TestMinimize:
             assert res.constant <= grid_min_mass(k, grid=5).constant
 
     def test_constant_is_a_quarter_of_the_set_length(self, rng):
-        # A(K) = |K|/4: exact for an interval and for the symmetric two-band
-        # set (3/4); observed to 2e-12 on 900 random sets with 1-10 gaps, to
-        # 7e-16 on 200 sets with gaps 1e-6 to 1e-4 wide between bands 1 to 10
-        # wide, and to 1.1e-12 on extreme_sets(17, 200)
+        # A(K) = |K|/4 is derived (TestPullback); the band quadrature at the
+        # certified jumps reaches it, as it did to 2e-12 on 900 random sets with
+        # 1-10 gaps and to 1.1e-12 on extreme_sets(17, 200)
         sets = [CompactSet(tuple((float(i), float(i) + 0.4) for i in range(6)))]
         sets += [random_compact_set(rng, max_gaps=4) for _ in range(6)]
         for k in sets:
-            assert minimize_mass(k).constant == \
-                pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
+            assert quadrature_constant(k) == pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
 
     def test_non_convergence_raises(self, monkeypatch):
         # a root finder that stops short of the roots: the box centre
+        monkeypatch.setattr(extremal, "_jump_roots", lambda fast: (0.5 * fast.gap_widths, 1))
+        with pytest.raises(NumericError, match="KKT residual .* above its tolerance"):
+            minimize_mass(CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0))))
+
+    def test_solves_without_the_band_quadrature(self, monkeypatch):
+        # the certified jumps give A = |K|/4 with no density evaluated, and a jump
+        # vector that fails the certificate is still refused
+        def no_quadrature(*args):
+            raise AssertionError("the solver ran the band quadrature")
+
+        monkeypatch.setattr(extremal, "mass_objective", no_quadrature)
+        monkeypatch.setattr(measures.SpectralMeasure, "density_on_arc", no_quadrature)
+        for bands in (FOUR_BANDS, SIX_BANDS):
+            k = CompactSet(bands)
+            res = minimize_mass(k)
+            assert (res.constant, res.objective_value) == \
+                (0.25 * k.total_length, (0.25 * k.total_length) ** 2)
         monkeypatch.setattr(extremal, "_jump_roots", lambda fast: (0.5 * fast.gap_widths, 1))
         with pytest.raises(NumericError, match="KKT residual .* above its tolerance"):
             minimize_mass(CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0))))
@@ -206,13 +222,21 @@ class TestMinimize:
     def test_scales_inside_the_normal_range_solve(self):
         for bands in IN_RANGE:
             k = CompactSet(bands)
-            assert minimize_mass(k).constant == pytest.approx(k.total_length / 4.0,
-                                                              rel=1e-12, abs=0)
+            assert quadrature_constant(k) == pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
 
     def test_shifted_sets_keep_the_relative_accuracy(self):
-        # a translation leaves A(K) = |K|/4 alone, so its relative error may
-        # not grow with the distance of K from the origin
+        # a translation leaves A(K) = |K|/4 alone, so the quadrature's relative
+        # error at the certified jumps may not grow with the distance of K from
+        # the origin
         for k in shifted_sets(300, 1e4):
+            assert abs(quadrature_constant(k) - k.total_length / 4.0) <= \
+                1e-12 * k.total_length / 4.0
+
+    def test_sets_shifted_far_from_the_origin_are_certified_at_a_quarter_of_the_length(self):
+        # up to 1e6 from the origin, a quadrature of the canonical function rounds
+        # its jump points to ulp(|x_j|) and missed |K|/4 by up to 1.5e-11 on 14 of
+        # these sets; the derived value has no such rounding
+        for k in shifted_sets(300, 1e6):
             assert abs(minimize_mass(k).constant - k.total_length / 4.0) <= \
                 1e-12 * k.total_length / 4.0
 
@@ -229,8 +253,13 @@ class TestMinimize:
         # the scaling is exact in float64, so A's relative error may not
         # depend on it; pytest.approx would add an absolute 1e-12 here
         k = CompactSet(SIX_BANDS).affine(scale, 0.0)
-        assert abs(minimize_mass(k).constant - k.total_length / 4.0) <= \
+        assert abs(quadrature_constant(k) - k.total_length / 4.0) <= \
             1e-12 * k.total_length / 4.0
+
+
+def quadrature_constant(k_set):
+    """A(K) by the band quadrature at `minimize_mass`'s certified jumps."""
+    return math.sqrt(mass_objective(k_set, minimize_mass(k_set).jumps))
 
 
 def shifted_sets(count, shift_scale):
@@ -327,6 +356,62 @@ class TestInteriorMinimizer:
         fast = extremal._FastObjective(k)
         grad, _ = fast.log_derivatives(np.array(res.jumps.masses))
         assert res.kkt_residual == float(np.max(np.abs(grad * fast.gap_widths)))
+
+
+def pullback_sets(seed=27):
+    """One set of each of 2-8 bands, band widths 10^U(-1, 0.5) and gap widths
+    10^U(-2, 0.5), laid left to right from U(-3, 3)."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for count in range(2, 9):
+        widths = 10.0 ** rng.uniform(-1.0, 0.5, count)
+        spaces = 10.0 ** rng.uniform(-2.0, 0.5, count - 1)
+        starts = np.concatenate([[0.0], np.cumsum(widths[:-1] + spaces)]) + rng.uniform(-3.0, 3.0)
+        sets.append(CompactSet(tuple(zip(starts.tolist(), (starts + widths).tolist()))))
+    return sets
+
+
+@pytest.fixture(scope="module")
+def pullbacks():
+    """Per set of `pullback_sets`: its bands, the roots x_j of P_L - P_R, |K| and,
+    on 41 points w of (-1.99, 1.99), the preimages of w with Delta' there, at 60 digits."""
+    out = []
+    with mpmath.workdps(60):
+        for k in pullback_sets():
+            bands = [(mpmath.mpf(c), mpmath.mpf(d)) for c, d in k.intervals]
+            table = [mp_band_preimages(bands, mpmath.mpf(w)) for w in np.linspace(-1.99, 1.99, 41)]
+            length = sum((d - c for c, d in bands), mpmath.mpf(0))
+            out.append((bands, mp_roots(mp_delta(bands)[1]), length, table))
+    return out
+
+
+class TestPullback:
+    """Delta = 2 (P_L + P_R)/(P_L - P_R) pulls [-2, 2] back to K, and the residue
+    identities behind A(K) = |K|/4 and its stationarity (module docstring of
+    `extremal`), at 60 digits."""
+
+    def test_each_w_has_one_preimage_per_band_where_delta_increases(self, pullbacks):
+        # `mp_band_preimages` refuses a w without exactly one real preimage per band
+        for bands, _, _, table in pullbacks:
+            assert all(slope > 0 for preimages in table for _, slope in preimages), bands
+
+    def test_inverse_slopes_sum_to_a_quarter_of_the_length(self, pullbacks):
+        with mpmath.workdps(60):
+            for bands, _, length, table in pullbacks:
+                for preimages in table:
+                    total = mpmath.fsum(1 / slope for _, slope in preimages)
+                    assert abs(total - length / 4) <= mpmath.mpf(10) ** -40 * length, bands
+
+    def test_sums_over_the_preimages_vanish_at_each_jump_point(self, pullbacks):
+        with mpmath.workdps(60):
+            for bands, poles, _, table in pullbacks:
+                assert len(poles) == len(bands) - 1
+                for x_j, (_, c), (d, _) in zip(poles, bands, bands[1:]):
+                    assert isinstance(x_j, mpmath.mpf) and c < x_j < d, bands
+                    for preimages in table:
+                        terms = [1 / ((x - x_j) * slope) for x, slope in preimages]
+                        assert abs(mpmath.fsum(terms)) <= \
+                            mpmath.mpf(10) ** -40 * mpmath.fsum(abs(t) for t in terms), bands
 
 
 class TestDerivatives:
