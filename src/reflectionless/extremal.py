@@ -27,10 +27,8 @@ rho_ac(K) = (A/pi) integral sqrt(4 - w^2) |K|/4 dw = 2 A^2 and f = A^2.  And
 d rho_ac(K)/dx_j = (1/pi) integral_K Im H/(t - x_j) pulls back to the sums
 sum_b 1/((x_b - x_j) Delta'(x_b)), all 0: 1/((z - x_j)(Delta - w)) has no
 residue at x_j or at infinity.  By convexity, min f = (|K|/4)^2.
-`minimize_mass` finds the roots and certifies them by the gradient norm (the
-KKT residual of an interior point), allowing for the rounding bound of f,
-which cancels where the atoms carry nearly all of rho (s_0/(2f) reaches
-1.8e6), and returns A = |K|/4.
+`minimize_mass` finds the roots, certifies each by |ln|P_L/P_R|| within its
+rounding bound at x_j, and returns A = |K|/4.
 """
 
 from __future__ import annotations
@@ -48,9 +46,6 @@ from .sets import CompactSet
 
 __all__ = ["mass_objective", "minimize_mass", "grid_min_mass", "ExtremalResult"]
 
-# the minimizer is certified once max_j |d(ln f)/dy_j|, y = g / |gap|, is at
-# most KKT_TOL plus its rounding bound
-KKT_TOL = 1e-11
 _MAX_STEPS = 100
 # the grid oracle holds grid**gaps values in memory
 _GRID_POINTS_CAP = 10**7
@@ -118,20 +113,18 @@ class _FastObjective:
         self.band_moment = 0.25 * float(np.sum((bands[:, 1] - bands[:, 0])
                                                * ((bands[:, 0] - a) + (bands[:, 1] - a))))
 
-    def _terms(self, masses):
-        """f, M = integral eta, the gap moments integral_{x_j}^{d_j} (t - a),
-        the distances x_j - p (unused at p = x_j) and the atom masses w."""
+    def _f(self, masses):
+        """f at the jump vectors g of shape (..., m)."""
         g = np.asarray(masses, dtype=float)
-        mass = self.half_length + g.sum(axis=-1)
-        moments = g * (self.span - 0.5 * g)
-        dist = self.static + (self.near - g[..., :, None])
+        mass = self.half_length + g.sum(axis=-1)                 # integral eta
+        moments = g * (self.span - 0.5 * g)                      # integral_{x_j}^{d_j} (t - a)
+        dist = self.static + (self.near - g[..., :, None])       # x_j - p, unused at p = x_j
         dist[..., self.atoms] += g[..., None, :] - self.far
         w = (np.abs(dist) ** self.powers).prod(axis=-1)   # 0 for a jump on a face
-        f = 0.5 * (self.band_moment + moments.sum(axis=-1) - 0.5 * mass * mass - w.sum(axis=-1))
-        return f, mass, moments, dist, w
+        return 0.5 * (self.band_moment + moments.sum(axis=-1) - 0.5 * mass * mass - w.sum(axis=-1))
 
     def value(self, masses) -> float:
-        return float(self._terms(masses)[0])
+        return float(self._f(masses))
 
     def grid_values(self, grids: list[np.ndarray]) -> np.ndarray:
         """f on the product grid, shape = tuple(len(g) for g in grids)."""
@@ -141,43 +134,27 @@ class _FastObjective:
             k = np.arange(start, min(start + (1 << 14), flat.size))
             idx = np.unravel_index(k, shape) if shape else ()
             g = np.reshape([grid[i] for grid, i in zip(grids, idx)], (len(grids), k.size))
-            flat[k] = self._terms(g.T)[0]
+            flat[k] = self._f(g.T)
         return flat.reshape(shape)
-
-    def log_derivatives(self, masses):
-        """The gradient of ln f in g and its rounding bound (one ulp of the terms that
-        cancel).  With L_ij = d(ln w_i)/dx_j, df/dg_j = (x_j - a - M + sum_i w_i L_ij)/2."""
-        g = np.asarray(masses, dtype=float)
-        f, mass, moments, dist, w = self._terms(g)
-        dist = np.where(self.powers == 0.0, 1.0, dist)
-        inv = self.powers / dist                          # c_p / (x_j - p)
-        lw = -inv[:, self.atoms]
-        lw.flat[::len(g) + 1] = inv.sum(axis=1)
-        wl = w[:, None] * lw
-        pull = self.span - g - mass                       # x_j - a - M
-        grad = 0.5 * (pull + wl.sum(axis=0)) / f
-        ulps = 2.0 ** -52
-        phi_err = ulps * (self.band_moment + np.abs(moments).sum() + 0.5 * mass * mass
-                          + w.sum()) / f
-        grad_err = ulps * (np.abs(pull) + mass + np.abs(wl).sum(axis=0)) / f \
-            + np.abs(grad) * phi_err
-        return grad, grad_err
 
 
 @dataclass(frozen=True, slots=True)
 class ExtremalResult:
+    """A minimizer of the mass objective over the jump box: the constant
+    A = sqrt(objective_value), the jumps where it is reached, the objective
+    value f there, bound_used, the R of the canonical function's support [-R, R]
+    (`default_bound`; f does not depend on it), and iterations, the root
+    finder's step count (0 from `grid_min_mass`)."""
     constant: float
     jumps: GapJumps
     objective_value: float
     bound_used: float
-    kkt_residual: float | None = None
-    kkt_tolerance: float | None = None
     iterations: int = 0
 
 
 def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     """Exhaustive minimum of the mass objective over the uniform parameter
-    grid (independent check for the refined minimizer).  Ties resolve to the
+    grid (an independent check of `minimize_mass`).  Ties resolve to the
     lexicographically smallest grid point."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -195,27 +172,43 @@ def grid_min_mass(k_set: CompactSet, grid: int = 401) -> ExtremalResult:
     return ExtremalResult(math.sqrt(val), jumps, val, r)
 
 
-def _jump_roots(fast: _FastObjective) -> tuple[np.ndarray, int]:
-    """The root in each gap of phi_j = ln|P_L(x_j)| - ln|P_R(x_j)|, read on
-    `fast`'s edge columns x_j - e.  phi_j runs from -inf at y = g / |gap| = 0
-    to +inf at y = 1.  Each gap takes Newton steps in y, or the bracket's
-    midpoint where a step would leave it, until the step is at most one ulp
-    of y or |phi_j| is at most its rounding bound, or for `_MAX_STEPS` steps.
-    Returns the jumps and the step count."""
-    edges, widths = fast.atoms.start, fast.gap_widths
-    static, near = fast.static[:, :edges], fast.near[:, :edges]
+def _log_ratio(fast: _FastObjective, y: np.ndarray):
+    """phi_j = ln|P_L(x_j)| - ln|P_R(x_j)| at y = g / |gap|, read on `fast`'s edge
+    columns x_j - e = static + (near - y |gap|), with its rounding bound and
+    d phi_j/dy.  The bound counts one ulp of each log and of the static part, and
+    the roundings of y |gap|, of near - y |gap| and of their sum, each over
+    |x_j - e|: at the gap's left end e, y |gap| is y/(1 - y) times |x_j - e|."""
+    edges = fast.atoms.start
     sign = np.resize([1.0, -1.0], edges)                 # left ends +, right ends -
+    step = (y * fast.gap_widths)[:, None]
+    part = fast.near[:, :edges] - step
+    dist = fast.static[:, :edges] + part
+    logs = np.log(np.abs(dist))
+    bound = 2.0 ** -52 * (np.abs(logs) + 2.0
+                          + (step + np.abs(part) + np.abs(dist)) / np.abs(dist)).sum(axis=1)
+    return logs @ sign, bound, -fast.gap_widths * ((1.0 / dist) @ sign)
+
+
+def _jump_roots(fast: _FastObjective) -> tuple[np.ndarray, int]:
+    """The root in each gap of phi_j (`_log_ratio`), which increases from -inf at
+    y = 0 to +inf at y = 1: Delta = 2 (e^phi + 1)/(e^phi - 1) has one pole per
+    gap.  Each gap takes Newton steps in y, or the bracket's midpoint where a step
+    would leave it, until |phi_j| is at most its rounding bound, which brackets
+    the root to float resolution.  A gap not certified after `_MAX_STEPS` steps
+    raises `NumericError`.  Returns the jumps and the step count."""
+    widths = fast.gap_widths
     lo, hi, y = np.zeros(len(widths)), np.ones(len(widths)), np.full(len(widths), 0.5)
     for it in range(_MAX_STEPS + 1):
-        dist = static + (near - (y * widths)[:, None])    # x_j - e
-        logs = np.log(np.abs(dist))
-        phi = logs @ sign
-        lo, hi = np.where(phi < 0.0, y, lo), np.where(phi > 0.0, y, hi)
-        newton = y + phi / (widths * ((1.0 / dist) @ sign))
-        done = (np.abs(phi) <= 2.0 ** -52 * (np.abs(logs) + 2.0).sum(axis=1)) \
-            | (np.abs(newton - y) <= np.spacing(y))
-        if done.all() or it == _MAX_STEPS:
+        phi, bound, slope = _log_ratio(fast, y)
+        done = np.abs(phi) <= bound
+        if done.all():
             return y * widths, it
+        if it == _MAX_STEPS:
+            j = int(np.argmin(done))
+            raise NumericError(f"extremal jumps not certified: gap {j} has |phi| {abs(phi[j]):.3e} "
+                               f"above its rounding bound {bound[j]:.3e} after {it} steps")
+        lo, hi = np.where(phi < 0.0, y, lo), np.where(phi > 0.0, y, hi)
+        newton = y - phi / slope
         y = np.where(done, y, np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi)))
 
 
@@ -223,22 +216,14 @@ def minimize_mass(k_set: CompactSet) -> ExtremalResult:
     """Extremal constant A(K) = sqrt(min mass objective) over the jump box.
 
     The jumps are the roots of P_L - P_R (`_jump_roots`; no step without
-    gaps), certified by the gradient residual in jumps scaled by the gap
-    widths: a residual above `kkt_tolerance`, `KKT_TOL` plus its rounding
-    bound, raises `NumericError`.  The value is the derived minimum A = |K|/4
+    gaps), each certified by |ln|P_L/P_R|| within its rounding bound; a gap
+    not certified raises `NumericError`.  ln f is convex, so this stationary
+    point is the minimizer, and the value is the derived minimum A = |K|/4
     (module docstring), with no quadrature.  A K whose scale takes f out of
     float64's normal range raises `ValueError`.
     """
     _require_normal_scale(k_set)
-    fast = _FastObjective(k_set)
-    g, iterations = _jump_roots(fast)
-    grad, grad_err = fast.log_derivatives(g)
-    resid = float(np.max(np.abs(grad * fast.gap_widths), initial=0.0))
-    tol = KKT_TOL + float(np.max(grad_err * fast.gap_widths, initial=0.0))
-    if resid > tol:
-        raise NumericError(f"extremal jumps not certified: KKT residual {resid:.3e} "
-                           f"above its tolerance {tol:.3e}")
+    g, iterations = _jump_roots(_FastObjective(k_set))
     jumps = GapJumps(tuple(float(x) for x in g))
     a = 0.25 * k_set.total_length
-    return ExtremalResult(a, jumps, a * a, default_bound(k_set),
-                          kkt_residual=resid, kkt_tolerance=tol, iterations=iterations)
+    return ExtremalResult(a, jumps, a * a, default_bound(k_set), iterations)

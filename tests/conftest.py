@@ -213,6 +213,18 @@ def mp_mass_objective(k_set, masses):
     return f, grad
 
 
+def mp_log_ratio(k_set, masses):
+    """phi_j = ln|P_L(x_j)| - ln|P_R(x_j)| at x_j = d_j - g_j for each gap (c_j, d_j),
+    in mpmath at the working precision: P_L and P_R are the products of x - c and
+    of x - d over the bands (c, d)."""
+    out = []
+    for (_, d), g in zip(k_set.gaps(), masses):
+        x = mpmath.mpf(d) - g
+        out.append(mpmath.fsum(mpmath.log(abs(x - c)) - mpmath.log(abs(x - e))
+                               for c, e in k_set.intervals))
+    return out
+
+
 def mp_stationary_point(k_set, masses):
     """The stationary point of the extremal objective by Newton at 60
     digits from the jump vector `masses`, with a central-difference Hessian

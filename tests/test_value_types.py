@@ -22,7 +22,7 @@ VALUES = {
     "AcPiece": AcPiece(-2.0, 2.0, 0.5),
     "FSelector": FSelector(((2.5, 3.0, 0.25),), ((3.5, 1.0),)),
     "GapJumps": GapJumps((0.3, 0.0)),
-    "ExtremalResult": ExtremalResult(0.75, GapJumps((0.5,)), 0.5625, 3.0, 1e-13, 1e-11, 4),
+    "ExtremalResult": ExtremalResult(0.75, GapJumps((0.5,)), 0.5625, 3.0, 4),
 }
 
 ROUND_TRIPS = {
