@@ -4,17 +4,23 @@ reports under out/.  The seed, the first argument (default 7), goes to the
 experiments that declare one."""
 
 import inspect
+import os
 import sys
 
 from reflectionless.cli import _RUNNERS, main
 
-if __name__ == "__main__":
-    seed = sys.argv[1] if len(sys.argv) > 1 else "7"
+
+def run_all(seed="7", out="out"):
+    """Each subcommand's default run, into out/<name>; the worst exit code."""
     worst = 0
     for name, runner in _RUNNERS.items():
         print(f"=== {name} ===")
-        args = [name, "--out", f"out/{name}"]
+        args = [name, "--out", os.path.join(out, name)]
         if "seed" in inspect.signature(runner).parameters:
             args += ["--seed", seed]
         worst = max(worst, main(args))
-    sys.exit(worst)
+    return worst
+
+
+if __name__ == "__main__":
+    sys.exit(run_all(*sys.argv[1:2]))

@@ -122,8 +122,11 @@ class SpectralMeasure:
         for x, m in self.atoms:
             if not (math.isfinite(x) and 0 < m < math.inf):
                 raise ValueError("atoms need a finite position and a positive finite mass")
+        atoms = tuple((float(x), float(m)) for x, m in self.atoms)
+        if len({x for x, _ in atoms}) < len(atoms):
+            raise ValueError("each atom position may carry one mass")
         object.__setattr__(self, "ac_pieces", tuple(pieces))
-        object.__setattr__(self, "atoms", tuple((float(x), float(m)) for x, m in self.atoms))
+        object.__setattr__(self, "atoms", atoms)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -112,6 +112,8 @@ INPUT_CHECKS = [
     ("ac-overlap",
      lambda: SpectralMeasure(REP, (AcPiece(-1.0, 0.5, 1.0), AcPiece(0.0, 1.0, 1.0))),
      "ac pieces must be disjoint"),
+    ("atom-repeated", lambda: SpectralMeasure(None, (), ((2.5, 0.3), (2.5, 0.2))),
+     "each atom position may carry one mass"),
     ("f-empty-interval", lambda: FSelector(intervals=((3.0, 3.0, 0.5),)),
      "f interval must have positive length"),
     ("f-overlap", lambda: FSelector(intervals=((2.5, 3.0, 0.5), (2.8, 3.5, 0.5))),

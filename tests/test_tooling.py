@@ -160,6 +160,8 @@ def omega_operator(**changes):
     ("oracle", {"xi_widths": [float("nan")]}),
     ("oracle", {"xi_widths": []}),
     ("dr", {"atoms": [1, 2]}),
+    # a valid measure written with two atoms at one position
+    ("dr", {"atoms": [[2.5, 0.3], [2.5, 0.2], [3.0, 0.3], [-2.7, 0.3]], "n_coeffs": 100}),
     ("aktable", {"sets": [1]}),
     ("omega", {"cluster_threshold": float("nan")}),
     ("omega", omega_operator(tail={"kind": "bogus", "a": [2.0], "b": [0.5]})),
@@ -185,7 +187,7 @@ def omega_operator(**changes):
     ("omega", omega_operator(a=[10 ** 400] + [1.0] * 5)),
     ("oracle", {"n_coeffs": 10 ** 400}),
 ], ids=["float-samples", "string-seed", "list-extra", "string-widths", "string-mass",
-        "negative-mass", "nan-width", "empty-widths", "flat-atoms", "number-set", "nan-threshold", "unknown-tail-kind",
+        "negative-mass", "nan-width", "empty-widths", "flat-atoms", "repeated-atom", "number-set", "nan-threshold", "unknown-tail-kind",
         "float-window-index", "bool-window-index",
         "bool-scale", "string-scale", "string-width", "string-set", "bool-interval",
         "string-operator", "bool-operator", "string-tail", "bool-tail",
