@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print the CI summary lines of the tree in the current directory, one job each:
 size, reach, cold, digest FILE and diff HERE THERE OUT_HERE OUT_THERE.  All but
-diff import ./src and ./bench, so they also run in a checkout without this file."""
+diff import ./src and ./bench, so they also run in a checkout without this file.
+ab THERE PAIRS FILE times the benchmark here against the tree THERE and writes FILE."""
 
-import ast, contextlib, csv, glob, hashlib, inspect, io, json, math, os
+import ast, contextlib, csv, glob, hashlib, inspect, io, json, math, os, platform
 import statistics, subprocess, sys, tempfile, time
 from pathlib import Path
 
@@ -167,7 +168,54 @@ def diff(here, there, out_here, out_there):
         if words[0] == "Files" and words[1].endswith(".csv"):
             csv_change(words[1], words[3])
 
-COMMANDS = {"size": size, "reach": reach, "cold": cold, "digest": digest, "diff": diff}
+def ab(there, pairs, file):
+    """Write FILE in the BENCH_<pr>.json layout: for each workload of ./BENCHMARK.json,
+    PAIRS pairs of fresh `bench/run.py --seed 903 --seconds 20` runs, one in THERE (the
+    parent) and one here, odd pairs parent first; per end-to-end metric, each side's
+    median and quartiles, the ratio of the medians and the pairs the change wins."""
+    import numpy as np
+    spec = json.loads(Path("BENCHMARK.json").read_text())
+    def run(tree, name):   # the last line of a run: correct, attempted, failed, metrics
+        last = json.loads(subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", name, "--seed", "903", "--seconds",
+             "20"], cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()[-1])
+        return {**{k: last[k] for k in ("correct", "attempted", "failed")},
+                **{k: v["value"] for k, v in last["metrics"].items()}}
+    runs, summary = [], {}
+    for name in (w["name"] for w in spec["workloads"]):
+        for pair in range(1, int(pairs) + 1):
+            for side in ("parent", "change")[::1 if pair % 2 else -1]:
+                runs.append({"side": side, "pair": pair, "workload": name, "seed": 903,
+                             "result": run(there if side == "parent" else ".", name)})
+        parent, change = ([r["result"] for r in runs if r["workload"] == name and r["side"] == s]
+                          for s in ("parent", "change"))
+        entry = summary[f"{name}@903"] = {
+            "seed": 903, "pairs": int(pairs), "attempted_per_run": parent[0]["attempted"],
+            "failed": {"parent": sum(r["failed"] for r in parent),
+                       "change": sum(r["failed"] for r in change)}}
+        for metric in spec["end_to_end"]:
+            p, c = ([r[metric["name"]] for r in side] for side in (parent, change))
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            (p1, pm, p3), (c1, cm, c3) = (np.percentile(x, [25, 50, 75]).tolist() for x in (p, c))
+            entry[metric["name"]] = {
+                "parent_median": pm, "parent_q1": p1, "parent_q3": p3, "change_median": cm,
+                "change_q1": c1, "change_q3": c3, "change_over_parent": cm / pm,
+                "change_wins": f"{sum(sign * (y - x) < 0 for x, y in zip(p, c))}/{len(p)}"}
+    describe = lambda tree: subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
+                                           capture_output=True, text=True).stdout.strip() or tree
+    Path(file).write_text(json.dumps({
+        "change": describe("."), "parent": describe(there),
+        "command": "python3 bench/run.py --workload <workload> --seed 903 --seconds 20",
+        "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy "
+                f"{np.__version__}, PYTHONDONTWRITEBYTECODE "
+                f"{'set' if os.environ.get('PYTHONDONTWRITEBYTECODE') else 'unset'}",
+        "method": f"{pairs} pairs of fresh runs per workload of BENCHMARK.json, one in each "
+                  "tree, odd pairs parent first; the result is the last line of bench/run.py; "
+                  "quartiles by linear interpolation; change_wins counts the pairs in which "
+                  "the change reads better by the metric's 'better'",
+        "summary": summary, "runs": runs}, indent=1) + "\n")
+
+COMMANDS = {"size": size, "reach": reach, "cold": cold, "digest": digest, "diff": diff, "ab": ab}
 
 if __name__ == "__main__":
     sys.path[:0] = [os.path.abspath("src"), os.path.abspath("bench")]  # ahead of installed copies

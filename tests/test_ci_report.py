@@ -1,6 +1,7 @@
 """scripts/ci_report.py on fixtures: `size`, `reach` and `cold` on a two-module
 package, `digest` on a two-workload benchmark, `diff` on hand-made digests and
-trees of default runs, and the CI workflow's calls of the tool."""
+trees of default runs, `ab` on two trees with a stub benchmark, and the CI
+workflow's calls of the tool."""
 
 import hashlib
 import importlib.util
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import reflectionless
 
@@ -176,6 +178,51 @@ def test_diff_matches_csv_cells_by_header_name(tmp_path):
         "(3 rows against 4) (columns added: z) (columns removed: w)"]
 
 
+# a benchmark that logs its calls in order and reads base + 0.1 x (its earlier runs) as
+# batch_s and a constant rate, a metric whose higher value is the better
+STUB_RUN = '''import json, sys
+from pathlib import Path
+tree = Path(__file__).resolve().parent.parent
+log = tree.parent / "order.log"
+runs = log.read_text().split().count(tree.name) if log.exists() else 0
+with open(log, "a") as out:
+    out.write(f"{tree.name} {sys.argv[2]}\\n")
+base, rate = json.loads((tree / "values.json").read_text())
+print("provenance and details")
+print(json.dumps({"correct": True, "attempted": 7, "failed": 0, "metrics": {
+    "batch_s": {"value": base + 0.1 * runs, "unit": "s"}, "rate": {"value": rate, "unit": "1/s"}}}))
+'''
+BENCHMARK = {"workloads": [{"name": "w1"}, {"name": "w2"}],
+             "end_to_end": [{"name": "batch_s", "better": "lower"},
+                            {"name": "rate", "better": "higher"}]}
+
+
+def test_ab_alternates_fresh_runs_and_summarizes_each_side(tmp_path):
+    for tree, values in (("here", [1.0, 5.0]), ("base", [2.0, 10.0])):
+        write_tree(tmp_path / tree, {"bench/run.py": STUB_RUN, "values.json": json.dumps(values),
+                                     "BENCHMARK.json": json.dumps(BENCHMARK)})
+    assert tool(tmp_path / "here", "ab", "../base", "2", "../ab.json") == []
+    assert (tmp_path / "order.log").read_text().split("\n") == [
+        "base w1", "here w1", "here w1", "base w1", "base w2", "here w2", "here w2", "base w2", ""]
+    report = json.loads((tmp_path / "ab.json").read_text())
+    assert list(report) == ["change", "parent", "command", "host", "method", "summary", "runs"]
+    assert (report["change"], report["parent"]) == (".", "../base")
+    assert report["runs"][:2] == [
+        {"side": "parent", "pair": 1, "workload": "w1", "seed": 903, "result": {
+            "correct": True, "attempted": 7, "failed": 0, "batch_s": 2.0, "rate": 10.0}},
+        {"side": "change", "pair": 1, "workload": "w1", "seed": 903, "result": {
+            "correct": True, "attempted": 7, "failed": 0, "batch_s": 1.0, "rate": 5.0}}]
+    # w2's runs are each tree's third and fourth
+    summary = report["summary"]["w2@903"]
+    assert summary["batch_s"] == pytest.approx({
+        "parent_median": 2.25, "parent_q1": 2.225, "parent_q3": 2.275, "change_median": 1.25,
+        "change_q1": 1.225, "change_q3": 1.275, "change_over_parent": 1.25 / 2.25,
+        "change_wins": "2/2"}, rel=1e-12)
+    assert summary["rate"]["change_over_parent"] == 0.5 and summary["rate"]["change_wins"] == "0/2"
+    assert (summary["seed"], summary["pairs"], summary["attempted_per_run"], summary["failed"]) == \
+        (903, 2, 7, {"parent": 0, "change": 0})
+
+
 def test_workflow_calls_only_declared_subcommands_and_holds_no_long_heredoc():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     for body in re.findall(r"<<-?\s*['\"]?(\w+)['\"]?\n(.*?)^\s*\1$", workflow, re.M | re.S):
@@ -184,7 +231,8 @@ def test_workflow_calls_only_declared_subcommands_and_holds_no_long_heredoc():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     calls = re.findall(r"ci_report\.py\"?\s+(.*)", workflow)
-    assert {call.split()[0] for call in calls} == set(module.COMMANDS)
+    # ab, the A/B timing of the benchmark, takes tens of minutes and is run by hand
+    assert {call.split()[0] for call in calls} == set(module.COMMANDS) - {"ab"}
     for call in calls:
         words = shlex.split(call)
         name, *args = words[:next((i for i, w in enumerate(words) if w in {">>", "||"}),

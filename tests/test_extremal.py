@@ -1,9 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from reflectionless import (CompactSet, GapJumps, HerglotzRep, NumericError,
@@ -33,16 +35,47 @@ SYMMETRIC_OBJECTIVE_AT_HALF = 0.5625
 SYMMETRIC_CONSTANT = 0.75
 
 
-# sets whose scale takes the mass objective out of float64's normal range, and sets at
-# the edge of that range inside it
+# sets whose scale takes (|K|/4)^2 or hull^2 out of float64's normal range, and sets at
+# the edge of that range inside it: |K|/4 = 2^-511 and hull 2^510 are the last in it
 OUT_OF_RANGE = {
     "subnormal-f": ((0.0, 1e-160),), "underflow-f": ((0.0, 1e-300),),
-    "overflow-f": ((0.0, 1e200),),
-    "overflow-atom-products": ((0.0, 1e100), (2e100, 3e100), (4e100, 5e100), (6e100, 7e100)),
+    "overflow-f": ((0.0, 1e200),), "quarter-2^-512": ((0.0, 4.0 * 2.0 ** -512),),
+    "hull-2^511": ((0.0, 2.0 ** 511),),
 }
 FOUR_BANDS = ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0))
 IN_RANGE = (((0.0, 1e-153),), ((0.0, 1e153),), tuple((1e70 * c, 1e70 * d) for c, d in FOUR_BANDS),
-            tuple((1e-70 * c, 1e-70 * d) for c, d in FOUR_BANDS))
+            tuple((1e-70 * c, 1e-70 * d) for c, d in FOUR_BANDS), ((0.0, 4.0 * 2.0 ** -511),),
+            ((0.0, 2.0 ** 510),))
+IN_RANGE_IDS = ["1e-153", "1e153", "4-bands-1e70", "4-bands-1e-70", "quarter-2^-511", "hull-2^510"]
+
+
+def cantor_bands(levels, keep):
+    """The bands of [-2, 2] with the middle of every band removed `levels` times, each
+    half keeping `keep` of its band: 2^levels bands."""
+    bands = [(-2.0, 2.0)]
+    for _ in range(levels):
+        bands = [half for c, d in bands
+                 for half in ((c, c + keep * (d - c)), (d - keep * (d - c), d))]
+    return tuple(bands)
+
+
+# the grid's atom-mass products reach hull^p over p bands: sets on either side of
+# (|K|/4)^p and hull^p normal, which the solver and the objective (p = 2) all accept
+SPACED_128 = tuple((3.0 * i, 3.0 * i + w)
+                   for i, w in enumerate(np.random.default_rng(7).uniform(0.5, 1.5, 128)))
+GRID_OUT_OF_RANGE = {
+    "overflow-atom-products": ((0.0, 1e100), (2e100, 3e100), (4e100, 5e100), (6e100, 7e100)),
+    "4-bands-x2^253": tuple((2.0 ** 253 * c, 2.0 ** 253 * d) for c, d in FOUR_BANDS),
+    "4-bands-x2^-256": tuple((2.0 ** -256 * c, 2.0 ** -256 * d) for c, d in FOUR_BANDS),
+    "cantor-thirds-256": cantor_bands(8, 1.0 / 3.0),
+    "cantor-thirds-512": cantor_bands(9, 1.0 / 3.0),
+    "cantor-512": cantor_bands(9, 0.4), "128-bands-hull-382": SPACED_128,
+}
+GRID_IN_RANGE = {
+    "4-bands-x2^252": tuple((2.0 ** 252 * c, 2.0 ** 252 * d) for c, d in FOUR_BANDS),
+    "4-bands-x2^-255": tuple((2.0 ** -255 * c, 2.0 ** -255 * d) for c, d in FOUR_BANDS),
+    "cantor-thirds-128": cantor_bands(7, 1.0 / 3.0), "cantor-256": cantor_bands(8, 0.4),
+}
 
 
 class TestObjective:
@@ -115,8 +148,7 @@ class TestObjective:
             mass_objective(k, GapJumps(tuple(0.5 * (d - c) for c, d in k.gaps())))
         assert str(err.value) == str(refused.value) and "float64's normal range" in str(err.value)
 
-    @pytest.mark.parametrize("bands", IN_RANGE, ids=["1e-153", "1e153", "4-bands-1e70",
-                                                     "4-bands-1e-70"])
+    @pytest.mark.parametrize("bands", IN_RANGE, ids=IN_RANGE_IDS)
     def test_scales_inside_the_normal_range_evaluate_at_any_jumps(self, bands):
         # the box's faces, its centre and a corner, against the closed form
         k = CompactSet(bands)
@@ -182,14 +214,15 @@ class TestMinimize:
             minimize_mass(CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0))))
 
     def test_solves_without_the_band_quadrature(self, monkeypatch):
-        # the certified jumps give A = |K|/4 with no density evaluated, and a jump
-        # vector that fails the certificate is still refused
+        # the certified jumps give A = |K|/4 with no density evaluated and no grid
+        # oracle built, and a jump vector that fails the certificate is still refused
         def no_quadrature(*args):
-            raise AssertionError("the solver ran the band quadrature")
+            raise AssertionError("the solver ran the band quadrature or built the grid oracle")
 
         monkeypatch.setattr(extremal, "mass_objective", no_quadrature)
         monkeypatch.setattr(measures.SpectralMeasure, "density_on_arc", no_quadrature)
-        for bands in (FOUR_BANDS, SIX_BANDS):
+        monkeypatch.setattr(extremal._FastObjective, "__init__", no_quadrature)
+        for bands in (FOUR_BANDS, SIX_BANDS, SYMMETRIC_TWO_BAND.intervals, ((-2.0, 2.0),)):
             k = CompactSet(bands)
             res = minimize_mass(k)
             assert (res.constant, res.objective_value) == \
@@ -213,9 +246,22 @@ class TestMinimize:
     @pytest.mark.parametrize("bands", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
     def test_scale_outside_the_normal_range_refused(self, bands):
         # f = (|K|/4)^2 is subnormal or 0 at the first two and overflows at the
-        # third; the atom masses' partial products reach 1e400 at the fourth
+        # third; the last two are the first scales past 2^-1022 and 2^1024
         with pytest.raises(ValueError, match="float64's normal range"):
             minimize_mass(CompactSet(bands))
+
+    @pytest.mark.parametrize("bands", GRID_OUT_OF_RANGE.values(), ids=GRID_OUT_OF_RANGE)
+    def test_sets_only_the_grid_refuses_solve(self, bands):
+        # the solver forms logs of distances and A = |K|/4, the objective sums log-sum
+        # densities, so neither meets the grid's hull^p over p bands; the band
+        # quadrature at the certified jumps meets |K|/4
+        k = CompactSet(bands)
+        res = minimize_mass(k)
+        assert (res.constant, res.objective_value) == \
+            (0.25 * k.total_length, (0.25 * k.total_length) ** 2)
+        assert all(0.0 < g < gd - gc for g, (gc, gd) in zip(res.jumps.masses, k.gaps()))
+        if len(bands) <= 256:
+            assert quadrature_constant(k) == pytest.approx(k.total_length / 4.0, rel=1e-12, abs=0)
 
     def test_scales_inside_the_normal_range_solve(self):
         for bands in IN_RANGE:
@@ -279,10 +325,7 @@ def shifted_sets(count, shift_scale):
 def cantor_set(levels):
     """[-2, 2] with the middle 20% of every band removed `levels` times:
     2^levels bands."""
-    bands = [(-2.0, 2.0)]
-    for _ in range(levels):
-        bands = [half for c, d in bands for half in ((c, c + 0.4 * (d - c)), (d - 0.4 * (d - c), d))]
-    return CompactSet(tuple(bands))
+    return CompactSet(cantor_bands(levels, 0.4))
 
 
 def extreme_sets(seed, count):
@@ -297,6 +340,25 @@ def extreme_sets(seed, count):
         starts = np.concatenate([[0.0], np.cumsum(widths[:-1] + spaces)])
         sets.append(CompactSet(tuple(zip(starts.tolist(), (starts + widths).tolist()))))
     return sets
+
+
+def tiny_end_band_set(seed):
+    """2-7 bands 10^U(-3, 1) wide, laid right to left from 0 with gaps 10^U(-6, 1)
+    wide or 1-4 ulp of their right ends; the band at [0, t] is 10^-U(0, 300) of its
+    drawn width, and the gap beside it 10^U(-6, 1) wide.  Mirrored half of the time,
+    so that the tiny band is the first."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(2, 8))
+    widths, gaps = 10.0 ** rng.uniform(-3.0, 1.0, count), 10.0 ** rng.uniform(-6.0, 1.0, count)
+    ulps = rng.integers(1, 5, count) * (rng.random(count) < 0.4)
+    bands, x = [(0.0, widths[-1] * 10.0 ** -rng.uniform(0.0, 300.0))], 0.0
+    for b in range(count - 2, -1, -1):
+        d = x - (ulps[b] * np.spacing(abs(x)) if ulps[b] and b < count - 2 else gaps[b])
+        bands.insert(0, (d - widths[b], d))
+        x = d - widths[b]
+    if rng.random() < 0.5:
+        bands = [(-d, -c) for c, d in reversed(bands)]
+    return CompactSet(tuple(bands))
 
 
 class TestInteriorMinimizer:
@@ -320,6 +382,56 @@ class TestInteriorMinimizer:
             res = minimize_mass(k)
             assert len(res.jumps.masses) == len(k.gaps())
 
+    @pytest.mark.parametrize("layout", ["right", "left", "middle"])
+    def test_a_tiny_band_beside_a_unit_band_certifies(self, layout):
+        # widths 10^-k, k = 20..300.  From the gap's midpoint, a tiny band right of
+        # [-2, -1] was refused after 100 steps (1e-30) or divided by zero (1e-300), and
+        # left of [1, 2] it took 50 steps; each one-gap set now certifies at its start.
+        # Between [-2, -1] and [1, 2] the midpoint is the better start: 14-20 steps,
+        # 1481 in all, as from the midpoint alone
+        steps = []
+        for width in 10.0 ** -np.arange(20.0, 301.0):
+            k = CompactSet({"right": ((-2.0, -1.0), (0.0, width)),
+                            "left": ((0.0, width), (1.0, 2.0)),
+                            "middle": ((-2.0, -1.0), (0.0, width), (1.0, 2.0))}[layout])
+            res = minimize_mass(k)
+            assert res.constant == 0.25 * k.total_length
+            assert all(0.0 < g < gd - gc for g, (gc, gd) in zip(res.jumps.masses, k.gaps()))
+            steps.append(res.iterations)
+        if layout == "middle":
+            assert max(steps) <= 20 and sum(steps) <= 1481
+        else:
+            assert steps == [0] * len(steps)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_end_bands_and_ulp_gaps_certify_or_are_refused(self, seed):
+        # a jump strictly inside a gap is a float below its width; where the root lies
+        # beyond the largest one, (1 - 2^-53) |gap|, no jump can be certified there and
+        # the refusal is a NumericError naming that gap; no other outcome, and no
+        # RuntimeWarning (they fail the test)
+        k = tiny_end_band_set(seed)
+        try:
+            res = minimize_mass(k)
+        except NumericError as err:
+            j = int(re.search(r"gap (\d+)", str(err)).group(1))
+            with mpmath.workdps(60):
+                last = [mpmath.mpf(d - c) * (1 - mpmath.mpf(2) ** -53) for c, d in k.gaps()]
+                assert mp_log_ratio(k, last)[j] < 0, k.intervals
+            return
+        assert res.constant == 0.25 * k.total_length
+        assert all(0.0 < g < gd - gc for g, (gc, gd) in zip(res.jumps.masses, k.gaps()))
+
+    def test_the_band_split_start_takes_no_more_steps_than_the_midpoint(self):
+        # started at every gap's midpoint, these families took 1048, 3880 and 1578 steps
+        random_sets = np.random.default_rng(44)
+        families = {"extreme": (extreme_sets(17, 100), 1048),
+                    "shifted": (shifted_sets(300, 1e6), 3880),
+                    "random": ([random_compact_set(random_sets, max_gaps=4)
+                                for _ in range(300)], 1578)}
+        for name, (sets, midpoint_steps) in families.items():
+            assert sum(minimize_mass(k).iterations for k in sets) <= midpoint_steps, name
+
     def test_jumps_match_the_60_digit_stationary_point(self):
         # mpmath Newton on the closed form (conftest) from each returned
         # jump vector finds the stationary point to 60 digits; the roots of
@@ -342,7 +454,13 @@ class TestInteriorMinimizer:
             k = CompactSet(((c0, c0 + w0), (c1, c1 + w1)))
             (c0, d0), (c1, d1) = [(Fraction(c), Fraction(d)) for c, d in k.intervals]
             exact = c1 - (d0 * d1 - c0 * c1) / ((d0 - c0) + (d1 - c1))
-            assert abs(minimize_mass(k).jumps.masses[0] - exact) <= 1e-13 * (c1 - d0)
+            res = minimize_mass(k)
+            assert abs(res.jumps.masses[0] - exact) <= 1e-13 * (c1 - d0)
+            # the solver starts at this split of the gap, and it certifies there
+            assert res.iterations == 0
+        # a band one ulp wide took 57 steps from the gap's midpoint
+        ulp_band = CompactSet(((0.0, 1.0), (1.5, math.nextafter(1.5, 2.0))))
+        assert minimize_mass(ulp_band).iterations == 0
 
     @pytest.mark.parametrize("bands", [
         ((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)),
@@ -469,14 +587,15 @@ class TestDerivatives:
         # digits at every point, x_j = d_j - y_j |gap_j| with the float gap width
         rng = np.random.default_rng(5)
         for k in extreme_sets(17, 100):
-            fast = extremal._FastObjective(k)
+            columns = extremal._edge_columns(np.array(k.intervals))
+            widths = columns[0]
             for _ in range(2):
-                y = rng.uniform(0.05, 0.95, len(fast.gap_widths))
+                y = rng.uniform(0.05, 0.95, len(widths))
                 y[int(rng.integers(0, y.size))] = 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
-                phi, bound, _ = extremal._log_ratio(fast, y)
+                phi, bound, _ = extremal._log_ratio(columns, y)
                 with mpmath.workdps(50):
                     exact = [float(x) for x in mp_log_ratio(
-                        k, [mpmath.mpf(yj) * mpmath.mpf(w) for yj, w in zip(y, fast.gap_widths)])]
+                        k, [mpmath.mpf(yj) * mpmath.mpf(w) for yj, w in zip(y, widths)])]
                 assert np.all(np.abs(phi - exact) <= bound), (k.intervals, y)
 
 
@@ -491,6 +610,26 @@ class TestGridOracle:
         assert grid_min_mass(k, grid=1001).constant >= minimize_mass(k).constant
         with pytest.raises(ValueError, match="10004569 points, over the cap 10000000"):
             grid_min_mass(k, grid=3163)
+
+    @pytest.mark.parametrize("bands", GRID_OUT_OF_RANGE.values(), ids=GRID_OUT_OF_RANGE)
+    def test_grid_refuses_before_it_evaluates(self, bands):
+        # an overflowing atom-mass product would raise a RuntimeWarning first
+        k = CompactSet(bands)
+        with pytest.raises(ValueError, match="float64's normal range"):
+            extremal._FastObjective(k)
+        if len(bands) <= 4:
+            with pytest.raises(ValueError, match="float64's normal range"):
+                grid_min_mass(k, grid=3)
+
+    @pytest.mark.parametrize("bands", GRID_IN_RANGE.values(), ids=GRID_IN_RANGE)
+    def test_grid_evaluates_inside_its_range(self, bands):
+        # the closed form at the certified jumps against (|K|/4)^2
+        k = CompactSet(bands)
+        res = minimize_mass(k)
+        assert extremal._FastObjective(k).value(res.jumps.masses) == \
+            pytest.approx(res.objective_value, rel=1e-11, abs=0)
+        if len(bands) <= 4:
+            assert grid_min_mass(k, grid=3).constant >= res.constant
 
     def test_single_point_box(self):
         res = grid_min_mass(CompactSet(((-2.0, 2.0),)), grid=11)
