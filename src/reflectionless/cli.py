@@ -1,9 +1,8 @@
 """Command-line surface: batch experiment runners with static outputs.
 
-Subcommands: thm11 (lower-bound suite on an interval), oracle (perturbation
-sweep), dr (forward asymptotics), aktable (extremal constants) and omega
-(shift-window clustering).  A JSON config may set the keyword parameters of
-the subcommand's runner and nothing else; a `--seed` flag exists where the
+One subcommand per runner of `_RUNNERS`, whose docstring's summary line is
+its `--help`.  A JSON config may set the keyword parameters of the
+subcommand's runner and nothing else; a `--seed` flag exists where the
 runner declares a seed.  Exit codes: 0 pass, 1 assertion failure, 2 config
 or input error (any ValueError, an unknown config key, or an output
 directory that cannot be written), 3 numeric failure.
@@ -31,14 +30,6 @@ _RUNNERS = {
     "omega": run_shift_clusters,
 }
 
-_HELP = {
-    "thm11": "random admissible inputs over an interval; checks the a0 lower bound",
-    "oracle": "perturbation families; checks deviations shrink with the perturbation",
-    "dr": "semicircle plus off-band atoms; checks the coefficient tail trend",
-    "aktable": "extremal constants vs |K|/4",
-    "omega": "greedy clustering of shifted coefficient windows",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="batch experiments for reflectionless Jacobi spectral theory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, runner in _RUNNERS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+        # the runner's summary line, listed and shown by --help; with no docstring, no parser
+        doc = inspect.getdoc(runner).splitlines()[0]
+        p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("--config", default=None, help="JSON config file")
         if "seed" in inspect.signature(runner).parameters:
             p.add_argument("--seed", type=int, default=None)

@@ -152,7 +152,9 @@ def _sample_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 def run_lower_bound_suite(k_intervals=((-2.0, 2.0),), seed=7, samples=100,
                           n_coeffs=6, window=5) -> dict:
-    """Random admissible (xi, f) over a single interval K = [B-2A, B+2A]:
+    """Random admissible inputs over an interval: checks the a_0 lower bound.
+
+    Random admissible (xi, f) over a single interval K = [B-2A, B+2A]:
     every a_0 reconstructed to depth n_coeffs must stay above A, and the free
     sample must recover a_n = A, b_n = B, each up to the 1e-12 x scale that
     the reconstruction certifies per coefficient, with scale = max |t| on K."""
@@ -221,8 +223,10 @@ def _f_atom_input(mass: float) -> tuple[SpectralMeasure, FSelector]:
 
 def run_perturbation_sweep(xi_widths=(0.4, 0.04, 0.004), f_masses=(0.3, 0.03, 0.003),
                            n_coeffs=30) -> dict:
-    """One-parameter families shrinking toward the free input: deviations
-    from the constant coefficients must decrease with the perturbation."""
+    """Perturbation families: checks that deviations shrink with the perturbation.
+
+    The one-parameter families shrink toward the free input, and a deviation
+    is measured from its constant coefficients."""
     k_set = CompactSet(((-2.0, 2.0),))
     if n_coeffs < 12:
         raise ValueError("n_coeffs must be at least 12: the sweep reads deviation_L10")
@@ -271,8 +275,10 @@ def run_perturbation_sweep(xi_widths=(0.4, 0.04, 0.004), f_masses=(0.3, 0.03, 0.
 
 def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
                             semicircle_scale=1.0, n_coeffs=30) -> dict:
-    """Semicircle plus finitely many off-band atoms: reconstructed
-    coefficients must trend to the free values along the half line."""
+    """Semicircle plus off-band atoms: checks the coefficient tail trend.
+
+    With finitely many atoms, the reconstructed coefficients must trend to
+    the free values along the half line."""
     for pos, _ in atoms:
         if -2.0 <= pos <= 2.0:
             raise ValueError(f"atom at {pos} is not off the band [-2, 2]")
@@ -299,7 +305,9 @@ def run_forward_asymptotics(atoms=((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)),
 def run_extremal_table(sets=(((-2.0, 2.0),), ((0.0, 4.0),), ((-2.0, -0.5), (0.5, 2.0)),
                              ((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)),
                              tuple((float(i), i + 0.4) for i in range(6)))) -> dict:
-    """Extremal constants A = |K|/4 for a list of sets, each with its certified
+    """Extremal constants of a list of sets: checks A against |K|/4.
+
+    Extremal constants A = |K|/4 for a list of sets, each with its certified
     jumps, the root finder's step count and `quadrature_A`, the root of the band
     quadrature `mass_objective` at those jumps, checked against |K|/4."""
     if not sets:
@@ -325,9 +333,10 @@ def run_extremal_table(sets=(((-2.0, 2.0),), ((0.0, 4.0),), ((-2.0, -0.5), (0.5,
 
 def run_shift_clusters(operator=None, horizon=40, window=5,
                        cluster_threshold=1e-6) -> dict:
-    """Cluster the shifted coefficient windows of a half-line operator, by
-    default the period-2 one with a = 1 and b = 1, -1 (finite-horizon
-    approximation of the forward limit set)."""
+    """Greedy clustering of the shifted coefficient windows of an operator.
+
+    The operator is a half-line one, by default the period-2 one with a = 1
+    and b = 1, -1 (finite-horizon approximation of the forward limit set)."""
     if operator is None:
         j = JacobiCoefficients.periodic([1.0, 1.0], [1.0, -1.0]) \
             .restrict(0, horizon + window)

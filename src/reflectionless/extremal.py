@@ -194,6 +194,8 @@ def _log_ratio(columns, y: np.ndarray):
     return logs @ sign, bound, -widths * ((1.0 / dist) @ sign)
 
 
+# the bracket test drops an infinite step, also where a subnormal x_j - e overflows the slope
+@np.errstate(divide="ignore", over="ignore")
 def _jump_roots(bands: np.ndarray) -> tuple[np.ndarray, int]:
     """The root in each gap of phi_j (`_log_ratio`), which increases from -inf at
     y = 0 to +inf at y = 1: Delta = 2 (e^phi + 1)/(e^phi - 1) has one pole per
@@ -221,8 +223,7 @@ def _jump_roots(bands: np.ndarray) -> tuple[np.ndarray, int]:
             raise NumericError(f"extremal jumps not certified: gap {j} has |phi| {abs(phi[j]):.3e} "
                                f"above its rounding bound {bound[j]:.3e} after {it} steps")
         lo, hi = np.where(phi < 0.0, y, lo), np.where(phi > 0.0, y, hi)
-        with np.errstate(divide="ignore", over="ignore"):   # the bracket test drops an inf step
-            newton = y - phi / slope
+        newton = y - phi / slope
         y = np.where(done, y, np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi)))
         phi, bound, slope = _log_ratio(columns, y)
 

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .measures import SpectralMeasure, _fejer_rule, _root_edges, total_mass
+from .measures import SpectralMeasure, _root_edges, _theta_rule, total_mass
 from .operators import JacobiCoefficients, Tail
 
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
@@ -145,14 +145,6 @@ def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int) -> tuple[np.ndarray, np.nd
     return np.array(d[:n_coeffs]), betas
 
 
-def _theta_rule(n: int, midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Fejer or midpoint (theta_k = -pi/2 + (k - 1/2) pi/n,
-    weight pi/n) rule in theta."""
-    if midpoint:
-        return (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
-    return _fejer_rule(n)
-
-
 def _certified(nu: SpectralMeasure, n_coeffs: int):
     """((b_1..b_N, a_1..a_N), rule per piece, certificate) on the depth-sized
     rules that `reconstruct_coefficients` describes; one density call builds
@@ -168,11 +160,10 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     prev, tol, best = None, 1e-12 * _scale(nu), math.inf
     for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
         counts = [n + extra for n in sizes]
-        th, w = (np.concatenate(parts) for parts in
-                 zip(*(_theta_rule(n, mid) for n, mid in zip(counts, kinds))))
+        rule = map(np.concatenate, zip(*map(_theta_rule, counts, kinds)))
         index = np.repeat(np.arange(len(counts)), counts)
         try:
-            cur = _jacobi(nu, *nu._rule(index, th, w), n_coeffs)
+            cur = _jacobi(nu, *nu._rule(index, *rule), n_coeffs)
         except NumericError:
             cur = None
         if prev and cur:
@@ -199,10 +190,8 @@ def _reconstruct(nu: SpectralMeasure, n_coeffs: int, gated: bool):
         raise ValueError("measure must have positive mass")
     pairs, mass_rules = None, nu._mass_rules
     if gated and mass_rules and all(5 * n_coeffs <= rule[0] for rule in mass_rules):
-        t, w = mass_rules[0][1:3] if len(mass_rules) == 1 else (
-            np.concatenate(part) for part in zip(*(rule[1:3] for rule in mass_rules)))
         try:
-            pairs = _jacobi(nu, t, w, n_coeffs)
+            pairs = _jacobi(nu, *map(np.concatenate, zip(*(r[1:3] for r in mass_rules))), n_coeffs)
         except NumericError:
             pass
     (alphas, betas), rules, cert = (pairs, None, None) if pairs else _certified(nu, n_coeffs)

@@ -10,12 +10,17 @@ at every breakpoint where xi jumps from 0 directly to 1, with mass
 (the residue of H, with c_k the log-coefficients of xi).  Densities behave
 like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
-analytic; Fejer's first rule in theta then converges spectrally, at about
-Gauss's rate (Trefethen, SIAM Rev. 50, 2008).  Every quadrature rule of a
-measure comes from `SpectralMeasure._rule`: nodes and weighted densities
-from one density evaluation, elementwise over an array of piece indices
-broadcast against the thetas, so one call serves the same rule on all
-pieces (a column of indices) or a different rule on each (a flat index).
+analytic.  Every rule in theta comes from `_theta_rule`, cached with the edge
+factors of its nodes that the densities read: Fejer's first rule, which then
+converges spectrally, at about Gauss's rate (Trefethen, SIAM Rev. 50, 2008),
+or the midpoint rule, exact below degree 2n where xi jumps by +-1/2 at both
+edges (every band of a reflectionless half-line measure), since the
+integrand in theta is then even, 2pi-periodic and analytic (Trefethen and
+Weideman, SIAM Rev. 56, 2014); deep reconstructions use it there.  Every
+quadrature rule of a measure comes from `SpectralMeasure._rule`: nodes and
+weighted densities from one density evaluation, elementwise over an array of
+piece indices broadcast against the thetas, so one call serves the same rule
+on all pieces (a column of indices) or a different rule on each (a flat index).
 Each measure builds one read-only table, on its first density evaluation:
 the rows of its pieces (lo, hi, multiplier, sin(pi xi), mid, half, width)
 and the breakpoint columns (x_k, d_k != 0) of ln|H| = sum_k d_k ln|t - x_k|.
@@ -23,14 +28,9 @@ An evaluation gathers its pieces' rows and sums ln|H| on the columns with
 `krein._arc_log_abs`, which measures each distance |t - x_k| from the
 piece's own edge and never forms the point t, so a density is as accurate
 far from the origin as near it.
-The mass rules take one call at 64 and 128 nodes, whose edge factors in
-theta the densities read as computed once per process, and one
-per later doubling of the unconverged pieces; the rule each piece's mass
-converged at is memoized and reused by shallow reconstructions.  Where xi
-jumps by +-1/2 at both edges (every band of a reflectionless half-line
-measure), the integrand in theta is even, 2pi-periodic and analytic, so
-deep reconstructions use the midpoint rule in theta there, exact below
-degree 2n.
+The mass rules take one call at 64 and 128 nodes and one per later doubling
+of the unconverged pieces; the rule each piece's mass converged at is
+memoized and reused by shallow reconstructions.
 """
 
 from __future__ import annotations
@@ -66,25 +66,29 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=64)
-def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fejer's first n-point rule, exact to degree n - 1, scaled to (-pi/2,
-    pi/2): nodes -cos((k + 1/2) pi/n) ascending, computed as exactly symmetric
-    sines, and positive weights from one inverse FFT (Waldvogel, BIT 46, 2006)."""
-    j = np.arange((n + 1) // 2)
-    v = np.zeros(n + 1, dtype=complex)
-    v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
-    w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real
-    x = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n))
-    return _read_only(x * (np.pi / 2.0), w * (np.pi / 2.0))
+def _theta_rule(n: int, midpoint: bool = False) -> tuple[np.ndarray, ...]:
+    """The n-node rule in theta on (-pi/2, pi/2) with the edge factors of its
+    nodes that the densities read (`_edge_factors`), computed once: (theta, w,
+    e_0, e_1), read-only.  Fejer's first rule, exact to degree n - 1, has nodes
+    -cos((k + 1/2) pi/n) ascending, computed as exactly symmetric sines, and
+    positive weights from one inverse FFT (Waldvogel, BIT 46, 2006); the
+    midpoint rule has nodes -pi/2 + (k - 1/2) pi/n and weights pi/n."""
+    if midpoint:
+        theta, w = (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
+    else:
+        j = np.arange((n + 1) // 2)
+        v = np.zeros(n + 1, dtype=complex)
+        v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
+        w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real * (np.pi / 2.0)
+        theta = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n)) * (np.pi / 2.0)
+    return _read_only(theta, w, *_edge_factors(theta))
 
 
 @lru_cache(maxsize=1)
 def _start_rule() -> tuple[np.ndarray, ...]:
     """The rule that every measure's mass rules start with, the 64 and 128
-    node Fejer rules side by side, with the edge factors of its thetas that
-    the densities take, computed once: (theta, w, e_0, e_1), read-only."""
-    theta, w = map(np.concatenate, zip(_fejer_rule(64), _fejer_rule(128)))
-    return _read_only(theta, w, *_edge_factors(theta))
+    node Fejer rules side by side: (theta, w, e_0, e_1), read-only."""
+    return _read_only(*map(np.concatenate, zip(_theta_rule(64), _theta_rule(128))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,24 +163,25 @@ class SpectralMeasure:
                              f"[{fin.min:.3g}, {fin.max:.3g}]")
         return _read_only(np.array(rows).T, _breakpoint_columns(xi))
 
-    def density_on_arc(self, index, theta: np.ndarray) -> np.ndarray:
+    def density_on_arc(self, index, theta: np.ndarray, edges=None) -> np.ndarray:
         """Density at t = mid + half*sin(theta) on ac piece `index`,
         elementwise over the broadcast shape of index and theta, stable up to
         the piece edges (where it behaves like a power of the distance) and
         wherever the piece sits: the kernel measures the distances from the
-        piece's edges, so t is not formed."""
+        piece's edges, so t is not formed.  `edges` are theta's edge factors
+        (`_edge_factors`), computed here if not given."""
         rows, columns = self._table
         lo, hi, m, sin_v, _, _, width = rows[:, index]
-        start = _start_rule()
-        edges = start[2:] if theta is start[0] else _edge_factors(theta)
+        edges = edges or _edge_factors(theta)
         return m * np.exp(_arc_log_abs(columns, lo, hi, width, edges)) * sin_v / math.pi
 
-    def _rule(self, index, theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _rule(self, index, theta, w, *edges) -> tuple[np.ndarray, np.ndarray]:
         """Nodes t = mid + half*sin(theta) and weight x jacobian x density of
-        the rule (theta, w) in theta, node i on ac piece index[i]."""
+        the rule (theta, w) in theta, node i on ac piece index[i], with the
+        edge factors of theta if given (a `_theta_rule` quadruple)."""
         mid, half = self._table[0][4:6, index]
         t = mid + half * np.sin(theta)
-        return t, w * (half * np.cos(theta)) * self.density_on_arc(index, theta)
+        return t, w * (half * np.cos(theta)) * self.density_on_arc(index, theta, edges)
 
     @cached_property
     def _mass_rules(self) -> tuple:
@@ -187,7 +192,7 @@ class SpectralMeasure:
         and 128 rules of all pieces.  No field, so == and hash ignore it."""
         if not self.ac_pieces:
             return ()
-        ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], *_start_rule()[:2])
+        ts, wd = self._rule(np.arange(len(self.ac_pieces))[:, None], *_start_rule())
         todo, rules, n = dict(enumerate(wd[:, :64].sum(1).tolist())), {}, 128
         ts, rows = ts[:, 64:], wd[:, 64:]
         total = rows.sum().item() + sum(m for _, m in self.atoms)
@@ -203,7 +208,7 @@ class SpectralMeasure:
                 raise NumericError(f"quadrature on ({piece.lo}, {piece.hi}) "
                                    f"did not reach tol=1e-12 with {n} nodes")
             n *= 2
-            ts, rows = self._rule(np.array(list(todo))[:, None], *_fejer_rule(n))
+            ts, rows = self._rule(np.array(list(todo))[:, None], *_theta_rule(n))
 
 
 @dataclass(frozen=True, slots=True)

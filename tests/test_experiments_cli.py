@@ -305,6 +305,16 @@ class TestReportsAndCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "report.json").exists()
 
+    def test_cli_unreachable_extremal_root_exit_three(self, tmp_path):
+        # a subnormal distance from a jump to a band edge on the way to the refusal
+        # warns nothing, so the CLI names the numeric failure instead of a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sets": [[[0.0, 6.11e-286], [6.11e-286 + 1.9e-301, 5.5]]]}))
+        proc = self._cli("aktable", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        assert "numeric failure: extremal jumps not certified: gap 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_cli_config_error_exit_two(self):
         proc = self._cli("thm11", "--config", "/no/such/file.json")
         assert proc.returncode == 2
@@ -380,6 +390,7 @@ class TestReportsAndCli:
 
     def test_cli_numeric_failure_exit_three(self, monkeypatch, capsys):
         def failing():
+            """A runner whose quadrature fails."""
             raise NumericError("quadrature budget exceeded")
 
         monkeypatch.setitem(cli._RUNNERS, "dr", failing)
@@ -389,6 +400,7 @@ class TestReportsAndCli:
     def test_cli_unclassified_error_exit_three_with_traceback(self, monkeypatch, capsys):
         # the catch-all is the last resort for an error no other branch names
         def failing():
+            """A runner that fails in a way no branch names."""
             raise RuntimeError("unclassified")
 
         monkeypatch.setitem(cli._RUNNERS, "dr", failing)
@@ -553,18 +565,28 @@ class TestConfigContract:
                 assert "seed" not in inspect.signature(runner).parameters
         assert with_seed == ["thm11"]
 
-    def test_every_help_text_names_a_runner(self):
-        # build_parser reads _HELP only for the runners, so a stale entry would sit unseen
-        assert list(cli._HELP) == list(cli._RUNNERS)
-
-    def test_parser_offers_exactly_the_runners(self, monkeypatch):
+    def test_parser_offers_exactly_the_runners(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(cli._RUNNERS) == \
             ["thm11", "oracle", "dr", "aktable", "omega"]
-        # a runner added without its help text fails to build, not silently
-        monkeypatch.setitem(cli._RUNNERS, "unlisted", run_shift_clusters)
-        with pytest.raises(KeyError, match="unlisted"):
+
+    def test_help_prints_each_runners_summary_line(self, monkeypatch, capsys):
+        # the summary is declared once, as the runner's docstring; argparse rewraps it
+        def printed(argv):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 0
+            return " ".join(capsys.readouterr().out.split())
+
+        listing = printed(["--help"])
+        for name, runner in cli._RUNNERS.items():
+            summary = inspect.getdoc(runner).splitlines()[0]
+            assert summary.endswith(".") and summary in listing
+            assert summary in printed([name, "--help"])
+        # a runner added without a docstring fails to build, not silently
+        monkeypatch.setitem(cli._RUNNERS, "undocumented", lambda: {})
+        with pytest.raises(AttributeError):
             cli.build_parser()
 
     @pytest.mark.parametrize("command, config, least", [

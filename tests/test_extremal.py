@@ -422,6 +422,18 @@ class TestInteriorMinimizer:
         assert res.constant == 0.25 * k.total_length
         assert all(0.0 < g < gd - gc for g, (gc, gd) in zip(res.jumps.masses, k.gaps()))
 
+    def test_a_subnormal_distance_to_a_band_edge_is_refused_without_a_warning(self):
+        # on the way to the root the distance x_j - e is subnormal, and 1/(x_j - e)
+        # overflowed with a RuntimeWarning; the root lies past the largest jump below
+        # the gap width, (1 - 2^-53) |gap|, so the refusal is the NumericError
+        k = CompactSet(((0.0, 6.11e-286), (6.11e-286 + 1.9e-301, 5.5)))
+        with mpmath.workdps(60):
+            (c, d), = k.gaps()
+            assert mp_log_ratio(k, [mpmath.mpf(d - c) * (1 - mpmath.mpf(2) ** -53)])[0] < 0
+        with pytest.raises(NumericError, match=re.escape(
+                "gap 0 has |phi| 6.217e+02 above its rounding bound 2.000e+00 after 100 steps")):
+            minimize_mass(k)
+
     def test_the_band_split_start_takes_no_more_steps_than_the_midpoint(self):
         # started at every gap's midpoint, these families took 1048, 3880 and 1578 steps
         random_sets = np.random.default_rng(44)

@@ -14,7 +14,7 @@ from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRe
                             reconstruct_coefficients, stieltjes_invert,
                             total_mass)
 from reflectionless.experiments import random_admissible_krein, random_f_selector
-from reflectionless.measures import _fejer_rule
+from reflectionless.measures import _theta_rule
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -41,7 +41,7 @@ def discretize(nu, nodes):
     t = [np.array([x for x, _ in nu.atoms], dtype=float)]
     w = [np.array([m for _, m in nu.atoms], dtype=float)]
     for i in range(len(nu.ac_pieces)):
-        ti, wi = nu._rule(i, *_fejer_rule(nodes))
+        ti, wi = nu._rule(i, *_theta_rule(nodes))
         t.append(ti)
         w.append(wi)
     t, w = np.concatenate(t), np.concatenate(w)
@@ -151,11 +151,11 @@ def density_calls(monkeypatch):
     calls = []
     original = SpectralMeasure.density_on_arc
 
-    def counted(self, index, theta):
+    def counted(self, index, theta, edges=None):
         nodes = np.broadcast_arrays(index, theta)[0]
         calls.extend((self.ac_pieces[i], int(np.count_nonzero(nodes == i)))
                      for i in np.unique(nodes))
-        return original(self, index, theta)
+        return original(self, index, theta, edges)
 
     monkeypatch.setattr(SpectralMeasure, "density_on_arc", counted)
     return calls
@@ -418,9 +418,9 @@ class TestMassRuleReuse:
         calls = []
         original = SpectralMeasure.density_on_arc
 
-        def counted(self, index, theta):
+        def counted(self, index, theta, edges=None):
             calls.append(np.unique(index).tolist())
-            return original(self, index, theta)
+            return original(self, index, theta, edges)
 
         monkeypatch.setattr(SpectralMeasure, "density_on_arc", counted)
         _, rules, _ = inverse._certified(nu, 33)
@@ -465,7 +465,7 @@ class TestMassRuleReuse:
         # with a regular edge, the midpoint rule with N + 128 on [1, 2];
         # certified at 32 more
         assert sizes == [3 * 128, 2 * 149 + 134, 2 * 181 + 166]
-        rules = [nu._rule(i, *inverse._theta_rule(n, mid)) for i, n, mid in
+        rules = [nu._rule(i, *_theta_rule(n, mid)) for i, n, mid in
                  zip(range(3), (149, 149, 134), (False, False, True))]
         t, w = (np.concatenate(part) for part in zip(*rules))
         alphas, betas = kernel(t, w, 6)
@@ -492,7 +492,7 @@ class TestMassRuleReuse:
         step = max(32, -(-depth // 4))
         start = min(math.ceil(math.pi * depth + depth ** (1 / 3)) + 128, 4000 - step)
         assert sizes == [start, start + step]
-        alphas, betas = kernel(*nu._rule(0, *_fejer_rule(2 * start)), depth)
+        alphas, betas = kernel(*nu._rule(0, *_theta_rule(2 * start)), depth)
         assert np.max(np.abs(rec.a_window[1:] - betas)) <= 1e-12
         assert np.max(np.abs(rec.b_window[1:] - alphas)) <= 1e-12
 

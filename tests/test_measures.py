@@ -10,10 +10,11 @@ from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRe
                             NumericError, SpectralMeasure, StepFunction,
                             canonical_krein_from_jumps, free_krein,
                             half_line_measure, herglotz_eval, reconstruct_coefficients,
-                            stieltjes_invert, total_mass)
-from reflectionless import inverse, measures
+                            reconstruction_report, stieltjes_invert, total_mass)
+from reflectionless import measures
+from reflectionless.krein import _edge_factors
 from reflectionless.experiments import random_admissible_krein, random_f_selector
-from reflectionless.measures import _fejer_rule
+from reflectionless.measures import _theta_rule
 
 from conftest import abs_boundary, per_piece_log_abs, value_at
 
@@ -67,7 +68,7 @@ def per_piece_rule(measure, piece):
     v = value_at(measure.rep.xi, 0.5 * (piece.lo + piece.hi))
     prev, n = None, 64
     while True:
-        th, w = measures._fejer_rule(n)
+        th, w, *_ = measures._theta_rule(n)
         log_h = per_piece_log_abs(measure.rep.xi, piece.lo, piece.hi, th)
         dens = piece.multiplier * np.exp(log_h) * math.sin(math.pi * v) / math.pi
         wd = w * (half * np.cos(th)) * dens
@@ -105,9 +106,9 @@ def mass_rule_support(nu):
 def flat_rule(nu, n, midpoint=False):
     """The n-node rule in theta on every ac piece, laid out as one flat
     array as `inverse._certified` lays it out."""
-    th, w = inverse._theta_rule(n, midpoint)
     count = len(nu.ac_pieces)
-    return nu._rule(np.repeat(np.arange(count), n), np.tile(th, count), np.tile(w, count))
+    return nu._rule(np.repeat(np.arange(count), n),
+                    *(np.tile(a, count) for a in _theta_rule(n, midpoint)))
 
 
 def arc_points(piece, t_lo, t_hi, n):
@@ -421,9 +422,9 @@ class TestLockstepMassRules:
 
     def test_no_convergence_within_8192_nodes_raises(self, monkeypatch):
         # weights that grow with n keep successive masses 1e-9 apart
-        fejer = measures._fejer_rule
-        monkeypatch.setattr(measures, "_fejer_rule",
-                            lambda n: (fejer(n)[0], fejer(n)[1] * (1.0 + 1e-9 * n)))
+        rule = measures._theta_rule
+        monkeypatch.setattr(measures, "_theta_rule", lambda n: (
+            rule(n)[0], rule(n)[1] * (1.0 + 1e-9 * n), *rule(n)[2:]))
         # and the 64 + 128 start rule from those, in a cache of the test's own
         monkeypatch.setattr(measures, "_start_rule", lru_cache(measures._start_rule.__wrapped__))
         nu = random_half_line(np.random.default_rng(3), 3)
@@ -437,7 +438,7 @@ class TestLockstepMassRules:
 class TestDiscretization:
     def test_semicircle_mass_preserved(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        _, w = nu0._rule(0, *_fejer_rule(200))
+        _, w = nu0._rule(0, *_theta_rule(200))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_array_discretization_matches_the_tuple_route(self):
@@ -470,13 +471,13 @@ class TestDiscretization:
 
     def test_moments_to_order_twenty(self):
         nu0 = half_line_measure(semicircle_rho(), BAND)
-        t, w = nu0._rule(0, *_fejer_rule(200))
+        t, w = nu0._rule(0, *_theta_rule(200))
         got = rule_moments(t, w, 20)
         assert np.max(np.abs(got - catalan_moments(20))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 5, 64, 128, 727, 3200])
     def test_fejer_rule(self, n):
-        th, w = _fejer_rule(n)
+        th, w, *_ = _theta_rule(n)
         x, w = th / (np.pi / 2.0), w / (np.pi / 2.0)
         # the O(n^2) cosine sum that the FFT evaluates
         theta = (np.arange(n) + 0.5) * np.pi / n
@@ -495,6 +496,58 @@ class TestDiscretization:
                 return np.exp(t) * (np.cos(3.0 * t) + 3.0 * np.sin(3.0 * t)) / 10.0
             got = w @ (np.exp(x) * np.cos(3.0 * x))
             assert abs(got - (primitive(1.0) - primitive(-1.0))) <= 1e-15
+
+
+def reference_rule(n, midpoint):
+    """The n-node midpoint or Fejer rule in theta, (theta, w), by the expressions that
+    `_theta_rule` must keep bitwise: Fejer's by its one inverse FFT (Waldvogel, BIT 46,
+    2006), with nodes computed as exactly symmetric sines."""
+    if midpoint:
+        return (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
+    j = np.arange((n + 1) // 2)
+    v = np.zeros(n + 1, dtype=complex)
+    v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
+    w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real
+    x = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n))
+    return x * (np.pi / 2.0), w * (np.pi / 2.0)
+
+
+class TestThetaRule:
+    """`_theta_rule` builds every rule in theta, cached with its edge factors."""
+
+    @pytest.mark.parametrize("midpoint", [False, True], ids=["fejer", "midpoint"])
+    @pytest.mark.parametrize("n", [2, 5, 64, 128, 727, 3200])
+    def test_nodes_weights_and_edge_factors_bitwise(self, n, midpoint):
+        rule = _theta_rule(n, midpoint)
+        theta, w, *edges = rule
+        assert [a.shape for a in rule] == [(n,)] * 4
+        assert not any(a.flags.writeable for a in rule)
+        for got, want in zip(rule, (*reference_rule(n, midpoint), *_edge_factors(theta))):
+            assert got.tobytes() == want.tobytes()
+        assert _theta_rule(n, midpoint) is rule
+
+    def test_start_rule_is_the_64_and_128_node_rules_side_by_side(self):
+        start = measures._start_rule()
+        for got, low, high, want in zip(start, _theta_rule(64), _theta_rule(128),
+                                        (*start[:2], *_edge_factors(start[0]))):
+            assert got.tobytes() == low.tobytes() + high.tobytes() == want.tobytes()
+
+    def test_a_repeated_reconstruction_computes_no_edge_factors(self, monkeypatch):
+        # one Fejer piece (a regular edge at -1) and one midpoint piece (square-root
+        # edges at 1 and 2); the second report at the same depth reads every edge
+        # factor from the cached rules
+        nu = SpectralMeasure(HerglotzRep(XI_WITH_ATOM),
+                             (AcPiece(-2.0, -1.0, 1.0), AcPiece(1.0, 2.0, 1.0)))
+        first, report = reconstruction_report(nu, 40)
+        assert [r["rule"] for r in report["rules"]] == ["fejer", "midpoint"]
+        calls = []
+        monkeypatch.setattr(measures, "_edge_factors",
+                            lambda theta: calls.append(theta.size) or _edge_factors(theta))
+        second, again = reconstruction_report(nu, 40)
+        assert calls == []
+        assert again == report
+        assert second.a_window.tobytes() == first.a_window.tobytes()
+        assert second.b_window.tobytes() == first.b_window.tobytes()
 
 
 class TestValidation:
@@ -540,7 +593,7 @@ class TestReadOnlyMemos:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_fejer_rule(self, n):
-        for a in _fejer_rule(n):
+        for a in _theta_rule(n):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
