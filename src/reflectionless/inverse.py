@@ -13,6 +13,29 @@ isolated atom, which never enters it here, or on a rule too coarse for the
 depth, which the depth-sized rules exclude and the Bessel guard of
 `lanczos_tridiag` detects.
 
+`reconstruct_coefficients` takes one of three routes.  The shallow gate runs
+the recurrence on the mass rules where they resolve the depth.  Deeper, a
+measure of the canonical class (nu = (1/2) rho_ac on the bands of K, xi
+canonical with no jump on a gap's face, atoms of any kind) gets its exact
+pullback rule, and any other measure, or one whose exact route raises, gets
+the certified pair of depth-sized rules (`_certified`).  The pullback rule
+uses Delta = 2 (P_L + P_R)/(P_L - P_R), with P_L and P_R the products of z - e
+over the left and the right band ends: Delta pulls [-2, 2] back to K with one
+preimage per band, and nu is the pullback of the semicircle times the
+rational factor that moves the minimizer's jumps to nu's (Geronimo and Van
+Assche, Trans. AMS 308, 1988; `extremal`'s docstring).  Its n nodes per band
+solve ln|P_L| - ln|P_R| = tau_k = 2 ln cot(theta_k/2), theta_k = k pi/(n+1),
+and carry the weights 2 pi density(x)/((n + 1) sin(theta_k) S(x)), with S the
+derivative of ln|P_L/P_R|.  One atom at each jump x_j, of mass w_j
+zeta^(2n+2)/(1 - zeta^(2n+2)) with w_j rho's residue there and zeta =
+tanh(phi_j/4), phi_j = ln|P_L/P_R|(x_j), makes the rule exact to degree
+2n - 1 despite the poles of that factor.  Rounding: each node is solved in
+s = logit(u), u its offset from the band's left end over the band's length,
+so that u and 1 - u, and with them its distances to every band edge as sums
+of terms of one sign, are known to an ulp of the offset from its nearer edge;
+the density reads those offsets, and S is a sum of positive terms in them.
+So the weights carry relative rounding errors only, however narrow a gap.
+
 Indexing: the returned window is [0, N] with a = (a_0, a_1, ..., a_N) and
 b = (b_0, b_1, ..., b_N).  The site-0 diagonal b_0 is NOT determined by
 half-line data; it is stored as 0.0 as a documented placeholder (use
@@ -26,8 +49,12 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .measures import SpectralMeasure, _root_edges, _theta_rule, total_mass
+from .extremal import _MAX_STEPS, _edge_columns, _log_ratio
+from .gapflow import GapJumps, canonical_krein_from_jumps, gap_jump_masses
+from .measures import (SpectralMeasure, _root_edges, _theta_rule, atom_positions_and_masses,
+                       total_mass)
 from .operators import JacobiCoefficients, Tail
+from .sets import CompactSet
 
 __all__ = ["reconstruct_coefficients", "coefficient_deviation", "lanczos_tridiag",
            "reconstruction_report"]
@@ -124,25 +151,101 @@ def _scale(nu: SpectralMeasure) -> float:
                + [abs(e) for p in nu.ac_pieces for e in (p.lo, p.hi)])
 
 
-def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int,
+            orders: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(b_1..b_N, a_1..a_N) of nu with its ac part replaced by the rule of
     nodes t and weights w.  With atoms the recurrence goes one step deeper:
     the Gauss rule of that section matches the ac moments through degree
-    2N + 1, which fixes the first N pairs once the atoms are folded in."""
+    2N + 1, which fixes the first N pairs once the atoms are folded in.  With
+    orders = 2 and two or more atoms, they are also folded in reverse order,
+    and the two folds must agree to 1e-12 x scale."""
     a, d = [0.0], []
     if nu.ac_pieces:
         alphas, betas = lanczos_tridiag(t, w, n_coeffs + 1 if nu.atoms else n_coeffs)
         if not nu.atoms:
             return alphas, betas
         a, d = [math.sqrt(float(np.sum(w)))] + betas[:-1].tolist() + [0.0], alphas.tolist()
-    for x, mass in nu.atoms:
-        _fold_atom(a, d, x, mass)
-    if len(d) < n_coeffs + 1:
-        raise ValueError(f"measure support ({len(d)} points) too small for N={n_coeffs}")
-    betas = np.abs(a[1:n_coeffs + 1])
-    if n_coeffs and betas.min() <= 1e-12 * _scale(nu):
-        raise NumericError(f"breakdown: off-diagonal {betas.min()} (support too clustered)")
-    return np.array(d[:n_coeffs]), betas
+    folds = []
+    for atoms in (nu.atoms, nu.atoms[::-1])[:orders if len(nu.atoms) > 1 else 1]:
+        a_k, d_k = a.copy(), d.copy()
+        for x, mass in atoms:
+            _fold_atom(a_k, d_k, x, mass)
+        if len(d_k) < n_coeffs + 1:
+            raise ValueError(f"measure support ({len(d_k)} points) too small for N={n_coeffs}")
+        betas = np.abs(a_k[1:n_coeffs + 1])
+        if n_coeffs and betas.min() <= 1e-12 * _scale(nu):
+            raise NumericError(f"breakdown: off-diagonal {betas.min()} (support too clustered)")
+        folds.append((np.array(d_k[:n_coeffs]), betas))
+    if len(folds) > 1 and np.max(np.abs(np.subtract(*folds)), initial=0.0) > 1e-12 * _scale(nu):
+        raise NumericError("the atoms' folds in the given and in reverse order differ")
+    return folds[0]
+
+
+def _pullback_rule(nu: SpectralMeasure, n: int):
+    """(nodes, weights) of the pullback rule of nu (module docstring), exact
+    for every polynomial of degree <= 2n - 1 against nu's ac part, or None if
+    nu is outside its class: nu's ac pieces are the bands of K, each with
+    multiplier 1/2, and its xi is canonical on K with no jump on a gap's face.
+    Raises `NumericError` if a node is not certified in `_MAX_STEPS` steps."""
+    pieces = nu.ac_pieces
+    if not pieces or any(p.multiplier != 0.5 for p in pieces):
+        return None
+    xi = nu.rep.xi
+    try:
+        k_set = CompactSet(tuple((p.lo, p.hi) for p in pieces))
+        masses = gap_jump_masses(xi, k_set)
+        canonical = canonical_krein_from_jumps(k_set, GapJumps(masses), xi.bound)
+    except ValueError:
+        return None
+    bands = np.array(k_set.intervals)
+    gaps, edges, lengths = bands[1:, 0] - bands[:-1, 1], bands.ravel(), bands[:, 1] - bands[:, 0]
+    if xi != canonical or not all(0.0 < g < width for g, width in zip(masses, gaps)):
+        return None
+    # sin and cos of theta_k/2, theta_k = k pi/(n + 1), both as sines: the targets
+    # tau_k = 2 ln cot(theta_k/2) come out antisymmetric, sin(theta_k) symmetric
+    half = np.sin(np.arange(1, n + 1) * (0.5 * np.pi / (n + 1)))
+    tau, sines = 2.0 * (np.log(half[::-1]) - np.log(half)), 2.0 * half * half[::-1]
+    cols, sign, nodes = np.arange(edges.size), np.array([1.0, -1.0] * len(bands)), []
+    for j, ((c, d), length) in enumerate(zip(bands, lengths)):
+        # |x - e| = static + u L for the edges up to c, else static + v L: one sign
+        left, mine = cols <= 2 * j, cols >> 1 == j
+        static, others = np.where(left, c - edges, edges - d), np.where(mine, 0.0, sign)
+        # phi - s = psi(x) decreases from psi(c) to psi(d), so the root s = tau - psi(x)
+        # lies between tau - psi(c) and tau - psi(d)
+        lo, hi = (tau - np.log(static[~mine] + length * (end == left[~mine])) @ sign[~mine]
+                  for end in (0, 1))
+        s = tau
+        for it in range(_MAX_STEPS + 1):
+            u, v = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
+            dist = static + length * np.where(left, u[:, None], v[:, None])
+            logs = np.log(dist)
+            phi = s + logs @ others - tau
+            done = np.abs(phi) <= 2.0 ** -52 * (np.abs(s) + np.abs(tau)
+                                                 + (np.abs(logs) + 5.0) @ np.abs(others))
+            # phi' = sum_e sign_e/(x - e), as the terms of one sign of the outer edges and
+            # of each gap's edge pair, |gap|/(|x - d| |x - c|)
+            slope = 1.0 / dist[:, 0] + 1.0 / dist[:, -1] + (
+                gaps / dist[:, 1:-1:2] / dist[:, 2::2]).sum(axis=1)
+            if done.all():
+                break
+            if it == _MAX_STEPS:
+                raise NumericError(f"pullback nodes of band {j} not certified after {it} steps")
+            lo, hi = np.where(phi < 0.0, s, lo), np.where(phi > 0.0, s, hi)
+            newton = s - phi / (slope * length * u * v)      # dx/ds = L u v
+            s = np.where(done, s, np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi)))
+        nodes.append((np.where(u <= 0.5, c + length * u, d - length * v), u, v, slope))
+    t, u, v, slope = map(np.concatenate, zip(*nodes))
+    density = nu.density_on_arc(np.repeat(np.arange(len(bands)), n), None, (u, v))
+    w = 2.0 * np.pi * density / ((n + 1) * np.tile(sines, len(bands)) * slope)
+    # an atom at each jump x_j: rho's residue w_j times zeta^(2n+2)/(1 - zeta^(2n+2)), with
+    # zeta = tanh(phi_j/4) and ln|zeta| = log1p(-2/(e^(|phi_j|/2) + 1))
+    x, w_j = np.array(atom_positions_and_masses(xi)).reshape(-1, 2).T
+    phi = np.abs(_log_ratio(_edge_columns(bands), np.array(masses) / gaps)[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        mass = w_j / np.expm1(-(2 * n + 2) * np.log1p(-2.0 / (np.exp(0.5 * phi) + 1.0)))
+    if not np.isfinite(mass).all():
+        raise NumericError("a jump atom of the pullback rule has no finite mass")
+    return np.concatenate((t, x)), np.concatenate((w, mass))
 
 
 def _certified(nu: SpectralMeasure, n_coeffs: int):
@@ -181,8 +284,10 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
 
 
 def _reconstruct(nu: SpectralMeasure, n_coeffs: int, gated: bool):
-    """(window [0, N], rules, certificate): if `gated` and 5N <= n, of the
-    mass rules (rules and certificate None), else of one `_certified` run."""
+    """(window [0, N], rules, certificate): if `gated`, of the mass rules where
+    5N <= n, else of the pullback rule for a measure of its class (rules and
+    certificate None); otherwise, or on a `NumericError` there, of one
+    `_certified` run."""
     if n_coeffs < 0:
         raise ValueError("n_coeffs must be >= 0")
     mass = total_mass(nu)
@@ -192,6 +297,12 @@ def _reconstruct(nu: SpectralMeasure, n_coeffs: int, gated: bool):
     if gated and mass_rules and all(5 * n_coeffs <= rule[0] for rule in mass_rules):
         try:
             pairs = _jacobi(nu, *map(np.concatenate, zip(*(r[1:3] for r in mass_rules))), n_coeffs)
+        except NumericError:
+            pass
+    if gated and not pairs:
+        try:
+            rule = _pullback_rule(nu, n_coeffs + (3 if nu.atoms else 2))
+            pairs = rule and _jacobi(nu, *rule, n_coeffs, orders=2)
         except NumericError:
             pass
     (alphas, betas), rules, cert = (pairs, None, None) if pairs else _certified(nu, n_coeffs)
@@ -205,25 +316,36 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     """Recover (a_0; a_1, b_1; ...; a_N, b_N) from the half-line measure.
 
     a_0 = sqrt(total mass); the rest by the unreorthogonalized recurrence on
-    a rule per ac piece, atoms folded in afterwards.  It stays orthogonal on
-    a rule that resolves the depth (Paige), and the Bessel guard of
-    `lanczos_tridiag` raises where it does not.  If 5N <= n for the n-node
-    Fejer rule at which each ac piece's mass converged, it runs on those
-    rules: degree 2N + 1 in t is frequency about pi N in the rule's variable
-    2 theta / pi, where Fejer is exact only to degree n - 1, and a
-    frequency's Chebyshev tail needs some N^(1/3) degrees more (at N = n/4
-    the semicircle is off by 3e-11; no measure tried failed before n/4.1).
-    Deeper, or on a failure there, a piece gets the midpoint rule in theta
-    with N + n nodes if both its edges are square-root edges (exact for
-    degree below about 2(N + n)), else Fejer with ceil(pi N + N^(1/3)) + n,
-    which resolves that frequency pi N; each start is capped at
-    `_MAX_NODES` minus the step.  A rule step = max(32, ceil(N/4)) nodes
-    larger per piece certifies it: all N pairs must agree to 1e-12 x scale
-    (the largest |t|), else both rules step up by that many nodes.  Raises
-    `ValueError` up front for an N whose N + 2 nodes exceed that cap, and
-    `NumericError`, naming the best agreement reached, if no pair within
-    `_MAX_NODES` nodes per piece agrees; positivity is never silently
-    clamped.
+    a rule for the ac part, atoms folded in afterwards.  It stays orthogonal
+    on a rule that resolves the depth (Paige), and the Bessel guard of
+    `lanczos_tridiag` raises where it does not.  Three routes, in order:
+
+    - The gate.  If 5N <= n for the n-node Fejer rule at which each ac
+      piece's mass converged, it runs on those rules: degree 2N + 1 in t is
+      frequency about pi N in the rule's variable 2 theta / pi, where Fejer
+      is exact only to degree n - 1, and a frequency's Chebyshev tail needs
+      some N^(1/3) degrees more (at N = n/4 the semicircle is off by 3e-11;
+      no measure tried failed before n/4.1).
+    - The exact rule.  A measure of the canonical class (module docstring)
+      runs on its pullback rule with n = N + 2 nodes per band (N + 3 with
+      atoms), exact to degree 2n - 1, in one density call and one pass of
+      the recurrence, with no certificate.  Its nodes are solved to an ulp
+      of their offset from the nearer band edge, and its weights formed from
+      edge-relative distances, so rounding enters them relatively.  Two or
+      more atoms are folded in both orders, which must agree to 1e-12 x
+      scale.  Any `NumericError` on this route falls through to the next.
+    - The certified rules.  A piece gets the midpoint rule in theta with
+      N + n nodes if both its edges are square-root edges (exact for degree
+      below about 2(N + n)), else Fejer with ceil(pi N + N^(1/3)) + n, which
+      resolves that frequency pi N; each start is capped at `_MAX_NODES`
+      minus the step.  A rule step = max(32, ceil(N/4)) nodes larger per
+      piece certifies it: all N pairs must agree to 1e-12 x scale (the
+      largest |t|), else both rules step up by that many nodes.
+
+    Raises `ValueError` up front for an N whose N + 2 nodes exceed that cap
+    on the certified route, and `NumericError`, naming the best agreement
+    reached, if no pair within `_MAX_NODES` nodes per piece agrees;
+    positivity is never silently clamped.
     """
     return _reconstruct(nu, n_coeffs, True)[0]
 

@@ -198,12 +198,12 @@ class TestOmegaLimit:
         # free window than near ones
         from reflectionless import (CompactSet, HerglotzRep, SpectralMeasure,
                                     free_krein, half_line_measure,
-                                    reconstruct_coefficients, stieltjes_invert)
+                                    reconstruction_report, stieltjes_invert)
         rho = stieltjes_invert(HerglotzRep(free_krein(2.0)))
         nu0 = half_line_measure(rho, CompactSet(((-2.0, 2.0),)))
         nu = SpectralMeasure(nu0.rep, nu0.ac_pieces,
                              ((2.5, 0.3), (3.0, 0.3), (-2.7, 0.3)))
-        a, b = reconstruct_coefficients(nu, 30).arrays(0, 28)
+        a, b = reconstruction_report(nu, 30)[0].arrays(0, 28)
         weights = 2.0 ** -np.arange(5)
         # distance of the windows at sites 1 and 24 from the free window
         d_near = weights @ (np.abs(a[1:6] - 1.0) + np.abs(b[1:6]))
