@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the CI summary lines of the tree in the current directory, one job each:
 size, reach, cold, digest FILE and diff HERE THERE OUT_HERE OUT_THERE.  All but
-diff import ./src and ./bench, so they also run in a checkout without this file.
-ab THERE PAIRS FILE times the benchmark here against the tree THERE and writes FILE."""
+diff and mutants import ./src and ./bench, so they also run in a checkout without
+this file.  ab THERE PAIRS FILE times the benchmark here against the tree THERE
+and writes FILE.  mutants [NAME ...] runs the mutation checks of MUTANTS, or those
+named, and fails unless each gets its expected verdict."""
 
 import ast, contextlib, csv, glob, hashlib, inspect, io, json, math, os, platform
-import statistics, subprocess, sys, tempfile, time
+import shlex, shutil, statistics, subprocess, sys, tempfile, time
 from pathlib import Path
 
 def sources():
@@ -215,7 +217,60 @@ def ab(there, pairs, file):
                   "the change reads better by the metric's 'better'",
         "summary": summary, "runs": runs}, indent=1) + "\n")
 
-COMMANDS = {"size": size, "reach": reach, "cold": cold, "digest": digest, "diff": diff, "ab": ab}
+# name, file, its old text (found there exactly once), the new text, the tests to run, and
+# the expected verdict: "killed", or "equivalent: " and the measured reason it survives
+MUTANTS = [
+    ("certificate 1e-12 -> 1e-9", "src/reflectionless/inverse.py",
+     "best = None, 1e-12 * _scale(nu)", "best = None, 1e-9 * _scale(nu)",
+     "tests/test_inverse.py::TestReports", "killed"),
+    ("certified start without pi", "src/reflectionless/inverse.py",
+     "math.ceil(math.pi * n_coeffs + ", "math.ceil(n_coeffs + ",
+     "tests/test_inverse.py::TestReports", "killed"),
+    ("pullback rule without its jump atoms", "src/reflectionless/inverse.py",
+     "return np.concatenate((t, x)), np.concatenate((w, mass))", "return t, w",
+     "tests/test_inverse.py::TestPullbackRule", "killed"),
+    ("pullback atoms at zeta^(2n)", "src/reflectionless/inverse.py",
+     "np.expm1(-(2 * n + 2) * ", "np.expm1(-(2 * n) * ",
+     "tests/test_inverse.py::TestPullbackRule", "killed"),
+    ("pullback weights without sin(theta_k)", "src/reflectionless/inverse.py",
+     "((n + 1) * np.tile(sines, len(bands)) * slope)", "((n + 1) * slope)",
+     "tests/test_inverse.py::TestPullbackRule", "killed"),
+    ("on-band factor 1/2 -> 1/2 (1 + 1e-9)", "src/reflectionless/measures.py",
+     "scale = 0.5\n", "scale = 0.5 * (1 + 1e-9)\n",
+     "tests/test_inverse.py::TestPullbackRule", "killed"),
+    ("arc kernel in one block", "src/reflectionless/krein.py",
+     "    if blocks > 1:", "    if False:",
+     "tests/test_krein.py::TestArcKernelBlocks", "killed"),
+]
+
+
+def mutants(*names):
+    """Each entry of MUTANTS, or each named one, on a copy of this tree with its old text
+    replaced: pytest -x on its tests, and the verdict (killed, survived, refused where the
+    old text is not found exactly once, or error), its time and the expected one."""
+    wrong = 0
+    for name, file, old, new, tests, want in MUTANTS:
+        if names and name not in names:
+            continue
+        start, text = time.perf_counter(), Path(file).read_text(encoding="utf-8")
+        verdict = f"refused (old text found {text.count(old)} times)"
+        if text.count(old) == 1:
+            with tempfile.TemporaryDirectory() as tree:
+                shutil.copytree(".", tree, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
+                    ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
+                Path(tree, file).write_text(text.replace(old, new), encoding="utf-8")
+                code = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                                       "no:cacheprovider", *shlex.split(tests)], cwd=tree,
+                                      env={**os.environ, "PYTHONPATH": "src"},
+                                      capture_output=True).returncode
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        wrong += verdict != ("killed" if want == "killed" else "survived")
+        print(f"- {name}: {verdict} in {time.perf_counter() - start:.1f} s, expected {want}")
+    print(f"mutants: {wrong} not as expected")
+    sys.exit(1 if wrong else 0)
+
+COMMANDS = {"size": size, "reach": reach, "cold": cold, "digest": digest, "diff": diff, "ab": ab,
+            "mutants": mutants}
 
 if __name__ == "__main__":
     sys.path[:0] = [os.path.abspath("src"), os.path.abspath("bench")]  # ahead of installed copies

@@ -51,8 +51,7 @@ import numpy as np
 from .errors import NumericError
 from .extremal import _MAX_STEPS, _edge_columns, _log_ratio
 from .gapflow import GapJumps, canonical_krein_from_jumps, gap_jump_masses
-from .measures import (SpectralMeasure, _root_edges, _theta_rule, atom_positions_and_masses,
-                       total_mass)
+from .measures import SpectralMeasure, _theta_rule, atom_positions_and_masses, total_mass
 from .operators import JacobiCoefficients, Tail
 from .sets import CompactSet
 
@@ -257,13 +256,12 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
     step = max(32, -(-n_coeffs // 4))
     if n_coeffs + 2 > _MAX_NODES - step:
         raise ValueError(f"the {_MAX_NODES}-node rule per piece is too small for N={n_coeffs}")
-    kinds, fejer = _root_edges(nu), math.ceil(math.pi * n_coeffs + n_coeffs ** (1 / 3))
-    sizes = [min((n_coeffs if mid else fejer) + rule[0], _MAX_NODES - step)
-             for mid, rule in zip(kinds, nu._mass_rules)]
+    start = math.ceil(math.pi * n_coeffs + n_coeffs ** (1 / 3))
+    sizes = [min(start + rule[0], _MAX_NODES - step) for rule in nu._mass_rules]
     prev, tol, best = None, 1e-12 * _scale(nu), math.inf
     for extra in range(0, _MAX_NODES - max(sizes) + 1, step):
         counts = [n + extra for n in sizes]
-        rule = map(np.concatenate, zip(*map(_theta_rule, counts, kinds)))
+        rule = map(np.concatenate, zip(*map(_theta_rule, counts)))
         index = np.repeat(np.arange(len(counts)), counts)
         try:
             cur = _jacobi(nu, *nu._rule(index, *rule), n_coeffs)
@@ -273,9 +271,8 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
             cert = float(np.max(np.abs(np.subtract(prev, cur)), initial=0.0))
             if cert <= tol:
                 return prev, [{"interval": [p.lo, p.hi], "nodes": n + extra - step,
-                               "rule": "midpoint" if mid else "fejer",
                                "certifying_nodes": n + extra}
-                              for p, n, mid in zip(nu.ac_pieces, sizes, kinds)], cert
+                              for p, n in zip(nu.ac_pieces, sizes)], cert
             best = min(best, cert)
         prev = cur
     reached = f"best agreement {best:.2g}" if best < math.inf else "no rule pair completed"
@@ -334,13 +331,12 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
       edge-relative distances, so rounding enters them relatively.  Two or
       more atoms are folded in both orders, which must agree to 1e-12 x
       scale.  Any `NumericError` on this route falls through to the next.
-    - The certified rules.  A piece gets the midpoint rule in theta with
-      N + n nodes if both its edges are square-root edges (exact for degree
-      below about 2(N + n)), else Fejer with ceil(pi N + N^(1/3)) + n, which
-      resolves that frequency pi N; each start is capped at `_MAX_NODES`
-      minus the step.  A rule step = max(32, ceil(N/4)) nodes larger per
-      piece certifies it: all N pairs must agree to 1e-12 x scale (the
-      largest |t|), else both rules step up by that many nodes.
+    - The certified rules.  Each piece gets Fejer's rule in theta with
+      ceil(pi N + N^(1/3)) + n nodes, which resolves that frequency pi N,
+      capped at `_MAX_NODES` minus the step.  A rule step = max(32,
+      ceil(N/4)) nodes larger per piece certifies it: all N pairs must agree
+      to 1e-12 x scale (the largest |t|), else both rules step up by that
+      many nodes.
 
     Raises `ValueError` up front for an N whose N + 2 nodes exceed that cap
     on the certified route, and `NumericError`, naming the best agreement
@@ -365,7 +361,7 @@ def coefficient_deviation(coeffs: JacobiCoefficients, a_ref: float, b_ref: float
 def reconstruction_report(nu: SpectralMeasure, n_coeffs: int) -> tuple[JacobiCoefficients, dict]:
     """nu's certified reconstruction to depth N (never the shallow path) and
     {rules, certificate, min_offdiagonal} of that one run: per ac piece its
-    interval, rule, nodes and certifying nodes; the rules' largest difference
+    interval, nodes and certifying nodes; the rules' largest difference
     (<= 1e-12 x scale); and min a_n, n >= 1, over the scale (None at N = 0)."""
     rec, rules, cert = _reconstruct(nu, n_coeffs, False)
     return rec, {"rules": rules, "certificate": cert, "min_offdiagonal":

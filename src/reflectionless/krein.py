@@ -228,6 +228,9 @@ def _edge_factors(theta):
     return np.cos(phase) ** 2, np.sin(phase) ** 2
 
 
+_ARC_ELEMENTS = 1 << 20  # the largest (breakpoint, point) array `_arc_log_abs` forms: 8 MB
+
+
 def _arc_log_abs(columns: np.ndarray, lo, hi, width, edge_factors):
     """sum_k d_k ln|t - x_k| over the breakpoint columns (x_k, d_k) at the
     points t = mid + half*sin(theta) of the pieces (lo, hi) of width
@@ -246,8 +249,17 @@ def _arc_log_abs(columns: np.ndarray, lo, hi, width, edge_factors):
     array, and one reduction adds the terms in breakpoint order: numpy adds
     along the leading axis row by row, except when a single point leaves
     that axis innermost, where it sums pairwise and the rows are added in
-    Python instead."""
+    Python instead.  Past `_ARC_ELEMENTS` elements the points are taken in
+    blocks, each of at least two points, whose sums are those same additions
+    in the same order, so the blocks change no bit of the result."""
     near, far = width * edge_factors[0], width * edge_factors[1]
+    blocks = min(-(-near.size * columns.shape[1] // _ARC_ELEMENTS), near.size // 2)
+    if blocks > 1:
+        shape, flat = near.shape, (np.broadcast_to(a, near.shape).ravel()
+                                   for a in (lo, hi, near, far))
+        # width 1.0 takes each block's near and far distances as they are
+        return np.concatenate([_arc_log_abs(columns, *part[:2], 1.0, part[2:]) for part in
+                               zip(*(np.array_split(a, blocks) for a in flat))]).reshape(shape)
     xk, dk = columns.reshape((2, -1) + (1,) * near.ndim)
     terms = np.maximum((lo - xk) + near, (xk - hi) + far)
     np.log(terms, out=terms)

@@ -10,17 +10,14 @@ at every breakpoint where xi jumps from 0 directly to 1, with mass
 (the residue of H, with c_k the log-coefficients of xi).  Densities behave
 like square roots at piece edges, so every integral is evaluated after the
 arcsine substitution t = mid + half*sin(theta), which makes the integrand
-analytic.  Every rule in theta comes from `_theta_rule`, cached with the edge
-factors of its nodes that the densities read: Fejer's first rule, which then
-converges spectrally, at about Gauss's rate (Trefethen, SIAM Rev. 50, 2008),
-or the midpoint rule, exact below degree 2n where xi jumps by +-1/2 at both
-edges (every band of a reflectionless half-line measure), since the
-integrand in theta is then even, 2pi-periodic and analytic (Trefethen and
-Weideman, SIAM Rev. 56, 2014); deep reconstructions use it there.  Every
-quadrature rule of a measure comes from `SpectralMeasure._rule`: nodes and
-weighted densities from one density evaluation, elementwise over an array of
-piece indices broadcast against the thetas, so one call serves the same rule
-on all pieces (a column of indices) or a different rule on each (a flat index).
+analytic.  Every rule in theta is Fejer's first rule, which then converges
+spectrally, at about Gauss's rate (Trefethen, SIAM Rev. 50, 2008), from
+`_theta_rule`, cached with the edge factors of its nodes that the densities
+read.  Every quadrature rule of a measure comes from `SpectralMeasure._rule`:
+nodes and weighted densities from one density evaluation, elementwise over an
+array of piece indices broadcast against the thetas, so one call serves the
+same rule on all pieces (a column of indices) or a different rule on each (a
+flat index).
 Each measure builds one read-only table, on its first density evaluation:
 the rows of its pieces (lo, hi, multiplier, sin(pi xi), mid, half, width)
 and the breakpoint columns (x_k, d_k != 0) of ln|H| = sum_k d_k ln|t - x_k|.
@@ -66,21 +63,18 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=64)
-def _theta_rule(n: int, midpoint: bool = False) -> tuple[np.ndarray, ...]:
-    """The n-node rule in theta on (-pi/2, pi/2) with the edge factors of its
-    nodes that the densities read (`_edge_factors`), computed once: (theta, w,
-    e_0, e_1), read-only.  Fejer's first rule, exact to degree n - 1, has nodes
-    -cos((k + 1/2) pi/n) ascending, computed as exactly symmetric sines, and
-    positive weights from one inverse FFT (Waldvogel, BIT 46, 2006); the
-    midpoint rule has nodes -pi/2 + (k - 1/2) pi/n and weights pi/n."""
-    if midpoint:
-        theta, w = (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
-    else:
-        j = np.arange((n + 1) // 2)
-        v = np.zeros(n + 1, dtype=complex)
-        v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
-        w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real * (np.pi / 2.0)
-        theta = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n)) * (np.pi / 2.0)
+def _theta_rule(n: int) -> tuple[np.ndarray, ...]:
+    """Fejer's first rule with n nodes in theta on (-pi/2, pi/2), with the
+    edge factors of its nodes that the densities read (`_edge_factors`),
+    computed once: (theta, w, e_0, e_1), read-only.  It is exact to degree
+    n - 1, and has nodes -cos((k + 1/2) pi/n) ascending, computed as exactly
+    symmetric sines, and positive weights from one inverse FFT (Waldvogel,
+    BIT 46, 2006)."""
+    j = np.arange((n + 1) // 2)
+    v = np.zeros(n + 1, dtype=complex)
+    v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
+    w = np.fft.ifft(v[:-1] + np.conj(v[:0:-1])).real * (np.pi / 2.0)
+    theta = np.sin((2 * np.arange(n) + 1 - n) * (0.5 * np.pi / n)) * (np.pi / 2.0)
     return _read_only(theta, w, *_edge_factors(theta))
 
 
@@ -335,11 +329,3 @@ def total_mass(measure: SpectralMeasure) -> float:
     ac = sum(rule[3] for rule in measure._mass_rules)
     return float(ac + sum(m for _, m in measure.atoms))
 
-
-def _root_edges(measure: SpectralMeasure) -> list[bool]:
-    """Per ac piece, whether the density is |t - e|^(+-1/2) times an
-    analytic factor at both edges e: the coefficient of ln|t - e| in ln|H|
-    is +-1/2 there."""
-    exponent = dict(zip(*measure._table[1].tolist()))
-    return [all(abs(exponent.get(e, 0.0)) == 0.5 for e in (p.lo, p.hi))
-            for p in measure.ac_pieces]

@@ -57,22 +57,24 @@ def random_compact_set(rng: np.random.Generator, max_gaps: int = 3,
         return CompactSet(tuple(bands))
 
 
+def narrow_gap_set(rng: np.random.Generator, nb: int) -> tuple:
+    """A set of the narrow-gap family with random jumps: nb bands of width
+    10^U(-2, 0.5), laid left to right from -2 with gaps of width 10^U(-7, 0),
+    and its jump j at the fraction U(0.05, 0.95) of gap j.  Returns (K, jumps)."""
+    widths, gaps = 10 ** rng.uniform(-2, 0.5, nb), 10 ** rng.uniform(-7, 0, nb - 1)
+    pos, bands, x = rng.uniform(0.05, 0.95, nb - 1), [], -2.0
+    for width, gap in zip(widths, [*gaps, 0.0]):
+        bands.append((x, x + width))
+        x = x + width + gap
+    k_set = CompactSet(tuple(bands))
+    return k_set, tuple(p * (c - d) for p, (d, c) in zip(pos, k_set.gaps()))
+
+
 def narrow_gap_family(count: int, seed: int = 2026) -> list:
-    """The first `count` sets of the narrow-gap family, with random jumps: each
-    has 2-5 bands of width 10^U(-2, 0.5), laid left to right from -2 with gaps
-    of width 10^U(-7, 0), and its jump j at the fraction U(0.05, 0.95) of gap
-    j.  Returns (K, jumps) pairs."""
-    rng, out = np.random.default_rng(seed), []
-    for _ in range(count):
-        nb = int(rng.integers(2, 6))
-        widths, gaps = 10 ** rng.uniform(-2, 0.5, nb), 10 ** rng.uniform(-7, 0, nb - 1)
-        pos, bands, x = rng.uniform(0.05, 0.95, nb - 1), [], -2.0
-        for width, gap in zip(widths, [*gaps, 0.0]):
-            bands.append((x, x + width))
-            x = x + width + gap
-        k_set = CompactSet(tuple(bands))
-        out.append((k_set, tuple(p * (c - d) for p, (d, c) in zip(pos, k_set.gaps()))))
-    return out
+    """The first `count` sets of the narrow-gap family, each of 2-5 bands
+    (`narrow_gap_set`).  Returns (K, jumps) pairs."""
+    rng = np.random.default_rng(seed)
+    return [narrow_gap_set(rng, int(rng.integers(2, 6))) for _ in range(count)]
 
 
 def is_canonical(xi: StepFunction, k_set: CompactSet) -> bool:

@@ -1,7 +1,7 @@
 """scripts/ci_report.py on fixtures: `size`, `reach` and `cold` on a two-module
 package, `digest` on a two-workload benchmark, `diff` on hand-made digests and
-trees of default runs, `ab` on two trees with a stub benchmark, and the CI
-workflow's calls of the tool."""
+trees of default runs, `ab` on two trees with a stub benchmark, `mutants` on a
+one-function package, and the CI workflow's calls of the tool."""
 
 import hashlib
 import importlib.util
@@ -221,6 +221,37 @@ def test_ab_alternates_fresh_runs_and_summarizes_each_side(tmp_path):
     assert summary["rate"]["change_over_parent"] == 0.5 and summary["rate"]["change_wins"] == "0/2"
     assert (summary["seed"], summary["pairs"], summary["attempted_per_run"], summary["failed"]) == \
         (903, 2, 7, {"parent": 0, "change": 0})
+
+
+def test_mutants_reports_each_verdict_against_the_expected_one(tmp_path, monkeypatch, capsys):
+    write_tree(tmp_path, {"src/pkg.py": "def half(x):\n    return x / 2\n",
+                          "tests/test_pkg.py": "from pkg import half\n\n\ndef test_half():\n"
+                                               "    assert half(4) == 2\n"})
+    spec = importlib.util.spec_from_file_location("ci_report", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "MUTANTS", [
+        ("thirds", "src/pkg.py", "x / 2", "x / 3", "tests/test_pkg.py", "killed"),
+        ("times a half", "src/pkg.py", "x / 2", "x * 0.5", "tests/test_pkg.py",
+         "equivalent: x * 0.5 is x / 2 exactly"),
+        ("every x", "src/pkg.py", "x", "y", "tests/test_pkg.py", "killed"),
+        ("spaced", "src/pkg.py", "return x", "return  x", "tests/test_pkg.py", "killed"),
+        ("no such test", "src/pkg.py", "x / 2", "x / 3", "tests/test_none.py", "killed")])
+    monkeypatch.chdir(tmp_path)
+    for names, code in (((), 1), (("thirds", "times a half"), 0)):
+        with pytest.raises(SystemExit) as done:
+            module.mutants(*names)
+        assert done.value.code == code
+        lines = [re.sub(r" in [0-9.]+ s,", ",", line) for line in capsys.readouterr().out.split("\n")]
+        assert lines == [
+            "- thirds: killed, expected killed",
+            "- times a half: survived, expected equivalent: x * 0.5 is x / 2 exactly",
+            *["- every x: refused (old text found 2 times), expected killed",
+              "- spaced: survived, expected killed",
+              "- no such test: error (pytest exit 4), expected killed"][:3 * code],
+            f"mutants: {3 * code} not as expected", ""]
+    # the tree itself is not changed
+    assert (tmp_path / "src" / "pkg.py").read_text() == "def half(x):\n    return x / 2\n"
 
 
 def test_workflow_calls_only_declared_subcommands_and_holds_no_long_heredoc():

@@ -1,10 +1,10 @@
 import math
 import re
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRep,
@@ -17,7 +17,7 @@ from reflectionless import (AcPiece, CompactSet, FSelector, GapJumps, HerglotzRe
 from reflectionless.experiments import random_admissible_krein, random_f_selector
 from reflectionless.measures import _theta_rule
 
-from conftest import narrow_gap_family
+from conftest import narrow_gap_family, narrow_gap_set
 
 BAND = CompactSet(((-2.0, 2.0),))
 
@@ -180,14 +180,6 @@ def cut_semicircle_with_atom():
 
 def certified_coefficients(nu, depth):
     return reconstruction_report(nu, depth)[0]
-
-
-def fejer_everywhere(nu, depth):
-    """The certified reconstruction with Fejer on every piece, which no
-    midpoint piece's slow convergence next to a breakpoint can fool."""
-    from reflectionless import inverse
-    with mock.patch.object(inverse, "_root_edges", lambda m: [False] * len(m.ac_pieces)):
-        return certified_coefficients(nu, depth)
 
 
 def assert_matches_two_pass(nu, depth, tol, reconstruct=reconstruct_coefficients):
@@ -478,12 +470,10 @@ class TestMassRuleReuse:
         monkeypatch.setattr(inverse, "lanczos_tridiag", breaks_first)
         nu = two_band_cut_measure()
         rec = reconstruct_coefficients(nu, 6)
-        # Fejer with ceil(pi N + N^(1/3)) + 128 = 149 nodes on the two pieces
-        # with a regular edge, the midpoint rule with N + 128 on [1, 2];
+        # Fejer with ceil(pi N + N^(1/3)) + 128 = 149 nodes on each piece;
         # certified at 32 more
-        assert sizes == [3 * 128, 2 * 149 + 134, 2 * 181 + 166]
-        rules = [nu._rule(i, *_theta_rule(n, mid)) for i, n, mid in
-                 zip(range(3), (149, 149, 134), (False, False, True))]
+        assert sizes == [3 * 128, 3 * 149, 3 * 181]
+        rules = [nu._rule(i, *_theta_rule(149)) for i in range(3)]
         t, w = (np.concatenate(part) for part in zip(*rules))
         alphas, betas = kernel(t, w, 6)
         assert np.array_equal(rec.a_window[1:], betas)
@@ -568,11 +558,12 @@ NEAR_FACE = (((-2.0, -0.5), (0.0, 1.0), (1.4, 2.5)), (0.5 * (1 - 1e-6), 0.4e-6))
 class TestPullbackRule:
     @pytest.mark.parametrize("depth", [30, 200])
     def test_narrow_gap_family_matches_fejer_everywhere(self, depth, monkeypatch):
-        # the certified path raises on some of these measures and misses the
-        # reference by up to 1.2e-11 x scale on others, next to a midpoint piece
+        # the certified path, with Fejer on every piece, against the exact rule:
+        # with the midpoint rule on pieces with square-root edges it raised on
+        # some of these measures and missed by up to 1.2e-11 x scale on others
         from reflectionless import inverse
         measures = narrow_gap_measures()
-        refs = [fejer_everywhere(nu, depth) for nu in measures]
+        refs = [certified_coefficients(nu, depth) for nu in measures]
         certified, original = [], inverse._certified
         monkeypatch.setattr(inverse, "_certified",
                             lambda nu, n: certified.append(n) or original(nu, n))
@@ -587,7 +578,7 @@ class TestPullbackRule:
     @pytest.mark.parametrize("depth", [50, 200])
     def test_near_face_jumps_match_fejer_everywhere(self, f, depth):
         nu = canonical_half_line(*NEAR_FACE, f)
-        rec, ref = reconstruct_coefficients(nu, depth), fejer_everywhere(nu, depth)
+        rec, ref = reconstruct_coefficients(nu, depth), certified_coefficients(nu, depth)
         assert np.max(np.abs(rec.a_window - ref.a_window)) <= 1e-12 * 2.5
         assert np.max(np.abs(rec.b_window - ref.b_window)) <= 1e-12 * 2.5
 
@@ -651,6 +642,72 @@ class TestPullbackRule:
         assert not certified_calls
 
 
+# a narrow-gap set and its canonical jumps, on whose half-line measure the certified
+# path raised at N = 26 and 30 while it put the midpoint rule on square-root edges
+# ("best agreement 7.4e-12, target 2.1e-12")
+FOUND_BANDS = ((-1.0, 0.26105064861082283), (0.2610518697885442, 0.2685957069459264),
+               (0.268655887810473, 0.5121868779402663), (1.2496210642986805, 2.0852518717194757))
+FOUND_JUMPS = (7.10369799460352e-07, 1.0189384230675805e-05, 0.3636808122205297)
+
+
+def found_off_class():
+    """FOUND_BANDS' half-line measure of a non-canonical xi with f = 0: 1 left of K,
+    a 0 -> 1 jump 3e-7 and 5e-6 below the right ends of the two narrow gaps, and
+    0/1/0/1 on the wide gap, cut at 0.7, 0.9 and 1.0."""
+    (c0, d0), (c1, d1), (c2, d2), (c3, d3) = FOUND_BANDS
+    r = 3.0852518717194757
+    xi = StepFunction.from_pieces(r, [
+        (-r, c0, 1.0), (c0, d0, 0.5), (c1 - 3e-7, c1, 1.0), (c1, d1, 0.5), (c2 - 5e-6, c2, 1.0),
+        (c2, d2, 0.5), (0.7, 0.9, 1.0), (1.0, c3, 1.0), (c3, d3, 0.5)])
+    return half_line_measure(stieltjes_invert(HerglotzRep(xi)), CompactSet(FOUND_BANDS))
+
+
+class TestCertifiedNearNarrowGaps:
+    """The certified path, Fejer on every piece, next to gaps down to 1e-7 wide."""
+
+    @pytest.mark.parametrize("depth", [30, 200])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_certified_matches_the_exact_rule(self, depth, seed):
+        # a narrow-gap set of 2-8 bands, each jump's atom weighted 0 or 1 (its sheet)
+        rng = np.random.default_rng(seed)
+        k_set, jumps = narrow_gap_set(rng, int(rng.integers(2, 9)))
+        rho = stieltjes_invert(HerglotzRep(canonical_krein_from_jumps(k_set, GapJumps(jumps))))
+        sheets = FSelector(atom_weights=[(x, float(rng.integers(0, 2))) for x, _ in rho.atoms])
+        nu = half_line_measure(rho, k_set, sheets)
+        rec, exact = reconstruction_report(nu, depth)[0], reconstruct_coefficients(nu, depth)
+        tol = 1e-12 * max(2.0, k_set.max)
+        assert np.max(np.abs(rec.a_window - exact.a_window)) <= tol
+        assert np.max(np.abs(rec.b_window - exact.b_window)) <= tol
+
+    @pytest.mark.parametrize("depth", [26, 30, 100])
+    def test_found_measure_certifies(self, depth):
+        nu = canonical_half_line(FOUND_BANDS, FOUND_JUMPS)
+        rec, rep = reconstruction_report(nu, depth)
+        exact = reconstruct_coefficients(nu, depth)
+        tol = 1e-12 * FOUND_BANDS[-1][1]
+        assert rep["certificate"] <= tol
+        assert np.max(np.abs(rec.a_window - exact.a_window)) <= tol
+        assert np.max(np.abs(rec.b_window - exact.b_window)) <= tol
+
+    @pytest.mark.parametrize("depth", [30, 100])
+    def test_off_class_xi_matches_6000_node_rules(self, depth, monkeypatch):
+        # outside the exact rule's class, so `reconstruct_coefficients` certifies;
+        # with the midpoint rule it answered 8.8e-12 x scale off this reference
+        from reflectionless import inverse
+        calls, certified = [], inverse._certified
+        monkeypatch.setattr(inverse, "_certified",
+                            lambda nu, n: calls.append(n) or certified(nu, n))
+        nu = found_off_class()
+        rec = reconstruct_coefficients(nu, depth)
+        assert calls == [depth] and not nu.atoms
+        t, w = discretize(nu, 6000)
+        alphas, betas = two_pass_lanczos(t, w / np.sum(w), depth)
+        tol = 1e-12 * FOUND_BANDS[-1][1]
+        assert np.max(np.abs(rec.a_window[1:] - betas)) <= tol
+        assert np.max(np.abs(rec.b_window[1:] - alphas)) <= tol
+
+
 class TestReports:
     def test_reconstruction_report_fields(self):
         nu = normalized_semicircle()
@@ -666,29 +723,30 @@ class TestReports:
         # a_n = 1 on the free half line, over the scale 2 of [-2, 2]
         assert rep["min_offdiagonal"] == pytest.approx(0.5, abs=1e-12)
         assert reconstruction_report(nu, 0)[1]["min_offdiagonal"] is None
-        assert rep["rules"] == [{"interval": [-2.0, 2.0], "rule": "midpoint",
-                                 "nodes": 136, "certifying_nodes": 168}]
+        # each piece starts at ceil(pi N + N^(1/3)) + 128 = 156 nodes
+        assert rep["rules"] == [{"interval": [-2.0, 2.0], "nodes": 156, "certifying_nodes": 188}]
         assert rep["certificate"] <= 1e-12
         cut = reconstruction_report(cut_semicircle_with_atom(), 8)[1]
-        assert [r["rule"] for r in cut["rules"]] == ["fejer"] * 2
+        assert [(r["nodes"], r["certifying_nodes"]) for r in cut["rules"]] == [(156, 188)] * 2
 
     def test_report_certified_after_a_step_up(self):
-        # two midpoint pieces, from mass rules of 256 and 128 nodes: the jump
-        # point 5e-4 right of the gap's left end keeps the pairs from
-        # (N + 256, N + 128) through two steps of 32 apart, and the third
-        # step certifies
+        # an f piece of weight 1e-8 on (2.5, 3), 5e-6 left of a 0 -> 1 jump of xi:
+        # its mass converges, absolutely, at 128 nodes, too few for its density
+        # near that pole, so the pairs from ceil(pi N + N^(1/3)) + 128 = 162
+        # nodes per piece differ by 7.6e-10 and 9.5e-11 through two steps of 32,
+        # and the third pair certifies, at 1.2e-12 against 3e-12
         from reflectionless import reconstruction_report
-        nu = canonical_half_line(((-2.0, 0.0), (0.5, 2.0)), (0.4995,))
+        xi = StepFunction.from_pieces(4.0, [(-4.0, -2.0, 1.0), (-2.0, 2.0, 0.5), (2.5, 3.0, 0.5),
+                                            (3.0 + 5e-6, 4.0, 1.0)])
+        nu = half_line_measure(stieltjes_invert(HerglotzRep(xi)), BAND,
+                               FSelector(((2.5, 3.0, 1e-8),)))
         total_mass(nu)
-        assert [rule[0] for rule in nu._mass_rules] == [256, 128]
-        rec, rep = reconstruction_report(nu, 50)
-        assert [(p["rule"], p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] \
-            == [("midpoint", 50 + n + 96, 50 + n + 128) for n in (256, 128)]
-        tol = 1e-12 * 2.0    # the scale: the band's ends at -2 and 2
+        assert [rule[0] for rule in nu._mass_rules] == [128, 128]
+        rec, rep = reconstruction_report(nu, 10)
+        assert [(p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] == [(226, 258)] * 2
+        tol = 1e-12 * 3.0    # the scale: the f piece's right end
         assert rep["certificate"] <= tol
-        shallow, _ = reconstruction_report(nu, 25)
-        for mine, ref in ((rec.a_window, shallow.a_window), (rec.b_window, shallow.b_window)):
-            assert np.max(np.abs(mine[:26] - ref)) <= tol
+        assert_matches_two_pass(nu, 10, tol, certified_coefficients)
 
     def test_two_fejer_pieces_certify_on_the_first_pair(self):
         # a band with one regular edge and an f piece off K, both Fejer from
@@ -703,8 +761,8 @@ class TestReports:
         assert [rule[0] for rule in nu._mass_rules] == [128, 128]
         rec, rep = reconstruction_report(nu, 200)
         start = math.ceil(math.pi * 200 + 200 ** (1 / 3)) + 128
-        assert [(p["rule"], p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] \
-            == [("fejer", start, start + 50)] * 2
+        assert [(p["nodes"], p["certifying_nodes"]) for p in rep["rules"]] \
+            == [(start, start + 50)] * 2
         tol = 1e-12 * hi    # the scale: the f piece's right end
         assert rep["certificate"] <= tol
         shallow, _ = reconstruction_report(nu, 100)

@@ -463,6 +463,47 @@ class TestArcKernelOracle:
                 assert np.array_equal(got, ref, equal_nan=True)
 
 
+class TestArcKernelBlocks:
+    """`_arc_log_abs` past `_ARC_ELEMENTS` elements: blocks of points, the same bits."""
+
+    @pytest.mark.parametrize("elements", [1, 40, 1000])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_blocks_change_no_bit(self, monkeypatch, seed, elements):
+        # against one block, on the broadcast and on the flat layout; one element
+        # per block asks for blocks of one point, which are taken two at a time
+        from reflectionless import krein
+        rep, pieces, theta = TestArcKernelOracle.case(seed)
+        lo, hi = pieces.T[:, :, None]
+        flat = np.arange(theta.size) % len(pieces)
+        for args in ((lo, hi, theta), (pieces[flat, 0], pieces[flat, 1], theta)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                monkeypatch.setattr(krein, "_ARC_ELEMENTS", 2**62)
+                whole = log_abs_on_arc(rep, *args)
+                monkeypatch.setattr(krein, "_ARC_ELEMENTS", elements)
+                blocked = log_abs_on_arc(rep, *args)
+            assert blocked.shape == whole.shape
+            assert blocked.tobytes() == whole.tobytes()
+
+    def test_memory_is_bounded(self):
+        # 385 breakpoints at 40,000 points: one block would hold 123 MB, and its
+        # temporaries peaked at 370 MB
+        import tracemalloc
+        from reflectionless.krein import _arc_log_abs, _edge_factors
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(-10.0, 10.0, 385))
+        columns = np.array((x, rng.choice((-0.5, 0.5, 1.0), x.size)))
+        lo, hi = np.full(40_000, x[100]), np.full(40_000, x[101])
+        edges = _edge_factors(rng.uniform(-0.5 * np.pi, 0.5 * np.pi, lo.size))
+        tracemalloc.start()
+        try:
+            out = _arc_log_abs(columns, lo, hi, hi - lo, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == lo.shape and np.isfinite(out).all()
+        assert peak < 50e6
+
+
 class TestArcKernelFarFromTheOrigin:
     """The arc kernel against ln|H| at 60 digits from the same float inputs,
     on pieces (c - 0.37, c + 0.41) whose nearest breakpoints lie 1e-6 outside

@@ -103,12 +103,12 @@ def mass_rule_support(nu):
     return tuple(np.concatenate(part) for part in zip(*(rule[1:3] for rule in nu._mass_rules)))
 
 
-def flat_rule(nu, n, midpoint=False):
+def flat_rule(nu, n):
     """The n-node rule in theta on every ac piece, laid out as one flat
     array as `inverse._certified` lays it out."""
     count = len(nu.ac_pieces)
     return nu._rule(np.repeat(np.arange(count), n),
-                    *(np.tile(a, count) for a in _theta_rule(n, midpoint)))
+                    *(np.tile(a, count) for a in _theta_rule(n)))
 
 
 def arc_points(piece, t_lo, t_hi, n):
@@ -445,8 +445,7 @@ class TestDiscretization:
         # the pieces' rules are concatenated without a sort, so their nodes
         # must already be in (node, weight) order and strictly ascend, also
         # where two pieces share an edge: on several bands and on f-cut
-        # pieces, for the mass rules and depth-sized midpoint and Fejer
-        # rules
+        # pieces, for the mass rules and depth-sized Fejer rules
         three_bands = CompactSet(((-3.0, -1.5), (-0.5, 1.0), (2.0, 3.0)))
         xi = canonical_krein_from_jumps(three_bands, GapJumps((0.6, 0.4)))
         f_cut = StepFunction.from_pieces(
@@ -462,8 +461,8 @@ class TestDiscretization:
         assert measures[1].ac_pieces[0].hi == measures[1].ac_pieces[1].lo
         for nu in measures:
             rules = {"mass": mass_rule_support(nu),
-                     "midpoint": flat_rule(nu, 428, True),
-                     "fejer": flat_rule(nu, 728)}
+                     "fejer-428": flat_rule(nu, 428),
+                     "fejer-728": flat_rule(nu, 728)}
             for kind, (nodes, weights) in rules.items():
                 assert np.all(np.diff(nodes) > 0), kind
                 ref = sorted(zip(nodes.tolist(), weights.tolist()))
@@ -498,12 +497,10 @@ class TestDiscretization:
             assert abs(got - (primitive(1.0) - primitive(-1.0))) <= 1e-15
 
 
-def reference_rule(n, midpoint):
-    """The n-node midpoint or Fejer rule in theta, (theta, w), by the expressions that
-    `_theta_rule` must keep bitwise: Fejer's by its one inverse FFT (Waldvogel, BIT 46,
-    2006), with nodes computed as exactly symmetric sines."""
-    if midpoint:
-        return (np.arange(n) + 0.5 - 0.5 * n) * (np.pi / n), np.full(n, np.pi / n)
+def reference_rule(n):
+    """The n-node Fejer rule in theta, (theta, w), by the expressions that
+    `_theta_rule` must keep bitwise: one inverse FFT (Waldvogel, BIT 46, 2006),
+    with nodes computed as exactly symmetric sines."""
     j = np.arange((n + 1) // 2)
     v = np.zeros(n + 1, dtype=complex)
     v[j] = 2.0 * np.exp(1j * np.pi * j / n) / (1.0 - 4.0 * j * j)
@@ -515,16 +512,15 @@ def reference_rule(n, midpoint):
 class TestThetaRule:
     """`_theta_rule` builds every rule in theta, cached with its edge factors."""
 
-    @pytest.mark.parametrize("midpoint", [False, True], ids=["fejer", "midpoint"])
-    @pytest.mark.parametrize("n", [2, 5, 64, 128, 727, 3200])
-    def test_nodes_weights_and_edge_factors_bitwise(self, n, midpoint):
-        rule = _theta_rule(n, midpoint)
+    @pytest.mark.parametrize("n", [2, 5, 64, 128, 727, 3200], ids="{}-fejer".format)
+    def test_nodes_weights_and_edge_factors_bitwise(self, n):
+        rule = _theta_rule(n)
         theta, w, *edges = rule
         assert [a.shape for a in rule] == [(n,)] * 4
         assert not any(a.flags.writeable for a in rule)
-        for got, want in zip(rule, (*reference_rule(n, midpoint), *_edge_factors(theta))):
+        for got, want in zip(rule, (*reference_rule(n), *_edge_factors(theta))):
             assert got.tobytes() == want.tobytes()
-        assert _theta_rule(n, midpoint) is rule
+        assert _theta_rule(n) is rule
 
     def test_start_rule_is_the_64_and_128_node_rules_side_by_side(self):
         start = measures._start_rule()
@@ -534,13 +530,14 @@ class TestThetaRule:
             assert got.tobytes() == want.tobytes()
 
     def test_a_repeated_reconstruction_computes_no_edge_factors(self, monkeypatch):
-        # one Fejer piece (a regular edge at -1) and one midpoint piece (square-root
-        # edges at 1 and 2); the second report at the same depth reads every edge
-        # factor from the cached rules
+        # a piece with a regular edge at -1 and one with square-root edges at 1
+        # and 2, each on the rules of ceil(40 pi + 40^(1/3)) + 128 and 32 more
+        # nodes; the second report at the same depth reads every edge factor
+        # from the cached rules
         nu = SpectralMeasure(HerglotzRep(XI_WITH_ATOM),
                              (AcPiece(-2.0, -1.0, 1.0), AcPiece(1.0, 2.0, 1.0)))
         first, report = reconstruction_report(nu, 40)
-        assert [r["rule"] for r in report["rules"]] == ["fejer", "midpoint"]
+        assert [(r["nodes"], r["certifying_nodes"]) for r in report["rules"]] == [(258, 290)] * 2
         calls = []
         monkeypatch.setattr(measures, "_edge_factors",
                             lambda theta: calls.append(theta.size) or _edge_factors(theta))
