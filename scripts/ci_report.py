@@ -173,10 +173,14 @@ def diff(here, there, out_here, out_there):
 def ab(there, pairs, file):
     """Write FILE in the BENCH_<pr>.json layout: for each workload of ./BENCHMARK.json,
     PAIRS pairs of fresh `bench/run.py --seed 903 --seconds 20` runs, one in THERE (the
-    parent) and one here, odd pairs parent first; per end-to-end metric, each side's
-    median and quartiles, the ratio of the medians and the pairs the change wins."""
+    parent) and one here, odd pairs parent first, after deleting every __pycache__ under
+    src/ and bench/ of both trees; per end-to-end metric, each side's median and
+    quartiles, the ratio of the medians and the pairs the change wins."""
     import numpy as np
     spec = json.loads(Path("BENCHMARK.json").read_text())
+    for cache in [c for tree in (there, ".") for top in ("src", "bench")
+                  for c in Path(tree, top).rglob("__pycache__")]:
+        shutil.rmtree(cache)    # so that both trees start without a bytecode cache
     def run(tree, name):   # the last line of a run: correct, attempted, failed, metrics
         last = json.loads(subprocess.run(
             [sys.executable, "bench/run.py", "--workload", name, "--seed", "903", "--seconds",
@@ -212,7 +216,8 @@ def ab(there, pairs, file):
                 f"{np.__version__}, PYTHONDONTWRITEBYTECODE "
                 f"{'set' if os.environ.get('PYTHONDONTWRITEBYTECODE') else 'unset'}",
         "method": f"{pairs} pairs of fresh runs per workload of BENCHMARK.json, one in each "
-                  "tree, odd pairs parent first; the result is the last line of bench/run.py; "
+                  "tree, odd pairs parent first, after deleting every __pycache__ under src/ "
+                  "and bench/ of both trees before the first pair; the result is the last line of bench/run.py; "
                   "quartiles by linear interpolation; change_wins counts the pairs in which "
                   "the change reads better by the metric's 'better'",
         "summary": summary, "runs": runs}, indent=1) + "\n")
@@ -238,6 +243,9 @@ MUTANTS = [
     ("on-band factor 1/2 -> 1/2 (1 + 1e-9)", "src/reflectionless/measures.py",
      "scale = 0.5\n", "scale = 0.5 * (1 + 1e-9)\n",
      "tests/test_inverse.py::TestPullbackRule", "killed"),
+    ("one-band amplitude (d - c)/4 -> (d - c)/4 (1 + 1e-9)", "src/reflectionless/inverse.py",
+     "((c + d) / 2, (d - c) / 4)", "((c + d) / 2, (d - c) / 4 * (1 + 1e-9))",
+     "tests/test_inverse.py::TestOneBand", "killed"),
     ("arc kernel in one block", "src/reflectionless/krein.py",
      "    if blocks > 1:", "    if False:",
      "tests/test_krein.py::TestArcKernelBlocks", "killed"),

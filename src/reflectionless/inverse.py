@@ -18,23 +18,25 @@ the recurrence on the mass rules where they resolve the depth.  Deeper, a
 measure of the canonical class (nu = (1/2) rho_ac on the bands of K, xi
 canonical with no jump on a gap's face, atoms of any kind) gets its exact
 pullback rule, and any other measure, or one whose exact route raises, gets
-the certified pair of depth-sized rules (`_certified`).  The pullback rule
-uses Delta = 2 (P_L + P_R)/(P_L - P_R), with P_L and P_R the products of z - e
-over the left and the right band ends: Delta pulls [-2, 2] back to K with one
-preimage per band, and nu is the pullback of the semicircle times the
-rational factor that moves the minimizer's jumps to nu's (Geronimo and Van
-Assche, Trans. AMS 308, 1988; `extremal`'s docstring).  Its n nodes per band
-solve ln|P_L| - ln|P_R| = tau_k = 2 ln cot(theta_k/2), theta_k = k pi/(n+1),
-and carry the weights 2 pi density(x)/((n + 1) sin(theta_k) S(x)), with S the
-derivative of ln|P_L/P_R|.  One atom at each jump x_j, of mass w_j
-zeta^(2n+2)/(1 - zeta^(2n+2)) with w_j rho's residue there and zeta =
-tanh(phi_j/4), phi_j = ln|P_L/P_R|(x_j), makes the rule exact to degree
-2n - 1 despite the poles of that factor.  Rounding: each node is solved in
-s = logit(u), u its offset from the band's left end over the band's length,
-so that u and 1 - u, and with them its distances to every band edge as sums
-of terms of one sign, are known to an ulp of the offset from its nearer edge;
-the density reads those offsets, and S is a sum of positive terms in them.
-So the weights carry relative rounding errors only, however narrow a gap.
+the certified pair of depth-sized rules (`_certified`).  On one band
+K = [c, d], Delta is affine and nu's ac part is the semicircle on K, of mass
+((d - c)/4)^2 and recurrence alpha_k = (c + d)/2, beta_k = (d - c)/4.  The
+pullback rule uses Delta = 2 (P_L + P_R)/(P_L - P_R), with P_L and P_R the
+products of z - e over the left and the right band ends: Delta pulls [-2, 2]
+back to K with one preimage per band, and nu is the pullback of the semicircle
+times the rational factor that moves the minimizer's jumps to nu's (Geronimo
+and Van Assche, Trans. AMS 308, 1988; `extremal`'s docstring).  Its n nodes
+per band solve ln|P_L| - ln|P_R| = tau_k = 2 ln cot(theta_k/2), theta_k =
+k pi/(n+1), and carry the weights 2 pi density(x)/((n + 1) sin(theta_k) S(x)),
+with S the derivative of ln|P_L/P_R|.  One atom at each jump x_j, of mass
+w_j zeta^(2n+2)/(1 - zeta^(2n+2)) with w_j rho's residue there and zeta =
+tanh(phi_j/4), phi_j = ln|P_L/P_R|(x_j), makes the rule exact to degree 2n - 1
+despite the poles of that factor.  Rounding: each node is solved in
+s = logit(u), u its offset from the band's left end over the band's length, so
+that u and 1 - u, and with them its distances to every band edge as sums of
+terms of one sign, are known to an ulp of the offset from its nearer edge; the
+density reads those offsets, and S is a sum of positive terms in them.  So the
+weights carry relative rounding errors only, however narrow a gap.
 
 Indexing: the returned window is [0, N] with a = (a_0, a_1, ..., a_N) and
 b = (b_0, b_1, ..., b_N).  The site-0 diagonal b_0 is NOT determined by
@@ -150,20 +152,24 @@ def _scale(nu: SpectralMeasure) -> float:
                + [abs(e) for p in nu.ac_pieces for e in (p.lo, p.hi)])
 
 
-def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int,
-            orders: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int, orders: int = 1,
+            free=None) -> tuple[np.ndarray, np.ndarray]:
     """(b_1..b_N, a_1..a_N) of nu with its ac part replaced by the rule of
-    nodes t and weights w.  With atoms the recurrence goes one step deeper:
-    the Gauss rule of that section matches the ac moments through degree
-    2N + 1, which fixes the first N pairs once the atoms are folded in.  With
-    orders = 2 and two or more atoms, they are also folded in reverse order,
-    and the two folds must agree to 1e-12 x scale."""
+    nodes t and weights w, or, given `free` = (alpha, beta), by the measure
+    of mass beta^2 whose recurrence is alpha_k = alpha, beta_k = beta.  With
+    atoms the recurrence goes one step deeper: the Gauss rule of that section
+    matches the ac moments through degree 2N + 1, which fixes the first N
+    pairs once the atoms are folded in.  With orders = 2 and two or more
+    atoms, they are also folded in reverse order, and the two folds must
+    agree to 1e-12 x scale."""
     a, d = [0.0], []
     if nu.ac_pieces:
-        alphas, betas = lanczos_tridiag(t, w, n_coeffs + 1 if nu.atoms else n_coeffs)
+        steps = n_coeffs + 1 if nu.atoms else n_coeffs
+        alphas, betas = np.full((steps, 2), free).T if free else lanczos_tridiag(t, w, steps)
         if not nu.atoms:
             return alphas, betas
-        a, d = [math.sqrt(float(np.sum(w)))] + betas[:-1].tolist() + [0.0], alphas.tolist()
+        root = free[1] if free else math.sqrt(float(np.sum(w)))
+        a, d = [root] + betas[:-1].tolist() + [0.0], alphas.tolist()
     folds = []
     for atoms in (nu.atoms, nu.atoms[::-1])[:orders if len(nu.atoms) > 1 else 1]:
         a_k, d_k = a.copy(), d.copy()
@@ -180,12 +186,10 @@ def _jacobi(nu: SpectralMeasure, t, w, n_coeffs: int,
     return folds[0]
 
 
-def _pullback_rule(nu: SpectralMeasure, n: int):
-    """(nodes, weights) of the pullback rule of nu (module docstring), exact
-    for every polynomial of degree <= 2n - 1 against nu's ac part, or None if
-    nu is outside its class: nu's ac pieces are the bands of K, each with
-    multiplier 1/2, and its xi is canonical on K with no jump on a gap's face.
-    Raises `NumericError` if a node is not certified in `_MAX_STEPS` steps."""
+def _canonical_bands(nu: SpectralMeasure):
+    """(bands of K, gap jump masses) if nu is of the canonical class, else
+    None: nu's ac pieces are the bands of K, each with multiplier 1/2, and
+    its xi is canonical on K with no jump on a gap's face."""
     pieces = nu.ac_pieces
     if not pieces or any(p.multiplier != 0.5 for p in pieces):
         return None
@@ -196,10 +200,17 @@ def _pullback_rule(nu: SpectralMeasure, n: int):
         canonical = canonical_krein_from_jumps(k_set, GapJumps(masses), xi.bound)
     except ValueError:
         return None
-    bands = np.array(k_set.intervals)
+    ok = xi == canonical and all(0.0 < g < d - c for g, (c, d) in zip(masses, k_set.gaps()))
+    return (np.array(k_set.intervals), masses) if ok else None
+
+
+def _pullback_rule(nu: SpectralMeasure, n: int, found=None):
+    """(nodes, weights) of the pullback rule of nu (module docstring), exact
+    for every polynomial of degree <= 2n - 1 against nu's ac part, for nu of
+    its class, whose `_canonical_bands` are `found` if given.  Raises
+    `NumericError` if a node is not certified in `_MAX_STEPS` steps."""
+    (bands, masses), xi = found or _canonical_bands(nu), nu.rep.xi
     gaps, edges, lengths = bands[1:, 0] - bands[:-1, 1], bands.ravel(), bands[:, 1] - bands[:, 0]
-    if xi != canonical or not all(0.0 < g < width for g, width in zip(masses, gaps)):
-        return None
     # sin and cos of theta_k/2, theta_k = k pi/(n + 1), both as sines: the targets
     # tau_k = 2 ln cot(theta_k/2) come out antisymmetric, sin(theta_k) symmetric
     half = np.sin(np.arange(1, n + 1) * (0.5 * np.pi / (n + 1)))
@@ -282,9 +293,9 @@ def _certified(nu: SpectralMeasure, n_coeffs: int):
 
 def _reconstruct(nu: SpectralMeasure, n_coeffs: int, gated: bool):
     """(window [0, N], rules, certificate): if `gated`, of the mass rules where
-    5N <= n, else of the pullback rule for a measure of its class (rules and
-    certificate None); otherwise, or on a `NumericError` there, of one
-    `_certified` run."""
+    5N <= n, else, for a measure of the canonical class, of the free
+    recurrence (one band) or its pullback rule (rules and certificate None);
+    otherwise, or on a `NumericError` there, of one `_certified` run."""
     if n_coeffs < 0:
         raise ValueError("n_coeffs must be >= 0")
     mass = total_mass(nu)
@@ -296,10 +307,15 @@ def _reconstruct(nu: SpectralMeasure, n_coeffs: int, gated: bool):
             pairs = _jacobi(nu, *map(np.concatenate, zip(*(r[1:3] for r in mass_rules))), n_coeffs)
         except NumericError:
             pass
-    if gated and not pairs:
+    found = gated and not pairs and _canonical_bands(nu)
+    if found:
         try:
-            rule = _pullback_rule(nu, n_coeffs + (3 if nu.atoms else 2))
-            pairs = rule and _jacobi(nu, *rule, n_coeffs, orders=2)
+            if len(found[0]) == 1:      # Delta is affine: nu's ac part is K's semicircle
+                (c, d), = found[0].tolist()
+                pairs = _jacobi(nu, None, None, n_coeffs, 2, ((c + d) / 2, (d - c) / 4))
+            else:
+                rule = _pullback_rule(nu, n_coeffs + (3 if nu.atoms else 2), found)
+                pairs = _jacobi(nu, *rule, n_coeffs, orders=2)
         except NumericError:
             pass
     (alphas, betas), rules, cert = (pairs, None, None) if pairs else _certified(nu, n_coeffs)
@@ -313,9 +329,9 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
     """Recover (a_0; a_1, b_1; ...; a_N, b_N) from the half-line measure.
 
     a_0 = sqrt(total mass); the rest by the unreorthogonalized recurrence on
-    a rule for the ac part, atoms folded in afterwards.  It stays orthogonal
-    on a rule that resolves the depth (Paige), and the Bessel guard of
-    `lanczos_tridiag` raises where it does not.  Three routes, in order:
+    a rule for the ac part, or in closed form on one band, atoms folded in
+    afterwards.  The recurrence stays orthogonal where the rule resolves the
+    depth (Paige); else its Bessel guard raises.  Three routes, in order:
 
     - The gate.  If 5N <= n for the n-node Fejer rule at which each ac
       piece's mass converged, it runs on those rules: degree 2N + 1 in t is
@@ -323,11 +339,14 @@ def reconstruct_coefficients(nu: SpectralMeasure, n_coeffs: int) -> JacobiCoeffi
       is exact only to degree n - 1, and a frequency's Chebyshev tail needs
       some N^(1/3) degrees more (at N = n/4 the semicircle is off by 3e-11;
       no measure tried failed before n/4.1).
-    - The exact rule.  A measure of the canonical class (module docstring)
+    - The exact route, with no certificate, for a measure of the canonical
+      class (module docstring).  On one band [c, d] its ac part is the
+      semicircle on it, with alpha_k = (c + d)/2 and beta_k = (d - c)/4 (N + 1
+      of each with atoms, each atom folded in at O(N)).  On two or more it
       runs on its pullback rule with n = N + 2 nodes per band (N + 3 with
-      atoms), exact to degree 2n - 1, in one density call and one pass of
-      the recurrence, with no certificate.  Its nodes are solved to an ulp
-      of their offset from the nearer band edge, and its weights formed from
+      atoms), exact to degree 2n - 1, in one density call and one pass of the
+      recurrence.  Its nodes are solved to an ulp of their
+      offset from the nearer band edge, and its weights formed from
       edge-relative distances, so rounding enters them relatively.  Two or
       more atoms are folded in both orders, which must agree to 1e-12 x
       scale.  Any `NumericError` on this route falls through to the next.

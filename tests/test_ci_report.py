@@ -223,6 +223,22 @@ def test_ab_alternates_fresh_runs_and_summarizes_each_side(tmp_path):
         (903, 2, 7, {"parent": 0, "change": 0})
 
 
+def test_ab_deletes_both_trees_bytecode_caches_before_the_first_pair(tmp_path):
+    # a cache left in one tree alone read as an 11% regression of the other
+    caches = ["src/pkg/__pycache__/mod.cpython-311.pyc", "bench/__pycache__/run.cpython-311.pyc"]
+    for tree, values in (("here", [1.0, 5.0]), ("base", [2.0, 10.0])):
+        write_tree(tmp_path / tree, {"bench/run.py": STUB_RUN, "values.json": json.dumps(values),
+                                     "BENCHMARK.json": json.dumps(BENCHMARK),
+                                     "tests/__pycache__/kept.pyc": "",
+                                     **{cache: "" for cache in caches}})
+    tool(tmp_path / "here", "ab", "../base", "1", "../ab.json")
+    for tree in ("here", "base"):
+        assert not any((tmp_path / tree / cache).parent.exists() for cache in caches)
+        assert (tmp_path / tree / "tests" / "__pycache__" / "kept.pyc").exists()
+    assert "after deleting every __pycache__ under src/ and bench/ of both trees" in json.loads(
+        (tmp_path / "ab.json").read_text())["method"]
+
+
 def test_mutants_reports_each_verdict_against_the_expected_one(tmp_path, monkeypatch, capsys):
     write_tree(tmp_path, {"src/pkg.py": "def half(x):\n    return x / 2\n",
                           "tests/test_pkg.py": "from pkg import half\n\n\ndef test_half():\n"

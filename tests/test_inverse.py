@@ -510,9 +510,11 @@ class TestMassRuleReuse:
             raise NumericError("forced breakdown")
 
         monkeypatch.setattr(inverse, "lanczos_tridiag", always_breaks)
+        # outside the canonical class (multiplier 1), so that no route skips the recurrence
+        nu = SpectralMeasure(HerglotzRep(free_krein(2.0)), (AcPiece(-2.0, 2.0, 1.0),))
         with pytest.raises(NumericError, match="not certified.*: no rule pair completed, "
                                                r"target 2e-12 \(1e-12 x scale\)$"):
-            reconstruct_coefficients(normalized_semicircle(), 300)
+            reconstruct_coefficients(nu, 300)
 
     def test_refusal_names_the_reachable_accuracy(self):
         # atoms accumulating at 2.5: no float64 fold certifies 1e-12 at
@@ -629,17 +631,49 @@ class TestPullbackRule:
     @pytest.mark.parametrize("nu", [normalized_semicircle(), dr_measure(),
                                     canonical_half_line(*NEAR_FACE, 1.0)],
                              ids=["semicircle", "dr", "near-face-f1"])
-    def test_class_measures_take_one_density_call(self, nu, certified_calls, density_calls):
+    def test_class_measures_take_one_density_call(self, nu, certified_calls, density_calls,
+                                                  monkeypatch):
+        from reflectionless import inverse
+        kernel, steps = inverse.lanczos_tridiag, []
+        monkeypatch.setattr(inverse, "lanczos_tridiag",
+                            lambda t, w, n_steps: steps.append(n_steps) or kernel(t, w, n_steps))
         total_mass(nu)
         evaluated = len(density_calls)
         # the shallow gate answers first, with the mass rules
         reconstruct_coefficients(nu, min(rule[0] for rule in nu._mass_rules) // 5)
-        assert len(density_calls) == evaluated
+        assert len(density_calls) == evaluated and len(steps) == 1
         reconstruct_coefficients(nu, 60)
-        assert len(density_calls) == evaluated + len(nu.ac_pieces)
-        assert [n for _, n in density_calls[evaluated:]] == [63 if nu.atoms else 62] * len(
-            nu.ac_pieces)
+        if len(nu.ac_pieces) == 1:
+            # one band: the free recurrence, with no rule and no recurrence run
+            assert len(density_calls) == evaluated and len(steps) == 1
+        else:
+            # one density call of N + 2 (N + 3) nodes per band, and one recurrence
+            assert len(density_calls) == evaluated + len(nu.ac_pieces) and len(steps) == 2
+            assert [n for _, n in density_calls[evaluated:]] == [63 if nu.atoms else 62] * len(
+                nu.ac_pieces)
         assert not certified_calls
+
+
+class TestOneBand:
+    """A canonical measure on one band [c, d] takes the free recurrence,
+    alpha = (c + d)/2 and beta = (d - c)/4, with its atoms folded in."""
+
+    def test_translated_narrow_band_is_exact(self):
+        # Lanczos on the pullback rule put a_n up to 2.1e-6 relative off (d - c)/4
+        c, d = 1e6, 1e6 + 1e-3
+        rec = reconstruct_coefficients(canonical_half_line(((c, d),)), 200)
+        assert np.all(rec.a_window[1:] == (d - c) / 4)
+        assert np.all(rec.b_window[1:] == (c + d) / 2)
+
+    def test_dr_measure_at_depth_20000(self, monkeypatch):
+        from reflectionless import inverse
+        kernel, steps = inverse.lanczos_tridiag, []
+        monkeypatch.setattr(inverse, "lanczos_tridiag",
+                            lambda *args: steps.append(args[2]) or kernel(*args))
+        rec = reconstruct_coefficients(dr_measure(), 20000)
+        assert not steps
+        assert np.max(np.abs(rec.a_window[-20:] - 1.0)) <= 1e-14
+        assert np.max(np.abs(rec.b_window[-20:])) <= 1e-14
 
 
 # a narrow-gap set and its canonical jumps, on whose half-line measure the certified
